@@ -7,13 +7,14 @@ rational normalization inside the loop).  Pivoting is deterministic:
 leftmost column first, first row with a nonzero entry.
 
 On top of the core sit: exact_solve (with nullspace extraction), exact
-determinants, the characteristic polynomial (Faddeev-LeVerrier), the minimal
-polynomial (first Krylov dependency among flattened powers), and Sylvester
-resultants of bivariate polynomials via evaluation/interpolation.
+determinants, Sylvester resultants via evaluation/interpolation, and the
+minimal and characteristic polynomials, built from row annihilators: one
+core pass over the Krylov columns e_i M^k, k <= n (Wiedemann, IEEE Trans. IT
+1986), O(n^3) operations each.
 """
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import lcm, prod
 
 from .bipoly import BiPoly, _frac
 from .errors import DegenerateResultantError, NoSolutionError
@@ -119,20 +120,20 @@ def _clear_row_denominators(rows):
     """Scale each rational row to integers (row scaling preserves solutions)."""
     out = []
     for row in rows:
-        denom_lcm = 1
-        for v in row:
-            denom_lcm = denom_lcm * v.denominator // int_gcd(denom_lcm, v.denominator)
-        out.append([int(v * denom_lcm) for v in row])
+        denom = lcm(*(v.denominator for v in row))
+        out.append([v.numerator * (denom // v.denominator) for v in row])
     return out
 
 
 def _bareiss_echelon(int_rows, ncols):
     """In-place fraction-free echelon reduction.
 
-    Returns the list of pivot (row, col) pairs.  Division by the previous
-    pivot is exact over the integers (Bareiss one-step elimination).
+    Returns the pivot (row, col) pairs and the sign (-1)^(row swaps).
+    Division by the previous pivot is exact over the integers (Bareiss
+    one-step elimination).
     """
     pivots = []
+    sign = 1
     prev_pivot = 1
     pivot_row = 0
     nrows = len(int_rows)
@@ -146,21 +147,25 @@ def _bareiss_echelon(int_rows, ncols):
             continue
         if found != pivot_row:
             int_rows[pivot_row], int_rows[found] = int_rows[found], int_rows[pivot_row]
-        piv = int_rows[pivot_row][col]
+            sign = -sign
         row_p = int_rows[pivot_row]
+        piv = row_p[col]
+        tail_p = row_p[col + 1:]
         for r in range(pivot_row + 1, nrows):
             row_r = int_rows[r]
             target = row_r[col]
+            row_r[col] = 0
             # unconditional Bareiss update: keeps every entry a minor of the
             # input, so the division by the previous pivot stays exact
-            for c in range(col, ncols):
-                row_r[c] = (piv * row_r[c] - target * row_p[c]) // prev_pivot
+            row_r[col + 1:] = [
+                (piv * a - target * b) // prev_pivot for a, b in zip(row_r[col + 1:], tail_p)
+            ]
         pivots.append((pivot_row, col))
         prev_pivot = piv
         pivot_row += 1
         if pivot_row == nrows:
             break
-    return pivots
+    return pivots, sign
 
 
 def _solve_from_echelon(int_rows, pivots, ncols, rhs_col):
@@ -180,19 +185,9 @@ def _nullspace_from_echelon(int_rows, pivots, ncols):
     pivot_cols = {col for _, col in pivots}
     basis = []
     for free in range(ncols):
-        if free in pivot_cols:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for row, col in reversed(pivots):
-            if col >= free:
-                continue
-            acc = Fraction(0)
-            for c in range(col + 1, ncols):
-                if int_rows[row][c] and vec[c]:
-                    acc -= int_rows[row][c] * vec[c]
-            vec[col] = acc / int_rows[row][col]
-        basis.append(vec)
+        if free not in pivot_cols:
+            head = _solve_from_echelon(int_rows, [p for p in pivots if p[1] < free], free, free)
+            basis.append([-v for v in head] + [Fraction(1)] + [Fraction(0)] * (ncols - free - 1))
     return basis
 
 
@@ -207,7 +202,7 @@ def solve_with_nullspace(matrix_rows, rhs, want_nullspace=False):
     ncols = len(matrix_rows[0]) if matrix_rows else 0
     aug = [list(row) + [_frac(b)] for row, b in zip(matrix_rows, rhs)]
     int_rows = _clear_row_denominators(aug)
-    pivots = _bareiss_echelon(int_rows, ncols + 1)
+    pivots, _ = _bareiss_echelon(int_rows, ncols + 1)
     if any(col == ncols for _, col in pivots):
         return None, []
     solution = _solve_from_echelon(int_rows, pivots, ncols, ncols)
@@ -227,74 +222,101 @@ def exact_solve(matrix, rhs):
 
 
 def determinant(matrix):
-    """Exact determinant via Bareiss (last pivot / row scalings)."""
+    """Exact determinant: the last Bareiss pivot over the row scalings."""
     if not matrix.is_square():
         raise ValueError("determinant needs a square matrix")
     n = matrix.rows
-    scale = Fraction(1)
-    int_rows = []
-    for row in matrix.entries:
-        denom_lcm = 1
-        for v in row:
-            denom_lcm = denom_lcm * v.denominator // int_gcd(denom_lcm, v.denominator)
-        scale *= denom_lcm
-        int_rows.append([int(v * denom_lcm) for v in row])
-    sign = 1
-    prev_pivot = 1
-    for col in range(n):
-        found = None
-        for r in range(col, n):
-            if int_rows[r][col] != 0:
-                found = r
-                break
-        if found is None:
-            return Fraction(0)
-        if found != col:
-            int_rows[col], int_rows[found] = int_rows[found], int_rows[col]
-            sign = -sign
-        piv = int_rows[col][col]
-        for r in range(col + 1, n):
-            target = int_rows[r][col]
-            for c in range(col, n):
-                int_rows[r][c] = (piv * int_rows[r][c] - target * int_rows[col][c]) // prev_pivot
-        prev_pivot = piv
-    return Fraction(sign * int_rows[n - 1][n - 1]) / scale
+    scale = prod(lcm(*(v.denominator for v in row)) for row in matrix.entries)
+    int_rows = _clear_row_denominators(matrix.entries)
+    pivots, sign = _bareiss_echelon(int_rows, n)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(sign * int_rows[n - 1][n - 1], scale)
 
 
 # -- spectra -----------------------------------------------------------------
 
 
+def _integer_form(matrix):
+    """(integer rows, d) with matrix = rows / d for one common denominator d."""
+    denom = lcm(*(v.denominator for row in matrix.entries for v in row))
+    return [[v.numerator * (denom // v.denominator) for v in row] for row in matrix.entries], denom
+
+
+def _row_times(vec, int_rows):
+    """The integer row vector vec @ int_rows."""
+    out = [0] * len(int_rows[0])
+    for v, row in zip(vec, int_rows):
+        if v:
+            out = [o + v * m for o, m in zip(out, row)]
+    return out
+
+
+def _annihilator(vec, int_rows, denom):
+    """Monic p of least degree with vec p(M) = 0, where M = int_rows / denom.
+
+    One Bareiss pass over the columns w_k = denom^k vec M^k, k = 0..n: once
+    w_d depends on w_0..w_{d-1} so do all later columns, so the pivots sit in
+    columns 0..d-1 and back substitution gives w_d = sum c_k w_k, that is
+    vec M^d = sum c_k denom^(k-d) vec M^k.
+    """
+    krylov = [vec]
+    for _ in int_rows:
+        krylov.append(_row_times(krylov[-1], int_rows))
+    columns = [list(r) for r in zip(*krylov)]
+    pivots, _ = _bareiss_echelon(columns, len(krylov))
+    d = len(pivots)
+    coeffs = _solve_from_echelon(columns, pivots, d, d)
+    return UniPoly([-c / denom ** (d - k) for k, c in enumerate(coeffs)] + [1])
+
+
+def _times_poly(vec, p, int_rows, denom):
+    """A positive integer multiple of vec p(M), M = int_rows / denom (Horner)."""
+    d = p.degree()
+    scale = lcm(*(c.denominator for c in p.coeffs))
+    out = [0] * len(vec)
+    for k in range(d, -1, -1):
+        out = _row_times(out, int_rows)
+        c = int(p.coeffs[k] * scale) * denom ** (d - k)
+        if c:
+            out = [o + c * v for o, v in zip(out, vec)]
+    return out
+
+
 def char_poly(matrix):
-    """Monic characteristic polynomial det(t*I - M), exactly."""
+    """Monic det(t*I - M): the annihilator of e_0 if it has degree n, else the pencil det(-M + t*I)."""
     if not matrix.is_square():
         raise ValueError("characteristic polynomial needs a square matrix")
     n = matrix.rows
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    m_work = RatMatrix.zeros(n)
-    c_prev = Fraction(1)
-    for k in range(1, n + 1):
-        m_work = matrix @ (m_work + RatMatrix.identity(n).scale(c_prev))
-        c_prev = -m_work.trace() / k
-        coeffs[n - k] = c_prev
-    return UniPoly(coeffs)
+    p = _annihilator([1] + [0] * (n - 1), *_integer_form(matrix))
+    if p.degree() == n:
+        return p
+    return pencil_determinant(matrix.scale(-1), RatMatrix.identity(n))
 
 
 def min_poly(matrix):
-    """Minimal polynomial: first linear dependency among I, M, M^2, ..."""
+    """Minimal polynomial: the lcm of the annihilators of the unit rows e_i.
+
+    p starts as ann(e_0).  If e_i p(M) != 0, its annihilator q is
+    ann(e_i) / gcd(ann(e_i), p), so p*q = lcm(p, ann(e_i)).  Once deg p = n,
+    p is the characteristic polynomial, which the minimal polynomial divides.
+
+    For the multiplication matrix A of H on Q[x,y]/(H_x, H_y) with m_0 = 1,
+    ann(e_0) is the answer: e_0 A^k holds the coordinates of H^k, so
+    e_0 p(A) = 0 means p(H) = 0, and e_i p(A) holds those of m_i p(H) = 0.
+    """
     if not matrix.is_square():
         raise ValueError("minimal polynomial needs a square matrix")
     n = matrix.rows
-    powers = [RatMatrix.identity(n)]
-    for k in range(1, n + 1):
-        powers.append(powers[-1] @ matrix)
-        columns = [_vec(p) for p in powers[:k]]
-        target = _vec(powers[k])
-        rows = [[columns[j][i] for j in range(k)] for i in range(n * n)]
-        solution, _ = solve_with_nullspace(rows, target)
-        if solution is not None:
-            return UniPoly([-c for c in solution] + [Fraction(1)])
-    raise AssertionError("unreachable: Cayley-Hamilton bounds the minimal polynomial")
+    int_rows, denom = _integer_form(matrix)
+    p = _annihilator([1] + [0] * (n - 1), int_rows, denom)
+    for i in range(1, n):
+        if p.degree() == n:
+            break
+        rest = _times_poly([int(j == i) for j in range(n)], p, int_rows, denom)
+        if any(rest):
+            p = p * _annihilator(rest, int_rows, denom)
+    return p
 
 
 def char_and_min_poly(matrix):
@@ -302,23 +324,17 @@ def char_and_min_poly(matrix):
     return char_poly(matrix), min_poly(matrix)
 
 
-def _vec(matrix):
-    return [v for row in matrix.entries for v in row]
-
-
 def pencil_determinant(b0, b1):
     """det(B0 + t*B1) as an exact UniPoly, by evaluation/interpolation."""
     if b0.rows != b1.rows or b0.cols != b1.cols or not b0.is_square():
         raise ValueError("pencil needs two square matrices of equal size")
     n = b0.rows
-    points = []
-    for k in range(n + 1):
-        t = Fraction(k)
-        sample = RatMatrix(
+    return lagrange_interpolate([
+        (Fraction(t), determinant(RatMatrix(
             [[b0.entries[i][j] + t * b1.entries[i][j] for j in range(n)] for i in range(n)]
-        )
-        points.append((t, determinant(sample)))
-    return lagrange_interpolate(points)
+        )))
+        for t in range(n + 1)
+    ])
 
 
 # -- resultants ----------------------------------------------------------------
@@ -357,12 +373,10 @@ def resultant(p, q, var):
         degx_p = max((e[0] for e in p.terms), default=0)
         degx_q = max((e[0] for e in q.terms), default=0)
         bound = dq * degx_p + dp * degx_q
-        points = []
-        for k in range(bound + 1):
-            x0 = Fraction(k)
-            mat = _sylvester_at(p_coeffs, q_coeffs, dp, dq, x0)
-            points.append((x0, determinant(mat)))
-        interp = lagrange_interpolate(points)
+        interp = lagrange_interpolate([
+            (Fraction(k), determinant(_sylvester_at(p_coeffs, q_coeffs, dp, dq, Fraction(k))))
+            for k in range(bound + 1)
+        ])
         result = BiPoly({(k, 0): c for k, c in enumerate(interp.coeffs)})
     if var == "x":
         result = result.swap_variables()
@@ -382,14 +396,9 @@ def _sylvester_at(p_coeffs, q_coeffs, dp, dq, x0):
     p_vals = [c.eval_at(x0, Fraction(0)) for c in p_coeffs]
     q_vals = [c.eval_at(x0, Fraction(0)) for c in q_coeffs]
     rows = []
-    for shift in range(dq):
-        row = [Fraction(0)] * size
-        for k, v in enumerate(reversed(p_vals)):
-            row[shift + k] = v
-        rows.append(row)
-    for shift in range(dp):
-        row = [Fraction(0)] * size
-        for k, v in enumerate(reversed(q_vals)):
-            row[shift + k] = v
-        rows.append(row)
+    for vals, shifts in ((p_vals, dq), (q_vals, dp)):
+        for shift in range(shifts):
+            row = [Fraction(0)] * size
+            row[shift:shift + len(vals)] = reversed(vals)
+            rows.append(row)
     return RatMatrix(rows)

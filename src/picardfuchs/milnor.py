@@ -159,7 +159,7 @@ def _rank_of_columns(columns, dim):
         return 0
     rows = [[col[i] for col in columns] for i in range(dim)]
     int_rows = _clear_row_denominators(rows)
-    return len(_bareiss_echelon(int_rows, len(columns)))
+    return len(_bareiss_echelon(int_rows, len(columns))[0])
 
 
 def _slice_complements(hhx, hhy, n, d, monos):

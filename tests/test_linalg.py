@@ -12,10 +12,12 @@ from picardfuchs.linalg import (
     char_poly,
     determinant,
     exact_solve,
+    min_poly,
     pencil_determinant,
     resultant,
     solve_with_nullspace,
 )
+from picardfuchs.milnor import monomial_basis, multiplication_matrix
 from picardfuchs.unipoly import UniPoly
 
 
@@ -142,3 +144,68 @@ def test_resultant_nonzero_for_coprime(rng):
 def test_resultant_degenerate():
     with pytest.raises(DegenerateResultantError):
         resultant(X + 1, X**2, "y")
+
+
+def _derogatory_matrix(rng, sympy):
+    """Three Jordan blocks over two eigenvalues, conjugated by a unimodular U."""
+    blocks = []
+    while len(blocks) < 3:
+        size, lam = rng.randint(1, 2), rng.choice([0, 2])
+        blocks.append(sympy.Matrix(size, size, lambda i, j: lam if i == j else int(j == i + 1)))
+    d = sympy.diag(*blocks)
+    u = sympy.eye(d.rows)
+    for _ in range(2 * d.rows):
+        i, j = rng.sample(range(d.rows), 2)
+        u = u.elementary_row_op("n->n+km", row=i, k=rng.randint(-2, 2), row2=j)
+    return u * d * u.inv()
+
+
+def _sympy_reference(m, sympy):
+    """(char poly, least monic divisor of its factorization killing m), ascending."""
+    t = sympy.Symbol("t")
+    sm = sympy.Matrix(m.rows, m.cols, lambda i, j: sympy.Rational(m[i, j].numerator, m[i, j].denominator))
+    cp = sm.charpoly(t).as_expr()
+    factors = [(sympy.Poly(f, t), e) for f, e in sympy.factor_list(cp)[1]]
+
+    def at_matrix(poly):
+        acc = sympy.zeros(sm.rows)
+        for c in poly.all_coeffs():
+            acc = acc * sm + c * sympy.eye(sm.rows)
+        return acc
+
+    values = [at_matrix(f) for f, _ in factors]
+    exponents = [e for _, e in factors]
+    for i in range(len(factors)):
+        for k in range(1, exponents[i] + 1):
+            trial = exponents[:i] + [k] + exponents[i + 1:]
+            product = sympy.eye(sm.rows)
+            for value, e in zip(values, trial):
+                product = product * value**e
+            if product.is_zero_matrix:
+                exponents[i] = k
+                break
+    mp = sympy.Poly(1, t)
+    for (f, _), e in zip(factors, exponents):
+        mp = mp * f**e
+
+    def ascending(poly):
+        return UniPoly([Fraction(int(c.p), int(c.q)) for c in reversed(poly.monic().all_coeffs())])
+
+    return ascending(sympy.Poly(cp, t)), ascending(mp)
+
+
+def test_spectra_match_sympy(rng):
+    sympy = pytest.importorskip("sympy")
+    matrices = []
+    for _ in range(10):
+        n = rng.randint(1, 6)
+        matrices.append(RatMatrix([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]))
+    for _ in range(8):
+        d = _derogatory_matrix(rng, sympy)
+        matrices.append(RatMatrix([[Fraction(int(d[i, j])) for j in range(d.cols)] for i in range(d.rows)]))
+    for H in (X**5 + Y**5, X**3 * Y + X * Y**3 + X**2, X**4 + Y**4 - X**2 - Y**2, X**3 + Y**3 - 3 * X * Y):
+        matrices.append(multiplication_matrix(monomial_basis(H)))
+    for m in matrices:
+        cp, mp = _sympy_reference(m, sympy)
+        assert char_poly(m) == cp, m
+        assert min_poly(m) == mp, m

@@ -1,4 +1,4 @@
-"""Edge Hamiltonians, relative-form invariants on complex cycles, threading."""
+"""Edge Hamiltonians and relative-form invariants on complex cycles."""
 
 import numpy as np
 
@@ -51,17 +51,6 @@ def test_relative_forms_vanish_on_x_loop(rng):
     assert abs(integrate_form(differential(f), cycle)) < 1e-8
     g = random_bipoly(rng, 2)
     assert abs(integrate_form(differential_coefficient(g, H), cycle)) < 1e-8
-
-
-def test_thread_env_variable(monkeypatch):
-    monkeypatch.setenv("PF_NUM_THREADS", "4")
-    H = X**3 + Y**3 - 3 * X * Y
-    parallel = build_system(H)
-    monkeypatch.setenv("PF_NUM_THREADS", "1")
-    serial = build_system(H)
-    assert parallel.A == serial.A
-    assert parallel.B0 == serial.B0
-    assert parallel.B1 == serial.B1
 
 
 def test_mu_one_determinant_shape():

@@ -1,7 +1,10 @@
 """System assembly, structural validation, classification, serialization."""
 
+import dataclasses
 import json
 from fractions import Fraction
+
+import pytest
 
 from picardfuchs.bipoly import BiPoly, X, Y
 from picardfuchs.forms import TwoForm, wedge_with_dH
@@ -152,3 +155,38 @@ def test_mu_one_json_shape():
     assert doc["A"] == [["0"]]
     assert doc["B0"] == [["1"]]
     assert doc["B1"] == [["0"]]
+
+
+# (matrix, row monomial, column monomial, new value, flags that fail) on the
+# quintic, whose form degrees run 2..8 with n + 1 = 5 and whose only nonzero
+# B1 entry sits at (x^3y^3, 1); expectations are those of computing the
+# pencil determinant and B1 @ B1 outright
+TAMPERED = {
+    "b0_above_degree_diagonal": ("B0", (0, 0), (1, 0), 1, {"b0_triangular_ok"}),
+    "b0_same_degree_off_diagonal": ("B0", (1, 0), (0, 1), 1, {"b0_diagonal_ok"}),
+    "b0_diagonal_changed": ("B0", (1, 1), (1, 1), 7, {"b0_diagonal_ok", "b_invertible_ok"}),
+    "b1_gap_below_n_plus_1": ("B1", (3, 3), (2, 2), 1, {"b1_triangular_ok"}),
+    "b1_diagonal": (
+        "B1", (2, 1), (2, 1), 1, {"b1_triangular_ok", "b1_square_zero_ok", "b_invertible_ok"},
+    ),
+    "b1_back_edge": (
+        "B1", (0, 0), (3, 3), 1, {"b1_triangular_ok", "b1_square_zero_ok", "b_invertible_ok"},
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def quintic_system():
+    return build_system(QUINTIC)
+
+
+@pytest.mark.parametrize("case", sorted(TAMPERED))
+def test_validation_flags_tampered_systems(quintic_system, case):
+    field, row, col, value, failing = TAMPERED[case]
+    sys = quintic_system
+    i, j = sys.basis.index_of(*row), sys.basis.index_of(*col)
+    entries = [list(r) for r in getattr(sys, field).entries]
+    entries[i][j] = Fraction(value)
+    tampered = dataclasses.replace(sys, **{field: RatMatrix(entries)})
+    report = validate_system(tampered).as_dict()
+    assert report == {name: name not in failing for name in report}
