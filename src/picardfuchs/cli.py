@@ -110,10 +110,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except PicardFuchsError as exc:
-        _report_error(args, exc)
-        return 2
-    except ValueError as exc:
+    except (PicardFuchsError, ValueError) as exc:
         _report_error(args, exc)
         return 2
 

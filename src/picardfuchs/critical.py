@@ -74,15 +74,7 @@ def critical_points_numeric(H, cluster_radius=1e-6):
 def critical_values_numeric(H, cluster_radius=1e-6):
     """Critical values with multiplicities, clustered over coinciding t."""
     points = critical_points_numeric(H, cluster_radius)
-    values = []
-    for p in points:
-        for existing in values:
-            if abs(p.t - existing[0]) <= cluster_radius:
-                existing[1] += p.multiplicity
-                break
-        else:
-            values.append([p.t, p.multiplicity])
-    return [(t, m) for t, m in values]
+    return _cluster([(p.t, p.multiplicity) for p in points], cluster_radius)
 
 
 def _cluster(points, radius):

@@ -6,11 +6,12 @@ intermediate entry a minor of the input (no coefficient explosion, no
 rational normalization inside the loop).  Pivoting is deterministic:
 leftmost column first, first row with a nonzero entry.
 
-On top of the core sit: exact_solve (with nullspace extraction), exact
-determinants, Sylvester resultants via evaluation/interpolation, and the
-minimal and characteristic polynomials, built from row annihilators: one
-core pass over the Krylov columns e_i M^k, k <= n (Wiedemann, IEEE Trans. IT
-1986), O(n^3) operations each.
+On top of the core sit: pivot columns (rank and greedy column bases),
+exact_solve (with nullspace extraction), exact determinants, Sylvester
+resultants via evaluation/interpolation, and the minimal and characteristic
+polynomials, built from row annihilators: one core pass over the Krylov
+columns e_i M^k, k <= n (Wiedemann, IEEE Trans. IT 1986), O(n^3) operations
+each.
 """
 
 from fractions import Fraction
@@ -189,6 +190,17 @@ def _nullspace_from_echelon(int_rows, pivots, ncols):
             head = _solve_from_echelon(int_rows, [p for p in pivots if p[1] < free], free, free)
             basis.append([-v for v in head] + [Fraction(1)] + [Fraction(0)] * (ncols - free - 1))
     return basis
+
+
+def pivot_columns(matrix_rows):
+    """Pivot column indices of a rational matrix under leftmost-first pivoting.
+
+    Column j is a pivot exactly when it is independent of columns 0..j-1, so
+    the pivots are the greedy leftmost column basis and their count is the rank.
+    """
+    int_rows = _clear_row_denominators(matrix_rows)
+    pivots, _ = _bareiss_echelon(int_rows, len(int_rows[0]))
+    return [col for _, col in pivots]
 
 
 def solve_with_nullspace(matrix_rows, rhs, want_nullspace=False):

@@ -3,9 +3,10 @@
 For H of degree n+1 whose highest homogeneous part Hhat is a squarefree
 binary form, the gradient ideal <H_x, H_y> has a finite quotient of
 dimension mu = n^2.  This module decides regularity exactly, builds an
-ordered monomial basis of the quotient (the n x n grid {x^a y^b} when it
-works, a graded-greedy selection otherwise), and implements the two
-workhorse divisions:
+ordered monomial basis of the quotient degree by degree from the pivot
+columns of one slice matrix per degree (the n x n grid {x^a y^b} when all of
+it is pivots, a graded-lex greedy selection otherwise), and implements the
+two workhorse divisions:
 
   * reduce_mod_gradient: P = sum c_i m_i + B*H_x - A*H_y with
     deg A, deg B <= deg P - n, by peeling top homogeneous slices against
@@ -23,7 +24,7 @@ from fractions import Fraction
 from .bipoly import BiPoly, grlex_key
 from .errors import DegreeTooSmallError, InternalRankError, NotRegularError
 from .forms import OneForm, canonical_primitive
-from .linalg import RatMatrix, _bareiss_echelon, _clear_row_denominators, solve_with_nullspace
+from .linalg import RatMatrix, pivot_columns, solve_with_nullspace
 from .unipoly import UniPoly, gcd as unipoly_gcd
 
 
@@ -93,10 +94,14 @@ class MilnorBasis:
 def monomial_basis(H, report=None):
     """Monomial basis of the Milnor algebra, grid-first.
 
-    Tries the n x n grid {x^a y^b : 0 <= a, b <= n-1} and verifies, degree by
-    degree, that its slices complement the homogeneous ideal slices generated
-    by the top parts Hhat_x, Hhat_y.  If a slice fails, falls back to a
-    graded-lex-greedy selection for every degree.
+    In degree d the basis monomials are the candidates that are pivot columns
+    of the slice matrix [ideal slice | candidates] (leftmost first): each is
+    independent of the degree-d slice of <Hhat_x, Hhat_y> and of the
+    candidates before it.  The candidates are first the n x n grid
+    {x^a y^b : 0 <= a, b <= n-1}; it is kept when in every degree all of its
+    monomials are pivots and the slice matrix has full rank d+1.  Otherwise
+    every degree is redone with all degree-d monomials, x-heavy first (the
+    graded-lex greedy selection).
     """
     report = report or check_regular_at_infinity(H)
     if not report.regular:
@@ -105,24 +110,18 @@ def monomial_basis(H, report=None):
     hhat = H.highest_part()
     hhx, hhy = hhat.partial("x"), hhat.partial("y")
 
-    grid = {}
+    chosen = []
     for d in range(0, 2 * n - 1):
-        grid[d] = [(a, d - a) for a in range(min(d, n - 1), -1, -1) if d - a <= n - 1]
-
-    chosen = {}
-    grid_ok = True
-    for d in range(0, 2 * n - 1):
-        if _slice_complements(hhx, hhy, n, d, grid[d]):
-            chosen[d] = grid[d]
-        else:
-            grid_ok = False
+        grid = [(a, d - a) for a in range(min(d, n - 1), -1, -1) if d - a <= n - 1]
+        if _complement(hhx, hhy, n, d, grid) != (grid, d + 1):
+            chosen = [
+                _complement(hhx, hhy, n, e, [(a, e - a) for a in range(e, -1, -1)])[0]
+                for e in range(0, 2 * n - 1)
+            ]
             break
-    if not grid_ok:
-        chosen = {d: _greedy_slice(hhx, hhy, n, d) for d in range(0, 2 * n - 1)}
+        chosen.append(grid)
 
-    monomials = []
-    for d in range(0, 2 * n - 1):
-        monomials.extend(sorted(chosen[d], key=grlex_key))
+    monomials = [m for kept in chosen for m in sorted(kept, key=grlex_key)]
     if len(monomials) != report.mu:
         raise InternalRankError(
             f"basis selection produced {len(monomials)} monomials, expected {report.mu}"
@@ -131,66 +130,32 @@ def monomial_basis(H, report=None):
     return MilnorBasis(H=H, n=n, mu=report.mu, monomials=tuple(monomials), primitives=primitives)
 
 
+def _complement(hhx, hhy, n, d, candidates):
+    """(candidates that are pivot columns after the ideal slice, rank of the degree-d slice matrix)."""
+    _, ideal = _ideal_slice_columns(hhx, hhy, n, d)
+    pivots = pivot_columns([*zip(*ideal + _monomial_columns(candidates, d))])
+    return [candidates[c - len(ideal)] for c in pivots if c >= len(ideal)], len(pivots)
+
+
 def _ideal_slice_columns(hhx, hhy, n, d):
-    """Degree-d slice of <Hhat_x, Hhat_y> as coefficient columns over y-exponent."""
-    columns = []
-    if d < n:
-        return columns
-    for gen in (hhx, hhy):
-        for i in range(d - n + 1):
-            j = d - n - i
-            shifted = gen * BiPoly.monomial(i, j)
-            columns.append(_slice_vector(shifted, d))
-    return columns
+    """(quotient monomials, degree-d columns Hhat_x*x^i y^j then -Hhat_y*x^i y^j).
+
+    Columns are coefficient vectors over the y-exponent; (i, j) runs over the
+    quotient monomials of degree d - n, none when d < n.
+    """
+    quot_monos = [(i, d - n - i) for i in range(d - n + 1)]
+    return quot_monos, [
+        _slice_vector(gen * BiPoly.monomial(i, j), d) for gen in (hhx, -hhy) for i, j in quot_monos
+    ]
+
+
+def _monomial_columns(monos, d):
+    """Unit coefficient vectors of degree-d monomials (a, b), over the y-exponent."""
+    return [[int(r == b) for r in range(d + 1)] for _, b in monos]
 
 
 def _slice_vector(poly, d):
     return [poly.coefficient(d - b, b) for b in range(d + 1)]
-
-
-def _mono_vector(a, b, d):
-    vec = [Fraction(0)] * (d + 1)
-    vec[b] = Fraction(1)
-    return vec
-
-
-def _rank_of_columns(columns, dim):
-    if not columns:
-        return 0
-    rows = [[col[i] for col in columns] for i in range(dim)]
-    int_rows = _clear_row_denominators(rows)
-    return len(_bareiss_echelon(int_rows, len(columns))[0])
-
-
-def _slice_complements(hhx, hhy, n, d, monos):
-    """True iff the monomials complement the ideal slice in degree d."""
-    ideal_cols = _ideal_slice_columns(hhx, hhy, n, d)
-    ideal_rank = _rank_of_columns(ideal_cols, d + 1)
-    if ideal_rank + len(monos) != d + 1:
-        return False
-    all_cols = ideal_cols + [_mono_vector(a, b, d) for a, b in monos]
-    return _rank_of_columns(all_cols, d + 1) == d + 1
-
-
-def _greedy_slice(hhx, hhy, n, d):
-    """Graded-lex-greedy monomials completing the ideal slice to all of degree d."""
-    ideal_cols = _ideal_slice_columns(hhx, hhy, n, d)
-    current = list(ideal_cols)
-    rank_now = _rank_of_columns(current, d + 1)
-    selected = []
-    for a in range(d, -1, -1):
-        if rank_now == d + 1:
-            break
-        b = d - a
-        candidate = _mono_vector(a, b, d)
-        new_rank = _rank_of_columns(current + [candidate], d + 1)
-        if new_rank > rank_now:
-            selected.append((a, b))
-            current.append(candidate)
-            rank_now = new_rank
-    if rank_now != d + 1:
-        raise InternalRankError(f"degree-{d} slice of the gradient ideal is deficient")
-    return selected
 
 
 @dataclass(frozen=True)
@@ -240,22 +205,14 @@ def reduce_mod_gradient(P, basis):
 
 def _solve_slice(slice_poly, slice_monos, hhx, hhy, n, d):
     """Solve  slice = sum c_i m_i + Bhat*Hhat_x - Ahat*Hhat_y  on degree d."""
-    columns = []
-    mono_count = len(slice_monos)
-    for _, (a, b) in slice_monos:
-        columns.append(_mono_vector(a, b, d))
-    quot_monos = [(i, d - n - i) for i in range(d - n + 1)] if d >= n else []
-    for i, j in quot_monos:
-        columns.append(_slice_vector(hhx * BiPoly.monomial(i, j), d))
-    for i, j in quot_monos:
-        columns.append([-v for v in _slice_vector(hhy * BiPoly.monomial(i, j), d)])
+    quot_monos, ideal = _ideal_slice_columns(hhx, hhy, n, d)
+    columns = _monomial_columns([m for _, m in slice_monos], d) + ideal
     if not columns:
         raise InternalRankError(f"empty degree-{d} slice system")
-    rows = [[col[r] for col in columns] for r in range(d + 1)]
-    rhs = _slice_vector(slice_poly, d)
-    solution, _ = solve_with_nullspace(rows, rhs)
+    solution, _ = solve_with_nullspace([*zip(*columns)], _slice_vector(slice_poly, d))
     if solution is None:
         raise InternalRankError(f"degree-{d} slice system inconsistent; basis invalid")
+    mono_count = len(slice_monos)
     c_hat = solution[:mono_count]
     nq = len(quot_monos)
     b_hat = BiPoly({(i, j): v for (i, j), v in zip(quot_monos, solution[mono_count:mono_count + nq])})

@@ -2,8 +2,9 @@
 
 Accepts + - * ^, parentheses, implicit multiplication ("x^2y^2", "3x",
 "2(x+y)"), integer and rational literals ("3/2"); whitespace is ignored.
-The '/' character is only legal inside a rational literal.  Raises ParseError
-with the offending position.  str(BiPoly) output round-trips through this
+The '/' character is only legal inside a rational literal.  Parentheses and
+prefix signs nest at most MAX_NESTING levels deep.  Raises ParseError with
+the offending position.  str(BiPoly) output round-trips through this
 parser.
 """
 
@@ -11,6 +12,9 @@ from fractions import Fraction
 
 from .bipoly import BiPoly
 from .errors import ParseError
+
+# each level is a recursive call, so the limit keeps deep input off the stack
+MAX_NESTING = 100
 
 
 class _Tokenizer:
@@ -20,6 +24,7 @@ class _Tokenizer:
         self.tokens = []
         self._scan()
         self.index = 0
+        self.depth = 0
 
     def _scan(self):
         src = self.src
@@ -129,12 +134,17 @@ def _parse_atom(tokens):
         return BiPoly.constant(value)
     if kind == "var":
         return BiPoly.monomial(1, 0) if value == "x" else BiPoly.monomial(0, 1)
+    if kind not in ("(", "-"):
+        raise ParseError("expected a number, variable or '('", pos)
+    tokens.depth += 1
+    if tokens.depth > MAX_NESTING:
+        raise ParseError(f"parentheses and signs nest deeper than {MAX_NESTING} levels", pos)
     if kind == "(":
         inner = _parse_sum(tokens)
         kind, _, pos = tokens.advance()
         if kind != ")":
             raise ParseError("expected ')'", pos)
-        return inner
-    if kind == "-":
-        return -_parse_atom(tokens)
-    raise ParseError("expected a number, variable or '('", pos)
+    else:
+        inner = -_parse_atom(tokens)
+    tokens.depth -= 1
+    return inner

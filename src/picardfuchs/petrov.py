@@ -23,6 +23,7 @@ from fractions import Fraction
 from .bipoly import BiPoly
 from .errors import InternalRankError, NoSolutionError
 from .forms import OneForm, differential, exterior_derivative, wedge_with_dH
+from .linalg import solve_with_nullspace
 from .unipoly import UniPoly
 
 
@@ -80,8 +81,6 @@ def petrov_decompose(omega, basis):
     rhs = [Fraction(0)] * len(eq_monos)
     for e, c in target.terms.items():
         rhs[eq_index[e]] = c
-
-    from .linalg import solve_with_nullspace
 
     if rows:
         solution, null_basis = solve_with_nullspace(rows, rhs, want_nullspace=True)

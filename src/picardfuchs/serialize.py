@@ -31,11 +31,10 @@ def matrix_from_strings(rows):
     return RatMatrix([[Fraction(v) for v in row] for row in rows])
 
 
-def system_to_dict(sys, validation=None, classification=None):
+def system_to_dict(sys):
     """The full JSON document for a built system, validation included."""
-    validation = validation or validate_system(sys)
-    classification = classification or classify_singularities(sys)
-    values = sorted(sys.critical_values(), key=lambda vm: (vm[0].real, vm[0].imag))
+    validation = validate_system(sys)
+    classification = classify_singularities(sys)
     return {
         "hamiltonian": str(sys.H),
         "n": sys.n,
@@ -48,7 +47,7 @@ def system_to_dict(sys, validation=None, classification=None):
         "B1": matrix_to_strings(sys.B1),
         "D": [rational_str(d) for d in sys.D],
         "critical_values": [
-            {"re": float(t.real), "im": float(t.imag), "mult": m} for t, m in values
+            {"re": float(t.real), "im": float(t.imag), "mult": m} for t, m in sys.critical_values()
         ],
         "classification": {
             "finite_fuchsian": classification["finite_fuchsian"],
@@ -137,6 +136,6 @@ def _text(sys):
     for name, m in (("A", sys.A), ("B0", sys.B0), ("B1", sys.B1)):
         lines.extend(_format_matrix_block(name, m))
     lines.append("critical values (numeric):")
-    for t, mult in sorted(sys.critical_values(), key=lambda vm: (vm[0].real, vm[0].imag)):
+    for t, mult in sys.critical_values():
         lines.append(f"  t = {t.real:+.12g}{t.imag:+.12g}i  (multiplicity {mult})")
     return "\n".join(lines) + "\n"

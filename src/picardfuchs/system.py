@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import prod
 
 from .bipoly import BiPoly
-from .critical import critical_points_numeric
+from .critical import _cluster, critical_points_numeric
 from .errors import NotRegularError
 from .forms import TwoForm, differential, exterior_derivative, wedge_with_dH
 from .linalg import RatMatrix, char_poly, min_poly, pencil_determinant
@@ -53,16 +53,8 @@ class PFSystem:
         return self.basis.mu
 
     def critical_values(self):
-        """(value, multiplicity) pairs merged over coinciding points."""
-        values = []
-        for p in self.critical_points:
-            for entry in values:
-                if abs(p.t - entry[0]) <= 1e-6:
-                    entry[1] += p.multiplicity
-                    break
-            else:
-                values.append([p.t, p.multiplicity])
-        return [(t, m) for t, m in values]
+        """(value, multiplicity) pairs merged over coinciding points, sorted by value."""
+        return _cluster([(p.t, p.multiplicity) for p in self.critical_points], 1e-6)
 
 
 def build_system(H, basis=None, cluster_radius=1e-6):

@@ -232,18 +232,17 @@ def _float_coefficients(p):
 
 
 def lagrange_interpolate(points):
-    """The unique UniPoly of degree < len(points) through exact (x, y) pairs."""
-    n = len(points)
-    result = UniPoly()
-    for i, (xi, yi) in enumerate(points):
-        if yi == 0:
-            continue
-        num = UniPoly.constant(yi)
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            num = num * UniPoly([-xj, 1])
-            denom *= xi - xj
-        result = result + num * UniPoly.constant(Fraction(1) / denom)
-    return result
+    """The unique UniPoly of degree < len(points) through exact (x, y) pairs.
+
+    Newton divided differences c_k, then Horner expansion of
+    c_0 + (t - x_0)(c_1 + (t - x_1)(c_2 + ...)): O(N^2) operations.
+    """
+    xs = [_frac(x) for x, _ in points]
+    coeffs = [_frac(y) for _, y in points]
+    for k in range(1, len(xs)):
+        for i in range(len(xs) - 1, k - 1, -1):
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - k])
+    acc = coeffs[-1:]
+    for x, c in zip(reversed(xs[:-1]), reversed(coeffs[:-1])):
+        acc = [c - x * acc[0]] + [a - x * b for a, b in zip(acc, acc[1:])] + [acc[-1]]
+    return UniPoly(acc)

@@ -45,6 +45,15 @@ def random_regular_hamiltonian(rng, n, require_morse_plus=False):
         return H
 
 
+def to_sympy(p, sympy):
+    """A BiPoly as a sympy expression in the symbols x, y."""
+    x, y = sympy.symbols("x y")
+    return sum(
+        (sympy.Rational(c.numerator, c.denominator) * x**a * y**b for (a, b), c in p.terms.items()),
+        sympy.Integer(0),
+    )
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240811)

@@ -10,7 +10,7 @@ import pytest
 from picardfuchs.bipoly import X, Y
 from picardfuchs.cli import main
 from picardfuchs.errors import ParseError
-from picardfuchs.parsing import parse_polynomial
+from picardfuchs.parsing import MAX_NESTING, parse_polynomial
 
 
 def test_parse_examples():
@@ -38,6 +38,14 @@ def test_parse_errors_carry_position():
         parse_polynomial("x/2")
     with pytest.raises(ParseError):
         parse_polynomial("x +")
+
+
+def test_nesting_limit_is_an_input_error(capsys):
+    # parentheses and prefix signs each recurse once per level
+    for depth, code in ((MAX_NESTING, 0), (MAX_NESTING + 1, 2)):
+        assert main(["check", "(" * depth + "x^3+y^3" + ")" * depth]) == code
+        assert main(["check", "x^3+y^3+" + "-" * depth + "x"]) == code
+    assert capsys.readouterr().err.count(f"nest deeper than {MAX_NESTING} levels") == 2
 
 
 def test_check_rejection_exit_code(capsys):

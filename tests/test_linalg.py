@@ -14,11 +14,13 @@ from picardfuchs.linalg import (
     exact_solve,
     min_poly,
     pencil_determinant,
+    pivot_columns,
     resultant,
     solve_with_nullspace,
 )
 from picardfuchs.milnor import monomial_basis, multiplication_matrix
 from picardfuchs.unipoly import UniPoly
+from tests.conftest import random_regular_hamiltonian, to_sympy
 
 
 def test_exact_solve_examples():
@@ -27,6 +29,13 @@ def test_exact_solve_examples():
     with pytest.raises(NoSolutionError):
         exact_solve(RatMatrix([[1, 1], [2, 2]]), [1, 3])
     assert exact_solve(RatMatrix([[2, 0], [0, 4]]), [1, 1]) == [Fraction(1, 2), Fraction(1, 4)]
+
+
+def test_pivot_columns_are_the_leftmost_column_basis():
+    # column 1 = 2 * column 0 and column 3 = column 0 + column 2
+    rows = [[1, 2, 0, 1], [Fraction(1, 2), 1, 3, Fraction(7, 2)], [0, 0, 1, 1]]
+    assert pivot_columns(rows) == [0, 2]
+    assert pivot_columns([[0, 0], [0, 5]]) == [1]
 
 
 def test_exact_solve_underdetermined_deterministic():
@@ -144,6 +153,17 @@ def test_resultant_nonzero_for_coprime(rng):
 def test_resultant_degenerate():
     with pytest.raises(DegenerateResultantError):
         resultant(X + 1, X**2, "y")
+
+
+def test_resultant_matches_sympy(rng):
+    sympy = pytest.importorskip("sympy")
+    # x*y^3 + x^4 + y: the leading y-coefficient 3x of H_y vanishes at x = 0
+    hamiltonians = [X**3 + Y**3 - 3 * X * Y, X * Y**3 + X**4 + Y]
+    hamiltonians += [random_regular_hamiltonian(rng, n) for n in (2, 3, 4, 4)]
+    for H in hamiltonians:
+        Hx, Hy = H.partial("x"), H.partial("y")
+        expected = sympy.resultant(to_sympy(Hx, sympy), to_sympy(Hy, sympy), sympy.Symbol("y"))
+        assert sympy.expand(to_sympy(resultant(Hx, Hy, "y"), sympy) - expected) == 0, H
 
 
 def _derogatory_matrix(rng, sympy):

@@ -16,7 +16,7 @@ from picardfuchs.milnor import (
     multiplication_matrix,
     reduce_mod_gradient,
 )
-from tests.conftest import random_bipoly, random_regular_hamiltonian
+from tests.conftest import random_bipoly, random_regular_hamiltonian, to_sympy
 
 QUINTIC = X**5 + Y**5 + X**2 * Y**2 + X + Y
 CUBIC = X**3 + Y**3 - 3 * X * Y
@@ -67,6 +67,32 @@ def test_monomial_basis_grid_fallback():
     assert len(basis.monomials) == 4
     assert (1, 1) not in basis.monomials
     assert sum(a + b + 2 for a, b in basis.monomials) == basis.mu * 3
+    # graded-lex greedy: x^2 completes the degree-2 slice before xy and y^2
+    assert basis.monomials == ((0, 0), (1, 0), (0, 1), (2, 0))
+
+
+def test_greedy_bases_independent_modulo_groebner_basis():
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    hamiltonians = [X**3 + 3 * X * Y**2 + Y]
+    for a in range(-2, 3):
+        for b in range(-2, 3):
+            H = X**3 + a * X * Y**2 + b * Y**3 + X
+            if check_regular_at_infinity(H).regular:
+                hamiltonians.append(H)
+    greedy = 0
+    for H in hamiltonians:
+        basis = monomial_basis(H)
+        if set(basis.monomials) == {(a, b) for a in range(basis.n) for b in range(basis.n)}:
+            continue
+        greedy += 1
+        h = to_sympy(H, sympy)
+        G = sympy.groebner([h.diff(x), h.diff(y)], x, y, order="grevlex")
+        normal_forms = [sympy.Poly(G.reduce(x**a * y**b)[1], x, y).as_dict() for a, b in basis.monomials]
+        support = sorted({e for nf in normal_forms for e in nf})
+        rows = sympy.Matrix([[nf.get(e, 0) for e in support] for nf in normal_forms])
+        assert len(basis.monomials) == basis.n**2 and rows.rank() == basis.n**2, H
+    assert greedy >= 5
 
 
 def test_basis_degree_sum_invariant(rng):

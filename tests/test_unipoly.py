@@ -52,6 +52,12 @@ def test_lagrange_interpolation():
     pts = [(Fraction(k), Fraction(k) ** 3 - 2) for k in range(5)]
     assert lagrange_interpolate(pts) == UniPoly([-2, 0, 0, 1])
 
+    # 30 distinct rational nodes ((2k+1)/(k+3) increases with k)
+    pts = [(Fraction(2 * k + 1, k + 3), Fraction(k**3 - 5, 2 * k + 1)) for k in range(30)]
+    p = lagrange_interpolate(pts)
+    assert p.degree() < 30
+    assert all(p.evaluate(x) == y for x, y in pts)
+
 
 def test_string_rendering():
     assert str(UniPoly([0, Fraction(1, 175)])) == "1/175*t"
