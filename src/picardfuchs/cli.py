@@ -27,8 +27,20 @@ from .serialize import monomial_str, serialize_system
 from .system import build_system, classify_singularities, validate_system
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reads a word with one leading minus as a value, so "-x^2+y^2" is a Hamiltonian.
+
+    The only single-dash option is -h; every other option starts with "--".
+    """
+
+    def _parse_optional(self, arg_string):
+        if arg_string[:1] == "-" and arg_string[1:2] != "-" and arg_string != "-h":
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="pf",
         description="Exact Picard-Fuchs systems for Abelian integrals of bivariate Hamiltonians.",
     )

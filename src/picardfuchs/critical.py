@@ -77,13 +77,17 @@ def critical_values_numeric(H, cluster_radius=1e-6):
     return _cluster([(p.t, p.multiplicity) for p in points], cluster_radius)
 
 
-def _cluster(points, radius):
-    """Greedy clustering of (value, multiplicity) pairs; deterministic order."""
+def _cluster(points, radius, relative=False):
+    """Greedy clustering of (value, multiplicity) pairs; deterministic order.
+
+    A value joins the first cluster whose representative c lies within
+    radius of it, or within radius * max(1, |c|) when relative.
+    """
     pts = sorted(points, key=lambda vm: (vm[0].real, vm[0].imag))
     clusters = []
     for v, m in pts:
         for c in clusters:
-            if abs(v - c[0]) <= radius:
+            if abs(v - c[0]) <= (radius * max(1.0, abs(c[0])) if relative else radius):
                 c[1] += m
                 break
         else:

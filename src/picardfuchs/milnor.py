@@ -9,10 +9,18 @@ it is pivots, a graded-lex greedy selection otherwise), and implements the
 two workhorse divisions:
 
   * reduce_mod_gradient: P = sum c_i m_i + B*H_x - A*H_y with
-    deg A, deg B <= deg P - n, by peeling top homogeneous slices against
-    the top parts Hhat_x, Hhat_y;
+    deg A, deg B <= deg P - n;
   * divide_two_form: F dx^dy = dH ^ eta + sum c_i d(omega_i) with
     eta = A dx + B dy assembled from the same quotients.
+
+Both the reduction and the Petrov decomposition (petrov) run on one solver,
+peel_top_slices, which follows the filtration by total degree.  A column of
+degree d can only cancel the degree-d slice of the target, through its own
+top slice, which depends on Hhat alone.  So the target's top slice is solved
+alone (d+1 equations), the full columns are subtracted, and the remainder
+has lower degree.  The reduction's columns in degree d are the basis
+monomials of degree d, independent of the ideal slice and so unique, then
+H_x*x^i y^j and -H_y*x^i y^j, the columns of the basis selection.
 
 The multiplication-by-H matrix in the quotient basis is built row by row
 from reduce_mod_gradient(H * m_i).
@@ -107,15 +115,14 @@ def monomial_basis(H, report=None):
     if not report.regular:
         raise NotRegularError(report.reason)
     n = report.n
-    hhat = H.highest_part()
-    hhx, hhy = hhat.partial("x"), hhat.partial("y")
+    Hx, Hy = H.partial("x"), H.partial("y")
 
     chosen = []
     for d in range(0, 2 * n - 1):
         grid = [(a, d - a) for a in range(min(d, n - 1), -1, -1) if d - a <= n - 1]
-        if _complement(hhx, hhy, n, d, grid) != (grid, d + 1):
+        if _complement(Hx, Hy, n, d, grid) != (grid, d + 1):
             chosen = [
-                _complement(hhx, hhy, n, e, [(a, e - a) for a in range(e, -1, -1)])[0]
+                _complement(Hx, Hy, n, e, [(a, e - a) for a in range(e, -1, -1)])[0]
                 for e in range(0, 2 * n - 1)
             ]
             break
@@ -130,32 +137,67 @@ def monomial_basis(H, report=None):
     return MilnorBasis(H=H, n=n, mu=report.mu, monomials=tuple(monomials), primitives=primitives)
 
 
-def _complement(hhx, hhy, n, d, candidates):
+def _complement(Hx, Hy, n, d, candidates):
     """(candidates that are pivot columns after the ideal slice, rank of the degree-d slice matrix)."""
-    _, ideal = _ideal_slice_columns(hhx, hhy, n, d)
-    pivots = pivot_columns([*zip(*ideal + _monomial_columns(candidates, d))])
+    _, ideal = _ideal_columns(Hx, Hy, n, d)
+    pivots = pivot_columns(_slice_rows(ideal + [BiPoly.monomial(a, b) for a, b in candidates], d))
     return [candidates[c - len(ideal)] for c in pivots if c >= len(ideal)], len(pivots)
 
 
-def _ideal_slice_columns(hhx, hhy, n, d):
-    """(quotient monomials, degree-d columns Hhat_x*x^i y^j then -Hhat_y*x^i y^j).
+def _ideal_columns(Hx, Hy, n, d):
+    """(labels, columns H_x*x^i y^j then -H_y*x^i y^j) for the degree-d slice.
 
-    Columns are coefficient vectors over the y-exponent; (i, j) runs over the
-    quotient monomials of degree d - n, none when d < n.
+    (i, j) runs over the quotient monomials of degree d - n, none when d < n;
+    the labels are ("B", (i, j)) and ("A", (i, j)).  For H regular at infinity
+    the degree-d slices of the columns are Hhat_x*x^i y^j and -Hhat_y*x^i y^j.
     """
     quot_monos = [(i, d - n - i) for i in range(d - n + 1)]
-    return quot_monos, [
-        _slice_vector(gen * BiPoly.monomial(i, j), d) for gen in (hhx, -hhy) for i, j in quot_monos
-    ]
+    labels = [(kind, m) for kind in ("B", "A") for m in quot_monos]
+    return labels, [gen * BiPoly.monomial(i, j) for gen in (Hx, -Hy) for i, j in quot_monos]
 
 
-def _monomial_columns(monos, d):
-    """Unit coefficient vectors of degree-d monomials (a, b), over the y-exponent."""
-    return [[int(r == b) for r in range(d + 1)] for _, b in monos]
+def _slice_rows(columns, d):
+    """The degree-d slices of the columns as a matrix: row b holds the x^(d-b) y^b coefficients."""
+    return [[col.coefficient(d - b, b) for col in columns] for b in range(d + 1)]
 
 
-def _slice_vector(poly, d):
-    return [poly.coefficient(d - b, b) for b in range(d + 1)]
+def peel_top_slices(target, slice_columns, inconsistent):
+    """Write target = sum_j v_j * column_j exactly, one top homogeneous slice at a time.
+
+    ``slice_columns(d)`` returns ``(unique, labels, columns)``: the polynomials
+    of degree d whose degree-d slices may cancel a top slice of degree d, of
+    which the first ``unique`` must have uniquely determined values.  Each
+    round solves the d+1 equations of the top slice (free values zero),
+    subtracts the full columns in one pass over their terms and goes on with
+    the remainder, whose degree is lower.  Raises ``inconsistent`` when a
+    slice lies outside the span of its columns and InternalRankError when the
+    first group is not unique.  Returns {label: value} over nonzero values.
+    """
+    work = dict(target.terms)
+    values = {}
+    previous = float("inf")
+    while work:
+        d = max(a + b for a, b in work)
+        if d >= previous:
+            raise InternalRankError("top slice failed to cancel; basis invalid")
+        previous = d
+        unique, labels, columns = slice_columns(d)
+        rhs = [work.get((d - b, b), 0) for b in range(d + 1)]
+        solution, null_basis = solve_with_nullspace(_slice_rows(columns, d), rhs, want_nullspace=unique > 0)
+        if solution is None:
+            raise inconsistent(f"degree-{d} slice system inconsistent; basis invalid")
+        if any(any(vec[:unique]) for vec in null_basis):
+            raise InternalRankError(f"degree-{d} slice leaves leading coefficients free; basis invalid")
+        for label, col, value in zip(labels, columns, solution):
+            if value:
+                values[label] = value
+                for e, c in col.terms.items():
+                    rest = work.get(e, 0) - value * c
+                    if rest:
+                        work[e] = rest
+                    else:
+                        del work[e]
+    return values
 
 
 @dataclass(frozen=True)
@@ -170,54 +212,25 @@ class GradientReduction:
 def reduce_mod_gradient(P, basis):
     """Division with remainder by the gradient ideal, top slice by top slice.
 
-    The top homogeneous slice of degree d is matched against basis monomials
-    of degree d (when d <= 2n-2) plus the degree-d slice of the ideal of the
-    top parts; the full H_x, H_y products are then subtracted, so the working
-    degree strictly decreases.  Quotient degrees stay <= deg P - n.
+    The top slice of degree d is matched against the basis monomials of
+    degree d (the unique group) and the columns H_x*x^i y^j, -H_y*x^i y^j of
+    the quotient monomials of degree d - n; see peel_top_slices.  Quotient
+    degrees stay <= deg P - n.
     """
-    n = basis.n
-    hhx = basis.H.highest_part().partial("x")
-    hhy = basis.H.highest_part().partial("y")
     Hx, Hy = basis.Hx, basis.Hy
-    coeffs = [Fraction(0)] * basis.mu
-    quotA = BiPoly.zero()
-    quotB = BiPoly.zero()
-    work = P
-    while not work.is_zero():
-        d = int(work.degree())
-        slice_monos = [
-            (i, m) for i, m in enumerate(basis.monomials) if m[0] + m[1] == d
-        ] if d <= 2 * n - 2 else []
-        c_hat, a_hat, b_hat = _solve_slice(work.homogeneous_slice(d), slice_monos, hhx, hhy, n, d)
-        for (i, _), value in zip(slice_monos, c_hat):
-            coeffs[i] += value
-        quotA = quotA + a_hat
-        quotB = quotB + b_hat
-        removed = b_hat * Hx - a_hat * Hy
-        for (_, (a, b)), value in zip(slice_monos, c_hat):
-            if value != 0:
-                removed = removed + BiPoly.monomial(a, b, value)
-        work = work - removed
-        if not work.is_zero() and work.degree() >= d:
-            raise InternalRankError("top slice failed to cancel; basis invalid")
-    return GradientReduction(tuple(coeffs), quotA, quotB)
 
+    def slice_columns(d):
+        own = [i for i, (a, b) in enumerate(basis.monomials) if a + b == d]
+        labels, ideal = _ideal_columns(Hx, Hy, basis.n, d)
+        monos = [BiPoly.monomial(*basis.monomials[i]) for i in own]
+        return len(own), [("c", i) for i in own] + labels, monos + ideal
 
-def _solve_slice(slice_poly, slice_monos, hhx, hhy, n, d):
-    """Solve  slice = sum c_i m_i + Bhat*Hhat_x - Ahat*Hhat_y  on degree d."""
-    quot_monos, ideal = _ideal_slice_columns(hhx, hhy, n, d)
-    columns = _monomial_columns([m for _, m in slice_monos], d) + ideal
-    if not columns:
-        raise InternalRankError(f"empty degree-{d} slice system")
-    solution, _ = solve_with_nullspace([*zip(*columns)], _slice_vector(slice_poly, d))
-    if solution is None:
-        raise InternalRankError(f"degree-{d} slice system inconsistent; basis invalid")
-    mono_count = len(slice_monos)
-    c_hat = solution[:mono_count]
-    nq = len(quot_monos)
-    b_hat = BiPoly({(i, j): v for (i, j), v in zip(quot_monos, solution[mono_count:mono_count + nq])})
-    a_hat = BiPoly({(i, j): v for (i, j), v in zip(quot_monos, solution[mono_count + nq:])})
-    return c_hat, a_hat, b_hat
+    values = peel_top_slices(P, slice_columns, InternalRankError)
+    return GradientReduction(
+        tuple(values.get(("c", i), Fraction(0)) for i in range(basis.mu)),
+        quotA=BiPoly({m: v for (kind, m), v in values.items() if kind == "A"}),
+        quotB=BiPoly({m: v for (kind, m), v in values.items() if kind == "B"}),
+    )
 
 
 def divide_two_form(omega2, basis):

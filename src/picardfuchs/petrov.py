@@ -9,12 +9,23 @@ with the degree bounds (n+1)*deg p_i + deg omega_i <= deg omega,
 deg g <= deg omega - (n+1) and deg f <= deg omega.  The p_i are unique
 (forms with zero periods are exactly g*dH + df); the witnesses g, f are not.
 
-The solve equates exterior derivatives: d omega = sum c_ik d(H^k omega_i)
-+ dg^dH over 2-form monomial coordinates, one exact linear solve at exactly
-the truncation bounds above.  The remaining closed defect is integrated in
-closed form (radial homotopy) to produce f, so the certificate identity holds
-exactly as 1-forms.  Uniqueness of the p_i is asserted per call by checking
-that the solution space projects to a point on the c-coordinates.
+The solve equates exterior derivatives, d omega = sum c_ik d(H^k omega_i)
++ dg^dH, and peels it one top slice at a time (milnor.peel_top_slices),
+which meets the degree bounds above.  The columns of slice d are
+d(H^k omega_i) for (n+1)k + deg omega_i = d+2 (top slice a nonzero multiple
+of Hhat^k m_i), then dg^dH for the monomials g of degree d-n+1 >= 1 (top
+slice dg^dHhat).  Every slice is solvable by the graded freeness of the
+Petrov module of Hhat (Gavrilov, Bull. Sci. Math. 1998).
+
+The c-columns are checked unique in every slice, and that makes the p_i
+unique: if sum c_ik d(H^k omega_i) = dg^dH with the largest nonzero c_ik in
+slice d, first lower deg g to at most d-n+1 (while it is larger, the top
+part of g has dg_top^dHhat = 0, so g_top = lambda*Hhat^j as Hhat is
+squarefree, and g - lambda*H^j has the same dg^dH); then the degree-d
+slices are a nullspace vector of slice d with a nonzero c-part.
+
+The remaining closed defect is integrated in closed form (radial homotopy)
+to produce f, so the certificate identity holds exactly as 1-forms.
 """
 
 from dataclasses import dataclass
@@ -22,8 +33,8 @@ from fractions import Fraction
 
 from .bipoly import BiPoly
 from .errors import InternalRankError, NoSolutionError
-from .forms import OneForm, differential, exterior_derivative, wedge_with_dH
-from .linalg import solve_with_nullspace
+from .forms import OneForm, differential, exterior_derivative
+from .milnor import peel_top_slices
 from .unipoly import UniPoly
 
 
@@ -41,76 +52,42 @@ class PetrovDecomposition:
 
 def petrov_decompose(omega, basis):
     """Decompose a polynomial 1-form over the Petrov-module basis, exactly."""
-    mu = basis.mu
-    if omega.is_zero():
-        return PetrovDecomposition(tuple(UniPoly() for _ in range(mu)), BiPoly.zero(), BiPoly.zero())
+    mu, n, H = basis.mu, basis.n, basis.H
+    Hx, Hy = basis.Hx, basis.Hy
+    degrees = basis.form_degrees()
+    powers = [BiPoly.constant(1)]
+    forms = {}      # (i, k) -> H^k omega_i
 
-    n = basis.n
-    H = basis.H
-    D = int(omega.degree())
-    form_degrees = basis.form_degrees()
+    def slice_columns(d):
+        p_labels = [(i, (d + 2 - deg) // (n + 1)) for i, deg in enumerate(degrees)
+                    if deg <= d + 2 and (d + 2 - deg) % (n + 1) == 0]
+        for i, k in p_labels:
+            while len(powers) <= k:
+                powers.append(powers[-1] * H)
+            forms[i, k] = basis.primitives[i].multiply(powers[k])
+        e = d - n + 1
+        g_monos = [(a, e - a) for a in range(e, -1, -1) if e > 0]
+        columns = [exterior_derivative(forms[label]).F for label in p_labels]
+        for a, b in g_monos:    # d(g dH) = dg ^ dH = (g_x H_y - g_y H_x) dx^dy
+            g = BiPoly.monomial(a, b)
+            columns.append(g.partial("x") * Hy - g.partial("y") * Hx)
+        return len(p_labels), [("p", label) for label in p_labels] + [("g", m) for m in g_monos], columns
 
-    c_unknowns = []
-    for i in range(mu):
-        k = 0
-        while (n + 1) * k + form_degrees[i] <= D:
-            c_unknowns.append((i, k))
-            k += 1
-    g_monos = _monomials_up_to(D - (n + 1))
-
-    h_powers = [BiPoly.constant(1)]
-    max_k = max((k for _, k in c_unknowns), default=0)
-    for _ in range(max_k):
-        h_powers.append(h_powers[-1] * H)
-
-    # columns of the 2-form system
-    columns = []
-    for i, k in c_unknowns:
-        columns.append(exterior_derivative(basis.primitives[i].multiply(h_powers[k])).F)
-    for a, b in g_monos:
-        # d(g dH) with g = x^a y^b equals dg ^ dH = -(dH ^ dg)
-        columns.append(-wedge_with_dH(H, differential(BiPoly.monomial(a, b))).F)
-
-    target = exterior_derivative(omega).F
-    eq_monos = _monomials_up_to(D - 2)
-    eq_index = {m: r for r, m in enumerate(eq_monos)}
-    rows = [[Fraction(0)] * len(columns) for _ in eq_monos]
-    for j, col in enumerate(columns):
-        for e, c in col.terms.items():
-            rows[eq_index[e]][j] = c
-    rhs = [Fraction(0)] * len(eq_monos)
-    for e, c in target.terms.items():
-        rhs[eq_index[e]] = c
-
-    if rows:
-        solution, null_basis = solve_with_nullspace(rows, rhs, want_nullspace=True)
-    else:
-        solution, null_basis = [], []
-    if solution is None:
-        raise NoSolutionError(
-            "Petrov decomposition infeasible; Hamiltonian not regular at infinity or basis invalid"
-        )
-    n_c = len(c_unknowns)
-    for vec in null_basis:
-        if any(v != 0 for v in vec[:n_c]):
-            raise InternalRankError("Petrov coefficients are not unique; basis invalid")
-
-    p_coeffs = [[Fraction(0)] * (max_k + 1) for _ in range(mu)]
-    for (i, k), value in zip(c_unknowns, solution[:n_c]):
-        p_coeffs[i][k] = value
-    witness_g = BiPoly({m: v for m, v in zip(g_monos, solution[n_c:]) if v != 0})
+    values = peel_top_slices(exterior_derivative(omega).F, slice_columns, NoSolutionError)
+    p_values = {key: v for (kind, key), v in values.items() if kind == "p"}
+    coeff_polys = tuple(UniPoly([p_values.get((i, k), 0) for k in range(len(powers))]) for i in range(mu))
+    witness_g = BiPoly({m: v for (kind, m), v in values.items() if kind == "g"})
+    assembled = OneForm.zero()
+    for key, value in p_values.items():
+        assembled = assembled + forms[key].scale(value)
 
     # the remaining defect is closed; integrate it radially to get f
-    assembled = OneForm.zero()
-    for (i, k), value in zip(c_unknowns, solution[:n_c]):
-        if value != 0:
-            assembled = assembled + basis.primitives[i].multiply(h_powers[k]).scale(value)
     defect = omega - assembled - differential_coefficient(witness_g, H)
     witness_f = closed_primitive(defect)
     if differential(witness_f) != defect:
         raise InternalRankError("closed defect failed to integrate; basis invalid")
 
-    return PetrovDecomposition(tuple(UniPoly(c) for c in p_coeffs), witness_g, witness_f)
+    return PetrovDecomposition(coeff_polys, witness_g, witness_f)
 
 
 def petrov_class_is_zero(omega, basis):
@@ -137,13 +114,3 @@ def closed_primitive(nu):
         e = (a, b + 1)
         terms[e] = terms.get(e, Fraction(0)) + c / (a + b + 1)
     return BiPoly(terms)
-
-
-def _monomials_up_to(max_degree):
-    if max_degree < 0:
-        return []
-    out = []
-    for d in range(int(max_degree) + 1):
-        for a in range(d, -1, -1):
-            out.append((a, d - a))
-    return out

@@ -199,16 +199,6 @@ def _check_exact_identities(sys, notes):
     return ok
 
 
-def _matched_distance(left, right):
-    """Max pair distance of an optimal matching between equal-size multisets."""
-    import numpy as np
-    from scipy.optimize import linear_sum_assignment
-
-    cost = np.abs(np.subtract.outer(np.array(left), np.array(right)))
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
-
-
 def spectrum_of_multiplication_matrix(sys):
     """Eigenvalues of A with exact multiplicities, as a flat complex list."""
     eigen = []
@@ -218,18 +208,23 @@ def spectrum_of_multiplication_matrix(sys):
 
 
 def _check_spectrum(sys, tol, notes):
-    eigen = spectrum_of_multiplication_matrix(sys)
-    oracle = []
-    for p in sys.critical_points:
-        oracle.extend([p.t] * p.multiplicity)
-    if len(eigen) != len(oracle):
-        notes.append("eigenvalue count does not match oracle point count")
-        return False
-    worst = _matched_distance(eigen, oracle)
-    if worst > tol:
-        notes.append(f"spectrum mismatch: optimal matching distance {worst:.3e} > {tol}")
-        return False
-    return True
+    """Eigenvalue and oracle clusters must pair off one to one with equal multiplicities.
+
+    Both multisets are clustered at tol * max(1, |t|); an eigenvalue cluster
+    meets an oracle cluster within that distance of it.
+    """
+    eigen = _cluster(roots_with_multiplicity(char_poly(sys.A)), tol, relative=True)
+    oracle = _cluster([(p.t, p.multiplicity) for p in sys.critical_points], tol, relative=True)
+    met = [[j for j, (o, _) in enumerate(oracle) if abs(e - o) <= tol * max(1.0, abs(e))] for e, _ in eigen]
+    paired = {js[0] for js, (_, m) in zip(met, eigen) if len(js) == 1 and oracle[js[0]][1] == m}
+    if len(paired) == len(eigen) == len(oracle):
+        return True
+    worst = max(min(abs(e - o) for o, _ in oracle) for e, _ in eigen)
+    notes.append(
+        f"spectrum mismatch: eigenvalue and oracle clusters do not pair off; "
+        f"worst distance {worst:.3e}, tolerance {tol} * max(1, |t|)"
+    )
+    return False
 
 
 def _check_eigenvectors(sys, tol, notes):

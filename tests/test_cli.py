@@ -161,3 +161,28 @@ def test_cli_deterministic_bytes():
     assert first == second
     doc = json.loads(first.decode())
     assert doc["mu"] == 4
+
+
+def test_leading_minus_is_a_hamiltonian(capsys):
+    assert main(["check", "-x^2+y^2"]) == 0
+    assert "H = -x^2 + y^2" in capsys.readouterr().out
+    assert main(["system", "-x^2+y^2"]) == 0
+    assert json.loads(capsys.readouterr().out)["hamiltonian"] == "-x^2 + y^2"
+    assert main(["reduce", "x^2+y^2", "--form", "-y,x"]) == 0
+    assert main(["--json-errors", "check", "-x^2+"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--bogus", "x^2+y^2"])
+    assert exc.value.code == 2
+
+
+def test_system_command_does_not_import_scipy():
+    script = (
+        "import sys\n"
+        "from picardfuchs.cli import main\n"
+        "code = main(['system', 'x^3+y^3-3xy'])\n"
+        "sys.stderr.write(repr(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+        "sys.exit(code)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, check=True)
+    assert done.stderr.decode() == "[]"

@@ -1,10 +1,15 @@
 """Petrov-module decompositions: certificates, uniqueness, degree bounds."""
 
+import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from picardfuchs.bipoly import BiPoly, X, Y
-from picardfuchs.forms import OneForm, differential
-from picardfuchs.milnor import monomial_basis
+from picardfuchs.errors import InternalRankError, NoSolutionError
+from picardfuchs.forms import OneForm, canonical_primitive, differential
+from picardfuchs.milnor import MilnorBasis, monomial_basis, reduce_mod_gradient
 from picardfuchs.petrov import (
     closed_primitive,
     differential_coefficient,
@@ -132,3 +137,48 @@ def test_closed_primitive_formula(rng):
         nu = differential(f)
         rebuilt = closed_primitive(nu)
         assert differential(rebuilt) == nu
+
+
+def test_invalid_basis_fails_in_the_peel():
+    # x^2 lies in the ideal of the top part (3x^2, 3y^2): replacing xy by it
+    # breaks the basis of the cubic
+    H = X**3 + Y**3 - 3 * X * Y
+    good = monomial_basis(H)
+    monos = tuple((2, 0) if m == (1, 1) else m for m in good.monomials)
+    basis = MilnorBasis(H, good.n, good.mu, monos, tuple(canonical_primitive(a, b) for a, b in monos))
+    with pytest.raises(InternalRankError):
+        reduce_mod_gradient(X * Y, basis)
+    with pytest.raises(InternalRankError):
+        petrov_decompose(basis.primitives[monos.index((2, 0))], basis)
+    with pytest.raises(NoSolutionError):
+        petrov_decompose(OneForm(BiPoly.zero(), X**2 * Y), basis)
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4))
+def test_petrov_properties(seed, n):
+    rng = random.Random(seed)
+    H = random_regular_hamiltonian(rng, n)
+    basis = monomial_basis(H)
+    degrees = basis.form_degrees()
+    o1, o2 = (OneForm(random_bipoly(rng, rng.randint(0, 3 * n - 1)),
+                      random_bipoly(rng, rng.randint(0, 3 * n - 1))) for _ in range(2))
+    d1, d2 = petrov_decompose(o1, basis), petrov_decompose(o2, basis)
+    for omega, dec in ((o1, d1), (o2, d2)):
+        assert reassemble(dec, basis) == omega
+        if omega.is_zero():
+            continue
+        D = omega.degree()
+        for j, p in enumerate(dec.coeff_polys):
+            assert p.is_zero() or (n + 1) * p.degree() + degrees[j] <= D
+        assert dec.witness_g.is_zero() or dec.witness_g.degree() <= D - (n + 1)
+        assert dec.witness_f.is_zero() or dec.witness_f.degree() <= D
+
+    D = max(o1.degree(), n + 1)
+    g, f = random_bipoly(rng, int(D) - (n + 1)), random_bipoly(rng, int(D))
+    shifted = o1 + differential_coefficient(g, H) + differential(f)
+    assert petrov_decompose(shifted, basis).coeff_polys == d1.coeff_polys
+
+    a, b = Fraction(rng.randint(-5, 5), rng.randint(1, 5)), Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+    combo = petrov_decompose(o1.scale(a) + o2.scale(b), basis)
+    assert list(combo.coeff_polys) == [p * a + q * b for p, q in zip(d1.coeff_polys, d2.coeff_polys)]
