@@ -105,10 +105,6 @@ class BiPoly:
             raise ZeroPolynomialError("zero polynomial has no highest homogeneous part")
         return self.homogeneous_slice(self.degree())
 
-    def is_homogeneous(self):
-        degrees = {a + b for a, b in self.terms}
-        return len(degrees) <= 1
-
     # -- ring arithmetic ---------------------------------------------------
 
     def __add__(self, other):
@@ -291,4 +287,3 @@ def _raw(terms):
 
 X = BiPoly.monomial(1, 0)
 Y = BiPoly.monomial(0, 1)
-ONE = BiPoly.constant(1)

@@ -10,7 +10,8 @@ Subcommands:
   pf periods H --t V --seed X,Y   trace one cycle and evaluate the system on it
 
 Exit codes: 0 success, 1 validation/residual failure, 2 input error.  With
---json-errors failures are also reported as machine-readable JSON on stderr.
+--json-errors every input error, a rejected command line included, is
+reported as one machine-readable JSON object on stderr.
 """
 
 import argparse
@@ -27,6 +28,14 @@ from .serialize import monomial_str, serialize_system
 from .system import build_system, classify_singularities, validate_system
 
 
+class UsageError(Exception):
+    """A command line that argparse rejects, raised so that main can report it as JSON."""
+
+    def __init__(self, parser, message):
+        super().__init__(message)
+        self.parser = parser
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """Reads a word with one leading minus as a value, so "-x^2+y^2" is a Hamiltonian.
 
@@ -38,6 +47,9 @@ class _ArgumentParser(argparse.ArgumentParser):
             return None
         return super()._parse_optional(arg_string)
 
+    def error(self, message):
+        raise UsageError(self, message)
+
 
 def _build_parser():
     parser = _ArgumentParser(
@@ -48,27 +60,28 @@ def _build_parser():
                         help="report failures as JSON on stderr")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add(name, help_text):
+    def add(name, help_text, command):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("hamiltonian", help="polynomial in x and y, e.g. 'x^3+y^3-3xy'")
+        p.set_defaults(command=command)
         return p
 
-    p_check = add("check", "decide regularity at infinity")
+    p_check = add("check", "decide regularity at infinity", _cmd_check)
     p_check.add_argument("--format", choices=["text", "json"], default="text")
 
-    p_basis = add("basis", "list the quotient-ring monomial basis")
+    p_basis = add("basis", "list the quotient-ring monomial basis", _cmd_basis)
     p_basis.add_argument("--format", choices=["text", "json"], default="text")
 
-    p_system = add("system", "build the Picard-Fuchs system")
+    p_system = add("system", "build the Picard-Fuchs system", _cmd_system)
     p_system.add_argument("--format", choices=["json", "latex", "text"], default="json")
     p_system.add_argument("--out", help="write output to this file instead of stdout")
 
-    p_reduce = add("reduce", "decompose a 1-form in the Petrov module basis")
+    p_reduce = add("reduce", "decompose a 1-form in the Petrov module basis", _cmd_reduce)
     p_reduce.add_argument("--form", required=True, metavar="EXPR_DX,EXPR_DY",
                           help="coefficients of dx and dy, comma separated")
     p_reduce.add_argument("--format", choices=["text", "json"], default="text")
 
-    p_verify = add("verify", "validate the structural properties of the system")
+    p_verify = add("verify", "validate the structural properties of the system", _cmd_verify)
     p_verify.add_argument("--numeric", action="store_true",
                           help="also trace cycles and check system residuals")
     p_verify.add_argument("--t", action="append", default=[],
@@ -80,7 +93,7 @@ def _build_parser():
     p_verify.add_argument("--residual-tol", type=float, default=1e-6)
     _numeric_flags(p_verify)
 
-    p_periods = add("periods", "trace one cycle and evaluate periods/residual")
+    p_periods = add("periods", "trace one cycle and evaluate periods/residual", _cmd_periods)
     p_periods.add_argument("--t", required=True, help="level value (complex literal)")
     p_periods.add_argument("--seed", required=True, help="seed point X,Y")
     p_periods.add_argument("--mode", choices=["real_oval", "x_loop"], default="real_oval")
@@ -99,8 +112,6 @@ def _numeric_flags(p):
     p.add_argument("--newton-tol", type=float, default=1e-12, help="Newton correction tolerance")
     p.add_argument("--noncritical-tol", type=float, default=1e-6,
                    help="minimum distance of t from a critical value")
-    p.add_argument("--cluster-radius", type=float, default=1e-6,
-                   help="clustering radius of the numeric critical-point oracle")
 
 
 def _parse_complex(text):
@@ -119,39 +130,21 @@ def _parse_seed(text):
 
 def main(argv=None):
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = argparse.Namespace()
     try:
-        return _dispatch(args)
-    except (PicardFuchsError, ValueError) as exc:
-        _report_error(args, exc)
+        parser.parse_args(argv, args)
+        return args.command(args, parse_polynomial(args.hamiltonian))
+    except (UsageError, PicardFuchsError, ValueError) as exc:
+        if args.json_errors:
+            doc = {"error": type(exc).__name__, "message": str(exc)}
+            if isinstance(exc, ParseError):
+                doc["position"] = exc.position
+            print(json.dumps(doc), file=sys.stderr)
+        elif isinstance(exc, UsageError):
+            argparse.ArgumentParser.error(exc.parser, str(exc))  # usage text, SystemExit(2)
+        else:
+            print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def _report_error(args, exc):
-    if getattr(args, "json_errors", False):
-        doc = {"error": type(exc).__name__, "message": str(exc)}
-        if isinstance(exc, ParseError):
-            doc["position"] = exc.position
-        print(json.dumps(doc), file=sys.stderr)
-    else:
-        print(f"error: {exc}", file=sys.stderr)
-
-
-def _dispatch(args):
-    H = parse_polynomial(args.hamiltonian)
-    if args.verb == "check":
-        return _cmd_check(args, H)
-    if args.verb == "basis":
-        return _cmd_basis(args, H)
-    if args.verb == "system":
-        return _cmd_system(args, H)
-    if args.verb == "reduce":
-        return _cmd_reduce(args, H)
-    if args.verb == "verify":
-        return _cmd_verify(args, H)
-    if args.verb == "periods":
-        return _cmd_periods(args, H)
-    raise AssertionError(f"unhandled verb {args.verb}")
 
 
 def _cmd_check(args, H):
@@ -235,8 +228,18 @@ def _cmd_reduce(args, H):
     return 0
 
 
+def _trace(args, H, t, seed):
+    """The cycle on {H = t} through seed that the tracing flags of args describe."""
+    return trace_cycle(
+        H, t, seed, mode=args.mode,
+        samples=args.samples, max_step=args.max_step,
+        newton_tol=args.newton_tol, noncritical_tol=args.noncritical_tol,
+        loop_center=_parse_complex(args.loop_center), turns=args.loop_turns,
+    )
+
+
 def _cmd_verify(args, H):
-    sys_obj = build_system(H, cluster_radius=args.cluster_radius)
+    sys_obj = build_system(H)
     report = validate_system(sys_obj)
     classification = classify_singularities(sys_obj)
     ok = report.all_ok()
@@ -249,13 +252,7 @@ def _cmd_verify(args, H):
     if args.numeric:
         seed = _parse_seed(args.seed)
         for t_text in args.t or []:
-            cycle = trace_cycle(
-                H, _parse_complex(t_text), seed, mode=args.mode,
-                samples=args.samples, max_step=args.max_step,
-                newton_tol=args.newton_tol, noncritical_tol=args.noncritical_tol,
-                loop_center=_parse_complex(args.loop_center), turns=args.loop_turns,
-            )
-            sample = system_residual(sys_obj, cycle)
+            sample = system_residual(sys_obj, _trace(args, H, _parse_complex(t_text), seed))
             passed = sample.residual < args.residual_tol
             ok = ok and passed
             print(f"residual at t = {t_text}: {sample.residual:.3e} "
@@ -264,17 +261,12 @@ def _cmd_verify(args, H):
 
 
 def _cmd_periods(args, H):
-    sys_obj = build_system(H, cluster_radius=args.cluster_radius)
+    sys_obj = build_system(H)
     if args.cycle:
         with open(args.cycle) as fh:
             cycle = loads_cycle(fh.read(), H)
     else:
-        cycle = trace_cycle(
-            H, _parse_complex(args.t), _parse_seed(args.seed), mode=args.mode,
-            samples=args.samples, max_step=args.max_step,
-            newton_tol=args.newton_tol, noncritical_tol=args.noncritical_tol,
-            loop_center=_parse_complex(args.loop_center), turns=args.loop_turns,
-        )
+        cycle = _trace(args, H, _parse_complex(args.t), _parse_seed(args.seed))
     if args.out_cycle:
         with open(args.out_cycle, "w") as fh:
             fh.write(dumps_cycle(cycle))

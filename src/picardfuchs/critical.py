@@ -7,7 +7,9 @@ exact multiplicity k.  Above each x the critical y is the matching common
 root of H_x(x0, .) and H_y(x0, .).  Multiplicity of a cluster is the number
 of resultant roots in it; when several critical points share one x, the
 cluster count is split evenly across them (and a NumericalFailure is raised
-if it does not split).
+if it does not split).  One radius, CLUSTER_RADIUS, decides which numeric
+roots count as one, and one routine, ``cluster``, merges x-roots, y-roots,
+critical values and (in ``system``, at a relative radius) eigenvalues.
 """
 
 from dataclasses import dataclass
@@ -28,7 +30,10 @@ class CriticalPoint:
     multiplicity: int
 
 
-def critical_points_numeric(H, cluster_radius=1e-6):
+CLUSTER_RADIUS = 1e-6  # numeric roots this close count as one
+
+
+def critical_points_numeric(H):
     """All critical points of H with values and multiplicities (sum = mu).
 
     Raises NumericalFailure when root clusters cannot be resolved at working
@@ -49,12 +54,9 @@ def critical_points_numeric(H, cluster_radius=1e-6):
 
     # exact multiplicities from the squarefree decomposition, then cluster
     # whatever numerically coincides across factors
-    x_roots = roots_with_multiplicity(g)
-    clusters = _cluster([(x, m) for x, m in x_roots], cluster_radius)
-
     points = []
-    for x0, mult in clusters:
-        y_values = _critical_y_values(Hx, Hy, x0, cluster_radius)
+    for x0, mult in cluster(roots_with_multiplicity(g)):
+        y_values = _critical_y_values(Hx, Hy, x0)
         if not y_values:
             raise NumericalFailure(f"no critical y found above x = {x0}")
         if mult % len(y_values) != 0:
@@ -71,13 +73,17 @@ def critical_points_numeric(H, cluster_radius=1e-6):
     return points
 
 
-def critical_values_numeric(H, cluster_radius=1e-6):
+def critical_values_numeric(H):
     """Critical values with multiplicities, clustered over coinciding t."""
-    points = critical_points_numeric(H, cluster_radius)
-    return _cluster([(p.t, p.multiplicity) for p in points], cluster_radius)
+    return value_clusters(critical_points_numeric(H))
 
 
-def _cluster(points, radius, relative=False):
+def value_clusters(points):
+    """(value, multiplicity) pairs of critical points merged over coinciding values, sorted by value."""
+    return cluster([(p.t, p.multiplicity) for p in points])
+
+
+def cluster(points, radius=CLUSTER_RADIUS, relative=False):
     """Greedy clustering of (value, multiplicity) pairs; deterministic order.
 
     A value joins the first cluster whose representative c lies within
@@ -95,7 +101,7 @@ def _cluster(points, radius, relative=False):
     return [(v, m) for v, m in clusters]
 
 
-def _critical_y_values(Hx, Hy, x0, radius):
+def _critical_y_values(Hx, Hy, x0):
     """Common roots of H_x(x0, .) and H_y(x0, .), deduplicated.
 
     If one partial is numerically the zero polynomial at x0 the other decides
@@ -112,15 +118,10 @@ def _critical_y_values(Hx, Hy, x0, radius):
     elif roots_y is None:
         common = roots_x
     else:
-        pair_tol = max(radius, 1e-8)
         common = [
-            ry for ry in roots_y if any(abs(ry - rx) <= pair_tol for rx in roots_x)
+            ry for ry in roots_y if any(abs(ry - rx) <= CLUSTER_RADIUS for rx in roots_x)
         ]
-    out = []
-    for y0 in sorted(common, key=lambda z: (z.real, z.imag)):
-        if all(abs(y0 - seen) > radius for seen in out):
-            out.append(y0)
-    return out
+    return [y0 for y0, _ in cluster([(y, 1) for y in common])]
 
 
 def _complex_coeffs(poly, x0):

@@ -92,9 +92,6 @@ class TwoForm:
     def __sub__(self, other):
         return TwoForm(self.F - other.F)
 
-    def scale(self, c):
-        return TwoForm(self.F * BiPoly.constant(_frac(c)))
-
     def __eq__(self, other):
         if not isinstance(other, TwoForm):
             return NotImplemented

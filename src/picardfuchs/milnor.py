@@ -33,7 +33,7 @@ from .bipoly import BiPoly, grlex_key
 from .errors import DegreeTooSmallError, InternalRankError, NotRegularError
 from .forms import OneForm, canonical_primitive
 from .linalg import RatMatrix, pivot_columns, solve_with_nullspace
-from .unipoly import UniPoly, gcd as unipoly_gcd
+from .unipoly import UniPoly, is_squarefree
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ def check_regular_at_infinity(H):
             d, d - 1, (d - 1) ** 2, False,
             f"highest homogeneous part {hhat} has a repeated factor (y^{y_multiplicity})",
         )
-    if f.degree() >= 2 and unipoly_gcd(f, f.derivative()).degree() > 0:
+    if not is_squarefree(f):
         return RegularityReport(
             d, d - 1, (d - 1) ** 2, False,
             f"highest homogeneous part {hhat} has a repeated factor",

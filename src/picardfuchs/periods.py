@@ -87,8 +87,7 @@ def _critical_values_cached(H):
 
 
 def trace_cycle(H, t, seed, mode="real_oval", samples=512, max_step=0.05,
-                newton_tol=1e-12, noncritical_tol=1e-6, loop_center=0j, turns=1,
-                max_steps=200000):
+                newton_tol=1e-12, noncritical_tol=1e-6, loop_center=0j, turns=1):
     """Trace a closed cycle on {H = t} starting near ``seed``.
 
     ``mode`` is "real_oval" (compact real component; H and t real) or
@@ -100,13 +99,13 @@ def trace_cycle(H, t, seed, mode="real_oval", samples=512, max_step=0.05,
         if abs(t - tc) <= noncritical_tol:
             raise ValueError(f"t = {t} is within {noncritical_tol} of the critical value {tc}")
     if mode == "real_oval":
-        return _trace_real_oval(H, t, seed, samples, max_step, newton_tol, max_steps)
+        return _trace_real_oval(H, t, seed, samples, max_step, newton_tol)
     if mode == "x_loop":
         return _trace_x_loop(H, t, seed, samples, loop_center, turns)
     raise ValueError(f"unknown mode {mode!r}; expected real_oval or x_loop")
 
 
-def _trace_real_oval(H, t, seed, samples, max_step, newton_tol, max_steps):
+def _trace_real_oval(H, t, seed, samples, max_step, newton_tol):
     if abs(t.imag) > 1e-12:
         raise ValueError("real_oval mode needs a real level value t")
     t_real = t.real
@@ -143,7 +142,7 @@ def _trace_real_oval(H, t, seed, samples, max_step, newton_tol, max_steps):
     # pass 1: explore with a fixed step to estimate length and curvature
     h1 = max_step
     for _ in range(10):
-        result = _explore(project, tangent, x0, y0, tx0, ty0, h1, max_steps)
+        result = _explore(project, tangent, x0, y0, tx0, ty0, h1)
         if result is not None:
             length, kappa_max = result
             break
@@ -203,7 +202,10 @@ def _land_real(H, t_real, x0, y0, project):
     return project(xs, ys)
 
 
-def _explore(project, tangent, x0, y0, tx0, ty0, h, max_steps):
+MAX_STEPS = 200000  # step budget of one exploratory lap
+
+
+def _explore(project, tangent, x0, y0, tx0, ty0, h):
     """One fixed-step lap; returns (length, max curvature) or None."""
     x, y = x0, y0
     tx, ty = tx0, ty0
@@ -211,7 +213,7 @@ def _explore(project, tangent, x0, y0, tx0, ty0, h, max_steps):
     steps = 0
     s_prev = 0.0
     try:
-        while steps < max_steps:
+        while steps < MAX_STEPS:
             x_new, y_new = project(x + h * tx, y + h * ty)
             tx_new, ty_new = tangent(x_new, y_new)
             if tx * tx_new + ty * ty_new < 0:
@@ -375,7 +377,10 @@ def _integrate_pq(p_c, q_c, cycle, table):
     return complex((integrand @ weights).sum())
 
 
-def gelfand_leray_derivative(m, cycle, denominator_floor=1e-8):
+DENOMINATOR_FLOOR = 1e-8  # max(|H_x|, |H_y|) at a node, relative to its largest value
+
+
+def gelfand_leray_derivative(m, cycle):
     """d/dt of the period of any primitive of m dx^dy, over this cycle.
 
     Integrates -(m/H_y) dx where |H_y| dominates and (m/H_x) dy elsewhere;
@@ -392,7 +397,7 @@ def gelfand_leray_derivative(m, cycle, denominator_floor=1e-8):
     hyv = _eval_arrays(hy_c, x_nodes, y_nodes)
     dominant = np.maximum(np.abs(hxv), np.abs(hyv))
     scale = max(float(dominant.max()), 1e-30)
-    if float(dominant.min()) < denominator_floor * scale:
+    if float(dominant.min()) < DENOMINATOR_FLOOR * scale:
         raise SingularDenominator("cycle passes too close to a critical point of H")
     use_y_chart = np.abs(hyv) >= np.abs(hxv)
     denom_y = np.where(use_y_chart, hyv, 1.0)
@@ -425,7 +430,10 @@ def system_residual(sys, cycle):
     return PeriodSample(t=t, I=tuple(periods), Idot=tuple(derivatives), residual=residual)
 
 
-def asymptotic_exponent_check(sys, cycles, floor=1e-9):
+PERIOD_FLOOR = 1e-9  # |I_i| counted as zero, relative to the largest period
+
+
+def asymptotic_exponent_check(sys, cycles):
     """Least-squares growth exponents of log|I_i| vs log|t| over a cycle family.
 
     Returns one fitted exponent per basis form, or None where the period is
@@ -441,7 +449,7 @@ def asymptotic_exponent_check(sys, cycles, floor=1e-9):
     exponents = []
     for i in range(sys.mu):
         column = period_matrix[:, i]
-        if column.min() <= floor * overall:
+        if column.min() <= PERIOD_FLOOR * overall:
             exponents.append(None)
             continue
         slope = np.polyfit(np.log(ts), np.log(column), 1)[0]
@@ -463,7 +471,10 @@ def cycle_to_json(cycle):
     }
 
 
-def cycle_from_json(doc, H, trace_tol=1e-8):
+TRACE_TOL = 1e-8  # |H - t| allowed at an imported sample, relative to 1 + |t|
+
+
+def cycle_from_json(doc, H):
     """Rebuild a Cycle from its wire format; verifies samples lie on {H = t}."""
     t = complex(doc["t"][0], doc["t"][1])
     points = tuple(
@@ -472,7 +483,7 @@ def cycle_from_json(doc, H, trace_tol=1e-8):
     )
     h_c = _compiled(H)
     worst = max(abs(_eval_c(h_c, p[0], p[1]) - t) for p in points)
-    if worst > trace_tol * (1.0 + abs(t)):
+    if worst > TRACE_TOL * (1.0 + abs(t)):
         raise NumericalFailure(f"imported samples leave the level curve by {worst:.3e}")
     return Cycle(t=t, points=points, closure_error=0.0, hamiltonian=H, mode="imported")
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import prod
 
 from .bipoly import BiPoly
-from .critical import _cluster, critical_points_numeric
+from .critical import cluster, critical_points_numeric, value_clusters
 from .errors import NotRegularError
 from .forms import TwoForm, differential, exterior_derivative, wedge_with_dH
 from .linalg import RatMatrix, char_poly, min_poly, pencil_determinant
@@ -54,10 +54,10 @@ class PFSystem:
 
     def critical_values(self):
         """(value, multiplicity) pairs merged over coinciding points, sorted by value."""
-        return _cluster([(p.t, p.multiplicity) for p in self.critical_points], 1e-6)
+        return value_clusters(self.critical_points)
 
 
-def build_system(H, basis=None, cluster_radius=1e-6):
+def build_system(H, basis=None):
     """Construct the Picard-Fuchs system of a Hamiltonian regular at infinity."""
     report = check_regular_at_infinity(H)
     if not report.regular:
@@ -86,7 +86,7 @@ def build_system(H, basis=None, cluster_radius=1e-6):
         B0=RatMatrix(list(b0_rows)),
         B1=RatMatrix(list(b1_rows)),
         D=tuple(Fraction(d, basis.n + 1) for d in degrees),
-        critical_points=tuple(critical_points_numeric(H, cluster_radius=cluster_radius)),
+        critical_points=tuple(critical_points_numeric(H)),
         etas=tuple(etas),
         certificates=tuple(certs),
     )
@@ -112,7 +112,7 @@ class ValidationReport:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "details"}
 
 
-def validate_system(sys, spectrum_tol=1e-8, eigenvector_tol=1e-6):
+def validate_system(sys):
     """Re-check every structural claim; failures are reported, never raised.
 
     The last two flags are computed outright only when a premise fails:
@@ -124,8 +124,8 @@ def validate_system(sys, spectrum_tol=1e-8, eigenvector_tol=1e-6):
     """
     notes = []
     identity_ok = _check_exact_identities(sys, notes)
-    spectrum_ok = _check_spectrum(sys, spectrum_tol, notes)
-    eigenvector_ok = _check_eigenvectors(sys, eigenvector_tol, notes)
+    spectrum_ok = _check_spectrum(sys, notes)
+    eigenvector_ok = _check_eigenvectors(sys, notes)
 
     degrees = sys.basis.form_degrees()
     mu = sys.mu
@@ -207,27 +207,37 @@ def spectrum_of_multiplication_matrix(sys):
     return eigen
 
 
-def _check_spectrum(sys, tol, notes):
+SPECTRUM_TOL = 1e-8  # eigenvalue to oracle value distance, relative to max(1, |t|)
+EIGENVECTOR_TOL = 1e-6  # |A v - t v| at a simple critical point, relative to max(1, |v|)
+
+
+def _check_spectrum(sys, notes):
     """Eigenvalue and oracle clusters must pair off one to one with equal multiplicities.
 
     Both multisets are clustered at tol * max(1, |t|); an eigenvalue cluster
-    meets an oracle cluster within that distance of it.
+    meets an oracle cluster within that distance of it.  A failure note gives
+    the worst distance in both directions and each multiplicity that differs.
     """
-    eigen = _cluster(roots_with_multiplicity(char_poly(sys.A)), tol, relative=True)
-    oracle = _cluster([(p.t, p.multiplicity) for p in sys.critical_points], tol, relative=True)
+    tol = SPECTRUM_TOL
+    eigen = cluster(roots_with_multiplicity(char_poly(sys.A)), tol, relative=True)
+    oracle = cluster([(p.t, p.multiplicity) for p in sys.critical_points], tol, relative=True)
     met = [[j for j, (o, _) in enumerate(oracle) if abs(e - o) <= tol * max(1.0, abs(e))] for e, _ in eigen]
     paired = {js[0] for js, (_, m) in zip(met, eigen) if len(js) == 1 and oracle[js[0]][1] == m}
     if len(paired) == len(eigen) == len(oracle):
         return True
-    worst = max(min(abs(e - o) for o, _ in oracle) for e, _ in eigen)
-    notes.append(
-        f"spectrum mismatch: eigenvalue and oracle clusters do not pair off; "
-        f"worst distance {worst:.3e}, tolerance {tol} * max(1, |t|)"
-    )
+    worst = max(min(abs(a - b) for b, _ in theirs)
+                for ours, theirs in ((eigen, oracle), (oracle, eigen)) for a, _ in ours)
+    note = (f"spectrum mismatch: eigenvalue and oracle clusters do not pair off; "
+            f"worst distance {worst:.3e}, tolerance {tol} * max(1, |t|)")
+    for (e, m), js in zip(eigen, met):
+        met_mult = sum(oracle[j][1] for j in js)
+        if met_mult != m:
+            note += f"; eigenvalue {e:.6g} has multiplicity {m}, oracle {met_mult}"
+    notes.append(note)
     return False
 
 
-def _check_eigenvectors(sys, tol, notes):
+def _check_eigenvectors(sys, notes):
     a_float = sys.A.to_float_array()
     ok = True
     import numpy as np
@@ -237,7 +247,7 @@ def _check_eigenvectors(sys, tol, notes):
             continue
         v = np.array([complex(p.x) ** a * complex(p.y) ** b for a, b in sys.basis.monomials])
         residual = np.abs(a_float @ v - p.t * v).max()
-        if residual > tol * max(1.0, float(np.abs(v).max())):
+        if residual > EIGENVECTOR_TOL * max(1.0, float(np.abs(v).max())):
             ok = False
             notes.append(f"eigenvector residual {residual:.3e} at critical value {p.t:.6g}")
     return ok

@@ -24,16 +24,8 @@ class UniPoly:
         object.__setattr__(self, "coeffs", tuple(cs))
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
     def constant(cls, c):
         return cls([c])
-
-    @classmethod
-    def t_power(cls, k, coeff=1):
-        return cls([0] * k + [coeff])
 
     def is_zero(self):
         return not self.coeffs

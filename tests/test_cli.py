@@ -149,6 +149,26 @@ def test_json_errors_flag(capsys):
     assert doc["position"] == 6
 
 
+def test_json_errors_cover_usage_errors(capsys):
+    # rejected by the main parser, by a subcommand's parser, and the removed
+    # --cluster-radius flag; without --json-errors argparse exits as before
+    cases = (
+        (["check", "--bogus", "x^2+y^2"], "unrecognized arguments: --bogus"),
+        (["verify", "x^2+y^2", "--samples", "abc"], "argument --samples: invalid int value: 'abc'"),
+        (["periods", "x^2+y^2", "--t", "1", "--seed", "1,0", "--cluster-radius", "1e-6"],
+         "unrecognized arguments: --cluster-radius 1e-6"),
+    )
+    for argv, message in cases:
+        assert main(["--json-errors", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "UsageError", "message": message}
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
 def test_critical_t_is_input_error(capsys):
     code = main(["periods", "x^2+y^2", "--t", "0", "--seed", "0,0"])
     assert code == 2

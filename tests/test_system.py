@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 from picardfuchs.bipoly import BiPoly, X, Y
+from picardfuchs.cli import main
 from picardfuchs.forms import TwoForm, wedge_with_dH
-from picardfuchs.linalg import RatMatrix, char_poly
+from picardfuchs.linalg import RatMatrix, char_poly, min_poly
 from picardfuchs.milnor import MilnorBasis
 from picardfuchs.serialize import serialize_system, system_from_dict
 from picardfuchs.system import (
@@ -17,7 +18,7 @@ from picardfuchs.system import (
     spectrum_of_multiplication_matrix,
     validate_system,
 )
-from picardfuchs.unipoly import UniPoly
+from picardfuchs.unipoly import UniPoly, is_squarefree, squarefree_decomposition
 from tests.conftest import random_regular_hamiltonian
 
 QUINTIC = X**5 + Y**5 + X**2 * Y**2 + X + Y
@@ -157,36 +158,82 @@ def test_mu_one_json_shape():
     assert doc["B1"] == [["0"]]
 
 
-# (matrix, row monomial, column monomial, new value, flags that fail) on the
-# quintic, whose form degrees run 2..8 with n + 1 = 5 and whose only nonzero
-# B1 entry sits at (x^3y^3, 1); expectations are those of computing the
-# pencil determinant and B1 @ B1 outright
+# (Hamiltonian, matrix, row monomial, column monomial, new value, flags that
+# fail).  The quintic's form degrees run 2..8 with n + 1 = 5 and its only
+# nonzero B1 entry sits at (x^3y^3, 1); expectations are those of computing
+# the pencil determinant and B1 @ B1 outright.  On the cubic A[x, 1] is 0.
 TAMPERED = {
-    "b0_above_degree_diagonal": ("B0", (0, 0), (1, 0), 1, {"b0_triangular_ok"}),
-    "b0_same_degree_off_diagonal": ("B0", (1, 0), (0, 1), 1, {"b0_diagonal_ok"}),
-    "b0_diagonal_changed": ("B0", (1, 1), (1, 1), 7, {"b0_diagonal_ok", "b_invertible_ok"}),
-    "b1_gap_below_n_plus_1": ("B1", (3, 3), (2, 2), 1, {"b1_triangular_ok"}),
+    "b0_above_degree_diagonal": (QUINTIC, "B0", (0, 0), (1, 0), 1, {"b0_triangular_ok"}),
+    "b0_same_degree_off_diagonal": (QUINTIC, "B0", (1, 0), (0, 1), 1, {"b0_diagonal_ok"}),
+    "b0_diagonal_changed": (
+        QUINTIC, "B0", (1, 1), (1, 1), 7, {"b0_diagonal_ok", "b_invertible_ok"},
+    ),
+    "b1_gap_below_n_plus_1": (QUINTIC, "B1", (3, 3), (2, 2), 1, {"b1_triangular_ok"}),
     "b1_diagonal": (
-        "B1", (2, 1), (2, 1), 1, {"b1_triangular_ok", "b1_square_zero_ok", "b_invertible_ok"},
+        QUINTIC, "B1", (2, 1), (2, 1), 1,
+        {"b1_triangular_ok", "b1_square_zero_ok", "b_invertible_ok"},
     ),
     "b1_back_edge": (
-        "B1", (0, 0), (3, 3), 1, {"b1_triangular_ok", "b1_square_zero_ok", "b_invertible_ok"},
+        QUINTIC, "B1", (0, 0), (3, 3), 1,
+        {"b1_triangular_ok", "b1_square_zero_ok", "b_invertible_ok"},
     ),
+    "a_entry_changed_cubic": (CUBIC, "A", (1, 0), (0, 0), 1, {"identity_ok", "eigenvector_ok"}),
 }
+TAMPERED_DETAILS = {"a_entry_changed_cubic": "division identity fails for row 1; "}
 
 
 @pytest.fixture(scope="module")
-def quintic_system():
-    return build_system(QUINTIC)
+def built_systems():
+    return {H: build_system(H) for H in (QUINTIC, CUBIC)}
 
 
 @pytest.mark.parametrize("case", sorted(TAMPERED))
-def test_validation_flags_tampered_systems(quintic_system, case):
-    field, row, col, value, failing = TAMPERED[case]
-    sys = quintic_system
+def test_validation_flags_tampered_systems(built_systems, case):
+    H, field, row, col, value, failing = TAMPERED[case]
+    sys = built_systems[H]
     i, j = sys.basis.index_of(*row), sys.basis.index_of(*col)
     entries = [list(r) for r in getattr(sys, field).entries]
     entries[i][j] = Fraction(value)
     tampered = dataclasses.replace(sys, **{field: RatMatrix(entries)})
-    report = validate_system(tampered).as_dict()
-    assert report == {name: name not in failing for name in report}
+    report = validate_system(tampered)
+    flags = report.as_dict()
+    assert flags == {name: name not in failing for name in flags}
+    assert report.details.startswith(TAMPERED_DETAILS.get(case, ""))
+
+
+def test_spectrum_mismatch_note_says_what_failed(built_systems):
+    # one of the three oracle points at t = -1 moved to -0.999: the eigenvalue
+    # -1 of multiplicity 3 now meets an oracle cluster of multiplicity 2, and
+    # the oracle cluster at -0.999 meets no eigenvalue
+    sys = built_systems[CUBIC]
+    points = list(sys.critical_points)
+    k = next(i for i, p in enumerate(points) if p.t == -1)
+    points[k] = dataclasses.replace(points[k], t=complex(-0.999))
+    report = validate_system(dataclasses.replace(sys, critical_points=tuple(points)))
+    flags = report.as_dict()
+    assert flags == {name: name not in {"spectrum_ok", "eigenvector_ok"} for name in flags}
+    assert report.details.startswith(
+        "spectrum mismatch: eigenvalue and oracle clusters do not pair off; "
+        "worst distance 1.000e-03, tolerance 1e-08 * max(1, |t|); "
+        "eigenvalue -1+0j has multiplicity 3, oracle 2; "
+    )
+
+
+def test_non_diagonalizable_multiplication_matrix(capsys):
+    # A is derogatory and not diagonalizable: its minimal polynomial has
+    # degree 8 and a repeated root, its characteristic polynomial the Yun
+    # multiplicities 1 and 10; the system itself validates
+    H = X**5 + Y**5 + X**4 + X**2 * Y**2
+    sys = build_system(H)
+    minimal = min_poly(sys.A)
+    assert minimal.degree() == 8 and not is_squarefree(minimal)
+    _, factors = squarefree_decomposition(char_poly(sys.A))
+    assert sorted(k for _, k in factors) == [1, 10]
+    assert validate_system(sys).all_ok()
+    classification = classify_singularities(sys)
+    assert classification["finite_fuchsian"] is False
+    assert "A not diagonalizable" in classification["details"]
+    assert main(["system", "x^5+y^5+x^4+x^2y^2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["classification"]["finite_fuchsian"] is False
+    assert all(doc["validation"].values())
