@@ -207,10 +207,6 @@ class BiPoly:
                 coeffs[b] += complex(c) * x_value**a
         return coeffs
 
-    def x_coefficients(self, y_value):
-        """Coefficients in x (ascending) after substituting y = y_value."""
-        return self.swap_variables().y_coefficients(y_value)
-
     def swap_variables(self):
         return _raw({(b, a): c for (a, b), c in self.terms.items()})
 

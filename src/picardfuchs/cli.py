@@ -22,9 +22,9 @@ from .errors import ParseError, PicardFuchsError
 from .forms import OneForm
 from .milnor import check_regular_at_infinity, monomial_basis
 from .parsing import parse_polynomial
-from .periods import dumps_cycle, loads_cycle, system_residual, trace_cycle
+from .periods import cycle_from_json, cycle_to_json, system_residual, trace_cycle
 from .petrov import petrov_decompose
-from .serialize import monomial_str, serialize_system
+from .serialize import basis_to_list, monomial_str, serialize_system
 from .system import build_system, classify_singularities, validate_system
 
 
@@ -87,31 +87,25 @@ def _build_parser():
     p_verify.add_argument("--t", action="append", default=[],
                           help="level value for a numeric check (repeatable)")
     p_verify.add_argument("--seed", default="1,1", help="seed point X,Y for cycle tracing")
-    p_verify.add_argument("--mode", choices=["real_oval", "x_loop"], default="real_oval")
-    p_verify.add_argument("--loop-center", default="0", help="x_loop center (complex literal)")
-    p_verify.add_argument("--loop-turns", type=int, default=1)
     p_verify.add_argument("--residual-tol", type=float, default=1e-6)
-    _numeric_flags(p_verify)
+    _cycle_flags(p_verify)
 
     p_periods = add("periods", "trace one cycle and evaluate periods/residual", _cmd_periods)
     p_periods.add_argument("--t", required=True, help="level value (complex literal)")
     p_periods.add_argument("--seed", required=True, help="seed point X,Y")
-    p_periods.add_argument("--mode", choices=["real_oval", "x_loop"], default="real_oval")
-    p_periods.add_argument("--loop-center", default="0", help="x_loop center (complex literal)")
-    p_periods.add_argument("--loop-turns", type=int, default=1)
     p_periods.add_argument("--cycle", help="read the cycle from this JSON file instead of tracing")
     p_periods.add_argument("--out-cycle", help="write the traced cycle to this JSON file")
-    _numeric_flags(p_periods)
+    _cycle_flags(p_periods)
 
     return parser
 
 
-def _numeric_flags(p):
+def _cycle_flags(p):
+    """The options that describe a traced cycle, shared by verify and periods."""
+    p.add_argument("--mode", choices=["real_oval", "x_loop"], default="real_oval")
+    p.add_argument("--loop-center", default="0", help="x_loop center (complex literal)")
+    p.add_argument("--loop-turns", type=int, default=1)
     p.add_argument("--samples", type=int, default=512, help="samples per traced cycle")
-    p.add_argument("--max-step", type=float, default=0.05, help="arc-length step bound")
-    p.add_argument("--newton-tol", type=float, default=1e-12, help="Newton correction tolerance")
-    p.add_argument("--noncritical-tol", type=float, default=1e-6,
-                   help="minimum distance of t from a critical value")
 
 
 def _parse_complex(text):
@@ -177,7 +171,7 @@ def _cmd_basis(args, H):
             "hamiltonian": str(H),
             "n": basis.n,
             "mu": basis.mu,
-            "basis": [{"a": a, "b": b, "deg_form": a + b + 2} for a, b in basis.monomials],
+            "basis": basis_to_list(basis),
         }
         print(json.dumps(doc, indent=2))
     else:
@@ -229,13 +223,9 @@ def _cmd_reduce(args, H):
 
 
 def _trace(args, H, t, seed):
-    """The cycle on {H = t} through seed that the tracing flags of args describe."""
-    return trace_cycle(
-        H, t, seed, mode=args.mode,
-        samples=args.samples, max_step=args.max_step,
-        newton_tol=args.newton_tol, noncritical_tol=args.noncritical_tol,
-        loop_center=_parse_complex(args.loop_center), turns=args.loop_turns,
-    )
+    """The cycle on {H = t} through seed that the cycle flags of args describe."""
+    return trace_cycle(H, t, seed, mode=args.mode, samples=args.samples,
+                       loop_center=_parse_complex(args.loop_center), turns=args.loop_turns)
 
 
 def _cmd_verify(args, H):
@@ -264,12 +254,12 @@ def _cmd_periods(args, H):
     sys_obj = build_system(H)
     if args.cycle:
         with open(args.cycle) as fh:
-            cycle = loads_cycle(fh.read(), H)
+            cycle = cycle_from_json(json.load(fh), H)
     else:
         cycle = _trace(args, H, _parse_complex(args.t), _parse_seed(args.seed))
     if args.out_cycle:
         with open(args.out_cycle, "w") as fh:
-            fh.write(dumps_cycle(cycle))
+            fh.write(json.dumps(cycle_to_json(cycle), indent=2) + "\n")
     sample = system_residual(sys_obj, cycle)
     doc = {
         "t": [sample.t.real, sample.t.imag],

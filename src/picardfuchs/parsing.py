@@ -3,7 +3,9 @@
 Accepts + - * ^, parentheses, implicit multiplication ("x^2y^2", "3x",
 "2(x+y)"), integer and rational literals ("3/2"); whitespace is ignored.
 The '/' character is only legal inside a rational literal.  Parentheses and
-prefix signs nest at most MAX_NESTING levels deep.  Raises ParseError with
+prefix signs nest at most MAX_NESTING levels deep.  Exponents, and the total
+degree of every power and product, are at most MAX_DEGREE; the cap is
+checked before the power or product is expanded.  Raises ParseError with
 the offending position.  str(BiPoly) output round-trips through this
 parser.
 """
@@ -15,6 +17,9 @@ from .errors import ParseError
 
 # each level is a recursive call, so the limit keeps deep input off the stack
 MAX_NESTING = 100
+# mu = (degree - 1)^2 grows quadratically; the cap keeps input like x^100000 from
+# starting unbounded work (every test and benchmark input has degree <= 8)
+MAX_DEGREE = 32
 
 
 class _Tokenizer:
@@ -109,11 +114,13 @@ def _parse_product(tokens):
         kind, _, _ = tokens.peek()
         if kind == "*":
             tokens.advance()
-            total = total * _parse_power(tokens)
-        elif kind in ("number", "var", "("):
-            total = total * _parse_power(tokens)  # implicit multiplication
-        else:
+        elif kind not in ("number", "var", "("):  # else implicit multiplication
             return total
+        pos = tokens.peek()[2]
+        factor = _parse_power(tokens)
+        if total.degree() + factor.degree() > MAX_DEGREE:
+            raise ParseError(f"product has degree above the cap {MAX_DEGREE}", pos)
+        total = total * factor
 
 
 def _parse_power(tokens):
@@ -125,7 +132,10 @@ def _parse_power(tokens):
     kind, value, pos = tokens.advance()
     if kind != "number" or value.denominator != 1 or value < 0:
         raise ParseError("exponent must be a nonnegative integer", pos)
-    return base ** int(value)
+    exponent = int(value)
+    if max(base.degree(), 1) * exponent > MAX_DEGREE:
+        raise ParseError(f"power has exponent or degree above the cap {MAX_DEGREE}", pos)
+    return base ** exponent
 
 
 def _parse_atom(tokens):

@@ -16,12 +16,18 @@ Two cycle modes:
     raises NotClosed and the caller iterates the loop (more turns).
 
 The Gelfand-Leray derivative of a period of omega_i with d(omega_i) =
-m dx^dy is the integral of -(m/H_y) dx = (m/H_x) dy over the same cycle
-(the two charts agree on the curve; the dominant denominator is used per
-quadrature node).
+m dx^dy is the period, over the same cycle, of the residue form
+m (conj(H_x) dy - conj(H_y) dx) / (|H_x|^2 + |H_y|^2).  Its wedge with dH
+is m dx^dy, so on the curve it equals -(m/H_y) dx = (m/H_x) dy; its
+denominator vanishes only at critical points of H, so one formula serves
+every quadrature node of real ovals and complex cycles alike.
+
+Tracing tolerances are module constants: MAX_STEP bounds the first
+arc-length step, NEWTON_TOL * max(1, |t|) is the level-curve residual at
+which Newton correction stops, and t must stay NONCRITICAL_TOL away from
+every critical value.
 """
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -86,8 +92,13 @@ def _critical_values_cached(H):
 # -- tracing -------------------------------------------------------------------
 
 
-def trace_cycle(H, t, seed, mode="real_oval", samples=512, max_step=0.05,
-                newton_tol=1e-12, noncritical_tol=1e-6, loop_center=0j, turns=1):
+MAX_STEP = 0.05         # arc-length step of the first exploratory lap
+NEWTON_TOL = 1e-12      # |H - t| at which Newton correction stops, relative to max(1, |t|)
+NONCRITICAL_TOL = 1e-6  # minimum distance of t from a critical value
+MAX_STEPS = 200000      # step budget of one exploratory lap
+
+
+def trace_cycle(H, t, seed, mode="real_oval", samples=512, loop_center=0j, turns=1):
     """Trace a closed cycle on {H = t} starting near ``seed``.
 
     ``mode`` is "real_oval" (compact real component; H and t real) or
@@ -96,19 +107,20 @@ def trace_cycle(H, t, seed, mode="real_oval", samples=512, max_step=0.05,
     """
     t = complex(t)
     for tc in _critical_values_cached(H):
-        if abs(t - tc) <= noncritical_tol:
-            raise ValueError(f"t = {t} is within {noncritical_tol} of the critical value {tc}")
+        if abs(t - tc) <= NONCRITICAL_TOL:
+            raise ValueError(f"t = {t} is within {NONCRITICAL_TOL} of the critical value {tc}")
     if mode == "real_oval":
-        return _trace_real_oval(H, t, seed, samples, max_step, newton_tol)
+        return _trace_real_oval(H, t, seed, samples)
     if mode == "x_loop":
         return _trace_x_loop(H, t, seed, samples, loop_center, turns)
     raise ValueError(f"unknown mode {mode!r}; expected real_oval or x_loop")
 
 
-def _trace_real_oval(H, t, seed, samples, max_step, newton_tol):
+def _trace_real_oval(H, t, seed, samples):
     if abs(t.imag) > 1e-12:
         raise ValueError("real_oval mode needs a real level value t")
     t_real = t.real
+    newton_tol = NEWTON_TOL * max(1.0, abs(t_real))
     h_poly = _compiled(H)
     hx = _compiled(H.partial("x"))
     hy = _compiled(H.partial("y"))
@@ -140,7 +152,7 @@ def _trace_real_oval(H, t, seed, samples, max_step, newton_tol):
     tx0, ty0 = tangent(x0, y0)
 
     # pass 1: explore with a fixed step to estimate length and curvature
-    h1 = max_step
+    h1 = MAX_STEP
     for _ in range(10):
         result = _explore(project, tangent, x0, y0, tx0, ty0, h1)
         if result is not None:
@@ -182,27 +194,17 @@ def _land_real(H, t_real, x0, y0, project):
     except TraceDiverged:
         pass
     candidates = []
-    for coeffs, fixed, along_y in (
-        (H.y_coefficients(x0), x0, True),
-        (H.x_coefficients(y0), y0, False),
-    ):
-        arr = [complex(c) for c in coeffs]
-        if arr:
-            arr[0] -= t_real
-        if len(arr) >= 2 and max(abs(c) for c in arr) > 0:
-            for r in np.roots(np.array(arr[::-1])):
-                if abs(r.imag) < 1e-9:
-                    if along_y:
-                        candidates.append((abs(r.real - y0), x0, r.real))
-                    else:
-                        candidates.append((abs(r.real - x0), r.real, y0))
+    for poly, fixed, free, on_x_line in ((H, x0, y0, False), (H.swap_variables(), y0, x0, True)):
+        try:
+            roots = _fiber_roots(poly, t_real, fixed)
+        except TraceDiverged:
+            continue
+        for r in roots[np.abs(roots.imag) < 1e-9].real:
+            point = (r, fixed) if on_x_line else (fixed, r)
+            candidates.append((abs(r - free), point))
     if not candidates:
         raise TraceDiverged("no real point of {H = t} found near the seed")
-    _, xs, ys = min(candidates)
-    return project(xs, ys)
-
-
-MAX_STEPS = 200000  # step budget of one exploratory lap
+    return project(*min(candidates)[1])
 
 
 def _explore(project, tangent, x0, y0, tx0, ty0, h):
@@ -327,11 +329,12 @@ def _lagrange_weights(stencil, nodes):
 
 
 def _quadrature_tables(order, stencil):
+    """Gauss nodes on [0, 1] with the stencil (sample offsets) they interpolate."""
     nodes, weights = np.polynomial.legendre.leggauss(order)
     nodes01 = 0.5 * (nodes + 1.0)
     weights01 = 0.5 * weights
     values, derivs = _lagrange_weights(stencil, nodes01)
-    return values, derivs, weights01
+    return values, derivs, weights01, np.array(stencil)
 
 
 _TABLE_MAIN = _quadrature_tables(6, (-2, -1, 0, 1, 2, 3))
@@ -339,15 +342,13 @@ _TABLE_COARSE = _quadrature_tables(4, (-1, 0, 1, 2))
 
 
 def _nodes_and_derivatives(cycle, table):
-    values, derivs, weights = table
-    stencil_len = values.shape[1]
-    offset = 2 if stencil_len == 6 else 1
+    values, derivs, weights, stencil = table
     n = len(cycle.points)
-    if n < stencil_len + 2:
-        raise ValueError(f"cycle needs at least {stencil_len + 2} samples, got {n}")
+    if n < len(stencil) + 2:
+        raise ValueError(f"cycle needs at least {len(stencil) + 2} samples, got {n}")
     xs = np.array([p[0] for p in cycle.points])
     ys = np.array([p[1] for p in cycle.points])
-    idx = (np.arange(n)[:, None] + np.arange(-offset, stencil_len - offset)[None, :]) % n
+    idx = (np.arange(n)[:, None] + stencil[None, :]) % n
     sx = xs[idx]            # (n, stencil)
     sy = ys[idx]
     x_nodes = sx @ values.T     # (n, order)
@@ -383,8 +384,8 @@ DENOMINATOR_FLOOR = 1e-8  # max(|H_x|, |H_y|) at a node, relative to its largest
 def gelfand_leray_derivative(m, cycle):
     """d/dt of the period of any primitive of m dx^dy, over this cycle.
 
-    Integrates -(m/H_y) dx where |H_y| dominates and (m/H_x) dy elsewhere;
-    both restrict to the same form on the level curve.  Raises
+    Integrates the residue form m (conj(H_x) dy - conj(H_y) dx) / (|H_x|^2 +
+    |H_y|^2), equal to -(m/H_y) dx = (m/H_x) dy on the level curve.  Raises
     SingularDenominator if both partials nearly vanish at a node.
     """
     H = cycle.hamiltonian
@@ -399,10 +400,8 @@ def gelfand_leray_derivative(m, cycle):
     scale = max(float(dominant.max()), 1e-30)
     if float(dominant.min()) < DENOMINATOR_FLOOR * scale:
         raise SingularDenominator("cycle passes too close to a critical point of H")
-    use_y_chart = np.abs(hyv) >= np.abs(hxv)
-    denom_y = np.where(use_y_chart, hyv, 1.0)
-    denom_x = np.where(use_y_chart, 1.0, hxv)
-    integrand = np.where(use_y_chart, -mv * dx_nodes / denom_y, mv * dy_nodes / denom_x)
+    norm2 = np.abs(hxv) ** 2 + np.abs(hyv) ** 2
+    integrand = mv * (np.conj(hxv) * dy_nodes - np.conj(hyv) * dx_nodes) / norm2
     return complex((integrand @ weights).sum())
 
 
@@ -486,11 +485,3 @@ def cycle_from_json(doc, H):
     if worst > TRACE_TOL * (1.0 + abs(t)):
         raise NumericalFailure(f"imported samples leave the level curve by {worst:.3e}")
     return Cycle(t=t, points=points, closure_error=0.0, hamiltonian=H, mode="imported")
-
-
-def dumps_cycle(cycle):
-    return json.dumps(cycle_to_json(cycle), indent=2) + "\n"
-
-
-def loads_cycle(text, H):
-    return cycle_from_json(json.loads(text), H)

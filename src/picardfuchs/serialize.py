@@ -31,6 +31,11 @@ def matrix_from_strings(rows):
     return RatMatrix([[Fraction(v) for v in row] for row in rows])
 
 
+def basis_to_list(basis):
+    """The JSON basis listing: each monomial's exponents and the degree of its form."""
+    return [{"a": a, "b": b, "deg_form": a + b + 2} for a, b in basis.monomials]
+
+
 def system_to_dict(sys):
     """The full JSON document for a built system, validation included."""
     validation = validate_system(sys)
@@ -39,9 +44,7 @@ def system_to_dict(sys):
         "hamiltonian": str(sys.H),
         "n": sys.n,
         "mu": sys.mu,
-        "basis": [
-            {"a": a, "b": b, "deg_form": a + b + 2} for a, b in sys.basis.monomials
-        ],
+        "basis": basis_to_list(sys.basis),
         "A": matrix_to_strings(sys.A),
         "B0": matrix_to_strings(sys.B0),
         "B1": matrix_to_strings(sys.B1),

@@ -1,6 +1,7 @@
 """Command-line surface: parsing, subcommands, exit codes, determinism."""
 
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,7 +11,7 @@ import pytest
 from picardfuchs.bipoly import X, Y
 from picardfuchs.cli import main
 from picardfuchs.errors import ParseError
-from picardfuchs.parsing import MAX_NESTING, parse_polynomial
+from picardfuchs.parsing import MAX_DEGREE, MAX_NESTING, parse_polynomial
 
 
 def test_parse_examples():
@@ -46,6 +47,23 @@ def test_nesting_limit_is_an_input_error(capsys):
         assert main(["check", "(" * depth + "x^3+y^3" + ")" * depth]) == code
         assert main(["check", "x^3+y^3+" + "-" * depth + "x"]) == code
     assert capsys.readouterr().err.count(f"nest deeper than {MAX_NESTING} levels") == 2
+
+
+def test_size_cap_is_an_input_error(capsys):
+    # exactly at the cap is accepted; one past it, through a power or a
+    # product, is a parse failure at the exponent or the factor
+    assert main(["check", f"x^{MAX_DEGREE}+y^{MAX_DEGREE}"]) == 0
+    assert parse_polynomial(f"x^{MAX_DEGREE - 1}*y").degree() == MAX_DEGREE
+    capsys.readouterr()
+    power = f"x^{MAX_DEGREE + 1}+y"
+    product = f"x^{MAX_DEGREE}*y"
+    for text, position in ((power, 2), (product, len(product) - 1),
+                           (f"(x+y)^{MAX_DEGREE}(x+1)", len(f"(x+y)^{MAX_DEGREE}"))):
+        assert main(["--json-errors", "check", text]) == 2
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["error"] == "ParseError"
+        assert doc["position"] == position
+        assert f"above the cap {MAX_DEGREE}" in doc["message"]
 
 
 def test_check_rejection_exit_code(capsys):
@@ -130,6 +148,13 @@ def test_periods_command_and_cycle_file(tmp_path, capsys):
     assert abs(doc2["I"][0][0] - doc["I"][0][0]) < 1e-12
 
 
+def test_periods_real_oval_at_large_level(capsys):
+    code = main(["periods", "x^2+y^2", "--t", "10000", "--seed", "100,0"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert abs(doc["I"][0][0] - math.pi * 1e4) < 1e-9 * math.pi * 1e4
+
+
 def test_periods_x_loop_mode(capsys):
     code = main(["periods", "x^3+y^3", "--t", "1", "--seed", "2,-1.26",
                  "--mode", "x_loop", "--loop-center", "0", "--loop-turns", "1"])
@@ -150,13 +175,18 @@ def test_json_errors_flag(capsys):
 
 
 def test_json_errors_cover_usage_errors(capsys):
-    # rejected by the main parser, by a subcommand's parser, and the removed
-    # --cluster-radius flag; without --json-errors argparse exits as before
+    # rejected by the main parser, by a subcommand's parser, and removed flags
+    # (a radius and tracing tolerances); without --json-errors argparse exits as before
     cases = (
         (["check", "--bogus", "x^2+y^2"], "unrecognized arguments: --bogus"),
         (["verify", "x^2+y^2", "--samples", "abc"], "argument --samples: invalid int value: 'abc'"),
         (["periods", "x^2+y^2", "--t", "1", "--seed", "1,0", "--cluster-radius", "1e-6"],
          "unrecognized arguments: --cluster-radius 1e-6"),
+        (["verify", "x^2+y^2", "--max-step", "0.1"], "unrecognized arguments: --max-step 0.1"),
+        (["periods", "x^2+y^2", "--t", "1", "--seed", "1,0", "--newton-tol", "1e-9"],
+         "unrecognized arguments: --newton-tol 1e-9"),
+        (["periods", "x^2+y^2", "--t", "1", "--seed", "1,0", "--noncritical-tol", "0"],
+         "unrecognized arguments: --noncritical-tol 0"),
     )
     for argv, message in cases:
         assert main(["--json-errors", *argv]) == 2

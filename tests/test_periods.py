@@ -90,15 +90,19 @@ def test_gelfand_leray_circle(circle_system, unit_circle):
 
 
 def test_gelfand_leray_matches_finite_differences(cubic_system):
-    t0, h = -0.5, 1e-4
-    omega = cubic_system.basis.primitives[3]   # primitive of xy dx^dy
-    m = BiPoly.monomial(1, 1)
-    plus = trace_cycle(CUBIC, t0 + h, (1.0, 1.0))
-    minus = trace_cycle(CUBIC, t0 - h, (1.0, 1.0))
-    center = trace_cycle(CUBIC, t0, (1.0, 1.0))
-    fd = (integrate_form(omega, plus) - integrate_form(omega, minus)) / (2 * h)
-    gl = gelfand_leray_derivative(m, center)
-    assert abs(fd - gl) < 1e-6 * max(1.0, abs(gl))
+    # a real oval, and an x-loop (x-circle of radius 3 about 0) on a complex
+    # level, where the conjugates of the residue form act
+    h = 1e-4
+    cases = (
+        (-0.5, lambda t: trace_cycle(CUBIC, t, (1.0, 1.0))),
+        (2 + 1j, lambda t: trace_cycle(CUBIC, t, (3.0, -4.0), mode="x_loop", loop_center=0j)),
+    )
+    for t0, trace in cases:
+        plus, minus, center = trace(t0 + h), trace(t0 - h), trace(t0)
+        for (a, b), omega in zip(cubic_system.basis.monomials, cubic_system.basis.primitives):
+            fd = (integrate_form(omega, plus) - integrate_form(omega, minus)) / (2 * h)
+            gl = gelfand_leray_derivative(BiPoly.monomial(a, b), center)
+            assert abs(fd - gl) < 1e-6 * max(1.0, abs(gl)), (t0, a, b)
 
 
 def test_singular_denominator_guard(cubic_system):
@@ -123,6 +127,16 @@ def test_cubic_oval_residuals(cubic_system):
         cycle = trace_cycle(CUBIC, t, (1.0, 1.0))
         sample = system_residual(cubic_system, cycle)
         assert sample.residual < 1e-6, f"residual {sample.residual} at t = {t}"
+
+
+@pytest.mark.parametrize("H, seed", [
+    (CIRCLE_H, (100.0, 0.0)),
+    (X**4 + Y**4 - X**2 - Y**2, (10.0, 0.0)),
+], ids=["circle", "quartic"])
+def test_real_oval_at_large_level(H, seed):
+    # rounding of H near t = 1e4 exceeds 1e-12, so Newton stops relative to |t|
+    cycle = trace_cycle(H, 1e4, seed)
+    assert system_residual(build_system(H), cycle).residual < 1e-6
 
 
 def test_perturbed_system_fails_residual(cubic_system):
