@@ -199,14 +199,6 @@ def _check_exact_identities(sys, notes):
     return ok
 
 
-def spectrum_of_multiplication_matrix(sys):
-    """Eigenvalues of A with exact multiplicities, as a flat complex list."""
-    eigen = []
-    for value, mult in roots_with_multiplicity(char_poly(sys.A)):
-        eigen.extend([value] * mult)
-    return eigen
-
-
 SPECTRUM_TOL = 1e-8  # eigenvalue to oracle value distance, relative to max(1, |t|)
 EIGENVECTOR_TOL = 1e-6  # |A v - t v| at a simple critical point, relative to max(1, |v|)
 

@@ -5,9 +5,17 @@ characteristic/minimal polynomials, resultants after elimination, and the
 determinant of the matrix pencil B0 + t*B1.  Numeric root extraction goes
 through an exact Yun squarefree decomposition first, so multiple roots are
 found as simple roots of squarefree factors and keep full double accuracy.
+
+The gcd under every squarefree split is Brown's primitive pseudo-remainder
+sequence over Z (W. S. Brown, "On Euclid's algorithm and the computation of
+polynomial greatest common divisors", JACM 18, 1971): Euclid on integer
+coefficient lists, with each pseudo-remainder divided by its content.  Euclid
+over Q lets the numerators and denominators of the remainders grow far past
+the size of the gcd; the primitive parts stay near it.
 """
 
 from fractions import Fraction
+from math import gcd as _igcd, lcm
 
 from .bipoly import _frac
 
@@ -151,11 +159,52 @@ def _coerce(value):
 
 
 def gcd(p, q):
-    """Monic gcd over Q via the Euclidean algorithm."""
-    a, b = p, q
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
+    """Monic gcd over Q by the primitive pseudo-remainder sequence over Z.
+
+    Each argument is scaled to its primitive integer part, then a, b becomes
+    b, pp(c*a mod b) until b = 0, with c an integer dividing
+    lc(b)^(deg a - deg b + 1).  Every remainder is a nonzero rational multiple
+    of the one Euclid over Q would reach, so the last nonzero one made monic is
+    the same monic gcd.  gcd(p, 0) is monic p and gcd(0, 0) is 0.
+    """
+    a, b = _primitive(p.coeffs), _primitive(q.coeffs)
+    while b:
+        a, b = b, _primitive(_pseudo_remainder(a, b))
+    return UniPoly(a).monic()
+
+
+def _primitive(coeffs):
+    """The integer list proportional to coeffs with content 1 and positive lead ([] for zero)."""
+    if not coeffs:
+        return []
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    content = _igcd(*ints)
+    if ints[-1] < 0:
+        content = -content
+    return [c // content for c in ints]
+
+
+def _pseudo_remainder(a, b):
+    """An integer multiple of a mod b, for integer lists with b nonzero.
+
+    Each step cancels the top term of r by m*r - s*t^k*b, with m and s the
+    leading coefficients of b and r over their gcd.
+    """
+    r = list(a)
+    d = len(b) - 1
+    lead = b[-1]
+    while len(r) > d:
+        top = r.pop()
+        g = _igcd(lead, top)
+        m, s = lead // g, top // g
+        r = [m * c for c in r]
+        k = len(r) - d
+        for j in range(d):
+            r[k + j] -= s * b[j]
+        while r and r[-1] == 0:
+            r.pop()
+    return r
 
 
 def is_squarefree(p):

@@ -100,6 +100,17 @@ def test_system_json_golden_entry(capsys):
     assert all(doc["validation"].values())
 
 
+def test_system_json_sparse_septic(capsys):
+    # mu 36: the squarefree splits of char_poly(A) and min_poly(A) run on
+    # degree-36 polynomials with large coefficients
+    code = main(["system", "x^7+y^7+x^2y^4+x+2y", "--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert doc["mu"] == 36
+    assert all(doc["validation"].values()), doc["validation"]
+    assert doc["classification"]["finite_fuchsian"] is True
+
+
 def test_system_out_file(tmp_path, capsys):
     target = tmp_path / "system.json"
     code = main(["system", "x^2+y^2", "--out", str(target)])

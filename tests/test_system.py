@@ -12,13 +12,8 @@ from picardfuchs.forms import TwoForm, wedge_with_dH
 from picardfuchs.linalg import RatMatrix, char_poly, min_poly
 from picardfuchs.milnor import MilnorBasis
 from picardfuchs.serialize import serialize_system, system_from_dict
-from picardfuchs.system import (
-    build_system,
-    classify_singularities,
-    spectrum_of_multiplication_matrix,
-    validate_system,
-)
-from picardfuchs.unipoly import UniPoly, is_squarefree, squarefree_decomposition
+from picardfuchs.system import build_system, classify_singularities, validate_system
+from picardfuchs.unipoly import UniPoly, is_squarefree, roots_with_multiplicity, squarefree_decomposition
 from tests.conftest import random_regular_hamiltonian
 
 QUINTIC = X**5 + Y**5 + X**2 * Y**2 + X + Y
@@ -70,7 +65,7 @@ def test_validation_and_classification():
     assert validate_system(sysc).all_ok()
     cp = char_poly(sysc.A)
     assert cp == UniPoly([0, 1, 3, 3, 1])  # t(t+1)^3
-    spectrum = sorted(spectrum_of_multiplication_matrix(sysc), key=lambda z: z.real)
+    spectrum = sorted((z for z, m in roots_with_multiplicity(cp) for _ in range(m)), key=lambda z: z.real)
     assert [round(z.real, 9) for z in spectrum] == [-1, -1, -1, 0]
     cls = classify_singularities(sysc)
     assert cls["finite_fuchsian"] is True          # minimal polynomial t^2 + t
