@@ -15,6 +15,7 @@ reported as one machine-readable JSON object on stderr.
 """
 
 import argparse
+import cmath
 import json
 import sys
 
@@ -84,15 +85,18 @@ def _build_parser():
     p_verify = add("verify", "validate the structural properties of the system", _cmd_verify)
     p_verify.add_argument("--numeric", action="store_true",
                           help="also trace cycles and check system residuals")
-    p_verify.add_argument("--t", action="append", default=[],
+    p_verify.set_defaults(parser=p_verify)  # to report --numeric without --t
+    p_verify.add_argument("--t", action="append", default=[], type=_parse_complex,
                           help="level value for a numeric check (repeatable)")
-    p_verify.add_argument("--seed", default="1,1", help="seed point X,Y for cycle tracing")
-    p_verify.add_argument("--residual-tol", type=float, default=1e-6)
+    p_verify.add_argument("--seed", default="1,1", type=_parse_seed,
+                          help="seed point X,Y for cycle tracing")
+    p_verify.add_argument("--residual-tol", type=_parse_real, default=1e-6)
     _cycle_flags(p_verify)
 
     p_periods = add("periods", "trace one cycle and evaluate periods/residual", _cmd_periods)
-    p_periods.add_argument("--t", required=True, help="level value (complex literal)")
-    p_periods.add_argument("--seed", required=True, help="seed point X,Y")
+    p_periods.add_argument("--t", required=True, type=_parse_complex,
+                           help="level value (complex literal)")
+    p_periods.add_argument("--seed", required=True, type=_parse_seed, help="seed point X,Y")
     p_periods.add_argument("--cycle", help="read the cycle from this JSON file instead of tracing")
     p_periods.add_argument("--out-cycle", help="write the traced cycle to this JSON file")
     _cycle_flags(p_periods)
@@ -103,22 +107,34 @@ def _build_parser():
 def _cycle_flags(p):
     """The options that describe a traced cycle, shared by verify and periods."""
     p.add_argument("--mode", choices=["real_oval", "x_loop"], default="real_oval")
-    p.add_argument("--loop-center", default="0", help="x_loop center (complex literal)")
+    p.add_argument("--loop-center", default="0", type=_parse_complex,
+                   help="x_loop center (complex literal)")
     p.add_argument("--loop-turns", type=int, default=1)
     p.add_argument("--samples", type=int, default=512, help="samples per traced cycle")
 
 
 def _parse_complex(text):
+    """argparse type of a finite real or complex number."""
     try:
-        return complex(text.replace(" ", ""))
+        value = complex(text.replace(" ", ""))
     except ValueError:
-        raise ValueError(f"not a numeric literal: {text!r}")
+        raise argparse.ArgumentTypeError(f"not a numeric literal: {text!r}")
+    if not cmath.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _parse_real(text):
+    value = _parse_complex(text)
+    if value.imag:
+        raise argparse.ArgumentTypeError(f"not a real number: {text!r}")
+    return value.real
 
 
 def _parse_seed(text):
     parts = text.split(",")
     if len(parts) != 2:
-        raise ValueError("seed must be two comma-separated numbers X,Y")
+        raise argparse.ArgumentTypeError("seed must be two comma-separated numbers X,Y")
     return _parse_complex(parts[0]), _parse_complex(parts[1])
 
 
@@ -128,7 +144,7 @@ def main(argv=None):
     try:
         parser.parse_args(argv, args)
         return args.command(args, parse_polynomial(args.hamiltonian))
-    except (UsageError, PicardFuchsError, ValueError) as exc:
+    except (UsageError, PicardFuchsError, ValueError, OSError) as exc:
         if args.json_errors:
             doc = {"error": type(exc).__name__, "message": str(exc)}
             if isinstance(exc, ParseError):
@@ -225,10 +241,12 @@ def _cmd_reduce(args, H):
 def _trace(args, H, t, seed):
     """The cycle on {H = t} through seed that the cycle flags of args describe."""
     return trace_cycle(H, t, seed, mode=args.mode, samples=args.samples,
-                       loop_center=_parse_complex(args.loop_center), turns=args.loop_turns)
+                       loop_center=args.loop_center, turns=args.loop_turns)
 
 
 def _cmd_verify(args, H):
+    if args.numeric and not args.t:
+        raise UsageError(args.parser, "--numeric needs at least one --t level value")
     sys_obj = build_system(H)
     report = validate_system(sys_obj)
     classification = classify_singularities(sys_obj)
@@ -240,12 +258,11 @@ def _cmd_verify(args, H):
     if not ok:
         print(f"details: {report.details}")
     if args.numeric:
-        seed = _parse_seed(args.seed)
-        for t_text in args.t or []:
-            sample = system_residual(sys_obj, _trace(args, H, _parse_complex(t_text), seed))
+        for t in args.t:
+            sample = system_residual(sys_obj, _trace(args, H, t, args.seed))
             passed = sample.residual < args.residual_tol
             ok = ok and passed
-            print(f"residual at t = {t_text}: {sample.residual:.3e} "
+            print(f"residual at t = {t.real if t.imag == 0 else t!r}: {sample.residual:.3e} "
                   f"({'pass' if passed else 'FAIL'})")
     return 0 if ok else 1
 
@@ -256,7 +273,7 @@ def _cmd_periods(args, H):
         with open(args.cycle) as fh:
             cycle = cycle_from_json(json.load(fh), H)
     else:
-        cycle = _trace(args, H, _parse_complex(args.t), _parse_seed(args.seed))
+        cycle = _trace(args, H, args.t, args.seed)
     if args.out_cycle:
         with open(args.out_cycle, "w") as fh:
             fh.write(json.dumps(cycle_to_json(cycle), indent=2) + "\n")

@@ -2,12 +2,14 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import picardfuchs
 from picardfuchs.bipoly import X, Y
 from picardfuchs.cli import main
 from picardfuchs.errors import ParseError
@@ -210,15 +212,93 @@ def test_json_errors_cover_usage_errors(capsys):
         assert capsys.readouterr().err.endswith(f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["periods", "x^2+y^2", "--t", "nan", "--seed", "1,0"],
+    ["periods", "x^2+y^2", "--t", "inf", "--seed", "1,0"],
+    ["periods", "x^2+y^2", "--t", "1", "--seed", "nan,0"],
+    ["verify", "x^2+y^2", "--numeric", "--t", "1", "--seed", "1,0", "--residual-tol", "nan"],
+], ids=["t-nan", "t-inf", "seed-nan", "residual-tol-nan"])
+def test_non_finite_numbers_are_usage_errors(argv, capsys):
+    assert main(["--json-errors", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    doc = json.loads(captured.err)
+    assert doc["error"] == "UsageError"
+    assert "not a finite number" in doc["message"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "not a finite number" in err and "Warning" not in err
+
+
+def test_verify_numeric_needs_a_level(capsys):
+    message = "--numeric needs at least one --t level value"
+    assert main(["--json-errors", "verify", "x^2+y^2", "--numeric"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "UsageError", "message": message}
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "x^2+y^2", "--numeric"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
+def test_file_errors_exit_2_with_a_reason(tmp_path, capsys):
+    def document(name, doc):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    sample = {"x": [1.0, 0.0], "y": [0.0, 0.0]}
+    periods = ["periods", "x^2+y^2", "--t", "1", "--seed", "1,0"]
+    unwritable = str(tmp_path / "no_such_directory" / "out.json")
+    cases = (
+        ([*periods, "--cycle", str(tmp_path / "missing.json")],
+         "FileNotFoundError", "missing.json"),
+        ([*periods, "--cycle", document("no_t.json", {"samples": [sample] * 16})],
+         "ValueError", "KeyError('t')"),
+        ([*periods, "--cycle", document("no_samples.json", {"t": [1.0, 0.0]})],
+         "ValueError", "KeyError('samples')"),
+        ([*periods, "--cycle", document("empty.json", {"t": [1.0, 0.0], "samples": []})],
+         "ValueError", "has 0 samples"),
+        ([*periods, "--cycle", document("short.json", {"t": [1.0, 0.0], "samples": [sample] * 8})],
+         "ValueError", "has 8 samples; the quadrature needs at least 9"),
+        ([*periods, "--cycle", document("nan.json", {"t": [1.0, 0.0], "samples":
+                                                    [{"x": [math.nan, 0.0], "y": [0.0, 0.0]}] * 16})],
+         "NumericalFailure", "leave the level curve by nan"),
+        (["system", "x^2+y^2", "--out", unwritable], "FileNotFoundError", "out.json"),
+        (["system", "x^2+y^2", "--out", str(tmp_path)], "IsADirectoryError", str(tmp_path)),
+        ([*periods, "--out-cycle", unwritable], "FileNotFoundError", "out.json"),
+    )
+    for argv, error, fragment in cases:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and fragment in err, err
+        assert main(["--json-errors", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        doc = json.loads(captured.err)
+        assert doc["error"] == error and fragment in doc["message"], doc
+
+
 def test_critical_t_is_input_error(capsys):
     code = main(["periods", "x^2+y^2", "--t", "0", "--seed", "0,0"])
     assert code == 2
 
 
+def _python(*args):
+    """Run a child interpreter that imports the same picardfuchs as this one."""
+    src = os.path.dirname(os.path.dirname(picardfuchs.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], capture_output=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
 def test_cli_deterministic_bytes():
-    cmd = [sys.executable, "-m", "picardfuchs.cli", "system", "x^3+y^3-3xy", "--format", "json"]
-    first = subprocess.run(cmd, capture_output=True, check=True).stdout
-    second = subprocess.run(cmd, capture_output=True, check=True).stdout
+    cmd = ["-m", "picardfuchs.cli", "system", "x^3+y^3-3xy", "--format", "json"]
+    first = _python(*cmd).stdout
+    second = _python(*cmd).stdout
     assert first == second
     doc = json.loads(first.decode())
     assert doc["mu"] == 4
@@ -245,5 +325,5 @@ def test_system_command_does_not_import_scipy():
         "sys.stderr.write(repr(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
         "sys.exit(code)\n"
     )
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, check=True)
+    done = _python("-c", script)
     assert done.stderr.decode() == "[]"

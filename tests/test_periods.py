@@ -44,8 +44,8 @@ def unit_circle():
 
 
 def big_loop(H, t, radius_factor=2.0):
-    """x-circle around 0 of radius radius_factor * |t|^(1/3), lifted in y."""
-    x0 = radius_factor * abs(t) ** (1.0 / 3.0) + 0j
+    """x-circle around 0 of radius radius_factor * |t|^(1/deg H), lifted in y."""
+    x0 = radius_factor * abs(t) ** (1.0 / H.degree()) + 0j
     coeffs = [complex(c) for c in H.y_coefficients(x0)]
     coeffs[0] -= t
     roots = np.roots(np.array(coeffs[::-1]))
@@ -156,6 +156,12 @@ def test_residual_invariant_under_resampling(cubic_system):
     assert s1.residual < 1e-8 and s2.residual < 1e-8
     for a, b in zip(s1.I, s2.I):
         assert abs(abs(a) - abs(b)) < 1e-8 * max(1.0, abs(a))
+
+
+def test_sextic_x_loop_residual_margin():
+    # the large-level x-loop that the periods_sweep benchmark traces on this sextic
+    H = X**6 + Y**6 - X**2 - Y**2
+    assert system_residual(build_system(H), big_loop(H, 40.0)).residual < 1e-9
 
 
 def test_quadrature_convergence_order(circle_system):
