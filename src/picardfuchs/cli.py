@@ -8,6 +8,7 @@ Subcommands:
   pf reduce H --form P,Q          Petrov decomposition of the 1-form P dx + Q dy
   pf verify H [--numeric ...]     structural validation (+ cycle residuals)
   pf periods H --t V --seed X,Y   trace one cycle and evaluate the system on it
+  pf periods H --cycle FILE       evaluate the system on a cycle read from a file
 
 Exit codes: 0 success, 1 validation/residual failure, 2 input error.  With
 --json-errors every input error, a rejected command line included, is
@@ -23,7 +24,8 @@ from .errors import ParseError, PicardFuchsError
 from .forms import OneForm
 from .milnor import check_regular_at_infinity, monomial_basis
 from .parsing import parse_polynomial
-from .periods import cycle_from_json, cycle_to_json, system_residual, trace_cycle
+from .periods import (MAX_SAMPLES, MIN_SAMPLES, cycle_from_json, cycle_to_json, system_residual,
+                      trace_cycle)
 from .petrov import petrov_decompose
 from .serialize import basis_to_list, monomial_str, serialize_system
 from .system import build_system, classify_singularities, validate_system
@@ -94,10 +96,11 @@ def _build_parser():
     _cycle_flags(p_verify)
 
     p_periods = add("periods", "trace one cycle and evaluate periods/residual", _cmd_periods)
-    p_periods.add_argument("--t", required=True, type=_parse_complex,
-                           help="level value (complex literal)")
-    p_periods.add_argument("--seed", required=True, type=_parse_seed, help="seed point X,Y")
-    p_periods.add_argument("--cycle", help="read the cycle from this JSON file instead of tracing")
+    p_periods.set_defaults(parser=p_periods)  # to report --t and --seed against --cycle
+    p_periods.add_argument("--t", type=_parse_complex,
+                           help="level value (complex literal); needed to trace")
+    p_periods.add_argument("--seed", type=_parse_seed, help="seed point X,Y; needed to trace")
+    p_periods.add_argument("--cycle", help="read the cycle and its level from this JSON file instead of tracing")
     p_periods.add_argument("--out-cycle", help="write the traced cycle to this JSON file")
     _cycle_flags(p_periods)
 
@@ -110,7 +113,8 @@ def _cycle_flags(p):
     p.add_argument("--loop-center", default="0", type=_parse_complex,
                    help="x_loop center (complex literal)")
     p.add_argument("--loop-turns", type=int, default=1)
-    p.add_argument("--samples", type=int, default=512, help="samples per traced cycle")
+    p.add_argument("--samples", type=_parse_samples, default=512,
+                   help=f"samples per traced cycle, {MIN_SAMPLES} to {MAX_SAMPLES}")
 
 
 def _parse_complex(text):
@@ -129,6 +133,17 @@ def _parse_real(text):
     if value.imag:
         raise argparse.ArgumentTypeError(f"not a real number: {text!r}")
     return value.real
+
+
+def _parse_samples(text):
+    """argparse type of a sample count the tracer and the quadrature accept."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if not MIN_SAMPLES <= value <= MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(f"must be between {MIN_SAMPLES} and {MAX_SAMPLES}, got {value}")
+    return value
 
 
 def _parse_seed(text):
@@ -268,6 +283,11 @@ def _cmd_verify(args, H):
 
 
 def _cmd_periods(args, H):
+    missing = [flag for flag, value in (("--t", args.t), ("--seed", args.seed)) if value is None]
+    if args.cycle and len(missing) < 2:
+        raise UsageError(args.parser, "--t and --seed trace a cycle; give neither with --cycle")
+    if not args.cycle and missing:
+        raise UsageError(args.parser, f"the following arguments are required: {', '.join(missing)}")
     sys_obj = build_system(H)
     if args.cycle:
         with open(args.cycle) as fh:

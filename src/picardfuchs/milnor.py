@@ -22,12 +22,20 @@ has lower degree.  The reduction's columns in degree d are the basis
 monomials of degree d, independent of the ideal slice and so unique, then
 H_x*x^i y^j and -H_y*x^i y^j, the columns of the basis selection.
 
+The solver works over the integers.  H is cleared of denominators once, so
+the gradient columns are the integer terms of H_x and H_y with their
+exponents shifted, built without coefficient arithmetic, and the remainder
+is integer numerators over one positive denominator: a round subtracts the
+columns in int arithmetic after one lcm of the solution's denominators, and
+divides out the content.  Fractions appear only in the returned values.
+
 The multiplication-by-H matrix in the quotient basis is built row by row
 from reduce_mod_gradient(H * m_i).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .bipoly import BiPoly, grlex_key
 from .errors import DegreeTooSmallError, InternalRankError, NotRegularError
@@ -84,14 +92,6 @@ class MilnorBasis:
     monomials: tuple        # of (a, b) exponent pairs
     primitives: tuple       # of OneForm
 
-    @property
-    def Hx(self):
-        return self.H.partial("x")
-
-    @property
-    def Hy(self):
-        return self.H.partial("y")
-
     def form_degrees(self):
         return [a + b + 2 for a, b in self.monomials]
 
@@ -115,14 +115,14 @@ def monomial_basis(H, report=None):
     if not report.regular:
         raise NotRegularError(report.reason)
     n = report.n
-    Hx, Hy = H.partial("x"), H.partial("y")
+    hx, hy, _ = integer_gradient(H)
 
     chosen = []
     for d in range(0, 2 * n - 1):
         grid = [(a, d - a) for a in range(min(d, n - 1), -1, -1) if d - a <= n - 1]
-        if _complement(Hx, Hy, n, d, grid) != (grid, d + 1):
+        if _complement(hx, hy, n, d, grid) != (grid, d + 1):
             chosen = [
-                _complement(Hx, Hy, n, e, [(a, e - a) for a in range(e, -1, -1)])[0]
+                _complement(hx, hy, n, e, [(a, e - a) for a in range(e, -1, -1)])[0]
                 for e in range(0, 2 * n - 1)
             ]
             break
@@ -137,28 +137,49 @@ def monomial_basis(H, report=None):
     return MilnorBasis(H=H, n=n, mu=report.mu, monomials=tuple(monomials), primitives=primitives)
 
 
-def _complement(Hx, Hy, n, d, candidates):
+def _complement(hx, hy, n, d, candidates):
     """(candidates that are pivot columns after the ideal slice, rank of the degree-d slice matrix)."""
-    _, ideal = _ideal_columns(Hx, Hy, n, d)
-    pivots = pivot_columns(_slice_rows(ideal + [BiPoly.monomial(a, b) for a, b in candidates], d))
+    _, ideal = _ideal_columns(hx, hy, n, d)
+    pivots = pivot_columns(_slice_rows(ideal + [{m: 1} for m in candidates], d))
     return [candidates[c - len(ideal)] for c in pivots if c >= len(ideal)], len(pivots)
 
 
-def _ideal_columns(Hx, Hy, n, d):
-    """(labels, columns H_x*x^i y^j then -H_y*x^i y^j) for the degree-d slice.
+def integer_terms(poly):
+    """(terms, denominator): poly = terms / denominator, integer terms, positive denominator."""
+    denom = lcm(*(c.denominator for c in poly.terms.values()))
+    return {e: c.numerator * (denom // c.denominator) for e, c in poly.terms.items()}, denom
+
+
+def integer_gradient(H):
+    """(hx, hy, s): integer terms with H_x = hx / s and H_y = hy / s."""
+    h, s = integer_terms(H)
+    hx = {(a - 1, b): a * c for (a, b), c in h.items() if a}
+    hy = {(a, b - 1): b * c for (a, b), c in h.items() if b}
+    return hx, hy, s
+
+
+def shifted(terms, i, j, scale=1):
+    """The terms of scale * x^i y^j * poly: exponents moved, coefficients times scale."""
+    return {(a + i, b + j): scale * c for (a, b), c in terms.items()}
+
+
+def _ideal_columns(hx, hy, n, d):
+    """(labels, integer columns hx*x^i y^j then -hy*x^i y^j) for the degree-d slice.
 
     (i, j) runs over the quotient monomials of degree d - n, none when d < n;
     the labels are ("B", (i, j)) and ("A", (i, j)).  For H regular at infinity
-    the degree-d slices of the columns are Hhat_x*x^i y^j and -Hhat_y*x^i y^j.
+    the degree-d slices of the columns are Hhat_x*x^i y^j and -Hhat_y*x^i y^j
+    times the denominator of H.
     """
     quot_monos = [(i, d - n - i) for i in range(d - n + 1)]
     labels = [(kind, m) for kind in ("B", "A") for m in quot_monos]
-    return labels, [gen * BiPoly.monomial(i, j) for gen in (Hx, -Hy) for i, j in quot_monos]
+    columns = [shifted(hx, i, j) for i, j in quot_monos] + [shifted(hy, i, j, -1) for i, j in quot_monos]
+    return labels, columns
 
 
 def _slice_rows(columns, d):
-    """The degree-d slices of the columns as a matrix: row b holds the x^(d-b) y^b coefficients."""
-    return [[col.coefficient(d - b, b) for col in columns] for b in range(d + 1)]
+    """The degree-d slices of term dicts as a matrix: row b holds the x^(d-b) y^b coefficients."""
+    return [[col.get((d - b, b), 0) for col in columns] for b in range(d + 1)]
 
 
 def peel_top_slices(target, slice_columns, inconsistent):
@@ -166,14 +187,19 @@ def peel_top_slices(target, slice_columns, inconsistent):
 
     ``slice_columns(d)`` returns ``(unique, labels, columns)``: the polynomials
     of degree d whose degree-d slices may cancel a top slice of degree d, of
-    which the first ``unique`` must have uniquely determined values.  Each
-    round solves the d+1 equations of the top slice (free values zero),
-    subtracts the full columns in one pass over their terms and goes on with
-    the remainder, whose degree is lower.  Raises ``inconsistent`` when a
-    slice lies outside the span of its columns and InternalRankError when the
-    first group is not unique.  Returns {label: value} over nonzero values.
+    which the first ``unique`` must have uniquely determined values.  A column
+    is a pair (terms, s) of integer terms and a positive integer s, standing
+    for terms / s.  The remainder is integer numerators W over one positive
+    denominator D.  Each round solves the d+1 integer equations
+    sum_j u_j top(terms_j) = top(W) (free values zero; v_j = u_j * s_j / D),
+    scales W by the lcm L of the denominators of the u_j, subtracts
+    sum_j (L u_j) terms_j in int arithmetic, sets D to L*D and divides out
+    the content; the remainder's degree is lower.  Raises ``inconsistent``
+    when a slice lies outside the span of its columns and InternalRankError
+    when the first group is not unique.  Returns {label: Fraction value} over
+    nonzero values.
     """
-    work = dict(target.terms)
+    work, denom = integer_terms(target)
     values = {}
     previous = float("inf")
     while work:
@@ -183,20 +209,30 @@ def peel_top_slices(target, slice_columns, inconsistent):
         previous = d
         unique, labels, columns = slice_columns(d)
         rhs = [work.get((d - b, b), 0) for b in range(d + 1)]
-        solution, null_basis = solve_with_nullspace(_slice_rows(columns, d), rhs, want_nullspace=unique > 0)
+        matrix = _slice_rows([terms for terms, _ in columns], d)
+        solution, null_basis = solve_with_nullspace(matrix, rhs, want_nullspace=unique > 0)
         if solution is None:
             raise inconsistent(f"degree-{d} slice system inconsistent; basis invalid")
         if any(any(vec[:unique]) for vec in null_basis):
             raise InternalRankError(f"degree-{d} slice leaves leading coefficients free; basis invalid")
-        for label, col, value in zip(labels, columns, solution):
-            if value:
-                values[label] = value
-                for e, c in col.terms.items():
-                    rest = work.get(e, 0) - value * c
+        scale = lcm(*(u.denominator for u in solution))
+        if scale > 1:
+            work = {e: scale * c for e, c in work.items()}
+        for label, (terms, s), u in zip(labels, columns, solution):
+            if u:
+                values[label] = u * s / denom
+                m = u.numerator * (scale // u.denominator)
+                for e, c in terms.items():
+                    rest = work.get(e, 0) - m * c
                     if rest:
                         work[e] = rest
                     else:
                         del work[e]
+        denom *= scale
+        content = gcd(denom, *work.values())
+        if content > 1:
+            work = {e: c // content for e, c in work.items()}
+            denom //= content
     return values
 
 
@@ -217,13 +253,13 @@ def reduce_mod_gradient(P, basis):
     the quotient monomials of degree d - n; see peel_top_slices.  Quotient
     degrees stay <= deg P - n.
     """
-    Hx, Hy = basis.Hx, basis.Hy
+    hx, hy, s = integer_gradient(basis.H)
 
     def slice_columns(d):
         own = [i for i, (a, b) in enumerate(basis.monomials) if a + b == d]
-        labels, ideal = _ideal_columns(Hx, Hy, basis.n, d)
-        monos = [BiPoly.monomial(*basis.monomials[i]) for i in own]
-        return len(own), [("c", i) for i in own] + labels, monos + ideal
+        labels, ideal = _ideal_columns(hx, hy, basis.n, d)
+        monos = [({basis.monomials[i]: 1}, 1) for i in own]
+        return len(own), [("c", i) for i in own] + labels, monos + [(col, s) for col in ideal]
 
     values = peel_top_slices(P, slice_columns, InternalRankError)
     return GradientReduction(

@@ -261,6 +261,8 @@ def _trace_x_loop(H, t, seed, samples, loop_center, turns):
         raise ValueError("turns must be >= 1")
 
     total = int(samples)
+    if total < MIN_SAMPLES:
+        raise ValueError(f"x_loop needs at least {MIN_SAMPLES} samples, got {total}")
     y = _nearest_root(H, t, x_seed, y_seed)
     y0 = y
     points = []
@@ -323,6 +325,7 @@ def _continue_root(H, t, x_from, y_from, x_to, depth):
 _STENCIL = (4 / 5, -1 / 5, 4 / 105, -1 / 280)
 _STENCIL_COARSE = (45 / 60, -9 / 60, 1 / 60)
 MIN_SAMPLES = 2 * len(_STENCIL) + 1  # the width of the stencil
+MAX_SAMPLES = 1 << 16  # the most samples a command line may ask a traced cycle for
 
 
 def _samples_and_derivatives(cycle, stencil=_STENCIL):

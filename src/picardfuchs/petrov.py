@@ -15,7 +15,9 @@ which meets the degree bounds above.  The columns of slice d are
 d(H^k omega_i) for (n+1)k + deg omega_i = d+2 (top slice a nonzero multiple
 of Hhat^k m_i), then dg^dH for the monomials g of degree d-n+1 >= 1 (top
 slice dg^dHhat).  Every slice is solvable by the graded freeness of the
-Petrov module of Hhat (Gavrilov, Bull. Sci. Math. 1998).
+Petrov module of Hhat (Gavrilov, Bull. Sci. Math. 1998).  The p-columns
+are cleared of denominators; the g-columns a x^(a-1) y^b H_y - b x^a y^(b-1) H_x
+are the integer gradient of H with its exponents shifted, scaled by a and b.
 
 The c-columns are checked unique in every slice, and that makes the p_i
 unique: if sum c_ik d(H^k omega_i) = dg^dH with the largest nonzero c_ik in
@@ -34,7 +36,7 @@ from fractions import Fraction
 from .bipoly import BiPoly
 from .errors import InternalRankError, NoSolutionError
 from .forms import OneForm, differential, exterior_derivative
-from .milnor import peel_top_slices
+from .milnor import integer_gradient, integer_terms, peel_top_slices, shifted
 from .unipoly import UniPoly
 
 
@@ -53,7 +55,7 @@ class PetrovDecomposition:
 def petrov_decompose(omega, basis):
     """Decompose a polynomial 1-form over the Petrov-module basis, exactly."""
     mu, n, H = basis.mu, basis.n, basis.H
-    Hx, Hy = basis.Hx, basis.Hy
+    hx, hy, s = integer_gradient(H)
     degrees = basis.form_degrees()
     powers = [BiPoly.constant(1)]
     forms = {}      # (i, k) -> H^k omega_i
@@ -67,10 +69,8 @@ def petrov_decompose(omega, basis):
             forms[i, k] = basis.primitives[i].multiply(powers[k])
         e = d - n + 1
         g_monos = [(a, e - a) for a in range(e, -1, -1) if e > 0]
-        columns = [exterior_derivative(forms[label]).F for label in p_labels]
-        for a, b in g_monos:    # d(g dH) = dg ^ dH = (g_x H_y - g_y H_x) dx^dy
-            g = BiPoly.monomial(a, b)
-            columns.append(g.partial("x") * Hy - g.partial("y") * Hx)
+        columns = [integer_terms(exterior_derivative(forms[label]).F) for label in p_labels]
+        columns += [(_dg_wedge_dH(a, b, hx, hy), s) for a, b in g_monos]
         return len(p_labels), [("p", label) for label in p_labels] + [("g", m) for m in g_monos], columns
 
     values = peel_top_slices(exterior_derivative(omega).F, slice_columns, NoSolutionError)
@@ -88,6 +88,14 @@ def petrov_decompose(omega, basis):
         raise InternalRankError("closed defect failed to integrate; basis invalid")
 
     return PetrovDecomposition(coeff_polys, witness_g, witness_f)
+
+
+def _dg_wedge_dH(a, b, hx, hy):
+    """s * d(x^a y^b) ^ dH = a x^(a-1) y^b hy - b x^a y^(b-1) hx, for H_x = hx/s, H_y = hy/s."""
+    terms = shifted(hy, a - 1, b, a) if a else {}
+    for e, c in (shifted(hx, a, b - 1, -b) if b else {}).items():
+        terms[e] = terms.get(e, 0) + c
+    return {e: c for e, c in terms.items() if c}
 
 
 def petrov_class_is_zero(omega, basis):

@@ -14,6 +14,7 @@ from picardfuchs.bipoly import X, Y
 from picardfuchs.cli import main
 from picardfuchs.errors import ParseError
 from picardfuchs.parsing import MAX_DEGREE, MAX_NESTING, parse_polynomial
+from picardfuchs.periods import MAX_SAMPLES, MIN_SAMPLES
 
 
 def test_parse_examples():
@@ -154,11 +155,59 @@ def test_periods_command_and_cycle_file(tmp_path, capsys):
     stored = json.loads(cycle_file.read_text())
     assert set(stored) == {"t", "samples"}
 
-    code = main(["periods", "x^2+y^2", "--t", "1", "--seed", "1,0",
-                 "--cycle", str(cycle_file)])
+    # the file carries the level, so --cycle needs no --t and no --seed
+    code = main(["periods", "x^2+y^2", "--cycle", str(cycle_file)])
     doc2 = json.loads(capsys.readouterr().out)
     assert code == 0
     assert abs(doc2["I"][0][0] - doc["I"][0][0]) < 1e-12
+    assert {k: doc2[k] for k in ("t", "I", "Idot", "residual", "samples")} == \
+        {k: doc[k] for k in ("t", "I", "Idot", "residual", "samples")}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--t", "1", "--cycle", "c.json"], "--t and --seed trace a cycle; give neither with --cycle"),
+    (["--seed", "1,0", "--cycle", "c.json"], "--t and --seed trace a cycle; give neither with --cycle"),
+    (["--t", "1", "--seed", "1,0", "--cycle", "c.json"], "--t and --seed trace a cycle; give neither with --cycle"),
+    (["--seed", "1,0"], "the following arguments are required: --t"),
+    (["--t", "1"], "the following arguments are required: --seed"),
+    ([], "the following arguments are required: --t, --seed"),
+], ids=["t-with-cycle", "seed-with-cycle", "both-with-cycle", "no-t", "no-seed", "neither"])
+def test_periods_level_flags_only_when_tracing(argv, message, capsys):
+    argv = ["periods", "x^2+y^2", *argv]
+    assert main(["--json-errors", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    doc = json.loads(captured.err)
+    assert doc == {"error": "UsageError", "message": message}
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
+@pytest.mark.parametrize("samples", ["0", "-3", str(MIN_SAMPLES - 1), str(MAX_SAMPLES + 1)])
+@pytest.mark.parametrize("verb", [
+    ["periods", "x^3+y^3", "--t", "1", "--seed", "2,-1.26", "--mode", "x_loop"],
+    ["verify", "x^3+y^3", "--numeric", "--t", "1", "--seed", "2,-1.26", "--mode", "x_loop"],
+], ids=["periods", "verify"])
+def test_samples_out_of_range_are_usage_errors(verb, samples, capsys):
+    message = f"argument --samples: must be between {MIN_SAMPLES} and {MAX_SAMPLES}, got {samples}"
+    assert main(["--json-errors", *verb, "--samples", samples]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "UsageError", "message": message}
+    with pytest.raises(SystemExit) as exc:
+        main([*verb, "--samples", samples])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: {message}\n") and "Warning" not in err
+
+
+def test_minimum_samples_are_accepted(capsys):
+    code = main(["periods", "x^3+y^3", "--t", "1", "--seed", "2,-1.26", "--mode", "x_loop",
+                 "--samples", str(MIN_SAMPLES)])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["samples"] == MIN_SAMPLES
 
 
 def test_periods_real_oval_at_large_level(capsys):
@@ -251,7 +300,7 @@ def test_file_errors_exit_2_with_a_reason(tmp_path, capsys):
         return str(path)
 
     sample = {"x": [1.0, 0.0], "y": [0.0, 0.0]}
-    periods = ["periods", "x^2+y^2", "--t", "1", "--seed", "1,0"]
+    periods = ["periods", "x^2+y^2"]
     unwritable = str(tmp_path / "no_such_directory" / "out.json")
     cases = (
         ([*periods, "--cycle", str(tmp_path / "missing.json")],
@@ -269,7 +318,8 @@ def test_file_errors_exit_2_with_a_reason(tmp_path, capsys):
          "NumericalFailure", "leave the level curve by nan"),
         (["system", "x^2+y^2", "--out", unwritable], "FileNotFoundError", "out.json"),
         (["system", "x^2+y^2", "--out", str(tmp_path)], "IsADirectoryError", str(tmp_path)),
-        ([*periods, "--out-cycle", unwritable], "FileNotFoundError", "out.json"),
+        ([*periods, "--t", "1", "--seed", "1,0", "--out-cycle", unwritable],
+         "FileNotFoundError", "out.json"),
     )
     for argv, error, fragment in cases:
         assert main(argv) == 2, argv

@@ -1,8 +1,10 @@
 """Regularity, quotient bases, gradient reduction and the numeric oracle."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from picardfuchs.bipoly import BiPoly, X, Y
 from picardfuchs.critical import critical_points_numeric, critical_values_numeric
@@ -123,7 +125,7 @@ def test_reduce_examples():
 
 def _reduction_identity_holds(P, basis):
     red = reduce_mod_gradient(P, basis)
-    reassembled = red.quotB * basis.Hx - red.quotA * basis.Hy
+    reassembled = red.quotB * basis.H.partial("x") - red.quotA * basis.H.partial("y")
     for (a, b), c in zip(basis.monomials, red.remainder_coeffs):
         reassembled = reassembled + BiPoly.monomial(a, b, c)
     bound = P.degree() - basis.n
@@ -139,6 +141,28 @@ def test_reduce_identity_random(rng):
         for _ in range(10):
             P = random_bipoly(rng, rng.randint(0, 3 * n))
             assert _reduction_identity_holds(P, basis)
+
+
+def _rescaled(rng, P):
+    """P with each coefficient divided by its own small positive integer."""
+    return BiPoly({e: c / rng.randint(1, 9) for e, c in P.terms.items()})
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), rational=st.booleans())
+def test_reduction_identity_property(seed, n, rational):
+    rng = random.Random(seed)
+    H = random_regular_hamiltonian(rng, n)
+    if rational:
+        G = _rescaled(rng, H)
+        while not check_regular_at_infinity(G).regular:
+            G = _rescaled(rng, H)
+        H = G
+    basis = monomial_basis(H)
+    P = random_bipoly(rng, rng.randint(0, 3 * n))
+    if rational:
+        P = _rescaled(rng, P)
+    assert _reduction_identity_holds(P, basis)
 
 
 def test_divide_two_form_examples():

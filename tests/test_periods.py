@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from picardfuchs.errors import NotClosed, SingularDenominator
 from picardfuchs.forms import differential
 from picardfuchs.linalg import RatMatrix
 from picardfuchs.periods import (
+    MIN_SAMPLES,
     asymptotic_exponent_check,
     cycle_from_json,
     cycle_to_json,
@@ -65,6 +67,15 @@ def test_trace_rejects_critical_level():
         trace_cycle(CIRCLE_H, 0.0, (0.0, 0.0))
     with pytest.raises(ValueError):
         trace_cycle(CUBIC, -1.0, (1.0, 1.0))
+
+
+@pytest.mark.parametrize("samples", [0, 1, MIN_SAMPLES - 1])
+def test_x_loop_rejects_too_few_samples(samples):
+    # before the check, 0 samples divided by zero and numpy warned about it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"needs at least {MIN_SAMPLES} samples, got {samples}"):
+            trace_cycle(X**3 + Y**3, 1.0, (2.0, -1.26), mode="x_loop", samples=samples)
 
 
 def test_period_is_area(circle_system, unit_circle):

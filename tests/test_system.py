@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,27 @@ from picardfuchs.unipoly import UniPoly, is_squarefree, roots_with_multiplicity,
 from tests.conftest import random_regular_hamiltonian
 
 QUINTIC = X**5 + Y**5 + X**2 * Y**2 + X + Y
+SPARSE_QUINTIC = X**5 + Y**5 + X**2 * Y**2 + X + 2 * Y
 CUBIC = X**3 + Y**3 - 3 * X * Y
+
+
+def _first_draws(seed, ns):
+    rng = random.Random(seed)
+    return [random_regular_hamiltonian(rng, n) for n in ns]
+
+
+@pytest.mark.parametrize("H", [CUBIC, SPARSE_QUINTIC, *_first_draws(1, (2, 3))],
+                         ids=["cubic", "sparse-quintic", "draw-n2", "draw-n3"])
+def test_rational_rescaling_of_H(H):
+    # the periods of H/c at level s are those of H at c*s, so the system of H/c
+    # is (s - A/c) X' = (B0 + c*B1 s) X; the peel must clear the thirds exactly
+    c = Fraction(7, 3)
+    sys, scaled = build_system(H), build_system(H * (1 / c))
+    assert scaled.basis.monomials == sys.basis.monomials
+    assert scaled.A == sys.A.scale(1 / c)
+    assert scaled.B0 == sys.B0
+    assert scaled.B1 == sys.B1.scale(c)
+    assert validate_system(scaled).all_ok()
 
 
 def test_mu_one_system():
