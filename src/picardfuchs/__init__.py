@@ -13,7 +13,7 @@ integration along traced cycles for end-to-end residual checks.
 
 from .bipoly import BiPoly, X, Y
 from .unipoly import UniPoly
-from .linalg import RatMatrix, char_and_min_poly, exact_solve, resultant
+from .linalg import RatMatrix, resultant
 from .forms import OneForm, TwoForm, canonical_primitive, exterior_derivative, wedge_with_dH
 from .milnor import (
     GradientReduction,
@@ -26,7 +26,7 @@ from .milnor import (
     reduce_mod_gradient,
 )
 from .critical import CriticalPoint, critical_points_numeric, critical_values_numeric
-from .petrov import PetrovDecomposition, petrov_class_is_zero, petrov_decompose
+from .petrov import PetrovDecomposition, petrov_decompose
 from .system import PFSystem, ValidationReport, build_system, classify_singularities, validate_system
 from .serialize import serialize_system, system_from_dict, system_to_dict
 from .periods import (
@@ -45,14 +45,13 @@ from .parsing import parse_polynomial
 __version__ = "0.1.0"
 
 __all__ = [
-    "BiPoly", "X", "Y", "UniPoly", "RatMatrix",
-    "char_and_min_poly", "exact_solve", "resultant",
+    "BiPoly", "X", "Y", "UniPoly", "RatMatrix", "resultant",
     "OneForm", "TwoForm", "canonical_primitive", "exterior_derivative", "wedge_with_dH",
     "GradientReduction", "MilnorBasis", "RegularityReport",
     "check_regular_at_infinity", "divide_two_form", "monomial_basis",
     "multiplication_matrix", "reduce_mod_gradient",
     "CriticalPoint", "critical_points_numeric", "critical_values_numeric",
-    "PetrovDecomposition", "petrov_class_is_zero", "petrov_decompose",
+    "PetrovDecomposition", "petrov_decompose",
     "PFSystem", "ValidationReport", "build_system", "classify_singularities", "validate_system",
     "serialize_system", "system_from_dict", "system_to_dict",
     "Cycle", "PeriodSample", "asymptotic_exponent_check", "cycle_from_json", "cycle_to_json",

@@ -85,14 +85,6 @@ class BiPoly:
     def coefficient(self, a, b):
         return self.terms.get((a, b), Fraction(0))
 
-    def sorted_terms(self, reverse=False):
-        """Terms in graded-lex order (x before y within a degree)."""
-        if reverse:
-            keys = sorted(self.terms, key=lambda e: (-(e[0] + e[1]), e[1]))
-        else:
-            keys = sorted(self.terms, key=grlex_key)
-        return [(e, self.terms[e]) for e in keys]
-
     def homogeneous_slice(self, d):
         """The sum of all terms of total degree exactly d."""
         return BiPoly({e: c for e, c in self.terms.items() if e[0] + e[1] == d})
@@ -191,20 +183,13 @@ class BiPoly:
         return total
 
     def y_coefficients(self, x_value):
-        """Coefficients in y (ascending) after substituting x = x_value.
-
-        Exact when x_value is a Fraction or int, complex otherwise.
-        """
+        """Complex coefficients in y (ascending) after substituting x = x_value."""
         deg = self.degree_in("y")
         if deg == NEG_INFINITY:
             return []
-        exact = isinstance(x_value, (Fraction, int))
-        coeffs = [Fraction(0) if exact else 0j] * (int(deg) + 1)
+        coeffs = [0j] * (deg + 1)
         for (a, b), c in self.terms.items():
-            if exact:
-                coeffs[b] += c * x_value**a
-            else:
-                coeffs[b] += complex(c) * x_value**a
+            coeffs[b] += complex(c) * x_value**a
         return coeffs
 
     def swap_variables(self):
@@ -234,7 +219,8 @@ class BiPoly:
         if not self.terms:
             return "0"
         pieces = []
-        for (a, b), c in self.sorted_terms(reverse=True):
+        # graded order, highest degree first, x-heavy first within a degree
+        for (a, b), c in sorted(self.terms.items(), key=lambda term: (-sum(term[0]), term[0][1])):
             mono = []
             if a == 1:
                 mono.append("x")

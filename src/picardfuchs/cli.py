@@ -18,9 +18,10 @@ reported as one machine-readable JSON object on stderr.
 import argparse
 import cmath
 import json
+import math
 import sys
 
-from .errors import ParseError, PicardFuchsError
+from .errors import NotRegularError, ParseError, PicardFuchsError
 from .forms import OneForm
 from .milnor import check_regular_at_infinity, monomial_basis
 from .parsing import parse_polynomial
@@ -112,8 +113,8 @@ def _cycle_flags(p):
     p.add_argument("--mode", choices=["real_oval", "x_loop"], default="real_oval")
     p.add_argument("--loop-center", default="0", type=_parse_complex,
                    help="x_loop center (complex literal)")
-    p.add_argument("--loop-turns", type=int, default=1)
-    p.add_argument("--samples", type=_parse_samples, default=512,
+    p.add_argument("--loop-turns", type=_bounded_int(1), default=1)
+    p.add_argument("--samples", type=_bounded_int(MIN_SAMPLES, MAX_SAMPLES), default=512,
                    help=f"samples per traced cycle, {MIN_SAMPLES} to {MAX_SAMPLES}")
 
 
@@ -135,15 +136,20 @@ def _parse_real(text):
     return value.real
 
 
-def _parse_samples(text):
-    """argparse type of a sample count the tracer and the quadrature accept."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if not MIN_SAMPLES <= value <= MAX_SAMPLES:
-        raise argparse.ArgumentTypeError(f"must be between {MIN_SAMPLES} and {MAX_SAMPLES}, got {value}")
-    return value
+def _bounded_int(low, high=math.inf):
+    """argparse type of an integer in [low, high], for counts the tracer accepts."""
+    bounds = f"at least {low}" if high == math.inf else f"between {low} and {high}"
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {value}")
+        return value
+
+    return parse
 
 
 def _parse_seed(text):
@@ -192,7 +198,9 @@ def _cmd_check(args, H):
         else:
             print("regular at infinity: no")
             print(f"reason: {report.reason}")
-    return 0 if report.regular else 2
+    if not report.regular:
+        raise NotRegularError(report.reason)
+    return 0
 
 
 def _cmd_basis(args, H):

@@ -45,7 +45,7 @@ def critical_points_numeric(H):
     mu = report.mu
     Hx, Hy = H.partial("x"), H.partial("y")
 
-    res = resultant(Hx, Hy, "y")
+    res = resultant(Hx, Hy)
     g = UniPoly([res.coefficient(k, 0) for k in range(int(res.degree()) + 1)])
     if g.degree() != mu:
         raise NumericalFailure(
@@ -126,7 +126,7 @@ def _critical_y_values(Hx, Hy, x0):
 
 def _complex_coeffs(poly, x0):
     """(evaluated ascending coefficients in y, achievable magnitude bound)."""
-    coeffs = [complex(c) for c in poly.y_coefficients(complex(x0))]
+    coeffs = poly.y_coefficients(complex(x0))
     ref = sum(
         abs(complex(c)) * max(1.0, abs(complex(x0))) ** a for (a, _), c in poly.terms.items()
     )

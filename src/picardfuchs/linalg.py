@@ -7,18 +7,18 @@ rational normalization inside the loop).  Pivoting is deterministic:
 leftmost column first, first row with a nonzero entry.
 
 On top of the core sit: pivot columns (rank and greedy column bases),
-exact_solve (with nullspace extraction), exact determinants, Sylvester
-resultants via evaluation/interpolation, and the minimal and characteristic
-polynomials, built from row annihilators: one core pass over the Krylov
-columns e_i M^k, k <= n (Wiedemann, IEEE Trans. IT 1986), O(n^3) operations
-each.
+solve_with_nullspace (a particular solution, None when inconsistent, and the
+kernel), exact determinants, Sylvester resultants in y via
+evaluation/interpolation, and the minimal and characteristic polynomials,
+built from row annihilators: one core pass over the Krylov columns e_i M^k,
+k <= n (Wiedemann, IEEE Trans. IT 1986), O(n^3) operations each.
 """
 
 from fractions import Fraction
 from math import lcm, prod
 
 from .bipoly import BiPoly, _frac
-from .errors import DegenerateResultantError, NoSolutionError
+from .errors import DegenerateResultantError
 from .unipoly import UniPoly, lagrange_interpolate
 
 
@@ -42,11 +42,6 @@ class RatMatrix:
     def identity(cls, n):
         return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, rows, cols=None):
-        cols = rows if cols is None else cols
-        return cls([[Fraction(0)] * cols for _ in range(rows)])
-
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
@@ -65,18 +60,12 @@ class RatMatrix:
     def is_zero(self):
         return all(v == 0 for row in self.entries for v in row)
 
-    def transpose(self):
-        return RatMatrix([[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
     def __add__(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
         return RatMatrix(
             [[self.entries[i][j] + other.entries[i][j] for j in range(self.cols)] for i in range(self.rows)]
         )
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
 
     def scale(self, c):
         c = _frac(c)
@@ -98,11 +87,6 @@ class RatMatrix:
             raise ValueError("shape mismatch")
         vec = [_frac(v) for v in vec]
         return [sum((row[k] * vec[k] for k in range(self.cols)), Fraction(0)) for row in self.entries]
-
-    def trace(self):
-        if not self.is_square():
-            raise ValueError("trace needs a square matrix")
-        return sum((self.entries[i][i] for i in range(self.rows)), Fraction(0))
 
     def to_float_array(self):
         import numpy as np
@@ -222,17 +206,6 @@ def solve_with_nullspace(matrix_rows, rhs, want_nullspace=False):
     return solution, null_basis
 
 
-def exact_solve(matrix, rhs):
-    """Exact solution of matrix @ x = rhs; raises NoSolutionError if none."""
-    rows = matrix.entries if isinstance(matrix, RatMatrix) else [[_frac(v) for v in r] for r in matrix]
-    if len(rhs) != len(rows):
-        raise ValueError("rhs length must match row count")
-    solution, _ = solve_with_nullspace(rows, rhs)
-    if solution is None:
-        raise NoSolutionError("inconsistent linear system")
-    return solution
-
-
 def determinant(matrix):
     """Exact determinant: the last Bareiss pivot over the row scalings."""
     if not matrix.is_square():
@@ -331,11 +304,6 @@ def min_poly(matrix):
     return p
 
 
-def char_and_min_poly(matrix):
-    """(characteristic polynomial, minimal polynomial), both monic over Q."""
-    return char_poly(matrix), min_poly(matrix)
-
-
 def pencil_determinant(b0, b1):
     """det(B0 + t*B1) as an exact UniPoly, by evaluation/interpolation."""
     if b0.rows != b1.rows or b0.cols != b1.cols or not b0.is_square():
@@ -352,47 +320,34 @@ def pencil_determinant(b0, b1):
 # -- resultants ----------------------------------------------------------------
 
 
-def resultant(p, q, var):
-    """Sylvester resultant of two BiPolys eliminating ``var``.
+def resultant(p, q):
+    """Sylvester resultant Res_y(p, q) of two BiPolys, a BiPoly in x alone.
 
-    Returns a BiPoly univariate in the surviving variable.  Computed by
-    evaluating the coefficient polynomials of the fixed-structure Sylvester
-    matrix at enough rational points and interpolating the determinant, which
-    commutes with entrywise evaluation.
+    Computed by evaluating the coefficient polynomials of the fixed-structure
+    Sylvester matrix at enough rational points and interpolating the
+    determinant, which commutes with entrywise evaluation.
     """
-    if var not in ("x", "y"):
-        raise ValueError("var must be 'x' or 'y'")
-    if var == "x":
-        p, q = p.swap_variables(), q.swap_variables()
     if p.is_zero() or q.is_zero():
         raise ValueError("resultant arguments must be nonzero")
 
-    dp = p.degree_in("y")
-    dq = q.degree_in("y")
-    dp = 0 if dp == float("-inf") else int(dp)
-    dq = 0 if dq == float("-inf") else int(dq)
+    dp, dq = p.degree_in("y"), q.degree_in("y")
     if dp == 0 and dq == 0:
         raise DegenerateResultantError("both arguments constant in the eliminated variable")
-
+    if dp == 0:
+        return p**dq
+    if dq == 0:
+        return q**dp
     # coefficient-of-y^k extraction as polynomials in x
     p_coeffs = _y_coefficient_polys(p, dp)
     q_coeffs = _y_coefficient_polys(q, dq)
-    if dp == 0:
-        result = p**dq
-    elif dq == 0:
-        result = q**dp
-    else:
-        degx_p = max((e[0] for e in p.terms), default=0)
-        degx_q = max((e[0] for e in q.terms), default=0)
-        bound = dq * degx_p + dp * degx_q
-        interp = lagrange_interpolate([
-            (Fraction(k), determinant(_sylvester_at(p_coeffs, q_coeffs, dp, dq, Fraction(k))))
-            for k in range(bound + 1)
-        ])
-        result = BiPoly({(k, 0): c for k, c in enumerate(interp.coeffs)})
-    if var == "x":
-        result = result.swap_variables()
-    return result
+    degx_p = max((e[0] for e in p.terms), default=0)
+    degx_q = max((e[0] for e in q.terms), default=0)
+    bound = dq * degx_p + dp * degx_q
+    interp = lagrange_interpolate([
+        (Fraction(k), determinant(_sylvester_at(p_coeffs, q_coeffs, dp, dq, Fraction(k))))
+        for k in range(bound + 1)
+    ])
+    return BiPoly({(k, 0): c for k, c in enumerate(interp.coeffs)})
 
 
 def _y_coefficient_polys(p, dy):

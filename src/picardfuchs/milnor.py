@@ -95,9 +95,6 @@ class MilnorBasis:
     def form_degrees(self):
         return [a + b + 2 for a, b in self.monomials]
 
-    def index_of(self, a, b):
-        return self.monomials.index((a, b))
-
 
 def monomial_basis(H, report=None):
     """Monomial basis of the Milnor algebra, grid-first.

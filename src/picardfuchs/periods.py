@@ -285,7 +285,7 @@ def _trace_x_loop(H, t, seed, samples, loop_center, turns):
 
 
 def _fiber_roots(H, t, x_value):
-    coeffs = [complex(c) for c in H.y_coefficients(complex(x_value))]
+    coeffs = H.y_coefficients(complex(x_value))
     if coeffs:
         coeffs[0] -= complex(t)
     else:

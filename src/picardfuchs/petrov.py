@@ -98,11 +98,6 @@ def _dg_wedge_dH(a, b, hx, hy):
     return {e: c for e, c in terms.items() if c}
 
 
-def petrov_class_is_zero(omega, basis):
-    """True iff omega is g*dH + df, i.e. all Petrov coefficients vanish."""
-    return petrov_decompose(omega, basis).is_zero_class()
-
-
 def differential_coefficient(g, H):
     """The 1-form g*dH."""
     return OneForm(g * H.partial("x"), g * H.partial("y"))

@@ -121,10 +121,10 @@ class UniPoly:
         return UniPoly([c / lead for c in self.coeffs])
 
     def evaluate(self, value):
-        """Horner evaluation; exact for Fraction/int, complex otherwise."""
-        total = 0 if isinstance(value, (int, Fraction)) else 0j
+        """Exact Horner evaluation at an int or Fraction."""
+        total = 0
         for c in reversed(self.coeffs):
-            total = total * value + (c if isinstance(value, (int, Fraction)) else complex(c))
+            total = total * value + c
         return total
 
     def __str__(self):

@@ -3,10 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from picardfuchs.bipoly import BiPoly, X, Y, grlex_key
 from picardfuchs.errors import ZeroPolynomialError
-from picardfuchs.parsing import parse_polynomial
+from picardfuchs.parsing import MAX_DEGREE, parse_polynomial
 
 QUINTIC = X**5 + Y**5 + X**2 * Y**2 + X + Y
 
@@ -57,6 +58,17 @@ def test_str_round_trips_through_parser():
     for p in (QUINTIC, Fraction(3, 2) * X * Y - Y**3, BiPoly.zero(), -X + 1,
               BiPoly.monomial(2, 3, Fraction(-7, 4))):
         assert parse_polynomial(str(p)) == p
+
+
+# exponent pairs of total degree at most the parser's cap
+EXPONENTS = st.integers(0, MAX_DEGREE).flatmap(lambda d: st.integers(0, d).map(lambda a: (a, d - a)))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(terms=st.dictionaries(EXPONENTS, st.fractions(), max_size=12))
+def test_str_round_trip_property(terms):
+    p = BiPoly(terms)
+    assert parse_polynomial(str(p)) == p
 
 
 def test_str_format():

@@ -77,6 +77,19 @@ def test_check_rejection_exit_code(capsys):
     assert "x^3" in out
 
 
+def test_check_not_regular_reports_the_reason(capsys):
+    # the report on stdout, then the reason as every other input error has it
+    reason = "highest homogeneous part x^3 has a repeated factor"
+    for fmt in ("text", "json"):
+        assert main(["--json-errors", "check", "y^2+x^3-x", "--format", fmt]) == 2
+        flagged = capsys.readouterr()
+        assert json.loads(flagged.err) == {"error": "NotRegularError", "message": reason}
+        assert main(["check", "y^2+x^3-x", "--format", fmt]) == 2
+        plain = capsys.readouterr()
+        assert plain.out == flagged.out and reason in plain.out
+        assert plain.err == f"error: {reason}\n"
+
+
 def test_check_accepts_quintic(capsys):
     code = main(["check", "x^5+y^5+x^2y^2+x+y", "--format", "json"])
     doc = json.loads(capsys.readouterr().out)
@@ -201,6 +214,24 @@ def test_samples_out_of_range_are_usage_errors(verb, samples, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.endswith(f"error: {message}\n") and "Warning" not in err
+
+
+@pytest.mark.parametrize("turns", ["0", "-2"])
+@pytest.mark.parametrize("verb", [
+    ["periods", "x^3+y^3-3xy", "--t", "-0.5", "--seed", "1,1", "--mode", "x_loop"],
+    ["verify", "x^3+y^3-3xy", "--numeric", "--t", "-0.5", "--mode", "x_loop"],
+], ids=["periods", "verify"])
+def test_loop_turns_below_one_are_usage_errors(verb, turns, capsys):
+    message = f"argument --loop-turns: must be at least 1, got {turns}"
+    assert main(["--json-errors", *verb, "--loop-turns", turns]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "UsageError", "message": message}
+    with pytest.raises(SystemExit) as exc:
+        main([*verb, "--loop-turns", turns])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.endswith(f"error: {message}\n")
 
 
 def test_minimum_samples_are_accepted(capsys):

@@ -139,7 +139,7 @@ def test_gcd_and_yun_match_sympy(rng):
     draw = random.Random(7)
     H = [random_regular_hamiltonian(draw, n) for n in (4, 4, 5)][-1]
     H = BiPoly({e: c for e, c in H.terms.items() if sum(e) > 2}) + Y**2
-    res = resultant(H.partial("x"), H.partial("y"), "y")
+    res = resultant(H.partial("x"), H.partial("y"))
     g = UniPoly([res.coefficient(k, 0) for k in range(int(res.degree()) + 1)])
     assert g.degree() == 25
     assert check_yun(g) == [1, 3]
