@@ -273,6 +273,9 @@ def _cmd_verify(args, H):
     sys_obj = build_system(H)
     report = validate_system(sys_obj)
     classification = classify_singularities(sys_obj)
+    # every level is traced before anything is printed, so an input error leaves stdout empty
+    levels = args.t if args.numeric else []
+    samples = [system_residual(sys_obj, _trace(args, H, t, args.seed)) for t in levels]
     ok = report.all_ok()
     for name, value in report.as_dict().items():
         print(f"{name}: {'pass' if value else 'FAIL'}")
@@ -280,13 +283,11 @@ def _cmd_verify(args, H):
     print(f"infinity_fuchsian_form: {classification['infinity_fuchsian_form']}")
     if not ok:
         print(f"details: {report.details}")
-    if args.numeric:
-        for t in args.t:
-            sample = system_residual(sys_obj, _trace(args, H, t, args.seed))
-            passed = sample.residual < args.residual_tol
-            ok = ok and passed
-            print(f"residual at t = {t.real if t.imag == 0 else t!r}: {sample.residual:.3e} "
-                  f"({'pass' if passed else 'FAIL'})")
+    for t, sample in zip(levels, samples):
+        passed = sample.residual < args.residual_tol
+        ok = ok and passed
+        print(f"residual at t = {t.real if t.imag == 0 else t!r}: {sample.residual:.3e} "
+              f"({'pass' if passed else 'FAIL'})")
     return 0 if ok else 1
 
 
@@ -302,10 +303,10 @@ def _cmd_periods(args, H):
             cycle = cycle_from_json(json.load(fh), H)
     else:
         cycle = _trace(args, H, args.t, args.seed)
+    sample = system_residual(sys_obj, cycle)  # before --out-cycle, so an input error writes nothing
     if args.out_cycle:
         with open(args.out_cycle, "w") as fh:
             fh.write(json.dumps(cycle_to_json(cycle), indent=2) + "\n")
-    sample = system_residual(sys_obj, cycle)
     doc = {
         "t": [sample.t.real, sample.t.imag],
         "I": [[v.real, v.imag] for v in sample.I],

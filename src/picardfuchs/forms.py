@@ -1,8 +1,9 @@
 """Polynomial differential forms on the plane.
 
-OneForm is P dx + Q dy, TwoForm is F dx^dy, both with BiPoly coefficients.
-Degree bookkeeping follows the convention deg(x^a y^b dx) = a + b + 1 and
-deg(x^a y^b dx^dy) = a + b + 2, so division degree bounds hold verbatim.
+OneForm is P dx + Q dy with BiPoly coefficients.  Every 2-form on the plane
+is F dx^dy, so a 2-form is passed as its coefficient F, a BiPoly.  Degree
+bookkeeping follows the convention deg(x^a y^b dx) = a + b + 1 and
+deg(F dx^dy) = deg F + 2, so division degree bounds hold verbatim.
 
 The canonical primitive of a monomial 2-form is the radial (Euler) one,
 
@@ -11,6 +12,8 @@ The canonical primitive of a monomial 2-form is the radial (Euler) one,
 which is homogeneous and degree-minimal; with it, a monomial basis of size mu
 automatically carries total form degree mu * deg H.
 """
+
+from fractions import Fraction
 
 from .bipoly import NEG_INFINITY, BiPoly, _frac
 
@@ -66,49 +69,9 @@ class OneForm:
     __repr__ = __str__
 
 
-class TwoForm:
-    """F dx^dy with a polynomial coefficient."""
-
-    __slots__ = ("F",)
-
-    def __init__(self, F):
-        object.__setattr__(self, "F", F if isinstance(F, BiPoly) else BiPoly.constant(F))
-
-    @classmethod
-    def zero(cls):
-        return cls(BiPoly.zero())
-
-    def is_zero(self):
-        return self.F.is_zero()
-
-    def degree(self):
-        if self.is_zero():
-            return NEG_INFINITY
-        return 2 + self.F.degree()
-
-    def __add__(self, other):
-        return TwoForm(self.F + other.F)
-
-    def __sub__(self, other):
-        return TwoForm(self.F - other.F)
-
-    def __eq__(self, other):
-        if not isinstance(other, TwoForm):
-            return NotImplemented
-        return self.F == other.F
-
-    def __hash__(self):
-        return hash(self.F)
-
-    def __str__(self):
-        return f"({self.F}) dx^dy"
-
-    __repr__ = __str__
-
-
 def exterior_derivative(omega):
-    """d(P dx + Q dy) = (dQ/dx - dP/dy) dx^dy."""
-    return TwoForm(omega.Q.partial("x") - omega.P.partial("y"))
+    """d(P dx + Q dy) = (dQ/dx - dP/dy) dx^dy, returned as its coefficient."""
+    return omega.Q.partial("x") - omega.P.partial("y")
 
 
 def differential(f):
@@ -117,17 +80,17 @@ def differential(f):
 
 
 def wedge_with_dH(H, eta):
-    """dH ^ eta = (H_x * Q - H_y * P) dx^dy for eta = P dx + Q dy."""
-    return TwoForm(H.partial("x") * eta.Q - H.partial("y") * eta.P)
+    """dH ^ eta = (H_x * Q - H_y * P) dx^dy for eta = P dx + Q dy, returned as its coefficient."""
+    return H.partial("x") * eta.Q - H.partial("y") * eta.P
 
 
-def canonical_primitive(a, b, coeff=1):
-    """Radial primitive of coeff * x^a y^b dx^dy.
+def canonical_primitive(a, b):
+    """Radial primitive of x^a y^b dx^dy.
 
-    Returns (x^{a+1} y^b dy - x^a y^{b+1} dx) * coeff/(a+b+2); its exterior
-    derivative is exactly coeff * x^a y^b dx^dy and its degree is a + b + 2.
+    Returns (x^{a+1} y^b dy - x^a y^{b+1} dx) / (a+b+2); its exterior
+    derivative is exactly x^a y^b dx^dy and its degree is a + b + 2.
     """
     if a < 0 or b < 0:
         raise ValueError("monomial exponents must be nonnegative")
-    scale = _frac(coeff) / (a + b + 2)
+    scale = Fraction(1, a + b + 2)
     return OneForm(BiPoly.monomial(a, b + 1, -scale), BiPoly.monomial(a + 1, b, scale))

@@ -11,7 +11,8 @@ two workhorse divisions:
   * reduce_mod_gradient: P = sum c_i m_i + B*H_x - A*H_y with
     deg A, deg B <= deg P - n;
   * divide_two_form: F dx^dy = dH ^ eta + sum c_i d(omega_i) with
-    eta = A dx + B dy assembled from the same quotients.
+    eta = A dx + B dy assembled from the same quotients; the 2-form is
+    given by its coefficient F, as everywhere in the package.
 
 Both the reduction and the Petrov decomposition (petrov) run on one solver,
 peel_top_slices, which follows the filtration by total degree.  A column of
@@ -266,13 +267,13 @@ def reduce_mod_gradient(P, basis):
     )
 
 
-def divide_two_form(omega2, basis):
-    """Write F dx^dy = dH ^ eta + sum_i c_i d(omega_i) exactly.
+def divide_two_form(F, basis):
+    """Write F dx^dy = dH ^ eta + sum_i c_i d(omega_i) exactly, given F.
 
     eta = A dx + B dy comes straight from the gradient quotients of F, so
-    deg eta <= deg(F dx^dy) - (n+1).  Returns (eta, coefficient vector).
+    deg eta <= deg F + 2 - (n+1).  Returns (eta, coefficient vector).
     """
-    red = reduce_mod_gradient(omega2.F, basis)
+    red = reduce_mod_gradient(F, basis)
     eta = OneForm(red.quotA, red.quotB)
     return eta, list(red.remainder_coeffs)
 

@@ -69,11 +69,11 @@ def petrov_decompose(omega, basis):
             forms[i, k] = basis.primitives[i].multiply(powers[k])
         e = d - n + 1
         g_monos = [(a, e - a) for a in range(e, -1, -1) if e > 0]
-        columns = [integer_terms(exterior_derivative(forms[label]).F) for label in p_labels]
+        columns = [integer_terms(exterior_derivative(forms[label])) for label in p_labels]
         columns += [(_dg_wedge_dH(a, b, hx, hy), s) for a, b in g_monos]
         return len(p_labels), [("p", label) for label in p_labels] + [("g", m) for m in g_monos], columns
 
-    values = peel_top_slices(exterior_derivative(omega).F, slice_columns, NoSolutionError)
+    values = peel_top_slices(exterior_derivative(omega), slice_columns, NoSolutionError)
     p_values = {key: v for (kind, key), v in values.items() if kind == "p"}
     coeff_polys = tuple(UniPoly([p_values.get((i, k), 0) for k in range(len(powers))]) for i in range(mu))
     witness_g = BiPoly({m: v for (kind, m), v in values.items() if kind == "g"})

@@ -1,8 +1,8 @@
 """Deterministic serialization of Picard-Fuchs systems.
 
 JSON carries every rational as a canonical "p/q" string (integers without
-the "/1") and matrices as row-major arrays of arrays, so parsing the output
-back reproduces the exact matrices.  LaTeX renders the system
+the "/1") and matrices as row-major arrays of arrays, so Fraction() of each
+entry reproduces the exact matrices.  LaTeX renders the system
 (t - A) \\dot X = (B_0 + B_1 t) X with \\frac{p}{q} entries; text is an
 aligned human-readable report.
 """
@@ -11,7 +11,6 @@ import json
 from fractions import Fraction
 
 from .bipoly import BiPoly
-from .linalg import RatMatrix
 from .system import validate_system, classify_singularities
 
 
@@ -25,10 +24,6 @@ def rational_str(q):
 
 def matrix_to_strings(m):
     return [[rational_str(v) for v in row] for row in m.entries]
-
-
-def matrix_from_strings(rows):
-    return RatMatrix([[Fraction(v) for v in row] for row in rows])
 
 
 def basis_to_list(basis):
@@ -57,20 +52,6 @@ def system_to_dict(sys):
             "infinity_fuchsian_form": classification["infinity_fuchsian_form"],
         },
         "validation": validation.as_dict(),
-    }
-
-
-def system_from_dict(doc):
-    """Parse the matrices (and headline data) back from a JSON document."""
-    return {
-        "hamiltonian": doc["hamiltonian"],
-        "n": doc["n"],
-        "mu": doc["mu"],
-        "basis": [(item["a"], item["b"]) for item in doc["basis"]],
-        "A": matrix_from_strings(doc["A"]),
-        "B0": matrix_from_strings(doc["B0"]),
-        "B1": matrix_from_strings(doc["B1"]),
-        "D": [Fraction(v) for v in doc["D"]],
     }
 
 

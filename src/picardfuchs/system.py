@@ -20,7 +20,7 @@ from math import prod
 from .bipoly import BiPoly
 from .critical import cluster, critical_points_numeric, value_clusters
 from .errors import NotRegularError
-from .forms import TwoForm, differential, exterior_derivative, wedge_with_dH
+from .forms import differential, exterior_derivative, wedge_with_dH
 from .linalg import RatMatrix, char_poly, min_poly, pencil_determinant
 from .milnor import check_regular_at_infinity, divide_two_form, monomial_basis
 from .petrov import differential_coefficient, petrov_decompose
@@ -67,7 +67,7 @@ def build_system(H, basis=None):
 
     def build_row(i):
         a, b = basis.monomials[i]
-        eta, a_row = divide_two_form(TwoForm(H * BiPoly.monomial(a, b)), basis)
+        eta, a_row = divide_two_form(H * BiPoly.monomial(a, b), basis)
         cert = petrov_decompose(eta, basis)
         b0_row = [Fraction(0)] * basis.mu
         b1_row = [Fraction(0)] * basis.mu
@@ -173,12 +173,12 @@ def _check_exact_identities(sys, notes):
     H = sys.H
     ok = True
     for i, (a, b) in enumerate(sys.basis.monomials):
-        d_omega_i = TwoForm(BiPoly.monomial(a, b))
-        lhs = TwoForm(H * BiPoly.monomial(a, b))
+        d_omega_i = BiPoly.monomial(a, b)
+        lhs = H * d_omega_i
         rhs = wedge_with_dH(H, sys.etas[i])
         for j, (aj, bj) in enumerate(sys.basis.monomials):
             if sys.A[i, j] != 0:
-                rhs = rhs + TwoForm(BiPoly.monomial(aj, bj, sys.A[i, j]))
+                rhs = rhs + BiPoly.monomial(aj, bj, sys.A[i, j])
         if lhs != rhs:
             ok = False
             notes.append(f"division identity fails for row {i}")

@@ -15,7 +15,7 @@ from scipy.optimize import linear_sum_assignment
 from picardfuchs.bipoly import BiPoly, X, Y
 from picardfuchs.critical import critical_points_numeric
 from picardfuchs.errors import NotRegularError
-from picardfuchs.forms import OneForm, TwoForm, differential, wedge_with_dH
+from picardfuchs.forms import OneForm, differential, wedge_with_dH
 from picardfuchs.linalg import RatMatrix, char_poly
 from picardfuchs.milnor import check_regular_at_infinity, monomial_basis
 from picardfuchs.periods import integrate_form, system_residual, trace_cycle
@@ -47,8 +47,8 @@ def _certificates_exact(sys):
     for i, (a, b) in enumerate(sys.basis.monomials):
         rhs = wedge_with_dH(H, sys.etas[i])
         for j, (aj, bj) in enumerate(sys.basis.monomials):
-            rhs = rhs + TwoForm(BiPoly.monomial(aj, bj, sys.A[i, j]))
-        if TwoForm(H * BiPoly.monomial(a, b)) != rhs:
+            rhs = rhs + BiPoly.monomial(aj, bj, sys.A[i, j])
+        if H * BiPoly.monomial(a, b) != rhs:
             return False
         if _reassemble_certificate(sys.certificates[i], sys.basis) != sys.etas[i]:
             return False

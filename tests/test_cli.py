@@ -3,9 +3,11 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -408,3 +410,54 @@ def test_system_command_does_not_import_scipy():
     )
     done = _python("-c", script)
     assert done.stderr.decode() == "[]"
+
+
+def _saddle_cycle(path):
+    """A t = 0 cycle file for x^2 - y^2 whose samples run along y = x through the saddle."""
+    samples = [{"x": [s, 0.0], "y": [s, 0.0]} for s in (k / 8 - 1 for k in range(17))]
+    path.write_text(json.dumps({"t": [0.0, 0.0], "samples": samples}))
+    return str(path)
+
+
+@pytest.mark.parametrize("case", ["verify-critical-level", "verify-x-loop-sheet", "periods-saddle"])
+def test_input_errors_after_the_build_write_nothing(case, tmp_path, capsys):
+    out_cycle = tmp_path / "out.json"
+    argv = {
+        "verify-critical-level": ["verify", "x^2+y^2", "--numeric", "--t", "0", "--seed", "1,0"],
+        "verify-x-loop-sheet": ["verify", "x^3+y^3-3xy", "--numeric", "--t", "-0.5",
+                                "--mode", "x_loop", "--seed", "1,1"],
+        "periods-saddle": ["periods", "x^2-y^2", "--cycle", _saddle_cycle(tmp_path / "saddle.json"),
+                           "--out-cycle", str(out_cycle)],
+    }[case]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert main(["--json-errors", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and set(json.loads(lines[0])) == {"error", "message"}
+    assert not out_cycle.exists()
+
+
+def _readme_block(language, after):
+    """The first fenced block of the given language after the heading line `after` in README.md."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    text = text[text.index(after + "\n"):]
+    start = text.index(f"```{language}\n") + len(language) + 4
+    return text[start:text.index("```", start)]
+
+
+def test_readme_examples(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    lines = [line for line in _readme_block("bash", "## CLI").splitlines() if line.startswith("pf ")]
+    assert len(lines) == 10
+    for line in lines:
+        expected = 2 if line == 'pf check "y^2+x^3-x"' else 0
+        assert main(shlex.split(line)[1:]) == expected, line
+    capsys.readouterr()
+
+    namespace = {}
+    exec(_readme_block("python", "## Library"), namespace)
+    assert namespace["system"].B1[15, 0] == Fraction(1, 175)
+    assert namespace["validate_system"](namespace["system"]).all_ok()

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from picardfuchs.bipoly import BiPoly, X, Y
 from picardfuchs.critical import critical_points_numeric, critical_values_numeric
 from picardfuchs.errors import DegreeTooSmallError, NotRegularError
-from picardfuchs.forms import OneForm, TwoForm, wedge_with_dH
+from picardfuchs.forms import OneForm, wedge_with_dH
 from picardfuchs.linalg import RatMatrix
 from picardfuchs.milnor import (
     check_regular_at_infinity,
@@ -18,6 +18,7 @@ from picardfuchs.milnor import (
     multiplication_matrix,
     reduce_mod_gradient,
 )
+from picardfuchs.system import build_system
 from tests.conftest import random_bipoly, random_regular_hamiltonian, to_sympy
 
 QUINTIC = X**5 + Y**5 + X**2 * Y**2 + X + Y
@@ -76,7 +77,8 @@ def test_monomial_basis_grid_fallback():
 def test_greedy_bases_independent_modulo_groebner_basis():
     sympy = pytest.importorskip("sympy")
     x, y = sympy.symbols("x y")
-    hamiltonians = [X**3 + 3 * X * Y**2 + Y]
+    # the quartic has a derogatory A, the quintic has mu 16
+    hamiltonians = [X**3 + 3 * X * Y**2 + Y, X**4 + Y**4 - X**2 - Y**2, X**5 + Y**5 + X**2 * Y**2 + X + Y]
     for a in range(-2, 3):
         for b in range(-2, 3):
             H = X**3 + a * X * Y**2 + b * Y**3 + X
@@ -84,12 +86,19 @@ def test_greedy_bases_independent_modulo_groebner_basis():
                 hamiltonians.append(H)
     greedy = 0
     for H in hamiltonians:
-        basis = monomial_basis(H)
+        sys = build_system(H)
+        basis = sys.basis
+        h = to_sympy(H, sympy)
+        G = sympy.groebner([h.diff(x), h.diff(y)], x, y, order="grevlex", domain=sympy.QQ)
+        # rows of A against the independent normal form: H m_i - sum_j A_ij m_j is in <H_x, H_y>
+        for i, (a, b) in enumerate(basis.monomials):
+            rest = h * x**a * y**b - sum(
+                sympy.Rational(c.numerator, c.denominator) * x**aj * y**bj
+                for (aj, bj), c in zip(basis.monomials, sys.A.entries[i]))
+            assert G.reduce(sympy.expand(rest))[1] == 0, (H, i)
         if set(basis.monomials) == {(a, b) for a in range(basis.n) for b in range(basis.n)}:
             continue
         greedy += 1
-        h = to_sympy(H, sympy)
-        G = sympy.groebner([h.diff(x), h.diff(y)], x, y, order="grevlex")
         normal_forms = [sympy.Poly(G.reduce(x**a * y**b)[1], x, y).as_dict() for a, b in basis.monomials]
         support = sorted({e for nf in normal_forms for e in nf})
         rows = sympy.Matrix([[nf.get(e, 0) for e in support] for nf in normal_forms])
@@ -168,24 +177,24 @@ def test_reduction_identity_property(seed, n, rational):
 def test_divide_two_form_examples():
     H = X**2 + Y**2
     basis = monomial_basis(H)
-    eta, c = divide_two_form(TwoForm(H), basis)
+    eta, c = divide_two_form(H, basis)
     assert c == [0]
     assert eta == OneForm(BiPoly.monomial(0, 1, Fraction(-1, 2)), BiPoly.monomial(1, 0, Fraction(1, 2)))
 
-    eta, c = divide_two_form(TwoForm(BiPoly.constant(1)), basis)
+    eta, c = divide_two_form(BiPoly.constant(1), basis)
     assert eta.is_zero() and c == [1]
 
     # homogeneous H: Euler identity puts H * m in the gradient ideal
     H3 = X**3 + Y**3
     basis3 = monomial_basis(H3)
     for i, (a, b) in enumerate(basis3.monomials):
-        eta, c = divide_two_form(TwoForm(H3 * BiPoly.monomial(a, b)), basis3)
+        eta, c = divide_two_form(H3 * BiPoly.monomial(a, b), basis3)
         assert c == [0] * 4
         scaled = basis3.primitives[i].scale(Fraction(a + b + 2, 3))
         # eta and the scaled radial primitive may differ by a multiple of dH,
         # which has zero wedge; the division identity itself must hold exactly
-        assert wedge_with_dH(H3, eta) == TwoForm(H3 * BiPoly.monomial(a, b))
-        assert wedge_with_dH(H3, eta - scaled) == TwoForm.zero()
+        assert wedge_with_dH(H3, eta) == H3 * BiPoly.monomial(a, b)
+        assert wedge_with_dH(H3, eta - scaled) == BiPoly.zero()
 
 
 def test_divide_two_form_identity_and_degree(rng):
@@ -196,13 +205,12 @@ def test_divide_two_form_identity_and_degree(rng):
             F = random_bipoly(rng, rng.randint(0, 3 * n))
             if F.is_zero():
                 continue
-            omega2 = TwoForm(F)
-            eta, c = divide_two_form(omega2, basis)
+            eta, c = divide_two_form(F, basis)
             rhs = wedge_with_dH(H, eta)
             for (a, b), coeff in zip(basis.monomials, c):
-                rhs = rhs + TwoForm(BiPoly.monomial(a, b, coeff))
-            assert rhs == omega2
-            assert eta.is_zero() or eta.degree() <= omega2.degree() - (n + 1)
+                rhs = rhs + BiPoly.monomial(a, b, coeff)
+            assert rhs == F
+            assert eta.is_zero() or eta.degree() <= F.degree() + 2 - (n + 1)
 
 
 def test_multiplication_matrix_examples():

@@ -63,11 +63,10 @@ def test_circle_example():
 
 
 def test_quintic_division_row_has_1_175():
-    from picardfuchs.forms import TwoForm
     from picardfuchs.milnor import divide_two_form
 
     basis = monomial_basis(QUINTIC)
-    eta, _ = divide_two_form(TwoForm(QUINTIC * BiPoly.monomial(3, 3)), basis)
+    eta, _ = divide_two_form(QUINTIC * BiPoly.monomial(3, 3), basis)
     dec = petrov_decompose(eta, basis)
     i00 = basis.monomials.index((0, 0))
     assert dec.coeff_polys[i00][1] == Fraction(1, 175)
