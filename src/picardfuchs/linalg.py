@@ -6,6 +6,16 @@ intermediate entry a minor of the input (no coefficient explosion, no
 rational normalization inside the loop).  Pivoting is deterministic:
 leftmost column first, first row with a nonzero entry.
 
+Back substitution stays over the integers too.  After elimination the
+pivot of row k is the leading (k+1)x(k+1) minor of the pivot rows and
+columns (the input's rows in their final order), so the last pivot P is the
+determinant of the square system that the back substitution solves.  By
+Cramer each unknown is a ratio of two minors of that system, the second
+one P, so |P| times the solution is an integer vector: back substitution
+returns integer numerators over the one denominator |P|, and every step,
+(|P| b_k - sum of the known numerators times their entries) / pivot_k,
+divides exactly.
+
 On top of the core sit: pivot columns (rank and greedy column bases),
 solve_with_nullspace (a particular solution, None when inconsistent, and the
 kernel), exact determinants, Sylvester resultants in y via
@@ -18,7 +28,7 @@ from fractions import Fraction
 from math import lcm, prod
 
 from .bipoly import BiPoly, _frac
-from .errors import DegenerateResultantError
+from .errors import DegenerateResultantError, InternalRankError
 from .unipoly import UniPoly, lagrange_interpolate
 
 
@@ -101,12 +111,19 @@ class RatMatrix:
 # -- Bareiss elimination core ------------------------------------------------
 
 
-def _clear_row_denominators(rows):
-    """Scale each rational row to integers (row scaling preserves solutions)."""
+def _integer_rows(rows):
+    """Copies of the rows as integers: an integer row as it is, a rational one times its lcm.
+
+    Row scaling preserves solutions, pivots and the determinant up to the
+    product of the scalings.
+    """
     out = []
     for row in rows:
-        denom = lcm(*(v.denominator for v in row))
-        out.append([v.numerator * (denom // v.denominator) for v in row])
+        if all(type(v) is int for v in row):
+            out.append(list(row))
+        else:
+            denom = lcm(*(v.denominator for v in row))
+            out.append([v.numerator * (denom // v.denominator) for v in row])
     return out
 
 
@@ -153,26 +170,35 @@ def _bareiss_echelon(int_rows, ncols):
     return pivots, sign
 
 
-def _solve_from_echelon(int_rows, pivots, ncols, rhs_col):
-    """Particular solution (free variables = 0) from an echelon form."""
-    solution = [Fraction(0)] * ncols
+def _back_substitute(int_rows, pivots, ncols, rhs_col):
+    """(nums, den): the solution with free variables zero is nums / den, over the integers.
+
+    den is |last pivot| (1 without pivots).  After Bareiss elimination the last
+    pivot is the minor of the pivot rows and columns, so by Cramer den * x is
+    an integer vector and every step divides exactly.
+    """
+    den = abs(int_rows[pivots[-1][0]][pivots[-1][1]]) if pivots else 1
+    nums = [0] * ncols
     for row, col in reversed(pivots):
-        acc = Fraction(int_rows[row][rhs_col])
+        entries = int_rows[row]
+        acc = den * entries[rhs_col]
         for c in range(col + 1, ncols):
-            if int_rows[row][c] and solution[c]:
-                acc -= int_rows[row][c] * solution[c]
-        solution[col] = acc / int_rows[row][col]
-    return solution
+            if entries[c] and nums[c]:
+                acc -= entries[c] * nums[c]
+        nums[col], rest = divmod(acc, entries[col])
+        if rest:
+            raise InternalRankError("back substitution divided with a remainder; elimination invalid")
+    return nums, den
 
 
 def _nullspace_from_echelon(int_rows, pivots, ncols):
-    """One kernel vector per free column (unit free coordinate)."""
+    """One integer kernel vector per free column (free coordinate positive, the others zero)."""
     pivot_cols = {col for _, col in pivots}
     basis = []
     for free in range(ncols):
         if free not in pivot_cols:
-            head = _solve_from_echelon(int_rows, [p for p in pivots if p[1] < free], free, free)
-            basis.append([-v for v in head] + [Fraction(1)] + [Fraction(0)] * (ncols - free - 1))
+            head, den = _back_substitute(int_rows, [p for p in pivots if p[1] < free], free, free)
+            basis.append([-v for v in head] + [den] + [0] * (ncols - free - 1))
     return basis
 
 
@@ -182,26 +208,26 @@ def pivot_columns(matrix_rows):
     Column j is a pivot exactly when it is independent of columns 0..j-1, so
     the pivots are the greedy leftmost column basis and their count is the rank.
     """
-    int_rows = _clear_row_denominators(matrix_rows)
+    int_rows = _integer_rows(matrix_rows)
     pivots, _ = _bareiss_echelon(int_rows, len(int_rows[0]))
     return [col for _, col in pivots]
 
 
 def solve_with_nullspace(matrix_rows, rhs, want_nullspace=False):
-    """Solve M x = rhs exactly; returns (solution | None, nullspace basis).
+    """Solve M x = rhs exactly; returns ((nums, den) | None, nullspace basis).
 
-    ``matrix_rows`` is a list of Fraction rows (not necessarily square).  The
-    solution is the deterministic one with all free variables zero; None
+    ``matrix_rows`` and ``rhs`` hold integers or Fractions (not necessarily
+    square).  The solution is the deterministic one with all free variables
+    zero, given as integer numerators over one positive denominator; None
     signals inconsistency.  The nullspace basis (of M, not the augmented
-    system) is returned only when requested.
+    system), integer vectors, is returned only when requested.
     """
     ncols = len(matrix_rows[0]) if matrix_rows else 0
-    aug = [list(row) + [_frac(b)] for row, b in zip(matrix_rows, rhs)]
-    int_rows = _clear_row_denominators(aug)
+    int_rows = _integer_rows([list(row) + [b] for row, b in zip(matrix_rows, rhs)])
     pivots, _ = _bareiss_echelon(int_rows, ncols + 1)
     if any(col == ncols for _, col in pivots):
         return None, []
-    solution = _solve_from_echelon(int_rows, pivots, ncols, ncols)
+    solution = _back_substitute(int_rows, pivots, ncols, ncols)
     null_basis = _nullspace_from_echelon(int_rows, pivots, ncols) if want_nullspace else []
     return solution, null_basis
 
@@ -212,7 +238,7 @@ def determinant(matrix):
         raise ValueError("determinant needs a square matrix")
     n = matrix.rows
     scale = prod(lcm(*(v.denominator for v in row)) for row in matrix.entries)
-    int_rows = _clear_row_denominators(matrix.entries)
+    int_rows = _integer_rows(matrix.entries)
     pivots, sign = _bareiss_echelon(int_rows, n)
     if len(pivots) < n:
         return Fraction(0)
@@ -251,8 +277,8 @@ def _annihilator(vec, int_rows, denom):
     columns = [list(r) for r in zip(*krylov)]
     pivots, _ = _bareiss_echelon(columns, len(krylov))
     d = len(pivots)
-    coeffs = _solve_from_echelon(columns, pivots, d, d)
-    return UniPoly([-c / denom ** (d - k) for k, c in enumerate(coeffs)] + [1])
+    nums, den = _back_substitute(columns, pivots, d, d)
+    return UniPoly([Fraction(-c, den * denom ** (d - k)) for k, c in enumerate(nums)] + [1])
 
 
 def _times_poly(vec, p, int_rows, denom):

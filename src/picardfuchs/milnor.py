@@ -26,9 +26,10 @@ H_x*x^i y^j and -H_y*x^i y^j, the columns of the basis selection.
 The solver works over the integers.  H is cleared of denominators once, so
 the gradient columns are the integer terms of H_x and H_y with their
 exponents shifted, built without coefficient arithmetic, and the remainder
-is integer numerators over one positive denominator: a round subtracts the
-columns in int arithmetic after one lcm of the solution's denominators, and
-divides out the content.  Fractions appear only in the returned values.
+is integer numerators over one positive denominator: a round takes the
+slice solution as integer numerators over one denominator, subtracts the
+columns in int arithmetic and divides out the content.  Fractions appear
+only in the returned values.
 
 The multiplication-by-H matrix in the quotient basis is built row by row
 from reduce_mod_gradient(H * m_i).
@@ -189,13 +190,13 @@ def peel_top_slices(target, slice_columns, inconsistent):
     is a pair (terms, s) of integer terms and a positive integer s, standing
     for terms / s.  The remainder is integer numerators W over one positive
     denominator D.  Each round solves the d+1 integer equations
-    sum_j u_j top(terms_j) = top(W) (free values zero; v_j = u_j * s_j / D),
-    scales W by the lcm L of the denominators of the u_j, subtracts
-    sum_j (L u_j) terms_j in int arithmetic, sets D to L*D and divides out
-    the content; the remainder's degree is lower.  Raises ``inconsistent``
-    when a slice lies outside the span of its columns and InternalRankError
-    when the first group is not unique.  Returns {label: Fraction value} over
-    nonzero values.
+    sum_j u_j top(terms_j) = top(W) (free values zero; u_j = N_j / Q with
+    integers N_j, Q > 0, and v_j = u_j * s_j / D), scales W by
+    L = Q / gcd(Q, N), subtracts sum_j (L u_j) terms_j in int arithmetic,
+    sets D to L*D and divides out the content; the remainder's degree is
+    lower.  Raises ``inconsistent`` when a slice lies outside the span of its
+    columns and InternalRankError when the first group is not unique.
+    Returns {label: Fraction value} over nonzero values.
     """
     work, denom = integer_terms(target)
     values = {}
@@ -213,13 +214,15 @@ def peel_top_slices(target, slice_columns, inconsistent):
             raise inconsistent(f"degree-{d} slice system inconsistent; basis invalid")
         if any(any(vec[:unique]) for vec in null_basis):
             raise InternalRankError(f"degree-{d} slice leaves leading coefficients free; basis invalid")
-        scale = lcm(*(u.denominator for u in solution))
+        nums, den = solution
+        common = gcd(den, *nums)
+        scale = den // common
         if scale > 1:
             work = {e: scale * c for e, c in work.items()}
-        for label, (terms, s), u in zip(labels, columns, solution):
-            if u:
-                values[label] = u * s / denom
-                m = u.numerator * (scale // u.denominator)
+        for label, (terms, s), num in zip(labels, columns, nums):
+            if num:
+                values[label] = Fraction(num * s, den * denom)
+                m = num // common
                 for e, c in terms.items():
                     rest = work.get(e, 0) - m * c
                     if rest:

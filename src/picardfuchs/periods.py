@@ -449,10 +449,18 @@ def cycle_to_json(cycle):
 
 
 TRACE_TOL = 1e-8  # |H - t| allowed at an imported sample, relative to 1 + |t|
+OPEN_TOL = 0.5  # wrap-around step excess allowed, relative to the largest interior step
 
 
 def cycle_from_json(doc, H):
-    """Rebuild a Cycle from its wire format; verifies samples lie on {H = t}."""
+    """Rebuild a Cycle from its wire format; verifies samples lie on {H = t} and close.
+
+    The samples of a closed chain wrap around: the step from the last sample
+    back to the first is one more step of the chain.  Its excess over the
+    largest interior step is the closure error; a path whose excess is more
+    than OPEN_TOL times that step is open, and the trapezoid rule does not
+    apply to it.
+    """
     try:
         t = complex(doc["t"][0], doc["t"][1])
         points = tuple(
@@ -469,4 +477,11 @@ def cycle_from_json(doc, H):
     worst = max(abs(_eval_c(h_c, p[0], p[1]) - t) for p in points)
     if not worst <= TRACE_TOL * (1.0 + abs(t)):  # a NaN in the document fails too
         raise NumericalFailure(f"imported samples leave the level curve by {worst:.3e}")
-    return Cycle(t=t, points=points, closure_error=0.0, hamiltonian=H, mode="imported")
+    chain = np.array(points)
+    longest = float(np.linalg.norm(np.diff(chain, axis=0), axis=1).max())
+    wrap = float(np.linalg.norm(chain[0] - chain[-1]))
+    gap = max(0.0, wrap - longest)
+    if gap > OPEN_TOL * longest:
+        raise ValueError(f"the cycle document is an open path: the step from the last sample back to the "
+                         f"first is {wrap:.3e}, the longest step between samples {longest:.3e}")
+    return Cycle(t=t, points=points, closure_error=gap, hamiltonian=H, mode="imported")

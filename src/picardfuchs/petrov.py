@@ -15,9 +15,21 @@ which meets the degree bounds above.  The columns of slice d are
 d(H^k omega_i) for (n+1)k + deg omega_i = d+2 (top slice a nonzero multiple
 of Hhat^k m_i), then dg^dH for the monomials g of degree d-n+1 >= 1 (top
 slice dg^dHhat).  Every slice is solvable by the graded freeness of the
-Petrov module of Hhat (Gavrilov, Bull. Sci. Math. 1998).  The p-columns
-are cleared of denominators; the g-columns a x^(a-1) y^b H_y - b x^a y^(b-1) H_x
-are the integer gradient of H with its exponents shifted, scaled by a and b.
+Petrov module of Hhat (Gavrilov, Bull. Sci. Math. 1998).
+
+The p-columns have a closed form.  With omega_i = m_i (x dy - y dx)/deg_i
+for m_i = x^a y^b, deg_i = a+b+2, and any polynomial F,
+
+    d(F omega_i) = m_i (deg_i F + E(F)) / deg_i dx^dy,   E(F) = x F_x + y F_y,
+
+since d(F x m_i dy) = (x F_x m_i + (a+1) F m_i) dx^dy and
+d(-F y m_i dx) = (y F_y m_i + (b+1) F m_i) dx^dy.  E is a derivation, so for
+F = H^k this is m_i H^(k-1) (H + k E(H)/deg_i).  E multiplies the degree-j
+part of a polynomial by j, so with the integer h = s*H the column is h^k
+with its degree-j part scaled by deg_i + j, shifted by m_i, over deg_i s^k:
+integer terms from the powers h^k, built once per call.  The g-columns
+a x^(a-1) y^b H_y - b x^a y^(b-1) H_x are the integer gradient of H with
+its exponents shifted, scaled by a and b.
 
 The c-columns are checked unique in every slice, and that makes the p_i
 unique: if sum c_ik d(H^k omega_i) = dg^dH with the largest nonzero c_ik in
@@ -26,12 +38,18 @@ part of g has dg_top^dHhat = 0, so g_top = lambda*Hhat^j as Hhat is
 squarefree, and g - lambda*H^j has the same dg^dH); then the degree-d
 slices are a nullspace vector of slice d with a nonzero c-part.
 
-The remaining closed defect is integrated in closed form (radial homotopy)
-to produce f, so the certificate identity holds exactly as 1-forms.
+The remaining defect omega - sum c_ik H^k omega_i - g dH is closed, and f
+is its radial primitive (closed_primitive), which depends on a 1-form P dx +
+Q dy only through its radial contraction x P + y Q.  That of every
+F omega_i is F m_i (x*x - y*y)/deg_i = 0, so f = closed_primitive(omega -
+g dH) needs no sum over the basis.  The certificate identity
+omega - g dH - df = sum c_ik H^k omega_i is then checked exactly, over one
+common denominator on shifts of the integer powers h^k.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .bipoly import BiPoly
 from .errors import InternalRankError, NoSolutionError
@@ -54,22 +72,18 @@ class PetrovDecomposition:
 
 def petrov_decompose(omega, basis):
     """Decompose a polynomial 1-form over the Petrov-module basis, exactly."""
-    mu, n, H = basis.mu, basis.n, basis.H
-    hx, hy, s = integer_gradient(H)
+    mu, n = basis.mu, basis.n
+    h, s = integer_terms(basis.H)
+    hx, hy, _ = integer_gradient(basis.H)
     degrees = basis.form_degrees()
-    powers = [BiPoly.constant(1)]
-    forms = {}      # (i, k) -> H^k omega_i
+    powers = [{(0, 0): 1}]      # h^k
 
     def slice_columns(d):
         p_labels = [(i, (d + 2 - deg) // (n + 1)) for i, deg in enumerate(degrees)
                     if deg <= d + 2 and (d + 2 - deg) % (n + 1) == 0]
-        for i, k in p_labels:
-            while len(powers) <= k:
-                powers.append(powers[-1] * H)
-            forms[i, k] = basis.primitives[i].multiply(powers[k])
         e = d - n + 1
         g_monos = [(a, e - a) for a in range(e, -1, -1) if e > 0]
-        columns = [integer_terms(exterior_derivative(forms[label])) for label in p_labels]
+        columns = [_p_column(basis.monomials[i], k, powers, h, s) for i, k in p_labels]
         columns += [(_dg_wedge_dH(a, b, hx, hy), s) for a, b in g_monos]
         return len(p_labels), [("p", label) for label in p_labels] + [("g", m) for m in g_monos], columns
 
@@ -77,17 +91,59 @@ def petrov_decompose(omega, basis):
     p_values = {key: v for (kind, key), v in values.items() if kind == "p"}
     coeff_polys = tuple(UniPoly([p_values.get((i, k), 0) for k in range(len(powers))]) for i in range(mu))
     witness_g = BiPoly({m: v for (kind, m), v in values.items() if kind == "g"})
-    assembled = OneForm.zero()
-    for key, value in p_values.items():
-        assembled = assembled + forms[key].scale(value)
 
-    # the remaining defect is closed; integrate it radially to get f
-    defect = omega - assembled - differential_coefficient(witness_g, H)
-    witness_f = closed_primitive(defect)
-    if differential(witness_f) != defect:
+    # every H^k omega_i has zero radial contraction, so f integrates omega - g dH
+    g, sg = integer_terms(witness_g)
+    rest = OneForm(omega.P - _over(_times(g, hx), sg * s), omega.Q - _over(_times(g, hy), sg * s))
+    witness_f = closed_primitive(rest)
+    if not _is_radial_combination(rest - differential(witness_f), p_values, basis.monomials, powers, s):
         raise InternalRankError("closed defect failed to integrate; basis invalid")
 
     return PetrovDecomposition(coeff_polys, witness_g, witness_f)
+
+
+def _p_column(monomial, k, powers, h, s):
+    """d(H^k omega_i) as (integer terms, denominator), from h^k = (s H)^k.
+
+    The terms are m_i (deg_i h^k + E(h^k)): h^k with its degree-j part times
+    deg_i + j, shifted by m_i; the denominator is deg_i s^k.
+    """
+    while len(powers) <= k:
+        powers.append(_times(powers[-1], h))
+    a, b = monomial
+    deg = a + b + 2
+    return {(x + a, y + b): (deg + x + y) * c for (x, y), c in powers[k].items()}, deg * s**k
+
+
+def _is_radial_combination(nu, p_values, monomials, powers, s):
+    """Whether nu = sum_(i,k) p_values[i, k] H^k omega_i, over one common denominator.
+
+    The sum is S (x dy - y dx) with S = sum p_ik h^k m_i / (deg_i s^k).
+    """
+    weights = {(i, k): v / ((sum(monomials[i]) + 2) * s**k) for (i, k), v in p_values.items()}
+    common = lcm(*(w.denominator for w in weights.values()))
+    total = {}
+    for (i, k), w in weights.items():
+        for e, c in shifted(powers[k], *monomials[i], w.numerator * (common // w.denominator)).items():
+            total[e] = total.get(e, 0) + c
+    total = {e: c for e, c in total.items() if c}
+    return ({e: c * common for e, c in nu.P.terms.items()} == shifted(total, 0, 1, -1)
+            and {e: c * common for e, c in nu.Q.terms.items()} == shifted(total, 1, 0))
+
+
+def _times(p, q):
+    """Product of two polynomials given as integer terms."""
+    out = {}
+    for (a1, b1), c1 in p.items():
+        for (a2, b2), c2 in q.items():
+            e = (a1 + a2, b1 + b2)
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _over(terms, denom):
+    """The BiPoly terms / denom."""
+    return BiPoly({e: Fraction(c, denom) for e, c in terms.items()})
 
 
 def _dg_wedge_dH(a, b, hx, hy):

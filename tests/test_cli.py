@@ -346,6 +346,11 @@ def test_file_errors_exit_2_with_a_reason(tmp_path, capsys):
          "ValueError", "has 0 samples"),
         ([*periods, "--cycle", document("short.json", {"t": [1.0, 0.0], "samples": [sample] * 8})],
          "ValueError", "has 8 samples; the quadrature needs at least 9"),
+        # 33 samples on the upper half of the unit circle: the path does not close
+        ([*periods, "--cycle", document("half.json", {"t": [1.0, 0.0], "samples": [
+            {"x": [math.cos(math.pi * k / 32), 0.0], "y": [math.sin(math.pi * k / 32), 0.0]}
+            for k in range(33)]})],
+         "ValueError", "the cycle document is an open path"),
         ([*periods, "--cycle", document("nan.json", {"t": [1.0, 0.0], "samples":
                                                     [{"x": [math.nan, 0.0], "y": [0.0, 0.0]}] * 16})],
          "NumericalFailure", "leave the level curve by nan"),
@@ -413,8 +418,9 @@ def test_system_command_does_not_import_scipy():
 
 
 def _saddle_cycle(path):
-    """A t = 0 cycle file for x^2 - y^2 whose samples run along y = x through the saddle."""
-    samples = [{"x": [s, 0.0], "y": [s, 0.0]} for s in (k / 8 - 1 for k in range(17))]
+    """A t = 0 cycle file for x^2 - y^2 whose samples run along y = x through the saddle and back."""
+    line = [k / 8 - 1 for k in range(17)]
+    samples = [{"x": [s, 0.0], "y": [s, 0.0]} for s in line + line[-2:0:-1]]
     path.write_text(json.dumps({"t": [0.0, 0.0], "samples": samples}))
     return str(path)
 

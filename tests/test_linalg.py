@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 from picardfuchs.bipoly import BiPoly, X, Y
-from picardfuchs.errors import DegenerateResultantError
+from picardfuchs.errors import DegenerateResultantError, InternalRankError
 from picardfuchs.linalg import (
     RatMatrix,
+    _back_substitute,
     char_poly,
     determinant,
     min_poly,
@@ -21,13 +22,18 @@ from picardfuchs.unipoly import UniPoly
 from tests.conftest import random_regular_hamiltonian, to_sympy
 
 
+def _fractions(solution):
+    nums, den = solution
+    return [Fraction(v, den) for v in nums]
+
+
 def test_exact_solve_examples():
     eye = RatMatrix.identity(3)
-    assert solve_with_nullspace(eye.entries, [1, 2, 3])[0] == [1, 2, 3]
+    assert _fractions(solve_with_nullspace(eye.entries, [1, 2, 3])[0]) == [1, 2, 3]
     # inconsistent: no solution and no nullspace
     assert solve_with_nullspace(RatMatrix([[1, 1], [2, 2]]).entries, [1, 3]) == (None, [])
     solution, _ = solve_with_nullspace(RatMatrix([[2, 0], [0, 4]]).entries, [1, 1])
-    assert solution == [Fraction(1, 2), Fraction(1, 4)]
+    assert _fractions(solution) == [Fraction(1, 2), Fraction(1, 4)]
 
 
 def test_pivot_columns_are_the_leftmost_column_basis():
@@ -40,7 +46,7 @@ def test_pivot_columns_are_the_leftmost_column_basis():
 def test_exact_solve_underdetermined_deterministic():
     # leftmost pivot, free variables zero: x + y = 1 picks x = 1, y = 0
     solution, _ = solve_with_nullspace(RatMatrix([[1, 1]]).entries, [1])
-    assert solution == [1, 0]
+    assert _fractions(solution) == [1, 0]
 
 
 def test_exact_solve_substitutes_back(rng):
@@ -51,18 +57,49 @@ def test_exact_solve_substitutes_back(rng):
         x = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(cols)]
         rhs = m.matvec(x)
         solution, _ = solve_with_nullspace(m.entries, rhs)
-        assert m.matvec(solution) == rhs
+        assert m.matvec(_fractions(solution)) == rhs
 
 
 def test_nullspace_members_annihilate(rng):
     for _ in range(10):
         m_rows = [[Fraction(rng.randint(-4, 4)) for _ in range(6)] for _ in range(3)]
         solution, null_basis = solve_with_nullspace(m_rows, [Fraction(0)] * 3, want_nullspace=True)
-        assert solution == [0] * 6
+        assert _fractions(solution) == [0] * 6
         assert len(null_basis) >= 3
         m = RatMatrix(m_rows)
         for vec in null_basis:
             assert m.matvec(vec) == [0, 0, 0]
+
+
+def test_integer_back_substitution_against_matvec(rng):
+    for _ in range(40):
+        rows, cols, rank = rng.randint(1, 6), rng.randint(1, 6), rng.randint(0, 4)
+        left = [[rng.randint(-4, 4) for _ in range(rank)] for _ in range(rows)]
+        right = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rank)]
+        int_rows = [[sum(l * r[j] for l, r in zip(row, right)) for j in range(cols)] for row in left]
+        m = RatMatrix(int_rows)
+        rhs = [int(v) for v in m.matvec([rng.randint(-5, 5) for _ in range(cols)])]
+        solution, null_basis = solve_with_nullspace(int_rows, rhs, want_nullspace=True)
+        nums, den = solution
+        assert den > 0 and all(type(v) is int for v in nums + [den])
+        assert m.matvec(_fractions(solution)) == rhs
+        assert len(null_basis) == cols - len(pivot_columns(int_rows))
+        for vec in null_basis:
+            assert all(type(v) is int for v in vec)
+            assert m.matvec(vec) == [0] * rows
+    # the last Bareiss pivot is -3; the denominator is positive
+    assert solve_with_nullspace([[1, 0], [0, -3]], [1, 1]) == (([3, -1], 3), [])
+    assert solve_with_nullspace([[0, 0], [0, 0]], [0, 0], want_nullspace=True) == (([0, 0], 1), [[1, 0], [0, 1]])
+    assert solve_with_nullspace([[0, 0], [0, 0]], [0, 1]) == (None, [])
+    assert solve_with_nullspace([[1, 2], [2, 4]], [1, 1], want_nullspace=True) == (None, [])
+    # free variables zero: x + y = 1 gives (1, 0)
+    assert solve_with_nullspace([[1, 1]], [1], want_nullspace=True) == (([1, 0], 1), [[-1, 1]])
+
+
+def test_back_substitution_rejects_an_inexact_division():
+    # not a Bareiss echelon form: 2 x + 3 y = 1, 2 y = 1 has x = -1/4, not a multiple of 1/2
+    with pytest.raises(InternalRankError):
+        _back_substitute([[2, 3, 1], [0, 2, 1]], [(0, 0), (1, 1)], 2, 2)
 
 
 def test_char_and_min_poly_examples():

@@ -250,3 +250,13 @@ def test_cycle_json_round_trip(cubic_system):
     s1 = system_residual(cubic_system, cycle)
     s2 = system_residual(cubic_system, rebuilt)
     assert abs(s1.I[0] - s2.I[0]) < 1e-12
+
+
+def test_cycle_json_measures_the_wrap_around_step():
+    cycle = trace_cycle(CUBIC, -0.5, (1.0, 1.0))
+    doc = cycle_to_json(cycle)
+    assert cycle_from_json(doc, CUBIC).closure_error < 1e-9
+    # without its last two samples the chain's wrap-around step is three steps long
+    doc["samples"] = doc["samples"][:-2]
+    with pytest.raises(ValueError, match="open path"):
+        cycle_from_json(doc, CUBIC)

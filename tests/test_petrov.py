@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from picardfuchs.bipoly import BiPoly, X, Y
 from picardfuchs.errors import InternalRankError, NoSolutionError
-from picardfuchs.forms import OneForm, canonical_primitive, differential
-from picardfuchs.milnor import MilnorBasis, monomial_basis, reduce_mod_gradient
+from picardfuchs.forms import OneForm, canonical_primitive, differential, exterior_derivative
+from picardfuchs.milnor import MilnorBasis, integer_terms, monomial_basis, reduce_mod_gradient
 from picardfuchs.petrov import (
+    _p_column,
     closed_primitive,
     differential_coefficient,
     petrov_decompose,
@@ -129,6 +130,22 @@ def test_linearity_on_coefficients(rng):
         assert dc.coeff_polys[j] == expected
 
 
+def test_closed_form_columns_match_bipoly_arithmetic():
+    # grid bases, the greedy basis of x^3 + 3xy^2 + y, the derogatory x^4 + y^4 and a rational H
+    hamiltonians = [X**3 + Y**3 - 3 * X * Y, X**3 + 3 * X * Y**2 + Y, X**4 + Y**4, QUINTIC,
+                    Fraction(2, 3) * X**4 - Fraction(5, 7) * Y**4 + Fraction(1, 2) * X * Y - 3 * Y]
+    for H in hamiltonians:
+        basis = monomial_basis(H)
+        h, s = integer_terms(H)
+        powers = [{(0, 0): 1}]
+        for i, monomial in enumerate(basis.monomials):
+            for k in range(4):
+                terms, den = _p_column(monomial, k, powers, h, s)
+                expected = exterior_derivative(basis.primitives[i].multiply(H**k))
+                assert BiPoly({e: Fraction(c, den) for e, c in terms.items()}) == expected, (H, i, k)
+    assert (1, 1) not in monomial_basis(hamiltonians[1]).monomials
+
+
 def test_closed_primitive_formula(rng):
     for _ in range(10):
         f = random_bipoly(rng, 6)
@@ -150,6 +167,22 @@ def test_invalid_basis_fails_in_the_peel():
         petrov_decompose(basis.primitives[monos.index((2, 0))], basis)
     with pytest.raises(NoSolutionError):
         petrov_decompose(OneForm(BiPoly.zero(), X**2 * Y), basis)
+
+
+def test_certificate_check_catches_a_wrong_coefficient(monkeypatch):
+    import picardfuchs.petrov as petrov
+
+    basis = monomial_basis(X**3 + Y**3 - 3 * X * Y)
+    peel = petrov.peel_top_slices
+    for label in (("p", (0, 1)), ("g", (1, 0))):
+        def tampered(*args, label=label):
+            values = peel(*args)
+            values[label] = values.get(label, 0) + 1
+            return values
+
+        monkeypatch.setattr(petrov, "peel_top_slices", tampered)
+        with pytest.raises(InternalRankError, match="closed defect"):
+            petrov_decompose(basis.primitives[0].multiply(basis.H), basis)
 
 
 @settings(max_examples=25, deadline=None, database=None)
