@@ -14,6 +14,7 @@ degree the x-heavy monomial comes first (x^2 > x*y > y^2).
 """
 
 from fractions import Fraction
+from math import lcm
 
 NEG_INFINITY = float("-inf")
 
@@ -25,6 +26,12 @@ def _frac(value):
     if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
+
+
+def integer_terms(poly):
+    """(terms, denominator): poly = terms / denominator, integer terms, positive denominator."""
+    denom = lcm(*(c.denominator for c in poly.terms.values()))
+    return {e: c.numerator * (denom // c.denominator) for e, c in poly.terms.items()}, denom
 
 
 def grlex_key(exponents):

@@ -18,16 +18,19 @@ divides exactly.
 
 On top of the core sit: pivot columns (rank and greedy column bases),
 solve_with_nullspace (a particular solution, None when inconsistent, and the
-kernel), exact determinants, Sylvester resultants in y via
-evaluation/interpolation, and the minimal and characteristic polynomials,
-built from row annihilators: one core pass over the Krylov columns e_i M^k,
-k <= n (Wiedemann, IEEE Trans. IT 1986), O(n^3) operations each.
+kernel), exact determinants, Sylvester resultants in y over Z (integer
+Sylvester matrices at the integer nodes 0..bound, one Bareiss pivot each,
+interpolated once over the scale s_p^dq s_q^dp that clearing the rows of p
+and q multiplies the determinant by), and the minimal and characteristic
+polynomials, built from row annihilators: one core pass over the Krylov
+columns e_i M^k, k <= n (Wiedemann, IEEE Trans. IT 1986), O(n^3) operations
+each.
 """
 
 from fractions import Fraction
 from math import lcm, prod
 
-from .bipoly import BiPoly, _frac
+from .bipoly import BiPoly, _frac, integer_terms
 from .errors import DegenerateResultantError, InternalRankError
 from .unipoly import UniPoly, lagrange_interpolate
 
@@ -236,13 +239,15 @@ def determinant(matrix):
     """Exact determinant: the last Bareiss pivot over the row scalings."""
     if not matrix.is_square():
         raise ValueError("determinant needs a square matrix")
-    n = matrix.rows
     scale = prod(lcm(*(v.denominator for v in row)) for row in matrix.entries)
-    int_rows = _integer_rows(matrix.entries)
+    return Fraction(_integer_determinant(_integer_rows(matrix.entries)), scale)
+
+
+def _integer_determinant(int_rows):
+    """Determinant of a square integer matrix (rows reduced in place): the last Bareiss pivot."""
+    n = len(int_rows)
     pivots, sign = _bareiss_echelon(int_rows, n)
-    if len(pivots) < n:
-        return Fraction(0)
-    return Fraction(sign * int_rows[n - 1][n - 1], scale)
+    return sign * int_rows[n - 1][n - 1] if len(pivots) == n else 0
 
 
 # -- spectra -----------------------------------------------------------------
@@ -349,9 +354,13 @@ def pencil_determinant(b0, b1):
 def resultant(p, q):
     """Sylvester resultant Res_y(p, q) of two BiPolys, a BiPoly in x alone.
 
-    Computed by evaluating the coefficient polynomials of the fixed-structure
-    Sylvester matrix at enough rational points and interpolating the
-    determinant, which commutes with entrywise evaluation.
+    p and q are cleared to integer terms over s_p and s_q.  At each integer
+    node x0 = 0..bound the Sylvester matrix of the integer polynomials is an
+    integer matrix (Horner on the y-coefficients) with a Bareiss determinant.
+    Its dq p-rows are s_p times, and its dp q-rows s_q times, those of the
+    Sylvester matrix of p and q, so it is s_p^dq s_q^dp Res_y(p, q)(x0).  The
+    determinant commutes with evaluation, so interpolating the values over
+    that scale gives the resultant.
     """
     if p.is_zero() or q.is_zero():
         raise ValueError("resultant arguments must be nonzero")
@@ -363,35 +372,34 @@ def resultant(p, q):
         return p**dq
     if dq == 0:
         return q**dp
-    # coefficient-of-y^k extraction as polynomials in x
-    p_coeffs = _y_coefficient_polys(p, dp)
-    q_coeffs = _y_coefficient_polys(q, dq)
-    degx_p = max((e[0] for e in p.terms), default=0)
-    degx_q = max((e[0] for e in q.terms), default=0)
-    bound = dq * degx_p + dp * degx_q
-    interp = lagrange_interpolate([
-        (Fraction(k), determinant(_sylvester_at(p_coeffs, q_coeffs, dp, dq, Fraction(k))))
-        for k in range(bound + 1)
-    ])
+    p_coeffs, sp = _integer_y_coefficients(p, dp)
+    q_coeffs, sq = _integer_y_coefficients(q, dq)
+    bound = dq * (len(p_coeffs[0]) - 1) + dp * (len(q_coeffs[0]) - 1)
+    scale = sp**dq * sq**dp
+    values = []
+    for x0 in range(bound + 1):
+        rows = []
+        for coeffs, shifts in ((p_coeffs, dq), (q_coeffs, dp)):
+            # descending powers of y, p rows first
+            vals = [_horner(c, x0) for c in reversed(coeffs)]
+            rows += [[0] * k + vals + [0] * (shifts - 1 - k) for k in range(shifts)]
+        values.append((x0, Fraction(_integer_determinant(rows), scale)))
+    interp = lagrange_interpolate(values)
     return BiPoly({(k, 0): c for k, c in enumerate(interp.coeffs)})
 
 
-def _y_coefficient_polys(p, dy):
-    coeffs = [dict() for _ in range(dy + 1)]
-    for (a, b), c in p.terms.items():
-        coeffs[b][(a, 0)] = c
-    return [BiPoly(c) for c in coeffs]
+def _integer_y_coefficients(p, dy):
+    """(coeffs, s): p = sum_k y^k coeffs[k](x) / s, each coeffs[k] integers ascending in x, s > 0."""
+    terms, s = integer_terms(p)
+    coeffs = [[0] * (max(a for a, _ in terms) + 1) for _ in range(dy + 1)]
+    for (a, b), c in terms.items():
+        coeffs[b][a] = c
+    return coeffs, s
 
 
-def _sylvester_at(p_coeffs, q_coeffs, dp, dq, x0):
-    """Sylvester matrix (p rows first) with entries evaluated at x = x0."""
-    size = dp + dq
-    p_vals = [c.eval_at(x0, Fraction(0)) for c in p_coeffs]
-    q_vals = [c.eval_at(x0, Fraction(0)) for c in q_coeffs]
-    rows = []
-    for vals, shifts in ((p_vals, dq), (q_vals, dp)):
-        for shift in range(shifts):
-            row = [Fraction(0)] * size
-            row[shift:shift + len(vals)] = reversed(vals)
-            rows.append(row)
-    return RatMatrix(rows)
+def _horner(coeffs, x0):
+    """The integer polynomial with ascending coefficients coeffs at x0."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x0 + c
+    return acc

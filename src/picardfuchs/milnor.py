@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .bipoly import BiPoly, grlex_key
+from .bipoly import BiPoly, grlex_key, integer_terms
 from .errors import DegreeTooSmallError, InternalRankError, NotRegularError
 from .forms import OneForm, canonical_primitive
 from .linalg import RatMatrix, pivot_columns, solve_with_nullspace
@@ -143,12 +143,6 @@ def _complement(hx, hy, n, d, candidates):
     return [candidates[c - len(ideal)] for c in pivots if c >= len(ideal)], len(pivots)
 
 
-def integer_terms(poly):
-    """(terms, denominator): poly = terms / denominator, integer terms, positive denominator."""
-    denom = lcm(*(c.denominator for c in poly.terms.values()))
-    return {e: c.numerator * (denom // c.denominator) for e, c in poly.terms.items()}, denom
-
-
 def integer_gradient(H):
     """(hx, hy, s): integer terms with H_x = hx / s and H_y = hy / s."""
     h, s = integer_terms(H)
@@ -184,9 +178,11 @@ def _slice_rows(columns, d):
 def peel_top_slices(target, slice_columns, inconsistent):
     """Write target = sum_j v_j * column_j exactly, one top homogeneous slice at a time.
 
-    ``slice_columns(d)`` returns ``(unique, labels, columns)``: the polynomials
-    of degree d whose degree-d slices may cancel a top slice of degree d, of
-    which the first ``unique`` must have uniquely determined values.  A column
+    ``target`` is a pair (terms, denom) of integer terms and a positive
+    integer, standing for terms / denom.  ``slice_columns(d)`` returns
+    ``(unique, labels, columns)``: the polynomials of degree d whose degree-d
+    slices may cancel a top slice of degree d, of which the first ``unique``
+    must have uniquely determined values.  A column
     is a pair (terms, s) of integer terms and a positive integer s, standing
     for terms / s.  The remainder is integer numerators W over one positive
     denominator D.  Each round solves the d+1 integer equations
@@ -198,7 +194,7 @@ def peel_top_slices(target, slice_columns, inconsistent):
     columns and InternalRankError when the first group is not unique.
     Returns {label: Fraction value} over nonzero values.
     """
-    work, denom = integer_terms(target)
+    work, denom = dict(target[0]), target[1]
     values = {}
     previous = float("inf")
     while work:
@@ -262,7 +258,7 @@ def reduce_mod_gradient(P, basis):
         monos = [({basis.monomials[i]: 1}, 1) for i in own]
         return len(own), [("c", i) for i in own] + labels, monos + [(col, s) for col in ideal]
 
-    values = peel_top_slices(P, slice_columns, InternalRankError)
+    values = peel_top_slices(integer_terms(P), slice_columns, InternalRankError)
     return GradientReduction(
         tuple(values.get(("c", i), Fraction(0)) for i in range(basis.mu)),
         quotA=BiPoly({m: v for (kind, m), v in values.items() if kind == "A"}),

@@ -38,12 +38,24 @@ part of g has dg_top^dHhat = 0, so g_top = lambda*Hhat^j as Hhat is
 squarefree, and g - lambda*H^j has the same dg^dH); then the degree-d
 slices are a nullspace vector of slice d with a nonzero c-part.
 
+The input is cleared once: omega = (P dx + Q dy)/s_omega with integer terms
+P, Q, and d omega = (Q_x - P_y)/s_omega is the peel's integer target.
+
 The remaining defect omega - sum c_ik H^k omega_i - g dH is closed, and f
-is its radial primitive (closed_primitive), which depends on a 1-form P dx +
-Q dy only through its radial contraction x P + y Q.  That of every
-F omega_i is F m_i (x*x - y*y)/deg_i = 0, so f = closed_primitive(omega -
-g dH) needs no sum over the basis.  The certificate identity
-omega - g dH - df = sum c_ik H^k omega_i is then checked exactly, over one
+is its radial primitive, which depends on a closed form P dx + Q dy only
+through its radial contraction x P + y Q:
+
+    f = sum_(a+b>=1) (P[a-1,b] + Q[a,b-1]) / (a+b) x^a y^b,
+
+since E(f) = x P + y Q by construction, closedness gives
+(x P + y Q)_x = P + E(P), so 1 + E (degree j times j+1) kills f_x - P, and
+likewise f_y - Q.  The radial contraction of every F omega_i is
+F m_i (y*x - x*y)/deg_i = 0, so f is the primitive of rest = omega - g dH
+and needs no sum over the basis.  With g = g_int/s_g, rest is integer terms
+over R = lcm(s_omega, s_g*s), g dH taken from the integer products g_int*hx
+and g_int*hy, and f is integer numerators over (a+b) R, a Fraction BiPoly
+only on return.  The certificate identity omega - g dH - df =
+sum c_ik H^k omega_i is then checked exactly on integer terms, over one
 common denominator on shifts of the integer powers h^k.
 """
 
@@ -51,10 +63,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .bipoly import BiPoly
+from .bipoly import BiPoly, integer_terms
 from .errors import InternalRankError, NoSolutionError
-from .forms import OneForm, differential, exterior_derivative
-from .milnor import integer_gradient, integer_terms, peel_top_slices, shifted
+from .forms import OneForm
+from .milnor import integer_gradient, peel_top_slices, shifted
 from .unipoly import UniPoly
 
 
@@ -87,19 +99,38 @@ def petrov_decompose(omega, basis):
         columns += [(_dg_wedge_dH(a, b, hx, hy), s) for a, b in g_monos]
         return len(p_labels), [("p", label) for label in p_labels] + [("g", m) for m in g_monos], columns
 
-    values = peel_top_slices(exterior_derivative(omega), slice_columns, NoSolutionError)
+    P, Q, s_omega = _integer_one_form(omega)
+    d_omega = _combine({(a - 1, b): a * c for (a, b), c in Q.items() if a}, 1,
+                       {(a, b - 1): b * c for (a, b), c in P.items() if b}, -1)
+    values = peel_top_slices((d_omega, s_omega), slice_columns, NoSolutionError)
     p_values = {key: v for (kind, key), v in values.items() if kind == "p"}
     coeff_polys = tuple(UniPoly([p_values.get((i, k), 0) for k in range(len(powers))]) for i in range(mu))
     witness_g = BiPoly({m: v for (kind, m), v in values.items() if kind == "g"})
 
-    # every H^k omega_i has zero radial contraction, so f integrates omega - g dH
+    # every H^k omega_i has zero radial contraction, so f integrates rest = omega - g dH
     g, sg = integer_terms(witness_g)
-    rest = OneForm(omega.P - _over(_times(g, hx), sg * s), omega.Q - _over(_times(g, hy), sg * s))
-    witness_f = closed_primitive(rest)
-    if not _is_radial_combination(rest - differential(witness_f), p_values, basis.monomials, powers, s):
+    R = lcm(s_omega, sg * s)
+    rest_P = _combine(P, R // s_omega, _times(g, hx), -(R // (sg * s)))
+    rest_Q = _combine(Q, R // s_omega, _times(g, hy), -(R // (sg * s)))
+    f = _combine(shifted(rest_P, 1, 0), 1, shifted(rest_Q, 0, 1), 1)
+    witness_f = BiPoly({(a, b): Fraction(c, (a + b) * R) for (a, b), c in f.items()})
+
+    # rest - df over R*L, with df = f_x dx + f_y dy and f over (a+b) R
+    L = lcm(*(a + b for a, b in f))
+    nu_P = _combine(rest_P, L, {(a - 1, b): a * c * (L // (a + b)) for (a, b), c in f.items() if a}, -1)
+    nu_Q = _combine(rest_Q, L, {(a, b - 1): b * c * (L // (a + b)) for (a, b), c in f.items() if b}, -1)
+    if not _is_radial_combination(nu_P, nu_Q, R * L, p_values, basis.monomials, powers, s):
         raise InternalRankError("closed defect failed to integrate; basis invalid")
 
     return PetrovDecomposition(coeff_polys, witness_g, witness_f)
+
+
+def _integer_one_form(omega):
+    """(P, Q, denom): omega = (P dx + Q dy) / denom with integer terms P, Q, denom > 0."""
+    p, sp = integer_terms(omega.P)
+    q, sq = integer_terms(omega.Q)
+    denom = lcm(sp, sq)
+    return shifted(p, 0, 0, denom // sp), shifted(q, 0, 0, denom // sq), denom
 
 
 def _p_column(monomial, k, powers, h, s):
@@ -115,10 +146,11 @@ def _p_column(monomial, k, powers, h, s):
     return {(x + a, y + b): (deg + x + y) * c for (x, y), c in powers[k].items()}, deg * s**k
 
 
-def _is_radial_combination(nu, p_values, monomials, powers, s):
-    """Whether nu = sum_(i,k) p_values[i, k] H^k omega_i, over one common denominator.
+def _is_radial_combination(nu_P, nu_Q, denom, p_values, monomials, powers, s):
+    """Whether (nu_P dx + nu_Q dy) / denom = sum_(i,k) p_values[i, k] H^k omega_i, on integer terms.
 
-    The sum is S (x dy - y dx) with S = sum p_ik h^k m_i / (deg_i s^k).
+    The sum is S (x dy - y dx) with S = sum p_ik h^k m_i / (deg_i s^k), the
+    integer terms total over the common denominator of its weights.
     """
     weights = {(i, k): v / ((sum(monomials[i]) + 2) * s**k) for (i, k), v in p_values.items()}
     common = lcm(*(w.denominator for w in weights.values()))
@@ -127,8 +159,8 @@ def _is_radial_combination(nu, p_values, monomials, powers, s):
         for e, c in shifted(powers[k], *monomials[i], w.numerator * (common // w.denominator)).items():
             total[e] = total.get(e, 0) + c
     total = {e: c for e, c in total.items() if c}
-    return ({e: c * common for e, c in nu.P.terms.items()} == shifted(total, 0, 1, -1)
-            and {e: c * common for e, c in nu.Q.terms.items()} == shifted(total, 1, 0))
+    return (shifted(nu_P, 0, 0, common) == shifted(total, 0, 1, -denom)
+            and shifted(nu_Q, 0, 0, common) == shifted(total, 1, 0, denom))
 
 
 def _times(p, q):
@@ -141,9 +173,12 @@ def _times(p, q):
     return {e: c for e, c in out.items() if c}
 
 
-def _over(terms, denom):
-    """The BiPoly terms / denom."""
-    return BiPoly({e: Fraction(c, denom) for e, c in terms.items()})
+def _combine(p, a, q, b):
+    """The integer terms a*p + b*q."""
+    out = {e: a * c for e, c in p.items()}
+    for e, c in q.items():
+        out[e] = out.get(e, 0) + b * c
+    return {e: c for e, c in out.items() if c}
 
 
 def _dg_wedge_dH(a, b, hx, hy):
@@ -157,19 +192,3 @@ def _dg_wedge_dH(a, b, hx, hy):
 def differential_coefficient(g, H):
     """The 1-form g*dH."""
     return OneForm(g * H.partial("x"), g * H.partial("y"))
-
-
-def closed_primitive(nu):
-    """Exact polynomial primitive of a closed 1-form (radial homotopy formula).
-
-    For nu = P dx + Q dy closed, f = int_0^1 [x P(sx,sy) + y Q(sx,sy)] ds
-    termwise; d f = nu whenever nu is closed.
-    """
-    terms = {}
-    for (a, b), c in nu.P.terms.items():
-        e = (a + 1, b)
-        terms[e] = terms.get(e, Fraction(0)) + c / (a + b + 1)
-    for (a, b), c in nu.Q.terms.items():
-        e = (a, b + 1)
-        terms[e] = terms.get(e, Fraction(0)) + c / (a + b + 1)
-    return BiPoly(terms)

@@ -20,10 +20,10 @@ from math import prod
 from .bipoly import BiPoly
 from .critical import cluster, critical_points_numeric, value_clusters
 from .errors import NotRegularError
-from .forms import differential, exterior_derivative, wedge_with_dH
+from .forms import OneForm, differential, exterior_derivative
 from .linalg import RatMatrix, char_poly, min_poly, pencil_determinant
 from .milnor import check_regular_at_infinity, divide_two_form, monomial_basis
-from .petrov import differential_coefficient, petrov_decompose
+from .petrov import petrov_decompose
 from .unipoly import UniPoly, is_squarefree, roots_with_multiplicity
 
 
@@ -170,12 +170,19 @@ def validate_system(sys):
 
 
 def _check_exact_identities(sys, notes):
+    """The division and Petrov identities of every row, in BiPoly arithmetic.
+
+    H_x, H_y and the powers H^k are computed once per system.
+    """
     H = sys.H
+    Hx, Hy = H.partial("x"), H.partial("y")
+    powers = [BiPoly.constant(1)]       # H^k
     ok = True
     for i, (a, b) in enumerate(sys.basis.monomials):
         d_omega_i = BiPoly.monomial(a, b)
         lhs = H * d_omega_i
-        rhs = wedge_with_dH(H, sys.etas[i])
+        eta = sys.etas[i]
+        rhs = Hx * eta.Q - Hy * eta.P   # dH ^ eta
         for j, (aj, bj) in enumerate(sys.basis.monomials):
             if sys.A[i, j] != 0:
                 rhs = rhs + BiPoly.monomial(aj, bj, sys.A[i, j])
@@ -183,14 +190,15 @@ def _check_exact_identities(sys, notes):
             ok = False
             notes.append(f"division identity fails for row {i}")
         cert = sys.certificates[i]
-        assembled = differential_coefficient(cert.witness_g, H) + differential(cert.witness_f)
+        g = cert.witness_g
+        assembled = OneForm(g * Hx, g * Hy) + differential(cert.witness_f)
         for j, p in enumerate(cert.coeff_polys):
-            if p.is_zero():
-                continue
             for k, c in enumerate(p.coeffs):
                 if c != 0:
-                    assembled = assembled + sys.basis.primitives[j].multiply(H**k).scale(c)
-        if assembled != sys.etas[i]:
+                    while len(powers) <= k:
+                        powers.append(powers[-1] * H)
+                    assembled = assembled + sys.basis.primitives[j].multiply(c * powers[k])
+        if assembled != eta:
             ok = False
             notes.append(f"Petrov certificate fails for row {i}")
         if exterior_derivative(sys.basis.primitives[i]) != d_omega_i:

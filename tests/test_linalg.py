@@ -193,13 +193,30 @@ def test_resultant_degenerate():
 
 def test_resultant_matches_sympy(rng):
     sympy = pytest.importorskip("sympy")
+    y = sympy.Symbol("y")
+
+    def check(p, q):
+        expected = sympy.resultant(to_sympy(p, sympy), to_sympy(q, sympy), y)
+        assert sympy.expand(to_sympy(resultant(p, q), sympy) - expected) == 0, (p, q)
+
     # x*y^3 + x^4 + y: the leading y-coefficient 3x of H_y vanishes at x = 0
-    hamiltonians = [X**3 + Y**3 - 3 * X * Y, X * Y**3 + X**4 + Y]
+    cubic = X**3 + Y**3 - 3 * X * Y
+    hamiltonians = [cubic, X * Y**3 + X**4 + Y]
     hamiltonians += [random_regular_hamiltonian(rng, n) for n in (2, 3, 4, 4)]
+    # rational coefficients: divided by 7/3, and each divided by one of 1..12
+    hamiltonians += [H * Fraction(3, 7) for H in (cubic, random_regular_hamiltonian(rng, 2),
+                                                  random_regular_hamiltonian(rng, 3))]
+    hamiltonians.append(BiPoly({e: c / rng.randint(1, 12)
+                                for e, c in random_regular_hamiltonian(rng, 3).terms.items()}))
     for H in hamiltonians:
-        Hx, Hy = H.partial("x"), H.partial("y")
-        expected = sympy.resultant(to_sympy(Hx, sympy), to_sympy(Hy, sympy), sympy.Symbol("y"))
-        assert sympy.expand(to_sympy(resultant(Hx, Hy), sympy) - expected) == 0, H
+        check(H.partial("x"), H.partial("y"))
+    # dp == 0 and dq == 0 with rational coefficients
+    check(Fraction(2, 3) * X**2 + Fraction(1, 5), Fraction(3, 7) * Y**2 + Fraction(1, 2) * X)
+    check(Fraction(5, 4) * Y**3 - X * Y + Fraction(1, 6), Fraction(7, 9) * X - 2)
+    # common roots at x = 0 (y = -1) and x = 1 (y = 1): the Sylvester matrix is singular at nodes 0 and 1
+    p, q = Fraction(1, 3) * (Y - X) * (Y + 1), (Y - 2 * X + 1) * (Y**2 + Fraction(1, 2))
+    assert resultant(p, q).eval_at(0, 0) == resultant(p, q).eval_at(1, 0) == 0
+    check(p, q)
 
 
 def _derogatory_matrix(rng, sympy):

@@ -1,18 +1,21 @@
 """Petrov-module decompositions: certificates, uniqueness, degree bounds."""
 
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from picardfuchs.bipoly import BiPoly, X, Y
+from picardfuchs.bipoly import BiPoly, X, Y, integer_terms
 from picardfuchs.errors import InternalRankError, NoSolutionError
 from picardfuchs.forms import OneForm, canonical_primitive, differential, exterior_derivative
-from picardfuchs.milnor import MilnorBasis, integer_terms, monomial_basis, reduce_mod_gradient
+from picardfuchs.milnor import MilnorBasis, monomial_basis, reduce_mod_gradient
 from picardfuchs.petrov import (
+    _integer_one_form,
+    _is_radial_combination,
     _p_column,
-    closed_primitive,
+    _times,
     differential_coefficient,
     petrov_decompose,
 )
@@ -20,6 +23,10 @@ from picardfuchs.unipoly import UniPoly
 from tests.conftest import random_bipoly, random_regular_hamiltonian
 
 QUINTIC = X**5 + Y**5 + X**2 * Y**2 + X + Y
+
+# grid bases, the greedy basis of x^3 + 3xy^2 + y, the derogatory x^4 + y^4 and a rational H
+WITNESS_HAMILTONIANS = (X**3 + Y**3 - 3 * X * Y, X**3 + 3 * X * Y**2 + Y, X**4 + Y**4,
+                        Fraction(2, 3) * X**4 - Fraction(5, 7) * Y**4 + Fraction(1, 2) * X * Y - 3 * Y)
 
 
 def reassemble(dec, basis):
@@ -131,9 +138,7 @@ def test_linearity_on_coefficients(rng):
 
 
 def test_closed_form_columns_match_bipoly_arithmetic():
-    # grid bases, the greedy basis of x^3 + 3xy^2 + y, the derogatory x^4 + y^4 and a rational H
-    hamiltonians = [X**3 + Y**3 - 3 * X * Y, X**3 + 3 * X * Y**2 + Y, X**4 + Y**4, QUINTIC,
-                    Fraction(2, 3) * X**4 - Fraction(5, 7) * Y**4 + Fraction(1, 2) * X * Y - 3 * Y]
+    hamiltonians = list(WITNESS_HAMILTONIANS[:3]) + [QUINTIC, WITNESS_HAMILTONIANS[3]]
     for H in hamiltonians:
         basis = monomial_basis(H)
         h, s = integer_terms(H)
@@ -147,11 +152,34 @@ def test_closed_form_columns_match_bipoly_arithmetic():
 
 
 def test_closed_primitive_formula(rng):
+    # df is exact with g = 0 and no basis part, so witness_f is its radial primitive f - f(0, 0)
+    basis = monomial_basis(X**3 + Y**3 - 3 * X * Y)
     for _ in range(10):
-        f = random_bipoly(rng, 6)
-        nu = differential(f)
-        rebuilt = closed_primitive(nu)
-        assert differential(rebuilt) == nu
+        f = random_bipoly(rng, 6) * Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        dec = petrov_decompose(differential(f), basis)
+        assert dec.is_zero_class() and dec.witness_g.is_zero()
+        assert dec.witness_f == f - f.coefficient(0, 0)
+
+
+def test_radial_check_rejects_a_defect_off_by_one(rng):
+    H = Fraction(2, 3) * X**3 + Y**3 - Fraction(3, 5) * X * Y
+    basis = monomial_basis(H)
+    h, s = integer_terms(H)
+    powers = [{(0, 0): 1}, h, _times(h, h)]
+    # the defect omega_0 H^2 - 3 omega_1 H / 4 is the p-part alone
+    p_values = {(0, 2): Fraction(1), (1, 1): Fraction(-3, 4)}
+    omega = basis.primitives[0].multiply(H**2) + basis.primitives[1].multiply(H).scale(Fraction(-3, 4))
+    P, Q, denom = _integer_one_form(omega)
+    assert _is_radial_combination(P, Q, denom, p_values, basis.monomials, powers, s)
+    assert _is_radial_combination(P, Q, 3 * denom, p_values, basis.monomials, powers, s) is False
+    for _ in range(10):
+        which = rng.randrange(2)
+        terms = dict((P, Q)[which])
+        e = rng.choice(sorted(terms) + [(7, 7)])
+        terms[e] = terms.get(e, 0) + rng.choice((-1, 1))
+        terms = {e: c for e, c in terms.items() if c}
+        tampered = (terms, Q) if which == 0 else (P, terms)
+        assert not _is_radial_combination(*tampered, denom, p_values, basis.monomials, powers, s), e
 
 
 def test_invalid_basis_fails_in_the_peel():
@@ -213,3 +241,35 @@ def test_petrov_properties(seed, n):
     a, b = Fraction(rng.randint(-5, 5), rng.randint(1, 5)), Fraction(rng.randint(-5, 5), rng.randint(1, 5))
     combo = petrov_decompose(o1.scale(a) + o2.scale(b), basis)
     assert list(combo.coeff_polys) == [p * a + q * b for p, q in zip(d1.coeff_polys, d2.coeff_polys)]
+
+
+@functools.cache
+def _witness_basis(i):
+    return monomial_basis(WITNESS_HAMILTONIANS[i])
+
+
+def _radial_primitive(nu):
+    """int_0^1 (x P + y Q)(tx, ty) dt in BiPoly arithmetic, termwise."""
+    f = BiPoly.zero()
+    for (a, b), c in nu.P.terms.items():
+        f = f + BiPoly.monomial(a + 1, b, c / (a + b + 1))
+    for (a, b), c in nu.Q.terms.items():
+        f = f + BiPoly.monomial(a, b + 1, c / (a + b + 1))
+    return f
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), which=st.integers(0, len(WITNESS_HAMILTONIANS) - 1))
+def test_witness_f_is_the_radial_primitive_of_the_rest(seed, which):
+    rng = random.Random(seed)
+    basis = _witness_basis(which)
+
+    def rational_poly():
+        p = random_bipoly(rng, rng.randint(0, 3 * basis.n))
+        return BiPoly({e: c / rng.randint(1, 12) for e, c in p.terms.items()})
+
+    omega = OneForm(rational_poly(), rational_poly())
+    dec = petrov_decompose(omega, basis)
+    assert dec.witness_f == _radial_primitive(omega - differential_coefficient(dec.witness_g, basis.H))
+    # omega - g dH - d witness_f == sum p_ik H^k omega_i
+    assert reassemble(dec, basis) == omega
