@@ -11,6 +11,11 @@ hashable, and safe to share between threads.
 The one monomial order used across the package is graded lexicographic with x
 before y: monomials are compared by total degree first, and within the same
 degree the x-heavy monomial comes first (x^2 > x*y > y^2).
+
+The exact layers compute on integer terms, {(a, b): int} without zeros over
+one positive denominator that the caller keeps.  Their whole arithmetic is
+here: ``cleared`` (the one place denominators are cleared), ``integer_terms``,
+``shifted``, ``add_into``/``combine``, ``times`` and ``partials``.
 """
 
 from fractions import Fraction
@@ -28,10 +33,60 @@ def _frac(value):
     raise TypeError(f"not an exact rational: {value!r}")
 
 
+# -- integer terms -----------------------------------------------------------
+
+
+def cleared(values):
+    """(ints, denom): values[k] = ints[k] / denom, ints a new list, denom the positive lcm of the denominators."""
+    if set(map(type, values)) <= {int}:
+        return list(values), 1
+    denom = lcm(*(v.denominator for v in values))
+    return [v.numerator * (denom // v.denominator) for v in values], denom
+
+
 def integer_terms(poly):
     """(terms, denominator): poly = terms / denominator, integer terms, positive denominator."""
-    denom = lcm(*(c.denominator for c in poly.terms.values()))
-    return {e: c.numerator * (denom // c.denominator) for e, c in poly.terms.items()}, denom
+    ints, denom = cleared(list(poly.terms.values()))
+    return dict(zip(poly.terms, ints)), denom
+
+
+def shifted(terms, i, j, scale=1):
+    """The terms of scale * x^i y^j * terms: exponents moved, coefficients times scale."""
+    return {(a + i, b + j): scale * c for (a, b), c in terms.items()}
+
+
+def add_into(out, w, p):
+    """out += w * p in place, for integer terms; coefficients that cancel are removed."""
+    for e, c in p.items():
+        s = out.get(e, 0) + w * c
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+
+
+def combine(*weighted):
+    """The integer terms sum_k w_k * p_k of (w_k, p_k) pairs of integers and integer terms."""
+    out = {}
+    for w, p in weighted:
+        add_into(out, w, p)
+    return out
+
+
+def times(p, q):
+    """The product of two polynomials given as integer terms."""
+    out = {}
+    for (a1, b1), c1 in p.items():
+        for (a2, b2), c2 in q.items():
+            e = (a1 + a2, b1 + b2)
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def partials(terms):
+    """(d/dx, d/dy) of a polynomial given as integer terms, as integer terms."""
+    return ({(a - 1, b): a * c for (a, b), c in terms.items() if a},
+            {(a, b - 1): b * c for (a, b), c in terms.items() if b})
 
 
 def grlex_key(exponents):

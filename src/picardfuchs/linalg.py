@@ -20,19 +20,19 @@ On top of the core sit: pivot columns (rank and greedy column bases),
 solve_with_nullspace (a particular solution, None when inconsistent, and the
 kernel), exact determinants, Sylvester resultants in y over Z (integer
 Sylvester matrices at the integer nodes 0..bound, one Bareiss pivot each,
-interpolated once over the scale s_p^dq s_q^dp that clearing the rows of p
-and q multiplies the determinant by), and the minimal and characteristic
-polynomials, built from row annihilators: one core pass over the Krylov
-columns e_i M^k, k <= n (Wiedemann, IEEE Trans. IT 1986), O(n^3) operations
-each.
+interpolated over Z, then divided once by the scale s_p^dq s_q^dp that
+clearing the rows of p and q multiplies the determinant by), and the
+minimal and characteristic polynomials, built from row annihilators: one
+core pass over the Krylov columns e_i M^k, k <= n (Wiedemann, IEEE Trans.
+IT 1986), O(n^3) operations each.
 """
 
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 
-from .bipoly import BiPoly, _frac, integer_terms
+from .bipoly import BiPoly, _frac, cleared, integer_terms
 from .errors import DegenerateResultantError, InternalRankError
-from .unipoly import UniPoly, lagrange_interpolate
+from .unipoly import UniPoly, horner, lagrange_interpolate
 
 
 class RatMatrix:
@@ -115,19 +115,13 @@ class RatMatrix:
 
 
 def _integer_rows(rows):
-    """Copies of the rows as integers: an integer row as it is, a rational one times its lcm.
+    """(copies of the rows as integers, product of their positive scalings): each row times its lcm.
 
     Row scaling preserves solutions, pivots and the determinant up to the
     product of the scalings.
     """
-    out = []
-    for row in rows:
-        if all(type(v) is int for v in row):
-            out.append(list(row))
-        else:
-            denom = lcm(*(v.denominator for v in row))
-            out.append([v.numerator * (denom // v.denominator) for v in row])
-    return out
+    cleared_rows = [cleared(row) for row in rows]
+    return [ints for ints, _ in cleared_rows], prod(s for _, s in cleared_rows)
 
 
 def _bareiss_echelon(int_rows, ncols):
@@ -211,7 +205,7 @@ def pivot_columns(matrix_rows):
     Column j is a pivot exactly when it is independent of columns 0..j-1, so
     the pivots are the greedy leftmost column basis and their count is the rank.
     """
-    int_rows = _integer_rows(matrix_rows)
+    int_rows, _ = _integer_rows(matrix_rows)
     pivots, _ = _bareiss_echelon(int_rows, len(int_rows[0]))
     return [col for _, col in pivots]
 
@@ -226,7 +220,7 @@ def solve_with_nullspace(matrix_rows, rhs, want_nullspace=False):
     system), integer vectors, is returned only when requested.
     """
     ncols = len(matrix_rows[0]) if matrix_rows else 0
-    int_rows = _integer_rows([list(row) + [b] for row, b in zip(matrix_rows, rhs)])
+    int_rows, _ = _integer_rows([list(row) + [b] for row, b in zip(matrix_rows, rhs)])
     pivots, _ = _bareiss_echelon(int_rows, ncols + 1)
     if any(col == ncols for _, col in pivots):
         return None, []
@@ -239,8 +233,8 @@ def determinant(matrix):
     """Exact determinant: the last Bareiss pivot over the row scalings."""
     if not matrix.is_square():
         raise ValueError("determinant needs a square matrix")
-    scale = prod(lcm(*(v.denominator for v in row)) for row in matrix.entries)
-    return Fraction(_integer_determinant(_integer_rows(matrix.entries)), scale)
+    int_rows, scale = _integer_rows(matrix.entries)
+    return Fraction(_integer_determinant(int_rows), scale)
 
 
 def _integer_determinant(int_rows):
@@ -255,8 +249,8 @@ def _integer_determinant(int_rows):
 
 def _integer_form(matrix):
     """(integer rows, d) with matrix = rows / d for one common denominator d."""
-    denom = lcm(*(v.denominator for row in matrix.entries for v in row))
-    return [[v.numerator * (denom // v.denominator) for v in row] for row in matrix.entries], denom
+    ints, denom = cleared([v for row in matrix.entries for v in row])
+    return [ints[i:i + matrix.cols] for i in range(0, len(ints), matrix.cols)], denom
 
 
 def _row_times(vec, int_rows):
@@ -289,11 +283,11 @@ def _annihilator(vec, int_rows, denom):
 def _times_poly(vec, p, int_rows, denom):
     """A positive integer multiple of vec p(M), M = int_rows / denom (Horner)."""
     d = p.degree()
-    scale = lcm(*(c.denominator for c in p.coeffs))
+    coeffs, _ = cleared(p.coeffs)
     out = [0] * len(vec)
     for k in range(d, -1, -1):
         out = _row_times(out, int_rows)
-        c = int(p.coeffs[k] * scale) * denom ** (d - k)
+        c = coeffs[k] * denom ** (d - k)
         if c:
             out = [o + c * v for o, v in zip(out, vec)]
     return out
@@ -341,9 +335,7 @@ def pencil_determinant(b0, b1):
         raise ValueError("pencil needs two square matrices of equal size")
     n = b0.rows
     return lagrange_interpolate([
-        (Fraction(t), determinant(RatMatrix(
-            [[b0.entries[i][j] + t * b1.entries[i][j] for j in range(n)] for i in range(n)]
-        )))
+        determinant(RatMatrix([[b0.entries[i][j] + t * b1.entries[i][j] for j in range(n)] for i in range(n)]))
         for t in range(n + 1)
     ])
 
@@ -359,8 +351,9 @@ def resultant(p, q):
     integer matrix (Horner on the y-coefficients) with a Bareiss determinant.
     Its dq p-rows are s_p times, and its dp q-rows s_q times, those of the
     Sylvester matrix of p and q, so it is s_p^dq s_q^dp Res_y(p, q)(x0).  The
-    determinant commutes with evaluation, so interpolating the values over
-    that scale gives the resultant.
+    determinant commutes with evaluation, so interpolating the integer
+    values and dividing by that scale once gives the resultant.  For p
+    constant in y the matrix is dq x dq diagonal, with determinant p^dq.
     """
     if p.is_zero() or q.is_zero():
         raise ValueError("resultant arguments must be nonzero")
@@ -368,10 +361,6 @@ def resultant(p, q):
     dp, dq = p.degree_in("y"), q.degree_in("y")
     if dp == 0 and dq == 0:
         raise DegenerateResultantError("both arguments constant in the eliminated variable")
-    if dp == 0:
-        return p**dq
-    if dq == 0:
-        return q**dp
     p_coeffs, sp = _integer_y_coefficients(p, dp)
     q_coeffs, sq = _integer_y_coefficients(q, dq)
     bound = dq * (len(p_coeffs[0]) - 1) + dp * (len(q_coeffs[0]) - 1)
@@ -381,11 +370,11 @@ def resultant(p, q):
         rows = []
         for coeffs, shifts in ((p_coeffs, dq), (q_coeffs, dp)):
             # descending powers of y, p rows first
-            vals = [_horner(c, x0) for c in reversed(coeffs)]
+            vals = [horner(c, x0) for c in reversed(coeffs)]
             rows += [[0] * k + vals + [0] * (shifts - 1 - k) for k in range(shifts)]
-        values.append((x0, Fraction(_integer_determinant(rows), scale)))
+        values.append(_integer_determinant(rows))
     interp = lagrange_interpolate(values)
-    return BiPoly({(k, 0): c for k, c in enumerate(interp.coeffs)})
+    return BiPoly({(k, 0): c / scale for k, c in enumerate(interp.coeffs)})
 
 
 def _integer_y_coefficients(p, dy):
@@ -396,10 +385,3 @@ def _integer_y_coefficients(p, dy):
         coeffs[b][a] = c
     return coeffs, s
 
-
-def _horner(coeffs, x0):
-    """The integer polynomial with ascending coefficients coeffs at x0."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x0 + c
-    return acc

@@ -24,8 +24,8 @@ monomials of degree d, independent of the ideal slice and so unique, then
 H_x*x^i y^j and -H_y*x^i y^j, the columns of the basis selection.
 
 The solver works over the integers.  H is cleared of denominators once, so
-the gradient columns are the integer terms of H_x and H_y with their
-exponents shifted, built without coefficient arithmetic, and the remainder
+the gradient columns are shifts of the integer partials of H (bipoly's
+integer-term kernel), built without rational arithmetic, and the remainder
 is integer numerators over one positive denominator: a round takes the
 slice solution as integer numerators over one denominator, subtracts the
 columns in int arithmetic and divides out the content.  Fractions appear
@@ -37,9 +37,9 @@ from reduce_mod_gradient(H * m_i).
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-from .bipoly import BiPoly, grlex_key, integer_terms
+from .bipoly import BiPoly, add_into, grlex_key, integer_terms, partials, shifted
 from .errors import DegreeTooSmallError, InternalRankError, NotRegularError
 from .forms import OneForm, canonical_primitive
 from .linalg import RatMatrix, pivot_columns, solve_with_nullspace
@@ -114,7 +114,7 @@ def monomial_basis(H, report=None):
     if not report.regular:
         raise NotRegularError(report.reason)
     n = report.n
-    hx, hy, _ = integer_gradient(H)
+    hx, hy = partials(integer_terms(H)[0])
 
     chosen = []
     for d in range(0, 2 * n - 1):
@@ -141,19 +141,6 @@ def _complement(hx, hy, n, d, candidates):
     _, ideal = _ideal_columns(hx, hy, n, d)
     pivots = pivot_columns(_slice_rows(ideal + [{m: 1} for m in candidates], d))
     return [candidates[c - len(ideal)] for c in pivots if c >= len(ideal)], len(pivots)
-
-
-def integer_gradient(H):
-    """(hx, hy, s): integer terms with H_x = hx / s and H_y = hy / s."""
-    h, s = integer_terms(H)
-    hx = {(a - 1, b): a * c for (a, b), c in h.items() if a}
-    hy = {(a, b - 1): b * c for (a, b), c in h.items() if b}
-    return hx, hy, s
-
-
-def shifted(terms, i, j, scale=1):
-    """The terms of scale * x^i y^j * poly: exponents moved, coefficients times scale."""
-    return {(a + i, b + j): scale * c for (a, b), c in terms.items()}
 
 
 def _ideal_columns(hx, hy, n, d):
@@ -218,13 +205,7 @@ def peel_top_slices(target, slice_columns, inconsistent):
         for label, (terms, s), num in zip(labels, columns, nums):
             if num:
                 values[label] = Fraction(num * s, den * denom)
-                m = num // common
-                for e, c in terms.items():
-                    rest = work.get(e, 0) - m * c
-                    if rest:
-                        work[e] = rest
-                    else:
-                        del work[e]
+                add_into(work, -(num // common), terms)
         denom *= scale
         content = gcd(denom, *work.values())
         if content > 1:
@@ -250,7 +231,8 @@ def reduce_mod_gradient(P, basis):
     the quotient monomials of degree d - n; see peel_top_slices.  Quotient
     degrees stay <= deg P - n.
     """
-    hx, hy, s = integer_gradient(basis.H)
+    h, s = integer_terms(basis.H)
+    hx, hy = partials(h)      # H_x = hx / s, H_y = hy / s
 
     def slice_columns(d):
         own = [i for i, (a, b) in enumerate(basis.monomials) if a + b == d]

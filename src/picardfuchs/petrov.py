@@ -28,8 +28,8 @@ F = H^k this is m_i H^(k-1) (H + k E(H)/deg_i).  E multiplies the degree-j
 part of a polynomial by j, so with the integer h = s*H the column is h^k
 with its degree-j part scaled by deg_i + j, shifted by m_i, over deg_i s^k:
 integer terms from the powers h^k, built once per call.  The g-columns
-a x^(a-1) y^b H_y - b x^a y^(b-1) H_x are the integer gradient of H with
-its exponents shifted, scaled by a and b.
+a x^(a-1) y^b H_y - b x^a y^(b-1) H_x are one integer combination of two
+shifts of the integer gradient of H, weighted by a and -b.
 
 The c-columns are checked unique in every slice, and that makes the p_i
 unique: if sum c_ik d(H^k omega_i) = dg^dH with the largest nonzero c_ik in
@@ -53,20 +53,18 @@ likewise f_y - Q.  The radial contraction of every F omega_i is
 F m_i (y*x - x*y)/deg_i = 0, so f is the primitive of rest = omega - g dH
 and needs no sum over the basis.  With g = g_int/s_g, rest is integer terms
 over R = lcm(s_omega, s_g*s), g dH taken from the integer products g_int*hx
-and g_int*hy, and f is integer numerators over (a+b) R, a Fraction BiPoly
-only on return.  The certificate identity omega - g dH - df =
-sum c_ik H^k omega_i is then checked exactly on integer terms, over one
-common denominator on shifts of the integer powers h^k.
+and g_int*hy, and f has the numerators above over (a+b) R.  The certificate
+identity omega - g dH - df = sum c_ik H^k omega_i is then checked exactly
+on integer terms, over one common denominator on shifts of the powers h^k.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
-from .bipoly import BiPoly, integer_terms
+from .bipoly import BiPoly, cleared, combine, integer_terms, partials, shifted, times
 from .errors import InternalRankError, NoSolutionError
 from .forms import OneForm
-from .milnor import integer_gradient, peel_top_slices, shifted
+from .milnor import peel_top_slices
 from .unipoly import UniPoly
 
 
@@ -86,7 +84,7 @@ def petrov_decompose(omega, basis):
     """Decompose a polynomial 1-form over the Petrov-module basis, exactly."""
     mu, n = basis.mu, basis.n
     h, s = integer_terms(basis.H)
-    hx, hy, _ = integer_gradient(basis.H)
+    hx, hy = partials(h)
     degrees = basis.form_degrees()
     powers = [{(0, 0): 1}]      # h^k
 
@@ -96,12 +94,12 @@ def petrov_decompose(omega, basis):
         e = d - n + 1
         g_monos = [(a, e - a) for a in range(e, -1, -1) if e > 0]
         columns = [_p_column(basis.monomials[i], k, powers, h, s) for i, k in p_labels]
-        columns += [(_dg_wedge_dH(a, b, hx, hy), s) for a, b in g_monos]
+        # s d(x^a y^b)^dH = a x^(a-1) y^b hy - b x^a y^(b-1) hx
+        columns += [(combine((a, shifted(hy, a - 1, b)), (-b, shifted(hx, a, b - 1))), s) for a, b in g_monos]
         return len(p_labels), [("p", label) for label in p_labels] + [("g", m) for m in g_monos], columns
 
     P, Q, s_omega = _integer_one_form(omega)
-    d_omega = _combine({(a - 1, b): a * c for (a, b), c in Q.items() if a}, 1,
-                       {(a, b - 1): b * c for (a, b), c in P.items() if b}, -1)
+    d_omega = combine((1, partials(Q)[0]), (-1, partials(P)[1]))
     values = peel_top_slices((d_omega, s_omega), slice_columns, NoSolutionError)
     p_values = {key: v for (kind, key), v in values.items() if kind == "p"}
     coeff_polys = tuple(UniPoly([p_values.get((i, k), 0) for k in range(len(powers))]) for i in range(mu))
@@ -109,17 +107,19 @@ def petrov_decompose(omega, basis):
 
     # every H^k omega_i has zero radial contraction, so f integrates rest = omega - g dH
     g, sg = integer_terms(witness_g)
-    R = lcm(s_omega, sg * s)
-    rest_P = _combine(P, R // s_omega, _times(g, hx), -(R // (sg * s)))
-    rest_Q = _combine(Q, R // s_omega, _times(g, hy), -(R // (sg * s)))
-    f = _combine(shifted(rest_P, 1, 0), 1, shifted(rest_Q, 0, 1), 1)
-    witness_f = BiPoly({(a, b): Fraction(c, (a + b) * R) for (a, b), c in f.items()})
+    # rest over R = lcm(s_omega, s_g s): P / s_omega = u P / R, g H_x = v g hx / R
+    (u, v), R = cleared((Fraction(1, s_omega), Fraction(1, sg * s)))
+    rest_P = combine((u, P), (-v, times(g, hx)))
+    rest_Q = combine((u, Q), (-v, times(g, hy)))
+    radial = combine((1, shifted(rest_P, 1, 0)), (1, shifted(rest_Q, 0, 1)))
+    witness_f = BiPoly({(a, b): Fraction(c, (a + b) * R) for (a, b), c in radial.items()})
 
-    # rest - df over R*L, with df = f_x dx + f_y dy and f over (a+b) R
-    L = lcm(*(a + b for a, b in f))
-    nu_P = _combine(rest_P, L, {(a - 1, b): a * c * (L // (a + b)) for (a, b), c in f.items() if a}, -1)
-    nu_Q = _combine(rest_Q, L, {(a, b - 1): b * c * (L // (a + b)) for (a, b), c in f.items() if b}, -1)
-    if not _is_radial_combination(nu_P, nu_Q, R * L, p_values, basis.monomials, powers, s):
+    # rest - df over M = lcm(R, s_f), with witness_f = f / s_f
+    f, sf = integer_terms(witness_f)
+    (u, v), M = cleared((Fraction(1, R), Fraction(1, sf)))
+    fx, fy = partials(f)
+    nu_P, nu_Q = combine((u, rest_P), (-v, fx)), combine((u, rest_Q), (-v, fy))
+    if not _is_radial_combination(nu_P, nu_Q, M, p_values, basis.monomials, powers, s):
         raise InternalRankError("closed defect failed to integrate; basis invalid")
 
     return PetrovDecomposition(coeff_polys, witness_g, witness_f)
@@ -127,10 +127,9 @@ def petrov_decompose(omega, basis):
 
 def _integer_one_form(omega):
     """(P, Q, denom): omega = (P dx + Q dy) / denom with integer terms P, Q, denom > 0."""
-    p, sp = integer_terms(omega.P)
-    q, sq = integer_terms(omega.Q)
-    denom = lcm(sp, sq)
-    return shifted(p, 0, 0, denom // sp), shifted(q, 0, 0, denom // sq), denom
+    P, Q = omega.P.terms, omega.Q.terms
+    ints, denom = cleared([*P.values(), *Q.values()])
+    return dict(zip(P, ints)), dict(zip(Q, ints[len(P):])), denom
 
 
 def _p_column(monomial, k, powers, h, s):
@@ -140,7 +139,7 @@ def _p_column(monomial, k, powers, h, s):
     deg_i + j, shifted by m_i; the denominator is deg_i s^k.
     """
     while len(powers) <= k:
-        powers.append(_times(powers[-1], h))
+        powers.append(times(powers[-1], h))
     a, b = monomial
     deg = a + b + 2
     return {(x + a, y + b): (deg + x + y) * c for (x, y), c in powers[k].items()}, deg * s**k
@@ -152,41 +151,10 @@ def _is_radial_combination(nu_P, nu_Q, denom, p_values, monomials, powers, s):
     The sum is S (x dy - y dx) with S = sum p_ik h^k m_i / (deg_i s^k), the
     integer terms total over the common denominator of its weights.
     """
-    weights = {(i, k): v / ((sum(monomials[i]) + 2) * s**k) for (i, k), v in p_values.items()}
-    common = lcm(*(w.denominator for w in weights.values()))
-    total = {}
-    for (i, k), w in weights.items():
-        for e, c in shifted(powers[k], *monomials[i], w.numerator * (common // w.denominator)).items():
-            total[e] = total.get(e, 0) + c
-    total = {e: c for e, c in total.items() if c}
+    weights, common = cleared([v / ((sum(monomials[i]) + 2) * s**k) for (i, k), v in p_values.items()])
+    total = combine(*((w, shifted(powers[k], *monomials[i])) for (i, k), w in zip(p_values, weights)))
     return (shifted(nu_P, 0, 0, common) == shifted(total, 0, 1, -denom)
             and shifted(nu_Q, 0, 0, common) == shifted(total, 1, 0, denom))
-
-
-def _times(p, q):
-    """Product of two polynomials given as integer terms."""
-    out = {}
-    for (a1, b1), c1 in p.items():
-        for (a2, b2), c2 in q.items():
-            e = (a1 + a2, b1 + b2)
-            out[e] = out.get(e, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
-
-
-def _combine(p, a, q, b):
-    """The integer terms a*p + b*q."""
-    out = {e: a * c for e, c in p.items()}
-    for e, c in q.items():
-        out[e] = out.get(e, 0) + b * c
-    return {e: c for e, c in out.items() if c}
-
-
-def _dg_wedge_dH(a, b, hx, hy):
-    """s * d(x^a y^b) ^ dH = a x^(a-1) y^b hy - b x^a y^(b-1) hx, for H_x = hx/s, H_y = hy/s."""
-    terms = shifted(hy, a - 1, b, a) if a else {}
-    for e, c in (shifted(hx, a, b - 1, -b) if b else {}).items():
-        terms[e] = terms.get(e, 0) + c
-    return {e: c for e, c in terms.items() if c}
 
 
 def differential_coefficient(g, H):

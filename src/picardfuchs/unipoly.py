@@ -11,13 +11,15 @@ sequence over Z (W. S. Brown, "On Euclid's algorithm and the computation of
 polynomial greatest common divisors", JACM 18, 1971): Euclid on integer
 coefficient lists, with each pseudo-remainder divided by its content.  Euclid
 over Q lets the numerators and denominators of the remainders grow far past
-the size of the gcd; the primitive parts stay near it.
+the size of the gcd; the primitive parts stay near it.  Interpolation, too,
+runs over Z: its callers sample at the integer nodes 0..N, where Newton's
+forward differences of integer values stay integers.
 """
 
 from fractions import Fraction
-from math import gcd as _igcd, lcm
+from math import factorial, gcd as _igcd
 
-from .bipoly import _frac
+from .bipoly import _frac, cleared
 
 
 class UniPoly:
@@ -120,13 +122,6 @@ class UniPoly:
         lead = self.leading()
         return UniPoly([c / lead for c in self.coeffs])
 
-    def evaluate(self, value):
-        """Exact Horner evaluation at an int or Fraction."""
-        total = 0
-        for c in reversed(self.coeffs):
-            total = total * value + c
-        return total
-
     def __str__(self):
         if self.is_zero():
             return "0"
@@ -148,6 +143,14 @@ class UniPoly:
 
     def __repr__(self):
         return f"UniPoly({self})"
+
+
+def horner(coeffs, value):
+    """The polynomial with ascending coefficients coeffs at value, exact for ints and Fractions."""
+    total = 0
+    for c in reversed(coeffs):
+        total = total * value + c
+    return total
 
 
 def _coerce(value):
@@ -177,8 +180,7 @@ def _primitive(coeffs):
     """The integer list proportional to coeffs with content 1 and positive lead ([] for zero)."""
     if not coeffs:
         return []
-    den = lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    ints, _ = cleared(coeffs)
     content = _igcd(*ints)
     if ints[-1] < 0:
         content = -content
@@ -272,18 +274,25 @@ def _float_coefficients(p):
     return [float(c / scale) for c in p.coeffs]
 
 
-def lagrange_interpolate(points):
-    """The unique UniPoly of degree < len(points) through exact (x, y) pairs.
+def lagrange_interpolate(values):
+    """The unique UniPoly of degree < len(values) with the value values[k] at t = k, k = 0..N.
 
-    Newton divided differences c_k, then Horner expansion of
-    c_0 + (t - x_0)(c_1 + (t - x_1)(c_2 + ...)): O(N^2) operations.
+    With the values cleared to integers over one denominator s, the forward
+    differences D^k y_0 are integers, and N! times Newton's forward formula
+    sum_k D^k y_0 / k! * t (t-1) ... (t-k+1) has the integer weights
+    c_k = D^k y_0 * N!/k!.  Horner expansion of c_0 + t (c_1 + (t-1) (c_2 + ...))
+    runs over Z, with one division by N! s at the end: O(N^2) operations.
     """
-    xs = [_frac(x) for x, _ in points]
-    coeffs = [_frac(y) for _, y in points]
-    for k in range(1, len(xs)):
-        for i in range(len(xs) - 1, k - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - k])
-    acc = coeffs[-1:]
-    for x, c in zip(reversed(xs[:-1]), reversed(coeffs[:-1])):
-        acc = [c - x * acc[0]] + [a - x * b for a, b in zip(acc, acc[1:])] + [acc[-1]]
-    return UniPoly(acc)
+    diffs, denom = cleared(values)
+    last = len(diffs) - 1
+    for k in range(1, last + 1):
+        for i in range(last, k - 1, -1):
+            diffs[i] -= diffs[i - 1]
+    acc = [diffs[last]]
+    weight = 1      # N!/k!
+    for k in range(last - 1, -1, -1):
+        weight *= k + 1
+        c = diffs[k] * weight
+        acc = [c - k * acc[0]] + [a - k * b for a, b in zip(acc, acc[1:])] + [acc[-1]]
+    scale = factorial(last) * denom
+    return UniPoly([Fraction(c, scale) for c in acc])

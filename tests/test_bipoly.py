@@ -5,7 +5,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from picardfuchs.bipoly import BiPoly, X, Y, grlex_key
+from picardfuchs.bipoly import (
+    BiPoly,
+    X,
+    Y,
+    add_into,
+    cleared,
+    combine,
+    grlex_key,
+    integer_terms,
+    partials,
+    shifted,
+    times,
+)
 from picardfuchs.errors import ZeroPolynomialError
 from picardfuchs.parsing import MAX_DEGREE, parse_polynomial
 
@@ -92,3 +104,44 @@ def test_power_and_hash():
     assert (X - X) ** 0 == BiPoly.constant(1)
     assert hash(X + Y) == hash(Y + X)
     assert len({X * Y, Y * X, X}) == 2
+
+
+SMALL_EXPONENTS = st.tuples(st.integers(0, 6), st.integers(0, 6))
+RATIONAL_POLYS = st.dictionaries(
+    SMALL_EXPONENTS, st.fractions(min_value=-50, max_value=50, max_denominator=30), max_size=8
+).map(BiPoly)
+
+
+def _over(terms, denom):
+    return BiPoly({e: Fraction(c, denom) for e, c in terms.items()})
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(p=RATIONAL_POLYS, q=RATIONAL_POLYS, a=st.integers(-9, 9), b=st.integers(-9, 9),
+       shift=st.tuples(st.integers(0, 3), st.integers(0, 3)))
+def test_integer_terms_agree_with_bipoly_arithmetic(p, q, a, b, shift):
+    ints, denom = cleared(list(p.terms.values()))
+    assert denom > 0 and [Fraction(c, denom) for c in ints] == list(p.terms.values())
+    pt, sp = integer_terms(p)
+    qt, sq = integer_terms(q)
+    assert sp > 0 and all(type(c) is int and c for c in pt.values()) and _over(pt, sp) == p
+    i, j = shift
+    assert _over(shifted(pt, i, j, a), sp) == a * BiPoly.monomial(i, j) * p
+    # no zero coefficient is stored, so equal polynomials have equal terms
+    combined = combine((a * sq, pt), (b * sp, qt))
+    assert _over(combined, sp * sq) == a * p + b * q and all(combined.values())
+    assert combine((1, pt), (-1, pt)) == {} == times(pt, {})
+    total = dict(pt)
+    add_into(total, a, pt)
+    assert _over(total, sp) == (1 + a) * p and all(total.values())
+    product = times(pt, qt)
+    assert _over(product, sp * sq) == p * q and all(product.values())
+    px, py = partials(pt)
+    assert (_over(px, sp), _over(py, sp)) == (p.partial("x"), p.partial("y"))
+
+
+def test_integer_terms_of_zero():
+    assert cleared([]) == ([], 1)
+    assert integer_terms(BiPoly.zero()) == ({}, 1)
+    assert partials({}) == ({}, {}) and times({}, {}) == {} and shifted({}, 1, 2, 3) == {}
+    assert combine() == combine((2, {}), (0, {(1, 0): 3})) == {}

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from picardfuchs.bipoly import BiPoly, X, Y, integer_terms
+from picardfuchs.bipoly import BiPoly, X, Y, integer_terms, times
 from picardfuchs.errors import InternalRankError, NoSolutionError
 from picardfuchs.forms import OneForm, canonical_primitive, differential, exterior_derivative
 from picardfuchs.milnor import MilnorBasis, monomial_basis, reduce_mod_gradient
@@ -15,7 +15,6 @@ from picardfuchs.petrov import (
     _integer_one_form,
     _is_radial_combination,
     _p_column,
-    _times,
     differential_coefficient,
     petrov_decompose,
 )
@@ -165,7 +164,7 @@ def test_radial_check_rejects_a_defect_off_by_one(rng):
     H = Fraction(2, 3) * X**3 + Y**3 - Fraction(3, 5) * X * Y
     basis = monomial_basis(H)
     h, s = integer_terms(H)
-    powers = [{(0, 0): 1}, h, _times(h, h)]
+    powers = [{(0, 0): 1}, h, times(h, h)]
     # the defect omega_0 H^2 - 3 omega_1 H / 4 is the p-part alone
     p_values = {(0, 2): Fraction(1), (1, 1): Fraction(-3, 4)}
     omega = basis.primitives[0].multiply(H**2) + basis.primitives[1].multiply(H).scale(Fraction(-3, 4))

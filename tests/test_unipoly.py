@@ -11,6 +11,7 @@ from picardfuchs.unipoly import (
     UniPoly,
     gcd,
     is_squarefree,
+    horner,
     lagrange_interpolate,
     roots_with_multiplicity,
     squarefree_decomposition,
@@ -56,14 +57,34 @@ def test_multiple_roots_recovered_at_full_precision():
 
 
 def test_lagrange_interpolation():
-    pts = [(Fraction(k), Fraction(k) ** 3 - 2) for k in range(5)]
-    assert lagrange_interpolate(pts) == UniPoly([-2, 0, 0, 1])
+    assert lagrange_interpolate([k**3 - 2 for k in range(5)]) == UniPoly([-2, 0, 0, 1])
 
-    # 30 distinct rational nodes ((2k+1)/(k+3) increases with k)
-    pts = [(Fraction(2 * k + 1, k + 3), Fraction(k**3 - 5, 2 * k + 1)) for k in range(30)]
-    p = lagrange_interpolate(pts)
+    # 30 rational values at the nodes 0..29
+    values = [Fraction(k**3 - 5, 2 * k + 1) for k in range(30)]
+    p = lagrange_interpolate(values)
     assert p.degree() < 30
-    assert all(p.evaluate(x) == y for x, y in pts)
+    assert all(horner(p.coeffs, k) == v for k, v in enumerate(values))
+
+
+def test_lagrange_interpolation_matches_sympy(rng):
+    # sympy.interpolate expands a symbolic expression (about 30 s at N = 60), so
+    # larger N compare with sympy's exact solve of the Vandermonde system over QQ
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    t, QQ = sympy.Symbol("t"), sympy.QQ
+    for n in (0, 1, 2, 7, 20, 60):
+        ints = [rng.randint(-10**6, 10**6) for _ in range(n + 1)]
+        rationals = [Fraction(rng.randint(-99, 99), rng.randint(1, 40)) for _ in range(n + 1)]
+        for values in (ints, rationals):
+            ys = [QQ(v.numerator, v.denominator) for v in values]
+            vandermonde = DomainMatrix([[QQ(k**j) for j in range(n + 1)] for k in range(n + 1)], (n + 1, n + 1), QQ)
+            coeffs = vandermonde.lu_solve(DomainMatrix([[y] for y in ys], (n + 1, 1), QQ)).to_Matrix()
+            expected = UniPoly([Fraction(int(c.p), int(c.q)) for c in coeffs])
+            assert lagrange_interpolate(values) == expected, (n, values)
+            if n <= 7:
+                ref = sympy.Poly(sympy.interpolate(list(enumerate(ys)), t), t)
+                assert expected == UniPoly([Fraction(int(c.p), int(c.q)) for c in reversed(ref.all_coeffs())])
 
 
 def test_string_rendering():

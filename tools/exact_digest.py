@@ -1,0 +1,142 @@
+"""Print SHA-256 digests of the package's exact outputs on a fixed input set.
+
+Run from any directory against one source tree:
+
+    PYTHONPATH=<tree>/src python3 tools/exact_digest.py > digest.txt
+
+and compare the files of two trees with ``diff``: a change that must keep
+every exact output prints the same lines.  Per Hamiltonian it digests A, B0,
+B1, D, every eta_i and its Petrov certificate and ``critical_values`` of
+``build_system`` (or the error it raises), and the stdout, stderr and exit
+code of ``pf system H --format json``.  Then come the resultants of 40
+seeded pairs with rational coefficients, Petrov decompositions of seeded
+rational forms, and ``char_poly``/``pencil_determinant`` of the derogatory
+x^4 + y^4.
+
+The Hamiltonians: the tests' named ones, the sparse family d = 3..6, the
+``system_json`` and ``build_random`` inputs of the benchmark at seeds 1-3
+(with the quartic the oracle fails on), rational rescalings of some of them
+and draws with coefficients divided by 1..12.  Standard library only,
+besides the package under test and the benchmark's input generator.
+"""
+
+import contextlib
+import hashlib
+import io
+import random
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from pfbench import inputs
+from pfbench.workloads import KNOWN_FAILING, BuildRandom, SystemJson, sparse_family
+
+from picardfuchs.bipoly import BiPoly
+from picardfuchs.cli import main
+from picardfuchs.errors import PicardFuchsError
+from picardfuchs.forms import OneForm
+from picardfuchs.linalg import char_poly, pencil_determinant, resultant
+from picardfuchs.milnor import monomial_basis
+from picardfuchs.petrov import petrov_decompose
+from picardfuchs.system import build_system
+
+NAMED = (
+    {(3, 0): 1, (0, 3): 1, (1, 1): -3},
+    {(3, 0): 1, (1, 2): 3, (0, 1): 1},
+    {(4, 0): 1, (0, 4): 1},
+    {(4, 0): Fraction(2, 3), (0, 4): Fraction(-5, 7), (1, 1): Fraction(1, 2), (0, 1): -3},
+    {(3, 0): Fraction(2, 3), (0, 3): 1, (1, 1): Fraction(-3, 5)},
+    {(5, 0): 1, (0, 5): 1, (2, 2): 1, (1, 0): 1, (0, 1): 1},
+    {(2, 0): 1, (0, 2): 1},
+    {(4, 0): 1, (0, 4): 1, (2, 0): -1, (0, 2): -1},
+    {(6, 0): 1, (0, 6): 1, (2, 0): -1, (0, 2): -1},
+)
+
+
+def hamiltonians():
+    """(label, terms) pairs of the input set, in a fixed order."""
+    out = [(f"named {i}", h) for i, h in enumerate(NAMED)]
+    out += [(f"sparse d={d}", sparse_family(d)) for d in range(3, 7)]
+    for seed in (1, 2, 3):
+        for name, ns in (("system_json", SystemJson.RANDOM_NS), ("build_random", BuildRandom.NS)):
+            rng = random.Random(seed)
+            out += [(f"{name} seed {seed} #{i}", inputs.reflect(h, rng))
+                    for i, h in enumerate(inputs.baseline_draws(ns))]
+    out.append(("known quartic", KNOWN_FAILING))
+    rng = random.Random(99)
+    scaled = [(label, h) for label, h in out if label in ("named 0", "named 5") or "system_json seed 1" in label]
+    for label, h in scaled:
+        out.append((f"{label} times 3/7", {e: Fraction(3, 7) * c for e, c in h.items()}))
+    for i, h in enumerate(inputs.baseline_draws((2, 3, 3, 4))):
+        out.append((f"draw {i} over 1..12", {e: Fraction(c, rng.randint(1, 12)) for e, c in h.items()}))
+    return out
+
+
+def sha(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def terms(poly):
+    return sorted(poly.terms.items())
+
+
+def system_record(system):
+    return (
+        [m.entries for m in (system.A, system.B0, system.B1)],
+        list(system.D),
+        [(terms(eta.P), terms(eta.Q)) for eta in system.etas],
+        [([p.coeffs for p in cert.coeff_polys], terms(cert.witness_g), terms(cert.witness_f))
+         for cert in system.certificates],
+        system.critical_values(),
+    )
+
+
+def cli_record(text):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["system", text, "--format", "json"])
+    return out.getvalue(), err.getvalue(), code
+
+
+def random_poly(rng, degree, size):
+    return BiPoly({(a, rng.randint(0, degree - a)): Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                   for a in (rng.randint(0, degree) for _ in range(size))})
+
+
+def main_digest():
+    for label, h in hamiltonians():
+        H = BiPoly({e: Fraction(c) for e, c in h.items()})
+        try:
+            built = sha(system_record(build_system(H)))
+        except PicardFuchsError as exc:
+            built = f"{type(exc).__name__}: {exc}"
+        print(f"{label}: build {built}")
+        print(f"{label}: pf system json {sha(cli_record(inputs.poly_text(h)))}")
+
+    rng = random.Random(2024)
+    for i in range(40):
+        # p is constant in y in every eighth pair; both argument orders
+        p = random_poly(rng, 0 if i % 8 == 0 else rng.randint(1, 4), rng.randint(1, 6))
+        if p.degree_in("y") <= 0:
+            p = p + BiPoly.monomial(rng.randint(0, 3), 0, Fraction(rng.randint(1, 9), rng.randint(1, 5)))
+        q = random_poly(rng, rng.randint(1, 4), rng.randint(1, 6)) + BiPoly.monomial(0, 5)
+        print(f"resultant {i}: {sha(terms(resultant(p, q)))} {sha(terms(resultant(q, p)))}")
+
+    rng = random.Random(31)
+    for i, h in enumerate(NAMED[:5]):
+        basis = monomial_basis(BiPoly(h))
+        for j in range(5):
+            degree = rng.randint(basis.n + 1, 3 * basis.n + 2)
+            dec = petrov_decompose(OneForm(random_poly(rng, degree, 8), random_poly(rng, degree, 8)), basis)
+            record = ([p.coeffs for p in dec.coeff_polys], terms(dec.witness_g), terms(dec.witness_f))
+            print(f"petrov named {i} form {j}: {sha(record)}")
+
+    system = build_system(BiPoly(NAMED[2]))
+    print(f"x^4+y^4 char_poly(A): {char_poly(system.A)}")
+    print(f"x^4+y^4 pencil_determinant(B0, B1): {pencil_determinant(system.B0, system.B1)}")
+
+
+if __name__ == "__main__":
+    main_digest()
