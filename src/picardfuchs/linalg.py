@@ -16,15 +16,24 @@ returns integer numerators over the one denominator |P|, and every step,
 (|P| b_k - sum of the known numerators times their entries) / pivot_k,
 divides exactly.
 
+A pass over M alone serves every right-hand side.  Its row operations form
+an integer matrix E with U = E M for the echelon form U, and E b is what a
+pass over [M | b] leaves in its last column: that pass chooses the same
+pivots, since its pivot search reads only M's columns, and applies the same
+operations to b.  The pass leaves each step's multiplier below its pivot, so
+FractionFreeSolver replays the steps on b to get E b, and back substitution
+on U with E b gives the same integers as the single pass over [M | b].
+
 On top of the core sit: pivot columns (rank and greedy column bases),
-solve_with_nullspace (a particular solution, None when inconsistent, and the
-kernel), exact determinants, Sylvester resultants in y over Z (integer
-Sylvester matrices at the integer nodes 0..bound, one Bareiss pivot each,
-interpolated over Z, then divided once by the scale s_p^dq s_q^dp that
-clearing the rows of p and q multiplies the determinant by), and the
-minimal and characteristic polynomials, built from row annihilators: one
-core pass over the Krylov columns e_i M^k, k <= n (Wiedemann, IEEE Trans.
-IT 1986), O(n^3) operations each.
+FractionFreeSolver (one reduction of M, then a particular solution per
+right-hand side, None when inconsistent, and the kernel) with
+solve_with_nullspace as its one-shot form, exact determinants, Sylvester
+resultants in y over Z (integer Sylvester matrices at the integer nodes
+0..bound, one Bareiss pivot each, interpolated over Z, then divided once by
+the scale s_p^dq s_q^dp that clearing the rows of p and q multiplies the
+determinant by), and the minimal and characteristic polynomials, built from
+row annihilators: one core pass over the Krylov columns e_i M^k, k <= n
+(Wiedemann, IEEE Trans. IT 1986), O(n^3) operations each.
 """
 
 from fractions import Fraction
@@ -129,7 +138,10 @@ def _bareiss_echelon(int_rows, ncols):
 
     Returns the pivot (row, col) pairs and the sign (-1)^(row swaps).
     Division by the previous pivot is exact over the integers (Bareiss
-    one-step elimination).
+    one-step elimination).  The echelon form is read from each pivot
+    column rightwards.  The entry a step eliminates, below its pivot, is not
+    cleared but keeps that step's multiplier, which FractionFreeSolver
+    replays on right-hand sides.
     """
     pivots = []
     sign = 1
@@ -153,7 +165,6 @@ def _bareiss_echelon(int_rows, ncols):
         for r in range(pivot_row + 1, nrows):
             row_r = int_rows[r]
             target = row_r[col]
-            row_r[col] = 0
             # unconditional Bareiss update: keeps every entry a minor of the
             # input, so the division by the previous pivot stays exact
             row_r[col + 1:] = [
@@ -167,10 +178,11 @@ def _bareiss_echelon(int_rows, ncols):
     return pivots, sign
 
 
-def _back_substitute(int_rows, pivots, ncols, rhs_col):
+def _back_substitute(int_rows, pivots, ncols, rhs):
     """(nums, den): the solution with free variables zero is nums / den, over the integers.
 
-    den is |last pivot| (1 without pivots).  After Bareiss elimination the last
+    ``rhs[r]`` is the transformed right-hand side of echelon row r.  den is
+    |last pivot| (1 without pivots).  After Bareiss elimination the last
     pivot is the minor of the pivot rows and columns, so by Cramer den * x is
     an integer vector and every step divides exactly.
     """
@@ -178,7 +190,7 @@ def _back_substitute(int_rows, pivots, ncols, rhs_col):
     nums = [0] * ncols
     for row, col in reversed(pivots):
         entries = int_rows[row]
-        acc = den * entries[rhs_col]
+        acc = den * rhs[row]
         for c in range(col + 1, ncols):
             if entries[c] and nums[c]:
                 acc -= entries[c] * nums[c]
@@ -186,17 +198,6 @@ def _back_substitute(int_rows, pivots, ncols, rhs_col):
         if rest:
             raise InternalRankError("back substitution divided with a remainder; elimination invalid")
     return nums, den
-
-
-def _nullspace_from_echelon(int_rows, pivots, ncols):
-    """One integer kernel vector per free column (free coordinate positive, the others zero)."""
-    pivot_cols = {col for _, col in pivots}
-    basis = []
-    for free in range(ncols):
-        if free not in pivot_cols:
-            head, den = _back_substitute(int_rows, [p for p in pivots if p[1] < free], free, free)
-            basis.append([-v for v in head] + [den] + [0] * (ncols - free - 1))
-    return basis
 
 
 def pivot_columns(matrix_rows):
@@ -210,23 +211,72 @@ def pivot_columns(matrix_rows):
     return [col for _, col in pivots]
 
 
+class FractionFreeSolver:
+    """Solves M x = b for many right-hand sides b from one Bareiss pass over M.
+
+    A solve replays the pass's steps on b, swaps first, then per pivot k
+    t_r <- (p_k t_r - m_rk t_k) / p_(k-1) for the rows r below, with the
+    multipliers m_rk the pass left below its pivots.  That gives t = E b
+    (see the module docstring): the system is consistent exactly when
+    t_r = 0 for every row r past the rank, and back substitution on U's rank
+    rows with t gives the free-zero solution, the integers (nums, |last
+    pivot|) of a single pass over [M | b].  Every replay division is exact,
+    as in that pass.
+    """
+
+    __slots__ = ("ncols", "pivots", "rows", "order")
+
+    def __init__(self, int_rows):
+        """``int_rows``: the rows of M as integers (not modified)."""
+        self.ncols = len(int_rows[0]) if int_rows else 0
+        self.rows = [list(row) for row in int_rows]
+        # elimination swaps rows but never replaces them: their identities give the row order
+        position = {id(row): i for i, row in enumerate(self.rows)}
+        self.pivots, _ = _bareiss_echelon(self.rows, self.ncols)
+        self.order = [position[id(row)] for row in self.rows]
+
+    def solve(self, rhs):
+        """(nums, den) of the free-zero solution of M x = rhs over the integers, None when inconsistent."""
+        t = [rhs[i] for i in self.order]
+        rows = self.rows
+        prev = 1
+        for k, (_, col) in enumerate(self.pivots):
+            piv, tk = rows[k][col], t[k]
+            t[k + 1:] = [(piv * v - row[col] * tk) // prev for v, row in zip(t[k + 1:], rows[k + 1:])]
+            prev = piv
+        if any(t[len(self.pivots):]):
+            return None
+        return _back_substitute(rows, self.pivots, self.ncols, t)
+
+    def nullspace(self):
+        """The integer kernel basis of M: per free column, that coordinate positive and the later ones zero."""
+        pivot_cols = {col for _, col in self.pivots}
+        basis = []
+        for free in range(self.ncols):
+            if free not in pivot_cols:
+                head, den = _back_substitute(self.rows, [p for p in self.pivots if p[1] < free], free,
+                                             [row[free] for row in self.rows])
+                basis.append([-v for v in head] + [den] + [0] * (self.ncols - free - 1))
+        return basis
+
+
 def solve_with_nullspace(matrix_rows, rhs, want_nullspace=False):
     """Solve M x = rhs exactly; returns ((nums, den) | None, nullspace basis).
 
-    ``matrix_rows`` and ``rhs`` hold integers or Fractions (not necessarily
-    square).  The solution is the deterministic one with all free variables
-    zero, given as integer numerators over one positive denominator; None
-    signals inconsistency.  The nullspace basis (of M, not the augmented
-    system), integer vectors, is returned only when requested.
+    The one-shot form of FractionFreeSolver.  ``matrix_rows`` and ``rhs``
+    hold integers or Fractions (not necessarily square); each row of
+    [M | rhs] is cleared of denominators together.  The solution is the
+    deterministic one with all free variables zero, given as integer
+    numerators over one positive denominator; None signals inconsistency.
+    The nullspace basis (of M, not the augmented system), integer vectors,
+    is returned only when requested and the system is consistent.
     """
-    ncols = len(matrix_rows[0]) if matrix_rows else 0
     int_rows, _ = _integer_rows([list(row) + [b] for row, b in zip(matrix_rows, rhs)])
-    pivots, _ = _bareiss_echelon(int_rows, ncols + 1)
-    if any(col == ncols for _, col in pivots):
+    solver = FractionFreeSolver([row[:-1] for row in int_rows])
+    solution = solver.solve([row[-1] for row in int_rows])
+    if solution is None:
         return None, []
-    solution = _back_substitute(int_rows, pivots, ncols, ncols)
-    null_basis = _nullspace_from_echelon(int_rows, pivots, ncols) if want_nullspace else []
-    return solution, null_basis
+    return solution, solver.nullspace() if want_nullspace else []
 
 
 def determinant(matrix):
@@ -276,7 +326,7 @@ def _annihilator(vec, int_rows, denom):
     columns = [list(r) for r in zip(*krylov)]
     pivots, _ = _bareiss_echelon(columns, len(krylov))
     d = len(pivots)
-    nums, den = _back_substitute(columns, pivots, d, d)
+    nums, den = _back_substitute(columns, pivots, d, [row[d] for row in columns])
     return UniPoly([Fraction(-c, den * denom ** (d - k)) for k, c in enumerate(nums)] + [1])
 
 

@@ -31,18 +31,29 @@ slice solution as integer numerators over one denominator, subtracts the
 columns in int arithmetic and divides out the content.  Fractions appear
 only in the returned values.
 
+The degree-d slice matrix M of a column kind depends only on Hhat, the
+basis and d, so each basis keeps one operator per (kind, d) in its
+SliceStore, made on the first round that reaches it: M reduced once by a
+FractionFreeSolver, whose row operations form an integer E with U = E M,
+and whether M's kernel moves the unique group.  A round replays the
+operations on the top slice b to get E b, the last column a fresh Bareiss
+pass over [M | b] ends with (its pivots lie in M's columns), so the slice
+solution, the remainder, its scaling and its content are the integers of
+that pass, whatever the basis answered before.
+
 The multiplication-by-H matrix in the quotient basis is built row by row
 from reduce_mod_gradient(H * m_i).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
-from .bipoly import BiPoly, add_into, grlex_key, integer_terms, partials, shifted
+from .bipoly import BiPoly, add_into, grlex_key, integer_terms, partials, shifted, times
 from .errors import DegreeTooSmallError, InternalRankError, NotRegularError
 from .forms import OneForm, canonical_primitive
-from .linalg import RatMatrix, pivot_columns, solve_with_nullspace
+from .linalg import FractionFreeSolver, RatMatrix, pivot_columns
 from .unipoly import UniPoly, is_squarefree
 
 
@@ -97,6 +108,37 @@ class MilnorBasis:
     def form_degrees(self):
         return [a + b + 2 for a, b in self.monomials]
 
+    @cached_property
+    def slice_store(self):
+        """The SliceStore of this basis, made on first use.
+
+        Not a field: ==, hash and repr do not see it, and a basis made by the
+        constructor or by dataclasses.replace starts with an empty one.
+        """
+        return SliceStore(self.H)
+
+
+class SliceStore:
+    """What the peels over one basis reuse, each part made on first use.
+
+    h = s*H as integer terms, its gradient (hx, hy), the powers h^k, and per
+    column kind ("reduction", "petrov") a dict from the degree d to the
+    slice operator of peel_top_slices.  Columns are not kept: a round
+    builds the ones it subtracts.
+    """
+
+    def __init__(self, H):
+        self.h, self.s = integer_terms(H)
+        self.hx, self.hy = partials(self.h)
+        self.powers = {0: {(0, 0): 1}}
+        self.operators = {"reduction": {}, "petrov": {}}
+
+    def power(self, k):
+        """h^k as integer terms."""
+        if k not in self.powers:
+            self.powers[k] = times(self.power(k - 1), self.h)
+        return self.powers[k]
+
 
 def monomial_basis(H, report=None):
     """Monomial basis of the Milnor algebra, grid-first.
@@ -138,23 +180,28 @@ def monomial_basis(H, report=None):
 
 def _complement(hx, hy, n, d, candidates):
     """(candidates that are pivot columns after the ideal slice, rank of the degree-d slice matrix)."""
-    _, ideal = _ideal_columns(hx, hy, n, d)
+    ideal = [_ideal_column(hx, hy, label) for label in _ideal_labels(n, d)]
     pivots = pivot_columns(_slice_rows(ideal + [{m: 1} for m in candidates], d))
     return [candidates[c - len(ideal)] for c in pivots if c >= len(ideal)], len(pivots)
 
 
-def _ideal_columns(hx, hy, n, d):
-    """(labels, integer columns hx*x^i y^j then -hy*x^i y^j) for the degree-d slice.
+def _ideal_labels(n, d):
+    """The labels ("B", (i, j)) then ("A", (i, j)) of the degree-d ideal columns.
 
-    (i, j) runs over the quotient monomials of degree d - n, none when d < n;
-    the labels are ("B", (i, j)) and ("A", (i, j)).  For H regular at infinity
-    the degree-d slices of the columns are Hhat_x*x^i y^j and -Hhat_y*x^i y^j
-    times the denominator of H.
+    (i, j) runs over the quotient monomials of degree d - n, none when d < n.
     """
     quot_monos = [(i, d - n - i) for i in range(d - n + 1)]
-    labels = [(kind, m) for kind in ("B", "A") for m in quot_monos]
-    columns = [shifted(hx, i, j) for i, j in quot_monos] + [shifted(hy, i, j, -1) for i, j in quot_monos]
-    return labels, columns
+    return [(kind, m) for kind in ("B", "A") for m in quot_monos]
+
+
+def _ideal_column(hx, hy, label):
+    """The integer column hx*x^i y^j for ("B", (i, j)), -hy*x^i y^j for ("A", (i, j)).
+
+    For H regular at infinity its degree-d slice is Hhat_x*x^i y^j or
+    -Hhat_y*x^i y^j times the denominator of H.
+    """
+    kind, (i, j) = label
+    return shifted(hx, i, j) if kind == "B" else shifted(hy, i, j, -1)
 
 
 def _slice_rows(columns, d):
@@ -162,24 +209,30 @@ def _slice_rows(columns, d):
     return [[col.get((d - b, b), 0) for col in columns] for b in range(d + 1)]
 
 
-def peel_top_slices(target, slice_columns, inconsistent):
+def peel_top_slices(target, operators, slice_columns, inconsistent):
     """Write target = sum_j v_j * column_j exactly, one top homogeneous slice at a time.
 
     ``target`` is a pair (terms, denom) of integer terms and a positive
     integer, standing for terms / denom.  ``slice_columns(d)`` returns
-    ``(unique, labels, columns)``: the polynomials of degree d whose degree-d
-    slices may cancel a top slice of degree d, of which the first ``unique``
-    must have uniquely determined values.  A column
-    is a pair (terms, s) of integer terms and a positive integer s, standing
-    for terms / s.  The remainder is integer numerators W over one positive
-    denominator D.  Each round solves the d+1 integer equations
-    sum_j u_j top(terms_j) = top(W) (free values zero; u_j = N_j / Q with
+    ``(unique, labels, column)``: the labels of the polynomials of degree d
+    whose degree-d slices may cancel a top slice of degree d, of which the
+    first ``unique`` must have uniquely determined values, and ``column``,
+    which builds the column of a label as a pair (terms, s) of integer terms
+    and a positive integer s, standing for terms / s.  ``operators`` (a
+    SliceStore dict) keeps per degree d the slice operator: the d+1 x
+    len(labels) slice matrix reduced by a FractionFreeSolver, and whether a
+    kernel vector moves the first group, both made on first use.
+
+    The remainder is integer numerators W over one positive denominator D.
+    Each round solves the d+1 integer equations sum_j u_j top(terms_j) =
+    top(W) with the stored operator (free values zero; u_j = N_j / Q with
     integers N_j, Q > 0, and v_j = u_j * s_j / D), scales W by
     L = Q / gcd(Q, N), subtracts sum_j (L u_j) terms_j in int arithmetic,
     sets D to L*D and divides out the content; the remainder's degree is
     lower.  Raises ``inconsistent`` when a slice lies outside the span of its
-    columns and InternalRankError when the first group is not unique.
-    Returns {label: Fraction value} over nonzero values.
+    columns and InternalRankError when the first group is not unique, on
+    every round that reaches such a slice.  Returns {label: Fraction value}
+    over nonzero values.
     """
     work, denom = dict(target[0]), target[1]
     values = {}
@@ -189,21 +242,26 @@ def peel_top_slices(target, slice_columns, inconsistent):
         if d >= previous:
             raise InternalRankError("top slice failed to cancel; basis invalid")
         previous = d
-        unique, labels, columns = slice_columns(d)
-        rhs = [work.get((d - b, b), 0) for b in range(d + 1)]
-        matrix = _slice_rows([terms for terms, _ in columns], d)
-        solution, null_basis = solve_with_nullspace(matrix, rhs, want_nullspace=unique > 0)
+        unique, labels, column = slice_columns(d)
+        built = {}
+        if d not in operators:
+            built = {label: column(label) for label in labels}
+            solver = FractionFreeSolver(_slice_rows([terms for terms, _ in built.values()], d))
+            operators[d] = solver, unique > 0 and any(any(vec[:unique]) for vec in solver.nullspace())
+        solver, leading_free = operators[d]
+        solution = solver.solve([work.get((d - b, b), 0) for b in range(d + 1)])
         if solution is None:
             raise inconsistent(f"degree-{d} slice system inconsistent; basis invalid")
-        if any(any(vec[:unique]) for vec in null_basis):
+        if leading_free:
             raise InternalRankError(f"degree-{d} slice leaves leading coefficients free; basis invalid")
         nums, den = solution
         common = gcd(den, *nums)
         scale = den // common
         if scale > 1:
             work = {e: scale * c for e, c in work.items()}
-        for label, (terms, s), num in zip(labels, columns, nums):
+        for label, num in zip(labels, nums):
             if num:
+                terms, s = built.get(label) or column(label)
                 values[label] = Fraction(num * s, den * denom)
                 add_into(work, -(num // common), terms)
         denom *= scale
@@ -231,16 +289,19 @@ def reduce_mod_gradient(P, basis):
     the quotient monomials of degree d - n; see peel_top_slices.  Quotient
     degrees stay <= deg P - n.
     """
-    h, s = integer_terms(basis.H)
-    hx, hy = partials(h)      # H_x = hx / s, H_y = hy / s
+    store = basis.slice_store
+
+    def column(label):
+        kind, key = label
+        if kind == "c":
+            return {basis.monomials[key]: 1}, 1
+        return _ideal_column(store.hx, store.hy, label), store.s
 
     def slice_columns(d):
         own = [i for i, (a, b) in enumerate(basis.monomials) if a + b == d]
-        labels, ideal = _ideal_columns(hx, hy, basis.n, d)
-        monos = [({basis.monomials[i]: 1}, 1) for i in own]
-        return len(own), [("c", i) for i in own] + labels, monos + [(col, s) for col in ideal]
+        return len(own), [("c", i) for i in own] + _ideal_labels(basis.n, d), column
 
-    values = peel_top_slices(integer_terms(P), slice_columns, InternalRankError)
+    values = peel_top_slices(integer_terms(P), store.operators["reduction"], slice_columns, InternalRankError)
     return GradientReduction(
         tuple(values.get(("c", i), Fraction(0)) for i in range(basis.mu)),
         quotA=BiPoly({m: v for (kind, m), v in values.items() if kind == "A"}),

@@ -15,7 +15,13 @@ which meets the degree bounds above.  The columns of slice d are
 d(H^k omega_i) for (n+1)k + deg omega_i = d+2 (top slice a nonzero multiple
 of Hhat^k m_i), then dg^dH for the monomials g of degree d-n+1 >= 1 (top
 slice dg^dHhat).  Every slice is solvable by the graded freeness of the
-Petrov module of Hhat (Gavrilov, Bull. Sci. Math. 1998).
+Petrov module of Hhat (Gavrilov, Bull. Sci. Math. 1998).  The slice matrix
+M of these columns depends only on Hhat, the basis and d, so it is reduced
+once per basis and kept in the basis's SliceStore with the powers h^k (see
+milnor).  A slice solves U x = E b with U = E M, the integers a fresh
+elimination of [M | b] gives, so a decomposition, the length of its
+coeff_polys included (the largest solved k), does not depend on earlier
+queries.
 
 The p-columns have a closed form.  With omega_i = m_i (x dy - y dx)/deg_i
 for m_i = x^a y^b, deg_i = a+b+2, and any polynomial F,
@@ -27,7 +33,7 @@ d(-F y m_i dx) = (y F_y m_i + (b+1) F m_i) dx^dy.  E is a derivation, so for
 F = H^k this is m_i H^(k-1) (H + k E(H)/deg_i).  E multiplies the degree-j
 part of a polynomial by j, so with the integer h = s*H the column is h^k
 with its degree-j part scaled by deg_i + j, shifted by m_i, over deg_i s^k:
-integer terms from the powers h^k, built once per call.  The g-columns
+integer terms from the powers h^k, built once per basis.  The g-columns
 a x^(a-1) y^b H_y - b x^a y^(b-1) H_x are one integer combination of two
 shifts of the integer gradient of H, weighted by a and -b.
 
@@ -83,26 +89,32 @@ class PetrovDecomposition:
 def petrov_decompose(omega, basis):
     """Decompose a polynomial 1-form over the Petrov-module basis, exactly."""
     mu, n = basis.mu, basis.n
-    h, s = integer_terms(basis.H)
-    hx, hy = partials(h)
+    store = basis.slice_store
+    hx, hy, s = store.hx, store.hy, store.s
     degrees = basis.form_degrees()
-    powers = [{(0, 0): 1}]      # h^k
+
+    def column(label):
+        kind, key = label
+        if kind == "p":
+            i, k = key
+            return _p_column(basis.monomials[i], k, store)
+        a, b = key
+        # s d(x^a y^b)^dH = a x^(a-1) y^b hy - b x^a y^(b-1) hx
+        return combine((a, shifted(hy, a - 1, b)), (-b, shifted(hx, a, b - 1))), s
 
     def slice_columns(d):
         p_labels = [(i, (d + 2 - deg) // (n + 1)) for i, deg in enumerate(degrees)
                     if deg <= d + 2 and (d + 2 - deg) % (n + 1) == 0]
         e = d - n + 1
         g_monos = [(a, e - a) for a in range(e, -1, -1) if e > 0]
-        columns = [_p_column(basis.monomials[i], k, powers, h, s) for i, k in p_labels]
-        # s d(x^a y^b)^dH = a x^(a-1) y^b hy - b x^a y^(b-1) hx
-        columns += [(combine((a, shifted(hy, a - 1, b)), (-b, shifted(hx, a, b - 1))), s) for a, b in g_monos]
-        return len(p_labels), [("p", label) for label in p_labels] + [("g", m) for m in g_monos], columns
+        return len(p_labels), [("p", label) for label in p_labels] + [("g", m) for m in g_monos], column
 
     P, Q, s_omega = _integer_one_form(omega)
     d_omega = combine((1, partials(Q)[0]), (-1, partials(P)[1]))
-    values = peel_top_slices((d_omega, s_omega), slice_columns, NoSolutionError)
+    values = peel_top_slices((d_omega, s_omega), store.operators["petrov"], slice_columns, NoSolutionError)
     p_values = {key: v for (kind, key), v in values.items() if kind == "p"}
-    coeff_polys = tuple(UniPoly([p_values.get((i, k), 0) for k in range(len(powers))]) for i in range(mu))
+    top = max((k for _, k in p_values), default=-1)
+    coeff_polys = tuple(UniPoly([p_values.get((i, k), 0) for k in range(top + 1)]) for i in range(mu))
     witness_g = BiPoly({m: v for (kind, m), v in values.items() if kind == "g"})
 
     # every H^k omega_i has zero radial contraction, so f integrates rest = omega - g dH
@@ -119,6 +131,7 @@ def petrov_decompose(omega, basis):
     (u, v), M = cleared((Fraction(1, R), Fraction(1, sf)))
     fx, fy = partials(f)
     nu_P, nu_Q = combine((u, rest_P), (-v, fx)), combine((u, rest_Q), (-v, fy))
+    powers = {k: store.power(k) for _, k in p_values}
     if not _is_radial_combination(nu_P, nu_Q, M, p_values, basis.monomials, powers, s):
         raise InternalRankError("closed defect failed to integrate; basis invalid")
 
@@ -132,17 +145,15 @@ def _integer_one_form(omega):
     return dict(zip(P, ints)), dict(zip(Q, ints[len(P):])), denom
 
 
-def _p_column(monomial, k, powers, h, s):
-    """d(H^k omega_i) as (integer terms, denominator), from h^k = (s H)^k.
+def _p_column(monomial, k, store):
+    """d(H^k omega_i) as (integer terms, denominator), from the stored h^k = (s H)^k.
 
     The terms are m_i (deg_i h^k + E(h^k)): h^k with its degree-j part times
     deg_i + j, shifted by m_i; the denominator is deg_i s^k.
     """
-    while len(powers) <= k:
-        powers.append(times(powers[-1], h))
     a, b = monomial
     deg = a + b + 2
-    return {(x + a, y + b): (deg + x + y) * c for (x, y), c in powers[k].items()}, deg * s**k
+    return {(x + a, y + b): (deg + x + y) * c for (x, y), c in store.power(k).items()}, deg * store.s**k
 
 
 def _is_radial_combination(nu_P, nu_Q, denom, p_values, monomials, powers, s):

@@ -1,14 +1,18 @@
 """Exact solving, spectra and resultants of the rational linear algebra layer."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from picardfuchs.bipoly import BiPoly, X, Y
 from picardfuchs.errors import DegenerateResultantError, InternalRankError
 from picardfuchs.linalg import (
+    FractionFreeSolver,
     RatMatrix,
     _back_substitute,
+    _bareiss_echelon,
     char_poly,
     determinant,
     min_poly,
@@ -96,10 +100,43 @@ def test_integer_back_substitution_against_matvec(rng):
     assert solve_with_nullspace([[1, 1]], [1], want_nullspace=True) == (([1, 0], 1), [[-1, 1]])
 
 
+def _augmented_solve(int_rows, rhs):
+    """The single Bareiss pass over [M | b]: a pivot in the last column means inconsistent."""
+    ncols = len(int_rows[0])
+    work = [list(row) + [b] for row, b in zip(int_rows, rhs)]
+    pivots, _ = _bareiss_echelon(work, ncols + 1)
+    if any(col == ncols for _, col in pivots):
+        return None
+    return _back_substitute(work, pivots, ncols, [row[ncols] for row in work])
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_stored_solver_matches_one_shot_solves(seed):
+    rng = random.Random(seed)
+    rows, cols, rank = rng.randint(1, 7), rng.randint(1, 7), rng.randint(0, 5)
+    left = [[rng.randint(-4, 4) for _ in range(rank)] for _ in range(rows)]
+    right = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rank)]
+    m = [[sum(l * r[j] for l, r in zip(row, right)) for j in range(cols)] for row in left]
+    copy = [list(row) for row in m]
+    solver = FractionFreeSolver(m)
+    kernel = solver.nullspace()
+    for _ in range(4):
+        if rng.random() < 0.5:
+            x = [rng.randint(-5, 5) for _ in range(cols)]
+            rhs = [sum(a * v for a, v in zip(row, x)) for row in m]
+        else:  # inconsistent whenever it leaves the column space
+            rhs = [rng.randint(-9, 9) for _ in range(rows)]
+        one_shot, null_basis = solve_with_nullspace(m, rhs, want_nullspace=True)
+        assert solver.solve(rhs) == one_shot == _augmented_solve(m, rhs)
+        assert null_basis == (kernel if one_shot is not None else [])
+    assert m == copy
+
+
 def test_back_substitution_rejects_an_inexact_division():
     # not a Bareiss echelon form: 2 x + 3 y = 1, 2 y = 1 has x = -1/4, not a multiple of 1/2
     with pytest.raises(InternalRankError):
-        _back_substitute([[2, 3, 1], [0, 2, 1]], [(0, 0), (1, 1)], 2, 2)
+        _back_substitute([[2, 3], [0, 2]], [(0, 0), (1, 1)], 2, [1, 1])
 
 
 def test_char_and_min_poly_examples():

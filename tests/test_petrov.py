@@ -1,6 +1,8 @@
 """Petrov-module decompositions: certificates, uniqueness, degree bounds."""
 
+import dataclasses
 import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -140,11 +142,9 @@ def test_closed_form_columns_match_bipoly_arithmetic():
     hamiltonians = list(WITNESS_HAMILTONIANS[:3]) + [QUINTIC, WITNESS_HAMILTONIANS[3]]
     for H in hamiltonians:
         basis = monomial_basis(H)
-        h, s = integer_terms(H)
-        powers = [{(0, 0): 1}]
         for i, monomial in enumerate(basis.monomials):
             for k in range(4):
-                terms, den = _p_column(monomial, k, powers, h, s)
+                terms, den = _p_column(monomial, k, basis.slice_store)
                 expected = exterior_derivative(basis.primitives[i].multiply(H**k))
                 assert BiPoly({e: Fraction(c, den) for e, c in terms.items()}) == expected, (H, i, k)
     assert (1, 1) not in monomial_basis(hamiltonians[1]).monomials
@@ -187,13 +187,45 @@ def test_invalid_basis_fails_in_the_peel():
     H = X**3 + Y**3 - 3 * X * Y
     good = monomial_basis(H)
     monos = tuple((2, 0) if m == (1, 1) else m for m in good.monomials)
-    basis = MilnorBasis(H, good.n, good.mu, monos, tuple(canonical_primitive(a, b) for a, b in monos))
-    with pytest.raises(InternalRankError):
-        reduce_mod_gradient(X * Y, basis)
-    with pytest.raises(InternalRankError):
-        petrov_decompose(basis.primitives[monos.index((2, 0))], basis)
-    with pytest.raises(NoSolutionError):
-        petrov_decompose(OneForm(BiPoly.zero(), X**2 * Y), basis)
+    calls = (
+        (InternalRankError, lambda basis: reduce_mod_gradient(X * Y, basis)),
+        (InternalRankError, lambda basis: petrov_decompose(basis.primitives[monos.index((2, 0))], basis)),
+        (NoSolutionError, lambda basis: petrov_decompose(OneForm(BiPoly.zero(), X**2 * Y), basis)),
+    )
+    # the second call of each reaches a stored slice operator and must fail the same way
+    for order in itertools.permutations(calls):
+        basis = MilnorBasis(H, good.n, good.mu, monos, tuple(canonical_primitive(a, b) for a, b in monos))
+        for error, call in order:
+            for _ in range(2):
+                with pytest.raises(error):
+                    call(basis)
+
+
+def test_stored_operators_do_not_depend_on_query_order(rng):
+    H = random_regular_hamiltonian(rng, 3)
+    n = 3
+    queries = {D: (OneForm(random_bipoly(rng, D - 1), random_bipoly(rng, D - 1)), random_bipoly(rng, D))
+               for D in range(n + 1, 3 * n + 1)}
+
+    def answer(D, basis):
+        form, P = queries[D]
+        return petrov_decompose(form, basis), reduce_mod_gradient(P, basis)
+
+    fresh = {D: answer(D, monomial_basis(H)) for D in queries}
+    descending = sorted(queries, reverse=True)
+    for first in (descending, descending[::-1]):
+        basis = monomial_basis(H)
+        seen = (repr(basis), hash(basis))
+        for D in first + first[::-1]:
+            assert answer(D, basis) == fresh[D], D
+        assert all(basis.slice_store.operators.values())
+        assert (repr(basis), hash(basis)) == seen and basis == monomial_basis(H)
+        copies = (dataclasses.replace(basis),
+                  MilnorBasis(basis.H, basis.n, basis.mu, basis.monomials, basis.primitives))
+        for copy in copies:
+            assert copy == basis
+            assert copy.slice_store.operators == {"reduction": {}, "petrov": {}}
+            assert copy.slice_store.powers == {0: {(0, 0): 1}}
 
 
 def test_certificate_check_catches_a_wrong_coefficient(monkeypatch):

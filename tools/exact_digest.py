@@ -10,8 +10,11 @@ B1, D, every eta_i and its Petrov certificate and ``critical_values`` of
 ``build_system`` (or the error it raises), and the stdout, stderr and exit
 code of ``pf system H --format json``.  Then come the resultants of 40
 seeded pairs with rational coefficients, Petrov decompositions of seeded
-rational forms, and ``char_poly``/``pencil_determinant`` of the derogatory
-x^4 + y^4.
+rational forms, ``char_poly``/``pencil_determinant`` of the derogatory
+x^4 + y^4, gradient reductions of seeded rational polynomials, and Petrov
+decompositions and reductions of one query per degree asked of one basis
+twice, in descending and then in ascending degree (a result that depended
+on what the basis had answered before would print two different lines).
 
 The Hamiltonians: the tests' named ones, the sparse family d = 3..6, the
 ``system_json`` and ``build_random`` inputs of the benchmark at seeds 1-3
@@ -38,7 +41,7 @@ from picardfuchs.cli import main
 from picardfuchs.errors import PicardFuchsError
 from picardfuchs.forms import OneForm
 from picardfuchs.linalg import char_poly, pencil_determinant, resultant
-from picardfuchs.milnor import monomial_basis
+from picardfuchs.milnor import monomial_basis, reduce_mod_gradient
 from picardfuchs.petrov import petrov_decompose
 from picardfuchs.system import build_system
 
@@ -87,10 +90,17 @@ def system_record(system):
         [m.entries for m in (system.A, system.B0, system.B1)],
         list(system.D),
         [(terms(eta.P), terms(eta.Q)) for eta in system.etas],
-        [([p.coeffs for p in cert.coeff_polys], terms(cert.witness_g), terms(cert.witness_f))
-         for cert in system.certificates],
+        [petrov_record(cert) for cert in system.certificates],
         system.critical_values(),
     )
+
+
+def petrov_record(dec):
+    return [p.coeffs for p in dec.coeff_polys], terms(dec.witness_g), terms(dec.witness_f)
+
+
+def reduction_record(red):
+    return list(red.remainder_coeffs), terms(red.quotA), terms(red.quotB)
 
 
 def cli_record(text):
@@ -130,12 +140,30 @@ def main_digest():
         for j in range(5):
             degree = rng.randint(basis.n + 1, 3 * basis.n + 2)
             dec = petrov_decompose(OneForm(random_poly(rng, degree, 8), random_poly(rng, degree, 8)), basis)
-            record = ([p.coeffs for p in dec.coeff_polys], terms(dec.witness_g), terms(dec.witness_f))
-            print(f"petrov named {i} form {j}: {sha(record)}")
+            print(f"petrov named {i} form {j}: {sha(petrov_record(dec))}")
 
     system = build_system(BiPoly(NAMED[2]))
     print(f"x^4+y^4 char_poly(A): {char_poly(system.A)}")
     print(f"x^4+y^4 pencil_determinant(B0, B1): {pencil_determinant(system.B0, system.B1)}")
+
+    rng = random.Random(37)
+    for i, h in enumerate(NAMED[:5]):
+        basis = monomial_basis(BiPoly(h))
+        for j in range(5):
+            red = reduce_mod_gradient(random_poly(rng, rng.randint(basis.n + 1, 3 * basis.n + 2), 10), basis)
+            print(f"reduction named {i} poly {j}: {sha(reduction_record(red))}")
+
+    # one basis answers every query, first in descending then in ascending degree
+    rng = random.Random(43)
+    for label, h in (("named 5", NAMED[5]), ("sparse d=5", sparse_family(5))):
+        basis = monomial_basis(BiPoly({e: Fraction(c) for e, c in h.items()}))
+        queries = {D: (OneForm(random_poly(rng, D - 1, 8), random_poly(rng, D - 1, 8)), random_poly(rng, D, 10))
+                   for D in range(basis.n + 1, 3 * basis.n + 1)}
+        for order in ("descending", "ascending"):
+            for D in sorted(queries, reverse=order == "descending"):
+                form, P = queries[D]
+                dec, red = petrov_decompose(form, basis), reduce_mod_gradient(P, basis)
+                print(f"reuse {label} {order} degree {D}: {sha(petrov_record(dec))} {sha(reduction_record(red))}")
 
 
 if __name__ == "__main__":
