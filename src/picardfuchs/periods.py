@@ -18,12 +18,24 @@ Two cycle modes:
     by nearest-root continuation; a lift that returns to a different sheet
     raises NotClosed and the caller iterates the loop (more turns).
 
+The real-oval walk evaluates H and its partials in float arithmetic at one
+point at a time.  The x values of an x-loop are known before the walk, so
+the fiber roots at all of them are computed in advance: the companion
+matrices of FIBER_BLOCK consecutive x values go to one eigenvalue call,
+which bounds the memory of one batch.  The walk then only matches nearest
+roots; the seed and the midpoints of a subdivided step are single x values.
+
 The Gelfand-Leray derivative of a period of omega_i with d(omega_i) =
 m dx^dy is the period, over the same cycle, of the residue form
 m (conj(H_x) dy - conj(H_y) dx) / (|H_x|^2 + |H_y|^2).  Its wedge with dH
 is m dx^dy, so on the curve it equals -(m/H_y) dx = (m/H_x) dy; its
 denominator vanishes only at critical points of H, so one formula serves
 every sample of real ovals and complex cycles alike.
+
+system_residual builds the samples, their derivatives and the residue
+kernel (H_x, H_y, the DENOMINATOR_FLOOR guard) once per cycle and evaluates
+every basis form and monomial on them; integrate_form and
+gelfand_leray_derivative are the same computation for a single form.
 
 Tracing tolerances are module constants: MAX_STEP bounds the first
 arc-length step, NEWTON_TOL * max(1, |t|) is the level-curve residual at
@@ -66,12 +78,13 @@ class PeriodSample:
 # -- compiled float evaluation ------------------------------------------------
 
 
-def _compiled(poly):
-    return tuple((a, b, complex(c)) for (a, b), c in poly.terms.items())
+def _compiled(poly, kind=complex):
+    return tuple((a, b, kind(c)) for (a, b), c in poly.terms.items())
 
 
-def _eval_c(compiled, x, y):
-    total = 0j
+def _eval_real(compiled, x, y):
+    """A polynomial compiled with kind=float at the float point (x, y)."""
+    total = 0.0
     for a, b, c in compiled:
         total += c * x**a * y**b
     return total
@@ -124,17 +137,17 @@ def _trace_real_oval(H, t, seed, samples):
         raise ValueError("real_oval mode needs a real level value t")
     t_real = t.real
     newton_tol = NEWTON_TOL * max(1.0, abs(t_real))
-    h_poly = _compiled(H)
-    hx = _compiled(H.partial("x"))
-    hy = _compiled(H.partial("y"))
+    h_poly = _compiled(H, float)
+    hx = _compiled(H.partial("x"), float)
+    hy = _compiled(H.partial("y"), float)
 
     def project(x, y):
         for _ in range(20):
-            val = (_eval_c(h_poly, x, y) - t_real).real
+            val = _eval_real(h_poly, x, y) - t_real
             if abs(val) < newton_tol:
                 return x, y
-            gx = _eval_c(hx, x, y).real
-            gy = _eval_c(hy, x, y).real
+            gx = _eval_real(hx, x, y)
+            gy = _eval_real(hy, x, y)
             norm2 = gx * gx + gy * gy
             if norm2 < 1e-20:
                 raise TraceDiverged("gradient vanished during Newton correction")
@@ -143,8 +156,8 @@ def _trace_real_oval(H, t, seed, samples):
         raise TraceDiverged("Newton correction did not converge")
 
     def tangent(x, y):
-        gx = _eval_c(hx, x, y).real
-        gy = _eval_c(hy, x, y).real
+        gx = _eval_real(hx, x, y)
+        gy = _eval_real(hy, x, y)
         norm = math.hypot(gx, gy)
         if norm < 1e-12:
             raise TraceDiverged("tangent undefined (gradient too small)")
@@ -199,7 +212,7 @@ def _land_real(H, t_real, x0, y0, project):
     candidates = []
     for poly, fixed, free, on_x_line in ((H, x0, y0, False), (H.swap_variables(), y0, x0, True)):
         try:
-            roots = _fiber_roots(poly, t_real, fixed)
+            roots = next(_fiber_roots(poly, t_real, [fixed]))
         except TraceDiverged:
             continue
         for r in roots[np.abs(roots.imag) < 1e-9].real:
@@ -269,12 +282,11 @@ def _trace_x_loop(H, t, seed, samples, loop_center, turns):
     angles = 2.0 * math.pi * turns * np.arange(total + 1) / total
     xs = center + radius * np.exp(1j * angles)
     prev_x = x_seed
-    for k in range(total + 1):
-        xk = complex(xs[k])
-        y = _continue_root(H, t, prev_x, y, xk, depth=0)
-        if k < total:
-            points.append((xk, y))
+    for xk, roots in zip(xs.tolist(), _fiber_roots(H, t, xs)):
+        y = _continue_root(H, t, prev_x, y, xk, roots)
+        points.append((xk, y))
         prev_x = xk
+    points.pop()  # the sample at angle 2 pi turns closes the loop
     gap = abs(y - y0)
     scale = 1.0 + abs(y0)
     if gap > 1e-8 * scale:
@@ -284,27 +296,56 @@ def _trace_x_loop(H, t, seed, samples, loop_center, turns):
     return Cycle(t=t, points=tuple(points), closure_error=gap, hamiltonian=H, mode="x_loop")
 
 
-def _fiber_roots(H, t, x_value):
-    coeffs = H.y_coefficients(complex(x_value))
-    if coeffs:
-        coeffs[0] -= complex(t)
-    else:
-        coeffs = [-complex(t)]
-    arr = np.array(coeffs[::-1])
-    scale = np.abs(arr).max()
-    if scale == 0 or len(arr) < 2:
-        raise TraceDiverged(f"fiber of H(x, .) = t degenerate at x = {x_value}")
-    return np.roots(arr / scale)
+FIBER_BLOCK = 256  # x values per batched eigenvalue call in _fiber_roots
+
+
+def _fiber_roots(H, t, x_values):
+    """Yield the roots in y of H(x, y) = t at each of x_values, in order.
+
+    As in np.roots, the roots are the eigenvalues of the companion matrix of
+    the coefficients scaled by their largest modulus.  The matrices of
+    FIBER_BLOCK x values at a time go to one np.linalg.eigvals call; a row
+    with a zero leading or trailing coefficient goes to np.roots itself,
+    which strips those zeros.
+    """
+    x_values = np.asarray(x_values, dtype=complex)
+    n = max(H.degree_in("y"), 0)
+    for start in range(0, len(x_values), FIBER_BLOCK):
+        xs = x_values[start:start + FIBER_BLOCK]
+        coeffs = np.zeros((len(xs), n + 1), dtype=complex)
+        for (a, b), c in H.terms.items():
+            coeffs[:, n - b] += complex(c) * xs**a
+        coeffs[:, n] -= complex(t)
+        scale = np.abs(coeffs).max(axis=1)
+        degenerate = np.flatnonzero(scale == 0)
+        if n < 1 or len(degenerate):
+            x_bad = xs[degenerate[0] if len(degenerate) else 0]
+            raise TraceDiverged(f"fiber of H(x, .) = t degenerate at x = {x_bad}")
+        rows = coeffs / scale[:, None]
+        regular = (rows[:, 0] != 0) & (rows[:, n] != 0)
+        companion = np.zeros((int(regular.sum()), n, n), dtype=complex)
+        companion[:, 0, :] = -rows[regular, 1:] / rows[regular, :1]
+        companion[:, np.arange(1, n), np.arange(n - 1)] = 1
+        eigenvalues = iter(np.linalg.eigvals(companion))
+        for ok, row, x in zip(regular, rows, xs):
+            roots = next(eigenvalues) if ok else np.roots(row)
+            if not len(roots):
+                raise TraceDiverged(f"fiber of H(x, .) = t has no roots at x = {x}")
+            yield roots
 
 
 def _nearest_root(H, t, x_value, y_guess):
-    roots = _fiber_roots(H, t, x_value)
+    roots = next(_fiber_roots(H, t, [x_value]))
     return complex(roots[np.argmin(np.abs(roots - y_guess))])
 
 
-def _continue_root(H, t, x_from, y_from, x_to, depth):
-    """Follow the y-sheet from x_from to x_to, subdividing near close roots."""
-    roots = _fiber_roots(H, t, x_to)
+def _continue_root(H, t, x_from, y_from, x_to, roots=None, depth=0):
+    """Follow the y-sheet from x_from to x_to, subdividing near close roots.
+
+    ``roots`` are the fiber roots at x_to when the caller has them.
+    """
+    if roots is None:
+        roots = next(_fiber_roots(H, t, [x_to]))
     dist = np.abs(roots - y_from)
     order = np.argsort(dist)
     nearest = complex(roots[order[0]])
@@ -312,8 +353,8 @@ def _continue_root(H, t, x_from, y_from, x_to, depth):
         if depth >= 12:
             raise TraceDiverged("x-path passes too close to a branch point")
         mid = 0.5 * (x_from + x_to)
-        y_mid = _continue_root(H, t, x_from, y_from, mid, depth + 1)
-        return _continue_root(H, t, mid, y_mid, x_to, depth + 1)
+        y_mid = _continue_root(H, t, x_from, y_from, mid, depth=depth + 1)
+        return _continue_root(H, t, mid, y_mid, x_to, depth=depth + 1)
     return nearest
 
 
@@ -328,19 +369,29 @@ MIN_SAMPLES = 2 * len(_STENCIL) + 1  # the width of the stencil
 MAX_SAMPLES = 1 << 16  # the most samples a command line may ask a traced cycle for
 
 
-def _samples_and_derivatives(cycle, stencil=_STENCIL):
-    """The samples xs, ys and their derivatives in the (periodic) sample index."""
+def _samples(cycle):
+    """The samples xs, ys of the cycle as arrays."""
     n = len(cycle.points)
     if n < MIN_SAMPLES:
         raise ValueError(f"cycle needs at least {MIN_SAMPLES} samples, got {n}")
-    xs = np.array([p[0] for p in cycle.points])
-    ys = np.array([p[1] for p in cycle.points])
+    chain = np.array(cycle.points)
+    return chain[:, 0], chain[:, 1]
 
-    def derivative(values):
-        return sum(w * (np.roll(values, -k) - np.roll(values, k))
-                   for k, w in enumerate(stencil, start=1))
 
-    return xs, ys, derivative(xs), derivative(ys)
+def _derivative(values, stencil=_STENCIL):
+    """The derivative of periodic samples in the sample index."""
+    return sum(w * (np.roll(values, -k) - np.roll(values, k))
+               for k, w in enumerate(stencil, start=1))
+
+
+def _form_values(omega, xs, ys):
+    """P and Q of the 1-form at the samples."""
+    return _eval_arrays(_compiled(omega.P), xs, ys), _eval_arrays(_compiled(omega.Q), xs, ys)
+
+
+def _trapezoid(pq, dxs, dys):
+    p, q = pq
+    return complex((p * dxs + q * dys).sum())
 
 
 def integrate_form(omega, cycle, with_error=False):
@@ -350,17 +401,37 @@ def integrate_form(omega, cycle, with_error=False):
     difference stencil; with_error additionally returns the change under the
     order-6 stencil as an error estimate.
     """
-    xs, ys, dxs, dys = _samples_and_derivatives(cycle)
-    p = _eval_arrays(_compiled(omega.P), xs, ys)
-    q = _eval_arrays(_compiled(omega.Q), xs, ys)
-    value = complex((p * dxs + q * dys).sum())
+    xs, ys = _samples(cycle)
+    pq = _form_values(omega, xs, ys)
+    value = _trapezoid(pq, _derivative(xs), _derivative(ys))
     if not with_error:
         return value
-    _, _, dxs, dys = _samples_and_derivatives(cycle, _STENCIL_COARSE)
-    return value, abs(value - complex((p * dxs + q * dys).sum()))
+    coarse = _trapezoid(pq, _derivative(xs, _STENCIL_COARSE), _derivative(ys, _STENCIL_COARSE))
+    return value, abs(value - coarse)
 
 
 DENOMINATOR_FLOOR = 1e-8  # max(|H_x|, |H_y|) at a sample, relative to its largest value
+
+
+def _residue_kernel(H, xs, ys, dxs, dys):
+    """Numerator and denominator of the residue form over m dx^dy at the samples.
+
+    They are conj(H_x) dy - conj(H_y) dx and |H_x|^2 + |H_y|^2.  Raises
+    SingularDenominator if both partials nearly vanish at a sample.
+    """
+    hxv = _eval_arrays(_compiled(H.partial("x")), xs, ys)
+    hyv = _eval_arrays(_compiled(H.partial("y")), xs, ys)
+    dominant = np.maximum(np.abs(hxv), np.abs(hyv))
+    scale = max(float(dominant.max()), 1e-30)
+    if float(dominant.min()) < DENOMINATOR_FLOOR * scale:
+        raise SingularDenominator("cycle passes too close to a critical point of H")
+    return np.conj(hxv) * dys - np.conj(hyv) * dxs, np.abs(hxv) ** 2 + np.abs(hyv) ** 2
+
+
+def _residue_period(compiled_m, xs, ys, kernel):
+    """The trapezoid sum of the residue form of m dx^dy, m compiled."""
+    numerator, norm2 = kernel
+    return complex((_eval_arrays(compiled_m, xs, ys) * numerator / norm2).sum())
 
 
 def gelfand_leray_derivative(m, cycle):
@@ -370,31 +441,26 @@ def gelfand_leray_derivative(m, cycle):
     |H_y|^2), equal to -(m/H_y) dx = (m/H_x) dy on the level curve.  Raises
     SingularDenominator if both partials nearly vanish at a sample.
     """
-    H = cycle.hamiltonian
-    xs, ys, dxs, dys = _samples_and_derivatives(cycle)
-    mv = _eval_arrays(_compiled(m), xs, ys)
-    hxv = _eval_arrays(_compiled(H.partial("x")), xs, ys)
-    hyv = _eval_arrays(_compiled(H.partial("y")), xs, ys)
-    dominant = np.maximum(np.abs(hxv), np.abs(hyv))
-    scale = max(float(dominant.max()), 1e-30)
-    if float(dominant.min()) < DENOMINATOR_FLOOR * scale:
-        raise SingularDenominator("cycle passes too close to a critical point of H")
-    norm2 = np.abs(hxv) ** 2 + np.abs(hyv) ** 2
-    return complex((mv * (np.conj(hxv) * dys - np.conj(hyv) * dxs) / norm2).sum())
+    xs, ys = _samples(cycle)
+    kernel = _residue_kernel(cycle.hamiltonian, xs, ys, _derivative(xs), _derivative(ys))
+    return _residue_period(_compiled(m), xs, ys, kernel)
 
 
 # -- residuals and asymptotics --------------------------------------------------
 
 
 def system_residual(sys, cycle):
-    """Evaluate the system on one cycle's period vector; small residual = pass."""
-    from .bipoly import BiPoly
+    """Evaluate the system on one cycle's period vector; small residual = pass.
 
-    periods = [integrate_form(omega, cycle) for omega in sys.basis.primitives]
-    derivatives = [
-        gelfand_leray_derivative(BiPoly.monomial(a, b), cycle)
-        for a, b in sys.basis.monomials
-    ]
+    The samples, their derivatives and the residue kernel are built once for
+    all basis forms and monomials.
+    """
+    xs, ys = _samples(cycle)
+    dxs, dys = _derivative(xs), _derivative(ys)
+    periods = [_trapezoid(_form_values(omega, xs, ys), dxs, dys) for omega in sys.basis.primitives]
+    kernel = _residue_kernel(cycle.hamiltonian, xs, ys, dxs, dys)
+    derivatives = [_residue_period(((a, b, 1 + 0j),), xs, ys, kernel)
+                   for a, b in sys.basis.monomials]
     I = np.array(periods)
     Idot = np.array(derivatives)
     t = complex(cycle.t)
@@ -473,12 +539,15 @@ def cycle_from_json(doc, H):
     if len(points) < MIN_SAMPLES:
         raise ValueError(f"the cycle document has {len(points)} samples; "
                          f"the quadrature needs at least {MIN_SAMPLES}")
-    h_c = _compiled(H)
-    worst = max(abs(_eval_c(h_c, p[0], p[1]) - t) for p in points)
+    chain = np.array(points)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail the test below
+        worst = float(np.abs(_eval_arrays(_compiled(H), chain[:, 0], chain[:, 1]) - t).max())
     if not worst <= TRACE_TOL * (1.0 + abs(t)):  # a NaN in the document fails too
         raise NumericalFailure(f"imported samples leave the level curve by {worst:.3e}")
-    chain = np.array(points)
     longest = float(np.linalg.norm(np.diff(chain, axis=0), axis=1).max())
+    if longest == 0.0:
+        raise ValueError(f"the cycle document's {len(points)} samples are all one point; "
+                         "it encloses nothing")
     wrap = float(np.linalg.norm(chain[0] - chain[-1]))
     gap = max(0.0, wrap - longest)
     if gap > OPEN_TOL * longest:

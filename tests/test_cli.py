@@ -354,6 +354,13 @@ def test_file_errors_exit_2_with_a_reason(tmp_path, capsys):
         ([*periods, "--cycle", document("nan.json", {"t": [1.0, 0.0], "samples":
                                                     [{"x": [math.nan, 0.0], "y": [0.0, 0.0]}] * 16})],
          "NumericalFailure", "leave the level curve by nan"),
+        # every sample the same point of the circle: on the curve, but encloses nothing
+        ([*periods, "--cycle", document("one_point.json", {"t": [1.0, 0.0], "samples": [sample] * 16})],
+         "ValueError", "samples are all one point"),
+        # H overflows at the samples
+        ([*periods, "--cycle", document("huge.json", {"t": [1.0, 0.0], "samples":
+                                                     [{"x": [1e200, 0.0], "y": [0.0, 0.0]}] * 16})],
+         "NumericalFailure", "leave the level curve by"),
         (["system", "x^2+y^2", "--out", unwritable], "FileNotFoundError", "out.json"),
         (["system", "x^2+y^2", "--out", str(tmp_path)], "IsADirectoryError", str(tmp_path)),
         ([*periods, "--t", "1", "--seed", "1,0", "--out-cycle", unwritable],

@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 
 from picardfuchs.bipoly import BiPoly, X, Y
-from picardfuchs.errors import NotClosed, SingularDenominator
+from picardfuchs.errors import NotClosed, SingularDenominator, TraceDiverged
 from picardfuchs.forms import differential
 from picardfuchs.linalg import RatMatrix
 from picardfuchs.periods import (
+    FIBER_BLOCK,
     MIN_SAMPLES,
+    _fiber_roots,
     asymptotic_exponent_check,
     cycle_from_json,
     cycle_to_json,
@@ -28,6 +30,7 @@ from tests.conftest import random_bipoly
 
 CIRCLE_H = X**2 + Y**2
 CUBIC = X**3 + Y**3 - 3 * X * Y
+SEXTIC = X**6 + Y**6 - X**2 - Y**2
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +127,27 @@ def test_singular_denominator_guard(cubic_system):
     )
     with pytest.raises(SingularDenominator):
         gelfand_leray_derivative(BiPoly.constant(1), bad)
+    with pytest.raises(SingularDenominator):
+        system_residual(cubic_system, bad)
+
+
+def test_system_residual_matches_single_form_entry_points(circle_system, unit_circle, cubic_system):
+    # one sample pass for the whole basis gives what the per-form entry points give
+    sextic_system = build_system(SEXTIC)
+    cases = (
+        (circle_system, unit_circle),
+        (cubic_system, trace_cycle(CUBIC, -0.5, (1.0, 1.0))),
+        (sextic_system, big_loop(SEXTIC, 40.0)),
+    )
+    for system, cycle in cases:
+        sample = system_residual(system, cycle)
+        basis = system.basis
+        for value, omega in zip(sample.I, basis.primitives):
+            single = integrate_form(omega, cycle)
+            assert abs(value - single) <= 1e-13 * abs(single)
+        for value, (a, b) in zip(sample.Idot, basis.monomials):
+            single = gelfand_leray_derivative(BiPoly.monomial(a, b), cycle)
+            assert abs(value - single) <= 1e-13 * abs(single)
 
 
 def test_circle_residual(circle_system, unit_circle):
@@ -171,8 +195,7 @@ def test_residual_invariant_under_resampling(cubic_system):
 
 def test_sextic_x_loop_residual_margin():
     # the large-level x-loop that the periods_sweep benchmark traces on this sextic
-    H = X**6 + Y**6 - X**2 - Y**2
-    assert system_residual(build_system(H), big_loop(H, 40.0)).residual < 1e-9
+    assert system_residual(build_system(SEXTIC), big_loop(SEXTIC, 40.0)).residual < 1e-9
 
 
 def test_quadrature_convergence_order(circle_system):
@@ -260,3 +283,42 @@ def test_cycle_json_measures_the_wrap_around_step():
     doc["samples"] = doc["samples"][:-2]
     with pytest.raises(ValueError, match="open path"):
         cycle_from_json(doc, CUBIC)
+
+
+def assert_same_roots(got, expected, tol=1e-13):
+    """Equal as multisets, to tol relative to the largest root."""
+    scale = max(float(np.abs(expected).max(initial=0.0)), 1.0)
+    remaining = list(expected)
+    assert len(got) == len(remaining)
+    for root in got:
+        k = int(np.argmin([abs(root - r) for r in remaining]))
+        assert abs(root - remaining.pop(k)) <= tol * scale, (got, expected)
+
+
+@pytest.mark.parametrize("H, t", [
+    (X**6 + Y**6 - X**2 - Y**2 + 3 * X * Y**3, 0.3 + 1j),
+    # the leading y-coefficient 3x vanishes at x = 0, and at t = 0 the constant one too
+    (X**3 + 3 * X * Y**2 + Y, 0.5),
+    (X**3 + 3 * X * Y**2 + Y, 0.0),
+], ids=["sextic", "regular-cubic", "regular-cubic-t0"])
+def test_batched_fiber_roots_match_np_roots(H, t):
+    rng = np.random.default_rng(5)
+    count = 2 * FIBER_BLOCK + 37  # not a multiple of the block
+    xs = rng.normal(size=count) + 1j * rng.normal(size=count)
+    xs[FIBER_BLOCK + 3] = 0.0
+    xs[7] = 1.25  # a real x
+    batched = list(_fiber_roots(H, t, xs))
+    assert len(batched) == count
+    for x, roots in zip(xs, batched):
+        coeffs = H.y_coefficients(complex(x))
+        coeffs[0] -= t
+        assert_same_roots(roots, np.roots(np.array(coeffs[::-1])))
+
+
+def test_fiber_roots_degenerate_fiber():
+    # H(0, y) - 0 is the zero polynomial in y
+    with pytest.raises(TraceDiverged, match="degenerate"):
+        list(_fiber_roots(X * Y + X, 0.0, [1.0, 0.0]))
+    # H(0, y) - 1 is the nonzero constant -1: no y solves it
+    with pytest.raises(TraceDiverged, match="no roots"):
+        list(_fiber_roots(X**3 + 3 * X * Y**2 + X, 1.0, [1.0, 0.0]))

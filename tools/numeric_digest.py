@@ -1,0 +1,175 @@
+"""Print the numeric outputs of cycle tracing and residuals on a fixed case set.
+
+Run from any directory against one source tree:
+
+    PYTHONPATH=<tree>/src python3 tools/numeric_digest.py > digest.txt
+
+and compare the files of two trees (this needs no PYTHONPATH):
+
+    python3 tools/numeric_digest.py --compare parent.txt change.txt
+
+Per case it prints one line: the label (with the cycle mode), a SHA-256 of
+the bytes of the samples as a complex128 array, the closure error, the
+residual of ``system_residual`` and every period and derivative, each
+number at ``%.15e`` (a complex number as ``re,im``), or the error the case
+raised.  The comparison reports per mode how many lines have identical
+samples, closure errors and periods, and the largest difference of a period
+or derivative relative to the largest entry of its vector.
+
+The cases: every ``periods_sweep`` case of the benchmark at seeds 1-3, and
+the real ovals and x-loops that ``tests/test_periods.py`` traces.  Standard
+library and numpy only, besides the package under test and the benchmark's
+workload definitions.
+"""
+
+import hashlib
+import math
+import sys
+from pathlib import Path
+
+import numpy as np
+
+
+
+def big_loop_seed(H, t):
+    """The seed of ``big_loop`` in the tests: x-circle of radius 2|t|^(1/deg H)."""
+    x0 = 2.0 * abs(t) ** (1.0 / H.degree()) + 0j
+    coeffs = [complex(c) for c in H.y_coefficients(x0)]
+    coeffs[0] -= t
+    roots = np.roots(np.array(coeffs[::-1]))
+    return x0, max(roots, key=lambda z: (z.real, z.imag))
+
+
+def period_test_cases():
+    """(label, H, t, seed, keyword arguments of trace_cycle) of tests/test_periods.py."""
+    from picardfuchs.bipoly import X, Y
+
+    CIRCLE = X**2 + Y**2
+    CUBIC = X**3 + Y**3 - 3 * X * Y
+    FERMAT_CUBIC = X**3 + Y**3
+    QUARTIC = X**4 + Y**4 - X**2 - Y**2
+    SEXTIC = X**6 + Y**6 - X**2 - Y**2
+    cases = [("circle", CIRCLE, 1.0, (1.0, 0.0), {})]
+    cases += [(f"circle samples={n}", CIRCLE, 1.0, (1.0, 0.0), {"samples": n}) for n in (24, 48, 96)]
+    cases += [(f"circle t={t}", CIRCLE, t, (math.sqrt(t), 0.0), {}) for t in (2.0, 4.0, 8.0)]
+    cases += [(f"cubic t={t}", CUBIC, t, (1.0, 1.0), {}) for t in (-0.8, -0.65, -0.5, -0.35, -0.2)]
+    cases += [(f"cubic t={t}", CUBIC, t, (1.0, 1.0), {}) for t in (-0.5 + 1e-4, -0.5 - 1e-4)]
+    cases.append(("cubic resampled", CUBIC, -0.5, (1.3, 1.0), {"samples": 777}))
+    cases.append(("circle t=1e4", CIRCLE, 1e4, (100.0, 0.0), {}))
+    cases.append(("quartic t=1e4", QUARTIC, 1e4, (10.0, 0.0), {}))
+    loop = {"mode": "x_loop", "loop_center": 0j}
+    for t in (2 + 1j, 2 + 1j + 1e-4, 2 + 1j - 1e-4):
+        cases.append((f"cubic t={t}", CUBIC, t, (3.0, -4.0), loop))
+    big = {"mode": "x_loop", "loop_center": 0j, "samples": 512}
+    cases.append(("sextic big loop t=40", SEXTIC, 40.0, big_loop_seed(SEXTIC, 40.0), big))
+    cases += [(f"fermat cubic big loop t={t}", FERMAT_CUBIC, t, big_loop_seed(FERMAT_CUBIC, t), big)
+              for t in (1.0, 2.0, 4.0, 8.0)]
+    cases += [(f"cubic big loop t={t}", CUBIC, t, big_loop_seed(CUBIC, t), big)
+              for t in (1000.0, 4000.0, 16000.0, 64000.0)]
+    x_seed = 1.5 + 0j
+    seed_y = max(np.roots([1, 0, 0, x_seed**3 - 1.0]), key=abs)
+    cases.append(("fermat cubic monodromy 3 turns", FERMAT_CUBIC, 1.0, (x_seed, seed_y),
+                  {"mode": "x_loop", "loop_center": 1.0 + 0j, "turns": 3, "samples": 720}))
+    return cases
+
+
+def number(z):
+    z = complex(z)
+    return f"{z.real:.15e},{z.imag:.15e}"
+
+
+def record(system, H, t, seed, options):
+    from picardfuchs.errors import PicardFuchsError
+    from picardfuchs.periods import system_residual, trace_cycle
+
+    try:
+        cycle = trace_cycle(H, t, seed, **options)
+        sample = system_residual(system, cycle)
+    except (PicardFuchsError, ValueError) as exc:  # the program's input and numeric errors
+        return f"error {type(exc).__name__}: {exc}"
+    samples = hashlib.sha256(np.array(cycle.points, dtype=complex).tobytes()).hexdigest()
+    return (f"samples {samples} closure {cycle.closure_error:.15e} residual {sample.residual:.15e} "
+            f"I {' '.join(map(number, sample.I))} Idot {' '.join(map(number, sample.Idot))}")
+
+
+def main_digest():
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from pfbench.workloads import PeriodsSweep
+
+    from picardfuchs.system import build_system
+
+    for seed in (1, 2, 3):
+        workload = PeriodsSweep()
+        workload.setup(seed)
+        for k, (system, _, mode, t, point, samples, _) in enumerate(workload.cases):
+            options = {"mode": mode, "samples": samples}
+            print(f"periods_sweep seed {seed} #{k} {mode}: "
+                  f"{record(system, system.H, t, point, options)}")
+    systems = {}
+    for label, H, t, seed, options in period_test_cases():
+        if H not in systems:
+            systems[H] = build_system(H)
+        system = systems[H]
+        print(f"tests {label} {options.get('mode', 'real_oval')}: {record(system, H, t, seed, options)}")
+
+
+def parse(path):
+    lines = {}
+    for line in Path(path).read_text().splitlines():
+        label, _, rest = line.partition(": ")
+        lines[label] = rest.split()
+    return lines
+
+
+def vector(fields, name, end):
+    start = fields.index(name) + 1
+    stop = fields.index(end) if end else len(fields)
+    return np.array([complex(*map(float, f.split(","))) for f in fields[start:stop]])
+
+
+def relative_change(a, b):
+    if a.shape != b.shape:
+        return math.inf
+    return float(np.abs(a - b).max() / max(np.abs(a).max(), 1e-300)) if len(a) else 0.0
+
+
+def main_compare(path_a, path_b):
+    a, b = parse(path_a), parse(path_b)
+    if a.keys() != b.keys():
+        print(f"the files list different cases: {sorted(a.keys() ^ b.keys())}")
+        return 1
+    summary = {}
+    for label in a:
+        mode = label.rsplit(" ", 1)[-1]
+        stats = summary.setdefault(mode, {"lines": 0, "identical samples": 0, "identical closure": 0,
+                                          "identical periods": 0, "identical lines": 0,
+                                          "largest period change": 0.0,
+                                          "largest derivative change": 0.0, "largest residual": 0.0})
+        stats["lines"] += 1
+        fa, fb = a[label], b[label]
+        stats["identical lines"] += fa == fb
+        if fa[0] == "error" or fb[0] == "error":
+            if fa != fb:
+                print(f"{label}: {' '.join(fa)} against {' '.join(fb)}")
+            continue
+        stats["identical samples"] += fa[1] == fb[1]
+        stats["identical closure"] += fa[3] == fb[3]
+        Ia, Ib = vector(fa, "I", "Idot"), vector(fb, "I", "Idot")
+        stats["identical periods"] += fa[fa.index("I"):fa.index("Idot")] == fb[fb.index("I"):fb.index("Idot")]
+        stats["largest period change"] = max(stats["largest period change"], relative_change(Ia, Ib))
+        stats["largest derivative change"] = max(stats["largest derivative change"],
+                                                 relative_change(vector(fa, "Idot", None),
+                                                                 vector(fb, "Idot", None)))
+        stats["largest residual"] = max(stats["largest residual"], float(fa[5]), float(fb[5]))
+    for mode, stats in summary.items():
+        print(f"{mode}: " + ", ".join(f"{k} {v:.3e}" if isinstance(v, float) else f"{k} {v}"
+                                      for k, v in stats.items()))
+    return 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--compare"] and len(sys.argv) == 4:
+        sys.exit(main_compare(sys.argv[2], sys.argv[3]))
+    if len(sys.argv) > 1:
+        sys.exit(__doc__)
+    main_digest()
