@@ -31,9 +31,10 @@ solve_with_nullspace as its one-shot form, exact determinants, Sylvester
 resultants in y over Z (integer Sylvester matrices at the integer nodes
 0..bound, one Bareiss pivot each, interpolated over Z, then divided once by
 the scale s_p^dq s_q^dp that clearing the rows of p and q multiplies the
-determinant by), and the minimal and characteristic polynomials, built from
-row annihilators: one core pass over the Krylov columns e_i M^k, k <= n
-(Wiedemann, IEEE Trans. IT 1986), O(n^3) operations each.
+determinant by), and the spectral polynomials of a multiplication matrix
+from ann(e_0), the annihilator of its unit row: one core pass over the
+Krylov columns e_0 M^k, k <= n (Wiedemann, IEEE Trans. IT 1986), O(n^3)
+operations, with the pencil det(t*I - M) when ann(e_0) has degree below n.
 """
 
 from fractions import Fraction
@@ -330,53 +331,27 @@ def _annihilator(vec, int_rows, denom):
     return UniPoly([Fraction(-c, den * denom ** (d - k)) for k, c in enumerate(nums)] + [1])
 
 
-def _times_poly(vec, p, int_rows, denom):
-    """A positive integer multiple of vec p(M), M = int_rows / denom (Horner)."""
-    d = p.degree()
-    coeffs, _ = cleared(p.coeffs)
-    out = [0] * len(vec)
-    for k in range(d, -1, -1):
-        out = _row_times(out, int_rows)
-        c = coeffs[k] * denom ** (d - k)
-        if c:
-            out = [o + c * v for o, v in zip(out, vec)]
-    return out
-
-
 def char_poly(matrix):
-    """Monic det(t*I - M): the annihilator of e_0 if it has degree n, else the pencil det(-M + t*I)."""
-    if not matrix.is_square():
-        raise ValueError("characteristic polynomial needs a square matrix")
-    n = matrix.rows
-    p = _annihilator([1] + [0] * (n - 1), *_integer_form(matrix))
-    if p.degree() == n:
+    """Monic det(t*I - M): ann(e_0) = min_poly(M) if it has degree n, else the pencil det(-M + t*I)."""
+    p = min_poly(matrix)
+    if p.degree() == matrix.rows:
         return p
-    return pencil_determinant(matrix.scale(-1), RatMatrix.identity(n))
+    return pencil_determinant(matrix.scale(-1), RatMatrix.identity(matrix.rows))
 
 
 def min_poly(matrix):
-    """Minimal polynomial: the lcm of the annihilators of the unit rows e_i.
+    """Minimal polynomial of a multiplication matrix: ann(e_0), one Krylov pass.
 
-    p starts as ann(e_0).  If e_i p(M) != 0, its annihilator q is
-    ann(e_i) / gcd(ann(e_i), p), so p*q = lcm(p, ann(e_i)).  Once deg p = n,
-    p is the characteristic polynomial, which the minimal polynomial divides.
-
-    For the multiplication matrix A of H on Q[x,y]/(H_x, H_y) with m_0 = 1,
-    ann(e_0) is the answer: e_0 A^k holds the coordinates of H^k, so
-    e_0 p(A) = 0 means p(H) = 0, and e_i p(A) holds those of m_i p(H) = 0.
+    Precondition: row e_0 is the unit of the algebra that M multiplies in,
+    as for the matrix A of multiplication by H on Q[x,y]/(H_x, H_y) with
+    m_0 = 1.  Then ann(e_0) is the minimal polynomial: e_0 A^k holds the
+    coordinates of H^k, so e_0 p(A) = 0 means p(H) = 0, and e_i p(A) holds
+    those of m_i p(H) = 0.  For other matrices ann(e_0) only divides the
+    minimal polynomial; when its degree is n it is still det(t*I - M).
     """
     if not matrix.is_square():
-        raise ValueError("minimal polynomial needs a square matrix")
-    n = matrix.rows
-    int_rows, denom = _integer_form(matrix)
-    p = _annihilator([1] + [0] * (n - 1), int_rows, denom)
-    for i in range(1, n):
-        if p.degree() == n:
-            break
-        rest = _times_poly([int(j == i) for j in range(n)], p, int_rows, denom)
-        if any(rest):
-            p = p * _annihilator(rest, int_rows, denom)
-    return p
+        raise ValueError("spectral polynomials need a square matrix")
+    return _annihilator([1] + [0] * (matrix.rows - 1), *_integer_form(matrix))
 
 
 def pencil_determinant(b0, b1):

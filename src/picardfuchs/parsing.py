@@ -59,6 +59,8 @@ class _Tokenizer:
                     i = j
                     while i < len(src) and src[i].isdigit():
                         i += 1
+                    if not int(src[j:i]):
+                        raise ParseError("zero denominator in a rational literal", start)
                     value = Fraction(int(numerator), int(src[j:i]))
                 else:
                     value = Fraction(int(numerator))

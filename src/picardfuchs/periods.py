@@ -126,7 +126,10 @@ def trace_cycle(H, t, seed, mode="real_oval", samples=512, loop_center=0j, turns
         if abs(t - tc) <= NONCRITICAL_TOL:
             raise ValueError(f"t = {t} is within {NONCRITICAL_TOL} of the critical value {tc}")
     if mode == "real_oval":
-        return _trace_real_oval(H, t, seed, samples)
+        try:
+            return _trace_real_oval(H, t, seed, samples)
+        except OverflowError:  # float ** int in _eval_real, far from the origin
+            raise TraceDiverged("float overflow while walking the real oval from this seed") from None
     if mode == "x_loop":
         return _trace_x_loop(H, t, seed, samples, loop_center, turns)
     raise ValueError(f"unknown mode {mode!r}; expected real_oval or x_loop")

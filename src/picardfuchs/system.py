@@ -11,10 +11,15 @@ I(t) = (periods of omega_i) then satisfies
 Validation re-checks every algebraic identity exactly, compares the spectrum
 of A against the independent numeric critical-point oracle, and tests the
 triangular structure of B0, B1 in the degree-sorted basis order.
+
+The spectrum check and the classification share one Krylov pass per system:
+PFSystem keeps the minimal polynomial ann(e_0) of A (m_0 = 1) and takes it
+as the characteristic polynomial too whenever its degree is mu.
 """
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cached_property
 from math import prod
 
 from .bipoly import BiPoly
@@ -55,6 +60,17 @@ class PFSystem:
     def critical_values(self):
         """(value, multiplicity) pairs merged over coinciding points, sorted by value."""
         return value_clusters(self.critical_points)
+
+    @cached_property
+    def minimal_polynomial(self):
+        """min_poly(A) = ann(e_0), made on first use; not a field, so dataclasses.replace drops it."""
+        return min_poly(self.A)
+
+    @cached_property
+    def characteristic_polynomial(self):
+        """The minimal polynomial when its degree is mu, else char_poly(A) (A derogatory)."""
+        minimal = self.minimal_polynomial
+        return minimal if minimal.degree() == self.mu else char_poly(self.A)
 
 
 def build_system(H, basis=None):
@@ -219,7 +235,7 @@ def _check_spectrum(sys, notes):
     the worst distance in both directions and each multiplicity that differs.
     """
     tol = SPECTRUM_TOL
-    eigen = cluster(roots_with_multiplicity(char_poly(sys.A)), tol, relative=True)
+    eigen = cluster(roots_with_multiplicity(sys.characteristic_polynomial), tol, relative=True)
     oracle = cluster([(p.t, p.multiplicity) for p in sys.critical_points], tol, relative=True)
     met = [[j for j, (o, _) in enumerate(oracle) if abs(e - o) <= tol * max(1.0, abs(e))] for e, _ in eigen]
     paired = {js[0] for js, (_, m) in zip(met, eigen) if len(js) == 1 and oracle[js[0]][1] == m}
@@ -260,7 +276,7 @@ def classify_singularities(sys):
     diagonalizable (squarefree minimal polynomial, decided exactly); the
     point at infinity keeps first-order form only when B1 = 0.
     """
-    minimal = min_poly(sys.A)
+    minimal = sys.minimal_polynomial
     finite = is_squarefree(minimal)
     infinity = sys.B1.is_zero()
     details = []

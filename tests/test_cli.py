@@ -314,6 +314,32 @@ def test_non_finite_numbers_are_usage_errors(argv, capsys):
     assert "not a finite number" in err and "Warning" not in err
 
 
+@pytest.mark.parametrize("argv, position", [
+    (["check", "1/0+x^2+y^2"], 0),
+    (["check", "x^2+y^2+3/00"], 8),
+    (["reduce", "x^3+y^3", "--form", "1/0,y"], 0),
+], ids=["check", "check-zeros", "reduce-form"])
+def test_zero_denominator_is_a_parse_error(argv, position, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "zero denominator in a rational literal" in captured.err
+    assert main(["--json-errors", *argv]) == 2
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["error"] == "ParseError" and doc["position"] == position
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["periods", "x^2+y^2", "--t", "1", "--seed", "1e300,0"], "float overflow while walking the real oval"),
+    (["verify", "x^2+y^2", "--numeric", "--t", "1e300", "--seed", "1,0"], "float overflow while walking the real oval"),
+], ids=["periods", "verify"])
+def test_float_overflow_while_tracing_is_an_input_error(argv, reason, capsys):
+    # H overflows at the seed or on the first Newton step: no traceback, no warnings
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and reason in captured.err and "Warning" not in captured.err
+
+
 def test_verify_numeric_needs_a_level(capsys):
     message = "--numeric needs at least one --t level value"
     assert main(["--json-errors", "verify", "x^2+y^2", "--numeric"]) == 2

@@ -252,3 +252,34 @@ def test_non_diagonalizable_multiplication_matrix(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["classification"]["finite_fuchsian"] is False
     assert all(doc["validation"].values())
+
+
+def test_one_krylov_pass_per_system(monkeypatch, capsys):
+    # min_poly(A) = ann(e_0) is also char_poly(A) when its degree is mu, so a
+    # nonderogatory system's validation and classification share one pass
+    import picardfuchs.linalg as linalg
+
+    cubic, nonic = _first_draws(1, (2, 3))  # mu 4 and mu 9, both nonderogatory
+    calls = []
+    annihilator = linalg._annihilator
+    monkeypatch.setattr(linalg, "_annihilator", lambda *args: calls.append(1) or annihilator(*args))
+
+    def passes(run):
+        calls.clear()
+        run()
+        return len(calls)
+
+    for H, mu in ((cubic, 4), (nonic, 9)):
+        sys = build_system(H)
+        assert passes(lambda: serialize_system(sys)) == 1
+        assert sys.mu == sys.minimal_polynomial.degree() == mu
+        assert passes(lambda: classify_singularities(sys)) == 0
+        for command in ("system", "verify"):
+            assert passes(lambda: main([command, str(H)])) == 1
+    capsys.readouterr()
+    # derogatory: ann(e_0) has degree below mu (t^2 + t for mu 4, t for mu 9),
+    # so char_poly(A) makes a second pass
+    for H in (CUBIC, X**4 + Y**4):
+        sys = build_system(H)
+        assert passes(lambda: serialize_system(sys)) <= 2
+        assert passes(lambda: classify_singularities(sys)) == 0

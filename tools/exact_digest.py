@@ -55,6 +55,8 @@ NAMED = (
     {(2, 0): 1, (0, 2): 1},
     {(4, 0): 1, (0, 4): 1, (2, 0): -1, (0, 2): -1},
     {(6, 0): 1, (0, 6): 1, (2, 0): -1, (0, 2): -1},
+    # derogatory and not diagonalizable: minimal polynomial of degree 8 with a repeated root
+    {(5, 0): 1, (0, 5): 1, (4, 0): 1, (2, 2): 1},
 )
 
 
