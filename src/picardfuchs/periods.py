@@ -11,15 +11,17 @@ Two cycle modes:
 
   * real_oval: arc-length continuation with Newton correction around a
     compact real component, positively oriented (counterclockwise around a
-    minimum); a two-pass scheme re-traces with a uniform step chosen so the
-    loop closes to ~1e-11.
+    minimum); an exploratory lap sets the sample count, one lap of uniform
+    steps gives the samples, and closing rounds on all samples at once
+    spread the lap's closing gap over them until the loop closes to ~1e-11.
   * x_loop: a prescribed closed circle in the x-plane (center, turns, with
     the radius set by the seed), lifting y through the fiber of H(x, .) = t
     by nearest-root continuation; a lift that returns to a different sheet
     raises NotClosed and the caller iterates the loop (more turns).
 
 The real-oval walk evaluates H and its partials in float arithmetic at one
-point at a time.  The x values of an x-loop are known before the walk, so
+point at a time; the closing rounds evaluate them on float arrays of all
+samples.  The x values of an x-loop are known before the walk, so
 the fiber roots at all of them are computed in advance: the companion
 matrices of FIBER_BLOCK consecutive x values go to one eigenvalue call,
 which bounds the memory of one batch.  The walk then only matches nearest
@@ -83,7 +85,7 @@ def _compiled(poly, kind=complex):
 
 
 def _eval_real(compiled, x, y):
-    """A polynomial compiled with kind=float at the float point (x, y)."""
+    """A polynomial compiled with kind=float at the float point (x, y), or at float arrays x, y."""
     total = 0.0
     for a, b, c in compiled:
         total += c * x**a * y**b
@@ -127,8 +129,9 @@ def trace_cycle(H, t, seed, mode="real_oval", samples=512, loop_center=0j, turns
             raise ValueError(f"t = {t} is within {NONCRITICAL_TOL} of the critical value {tc}")
     if mode == "real_oval":
         try:
-            return _trace_real_oval(H, t, seed, samples)
-        except OverflowError:  # float ** int in _eval_real, far from the origin
+            with np.errstate(over="raise", invalid="raise"):
+                return _trace_real_oval(H, t, seed, samples)
+        except (OverflowError, FloatingPointError):  # _eval_real far from the origin, scalar or array
             raise TraceDiverged("float overflow while walking the real oval from this seed") from None
     if mode == "x_loop":
         return _trace_x_loop(H, t, seed, samples, loop_center, turns)
@@ -136,6 +139,26 @@ def trace_cycle(H, t, seed, mode="real_oval", samples=512, loop_center=0j, turns
 
 
 def _trace_real_oval(H, t, seed, samples):
+    """Walk one lap of uniform steps from the seed, then close it in array rounds.
+
+    Pass 1 (_explore) measures the oval's length and largest curvature
+    kappa with a fixed step, which sets the sample count n.  Pass 2 (_walk)
+    makes n steps of length/n: n samples and the lap's end point, which
+    misses the start by a small gap.  Each closing round spreads that gap
+    over the lap: with delta the gap's component along the unit tangent at
+    the end point, sample k moves along its own unit tangent by -delta*k/n
+    and every sample is projected back onto {H = t} at once.  The stop rule
+    and the TraceDiverged checks of project and tangent hold at every sample.
+
+    This keeps the quadrature valid: the trapezoid rule needs samples smooth
+    and periodic in the index, not exactly uniform in arc length, and a
+    shift of -delta*k/n is a smooth (affine) reparametrization of the walked
+    lap, the step changed from h to h - delta/n.  Moving a point by d along
+    its tangent and projecting covers an arc of d*(1 + O(d^2 kappa^2)), so
+    each round cuts the gap by a factor of about (delta*kappa)^2.  The rounds
+    stop once the gap is below 1e-11 * (1 + |x0| + |y0|); after 12 rounds
+    the best one is kept, its gap the closure error.
+    """
     if abs(t.imag) > 1e-12:
         raise ValueError("real_oval mode needs a real level value t")
     t_real = t.real
@@ -166,6 +189,33 @@ def _trace_real_oval(H, t, seed, samples):
             raise TraceDiverged("tangent undefined (gradient too small)")
         return -gy / norm, gx / norm
 
+    def project_all(xs, ys):
+        """project, in place, at every point of the arrays; Newton steps only the points off the curve."""
+        todo = np.arange(len(xs))
+        for _ in range(20):
+            px, py = xs[todo], ys[todo]
+            val = _eval_real(h_poly, px, py) - t_real
+            off = ~(np.abs(val) < newton_tol)
+            if not off.any():
+                return
+            todo, px, py, val = todo[off], px[off], py[off], val[off]
+            gx = _eval_real(hx, px, py)
+            gy = _eval_real(hy, px, py)
+            norm2 = gx * gx + gy * gy
+            if norm2.min() < 1e-20:
+                raise TraceDiverged("gradient vanished during Newton correction")
+            xs[todo] = px - val * gx / norm2
+            ys[todo] = py - val * gy / norm2
+        raise TraceDiverged("Newton correction did not converge")
+
+    def tangent_all(xs, ys):
+        gx = _eval_real(hx, xs, ys)
+        gy = _eval_real(hy, xs, ys)
+        norm = np.hypot(gx, gy)
+        if norm.min() < 1e-12:
+            raise TraceDiverged("tangent undefined (gradient too small)")
+        return -gy / norm, gx / norm
+
     x0, y0 = _land_real(H, t_real, float(complex(seed[0]).real),
                         float(complex(seed[1]).real), project)
     tx0, ty0 = tangent(x0, y0)
@@ -183,21 +233,24 @@ def _trace_real_oval(H, t, seed, samples):
 
     n = max(int(samples), int(math.ceil(length * kappa_max / 0.25)), 16)
 
-    # pass 2: uniform steps, adjusting the step until the loop closes
-    h = length / n
+    # pass 2: one lap of uniform steps, then closing rounds on all samples at once
+    xs, ys = _walk(project, tangent, x0, y0, n, length / n)
+    shares = np.arange(n + 1) / n
     best = None
     for _ in range(12):
-        points, gap_vec = _walk(project, tangent, x0, y0, n, h)
-        gap = math.hypot(*gap_vec)
-        if best is None or gap < best[1]:
-            best = (points, gap, h)
+        gap_x, gap_y = float(xs[n] - x0), float(ys[n] - y0)
+        gap = math.hypot(gap_x, gap_y)
+        if best is None or gap < best[2]:
+            best = (xs, ys, gap)
         if gap < 1e-11 * (1.0 + abs(x0) + abs(y0)):
             break
-        txe, tye = tangent(points[-1][0].real, points[-1][1].real)
-        delta = gap_vec[0] * txe + gap_vec[1] * tye
-        h = (n * h - delta) / n
-    points, gap, _ = best
-    return Cycle(t=complex(t_real), points=tuple(points), closure_error=gap,
+        txs, tys = tangent_all(xs, ys)
+        shift = -(gap_x * txs[n] + gap_y * tys[n]) * shares
+        xs, ys = xs + shift * txs, ys + shift * tys
+        project_all(xs, ys)
+    xs, ys, gap = best
+    points = tuple(zip(xs[:n].astype(complex).tolist(), ys[:n].astype(complex).tolist()))
+    return Cycle(t=complex(t_real), points=points, closure_error=gap,
                  hamiltonian=H, mode="real_oval")
 
 
@@ -227,42 +280,52 @@ def _land_real(H, t_real, x0, y0, project):
 
 
 def _explore(project, tangent, x0, y0, tx0, ty0, h):
-    """One fixed-step lap; returns (length, max curvature) or None."""
+    """One fixed-step lap; returns (length, max curvature).
+
+    Returns None if the step is too large: the tangent flips or Newton
+    correction fails.  Raises TraceDiverged if the lap does not close within
+    MAX_STEPS steps, which a smaller step would not help.
+    """
     x, y = x0, y0
     tx, ty = tx0, ty0
-    kappa_max = 1e-9
-    steps = 0
+    turn_max = 0.0
     s_prev = 0.0
     try:
-        while steps < MAX_STEPS:
+        for steps in range(1, MAX_STEPS + 1):
             x_new, y_new = project(x + h * tx, y + h * ty)
             tx_new, ty_new = tangent(x_new, y_new)
-            if tx * tx_new + ty * ty_new < 0:
+            dot = tx * tx_new + ty * ty_new
+            if dot < 0:
                 return None  # tangent flipped: step too large
-            turn = math.atan2(tx * ty_new - ty * tx_new, tx * tx_new + ty * ty_new)
-            kappa_max = max(kappa_max, abs(turn) / h)
-            steps += 1
+            turn = abs(math.atan2(tx * ty_new - ty * tx_new, dot))
+            if turn > turn_max:
+                turn_max = turn
             x, y, tx, ty = x_new, y_new, tx_new, ty_new
             s_now = (x - x0) * tx0 + (y - y0) * ty0
-            dist = math.hypot(x - x0, y - y0)
-            if steps > 3 and dist < 10 * h and s_prev < 0.0 <= s_now:
+            if s_prev < 0.0 <= s_now and steps > 3 and math.hypot(x - x0, y - y0) < 10 * h:
                 frac = s_prev / (s_prev - s_now) if s_now != s_prev else 0.0
-                return (steps - 1 + frac) * h, kappa_max
+                return (steps - 1 + frac) * h, max(1e-9, turn_max / h)
             s_prev = s_now
     except TraceDiverged:
         return None
-    return None
+    raise TraceDiverged(f"no closed oval found from this seed within the budget of "
+                        f"{MAX_STEPS} steps of length {h:.3g}")
 
 
 def _walk(project, tangent, x0, y0, n, h):
-    """n uniform steps from (x0, y0); returns (points, closing gap vector)."""
-    points = []
+    """n uniform steps from (x0, y0): the n samples and the end point as float arrays xs, ys.
+
+    The end point, index n, misses (x0, y0) by the closing gap that the
+    rounds of _trace_real_oval spread over the samples.
+    """
+    xs, ys = [x0], [y0]
     x, y = x0, y0
     for _ in range(n):
-        points.append((complex(x), complex(y)))
         tx, ty = tangent(x, y)
         x, y = project(x + h * tx, y + h * ty)
-    return points, (x - x0, y - y0)
+        xs.append(x)
+        ys.append(y)
+    return np.array(xs), np.array(ys)
 
 
 def _trace_x_loop(H, t, seed, samples, loop_center, turns):
@@ -316,9 +379,13 @@ def _fiber_roots(H, t, x_values):
     for start in range(0, len(x_values), FIBER_BLOCK):
         xs = x_values[start:start + FIBER_BLOCK]
         coeffs = np.zeros((len(xs), n + 1), dtype=complex)
-        for (a, b), c in H.terms.items():
-            coeffs[:, n - b] += complex(c) * xs**a
-        coeffs[:, n] -= complex(t)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail the test below
+            for (a, b), c in H.terms.items():
+                coeffs[:, n - b] += complex(c) * xs**a
+            coeffs[:, n] -= complex(t)
+        overflowed = np.flatnonzero(~np.isfinite(coeffs).all(axis=1))
+        if len(overflowed):
+            raise TraceDiverged(f"fiber of H(x, .) = t overflows float arithmetic at x = {xs[overflowed[0]]}")
         scale = np.abs(coeffs).max(axis=1)
         degenerate = np.flatnonzero(scale == 0)
         if n < 1 or len(degenerate):
@@ -467,9 +534,7 @@ def system_residual(sys, cycle):
     I = np.array(periods)
     Idot = np.array(derivatives)
     t = complex(cycle.t)
-    a_f = sys.A.to_float_array()
-    b0_f = sys.B0.to_float_array()
-    b1_f = sys.B1.to_float_array()
+    a_f, b0_f, b1_f = sys.float_matrices
     lhs = t * Idot - a_f @ Idot
     rhs = b0_f @ I + t * (b1_f @ I)
     residual = float(np.abs(lhs - rhs).max() / max(1.0, float(np.abs(I).max())))

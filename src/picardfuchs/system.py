@@ -22,6 +22,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import prod
 
+import numpy as np
+
 from .bipoly import BiPoly
 from .critical import cluster, critical_points_numeric, value_clusters
 from .errors import NotRegularError
@@ -65,6 +67,11 @@ class PFSystem:
     def minimal_polynomial(self):
         """min_poly(A) = ann(e_0), made on first use; not a field, so dataclasses.replace drops it."""
         return min_poly(self.A)
+
+    @cached_property
+    def float_matrices(self):
+        """A, B0 and B1 as float arrays, made on first use and dropped by dataclasses.replace."""
+        return self.A.to_float_array(), self.B0.to_float_array(), self.B1.to_float_array()
 
     @cached_property
     def characteristic_polynomial(self):
@@ -254,10 +261,8 @@ def _check_spectrum(sys, notes):
 
 
 def _check_eigenvectors(sys, notes):
-    a_float = sys.A.to_float_array()
+    a_float = sys.float_matrices[0]
     ok = True
-    import numpy as np
-
     for p in sys.critical_points:
         if p.multiplicity != 1:
             continue

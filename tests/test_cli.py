@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from picardfuchs.bipoly import X, Y
 from picardfuchs.cli import main
 from picardfuchs.errors import ParseError
 from picardfuchs.parsing import MAX_DEGREE, MAX_NESTING, parse_polynomial
-from picardfuchs.periods import MAX_SAMPLES, MIN_SAMPLES
+from picardfuchs.periods import MAX_SAMPLES, MAX_STEPS, MIN_SAMPLES
 
 
 def test_parse_examples():
@@ -338,6 +339,27 @@ def test_float_overflow_while_tracing_is_an_input_error(argv, reason, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and reason in captured.err and "Warning" not in captured.err
+
+
+def test_overflowing_x_loop_fiber_is_an_input_error(capsys):
+    # the fiber coefficients at x = 1e300 overflow before any eigenvalue call
+    assert main(["periods", "x^3+y^3", "--t", "1", "--seed", "1e300,0", "--mode", "x_loop"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Warning" not in captured.err
+    assert "fiber of H(x, .) = t overflows float arithmetic at x = (1e+300+0j)" in captured.err
+
+
+def test_real_oval_lap_budget_ends_the_search_at_once(capsys):
+    # a step of 0.05 cannot move a point at x = 1e150: the first lap spends the
+    # whole budget, and halving the step would only spend it again
+    start = time.perf_counter()
+    assert main(["periods", "x^2+y^2", "--t", "1e300", "--seed", "1e150,0"]) == 2
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"within the budget of {MAX_STEPS} steps" in captured.err
+    assert elapsed < 1.0
 
 
 def test_verify_numeric_needs_a_level(capsys):

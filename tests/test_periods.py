@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from picardfuchs import periods
 from picardfuchs.bipoly import BiPoly, X, Y
 from picardfuchs.errors import NotClosed, SingularDenominator, TraceDiverged
 from picardfuchs.forms import differential
@@ -15,6 +16,7 @@ from picardfuchs.linalg import RatMatrix
 from picardfuchs.periods import (
     FIBER_BLOCK,
     MIN_SAMPLES,
+    NEWTON_TOL,
     _fiber_roots,
     asymptotic_exponent_check,
     cycle_from_json,
@@ -30,6 +32,7 @@ from tests.conftest import random_bipoly
 
 CIRCLE_H = X**2 + Y**2
 CUBIC = X**3 + Y**3 - 3 * X * Y
+QUARTIC = X**4 + Y**4 - X**2 - Y**2
 SEXTIC = X**6 + Y**6 - X**2 - Y**2
 
 
@@ -63,6 +66,34 @@ def test_trace_circle(unit_circle):
     for x, y in unit_circle.points:
         assert abs(x**2 + y**2 - 1.0) < 1e-10
         assert abs(x.imag) < 1e-12
+
+
+@pytest.mark.parametrize("samples", [512, 24])
+@pytest.mark.parametrize("H, t, seed", [
+    (CIRCLE_H, 1.0, (1.0, 0.0)),
+    (CUBIC, -0.5, (1.0, 1.0)),
+    (QUARTIC, 1.0, (1.3, 0.0)),
+], ids=["circle", "cubic", "quartic"])
+def test_real_oval_walks_one_lap(H, t, seed, samples, monkeypatch):
+    # one uniform-step lap; closing rounds on the sample arrays replace re-walks
+    walks = []
+    walk = periods._walk
+
+    def counted(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(periods, "_walk", counted)
+    cycle = trace_cycle(H, t, seed, samples=samples)
+    assert len(walks) == 1
+    xs, ys = (np.array([p[k].real for p in cycle.points]) for k in (0, 1))
+    off_curve = np.abs(periods._eval_real(periods._compiled(H, float), xs, ys) - t)
+    assert off_curve.max() < NEWTON_TOL * max(1.0, abs(t))
+    assert cycle.closure_error < 1e-11 * (1.0 + abs(xs[0]) + abs(ys[0]))
+    if H == CIRCLE_H:
+        area = integrate_form(build_system(H).basis.primitives[0], cycle)
+        # samples=24 traces 26 samples (length * kappa / 0.25), where the order-8 stencil errs by ~6e-8
+        assert abs(area - math.pi * t) < (1e-10 if samples == 512 else 1e-7)
 
 
 def test_trace_rejects_critical_level():
@@ -148,6 +179,22 @@ def test_system_residual_matches_single_form_entry_points(circle_system, unit_ci
         for value, (a, b) in zip(sample.Idot, basis.monomials):
             single = gelfand_leray_derivative(BiPoly.monomial(a, b), cycle)
             assert abs(value - single) <= 1e-13 * abs(single)
+
+
+def test_system_residual_converts_matrices_once(circle_system, unit_circle, monkeypatch):
+    system = dataclasses.replace(circle_system)  # no float matrices made yet
+    system_residual(system, unit_circle)
+    conversions = []
+    convert = RatMatrix.to_float_array
+
+    def counted(matrix):
+        conversions.append(matrix)
+        return convert(matrix)
+
+    monkeypatch.setattr(RatMatrix, "to_float_array", counted)
+    second = system_residual(system, unit_circle)
+    assert conversions == []
+    assert second == system_residual(circle_system, unit_circle)
 
 
 def test_circle_residual(circle_system, unit_circle):
