@@ -15,7 +15,7 @@ automatically carries total form degree mu * deg H.
 
 from fractions import Fraction
 
-from .bipoly import NEG_INFINITY, BiPoly, _frac
+from .bipoly import NEG_INFINITY, BiPoly, _frac, cleared
 
 
 class OneForm:
@@ -67,6 +67,13 @@ class OneForm:
         return f"({self.P}) dx + ({self.Q}) dy"
 
     __repr__ = __str__
+
+
+def integer_one_form(omega):
+    """(P, Q, denom): omega = (P dx + Q dy) / denom with integer terms P, Q, denom > 0."""
+    P, Q = omega.P.terms, omega.Q.terms
+    ints, denom = cleared([*P.values(), *Q.values()])
+    return dict(zip(P, ints)), dict(zip(Q, ints[len(P):])), denom
 
 
 def exterior_derivative(omega):

@@ -284,8 +284,13 @@ def _explore(project, tangent, x0, y0, tx0, ty0, h):
 
     Returns None if the step is too large: the tangent flips or Newton
     correction fails.  Raises TraceDiverged if the lap does not close within
-    MAX_STEPS steps, which a smaller step would not help.
+    MAX_STEPS steps, or at once if a seed coordinate c has c + h == c == c - h:
+    no step can move c, so no lap closes.  A smaller step would help in
+    neither case.
     """
+    if any(c - h == c == c + h for c in (x0, y0)):
+        raise TraceDiverged(f"step {h:.3g} is below the float spacing at the seed ({x0:.6g}, {y0:.6g}); "
+                            f"no lap can move that coordinate")
     x, y = x0, y0
     tx, ty = tx0, ty0
     turn_max = 0.0

@@ -69,7 +69,7 @@ from fractions import Fraction
 
 from .bipoly import BiPoly, cleared, combine, integer_terms, partials, shifted, times
 from .errors import InternalRankError, NoSolutionError
-from .forms import OneForm
+from .forms import OneForm, integer_one_form
 from .milnor import peel_top_slices
 from .unipoly import UniPoly
 
@@ -109,7 +109,7 @@ def petrov_decompose(omega, basis):
         g_monos = [(a, e - a) for a in range(e, -1, -1) if e > 0]
         return len(p_labels), [("p", label) for label in p_labels] + [("g", m) for m in g_monos], column
 
-    P, Q, s_omega = _integer_one_form(omega)
+    P, Q, s_omega = integer_one_form(omega)
     d_omega = combine((1, partials(Q)[0]), (-1, partials(P)[1]))
     values = peel_top_slices((d_omega, s_omega), store.operators["petrov"], slice_columns, NoSolutionError)
     p_values = {key: v for (kind, key), v in values.items() if kind == "p"}
@@ -136,13 +136,6 @@ def petrov_decompose(omega, basis):
         raise InternalRankError("closed defect failed to integrate; basis invalid")
 
     return PetrovDecomposition(coeff_polys, witness_g, witness_f)
-
-
-def _integer_one_form(omega):
-    """(P, Q, denom): omega = (P dx + Q dy) / denom with integer terms P, Q, denom > 0."""
-    P, Q = omega.P.terms, omega.Q.terms
-    ints, denom = cleared([*P.values(), *Q.values()])
-    return dict(zip(P, ints)), dict(zip(Q, ints[len(P):])), denom
 
 
 def _p_column(monomial, k, store):

@@ -10,7 +10,11 @@ I(t) = (periods of omega_i) then satisfies
 
 Validation re-checks every algebraic identity exactly, compares the spectrum
 of A against the independent numeric critical-point oracle, and tests the
-triangular structure of B0, B1 in the degree-sorted basis order.
+triangular structure of B0, B1 in the degree-sorted basis order.  The
+identities are re-expanded on bipoly's integer terms from H, the basis's
+own primitives and the stored certificates alone: the check reads neither
+the basis's slice store nor petrov's closed-form columns, so an error in
+what the build shares with petrov's own certificate check cannot hide here.
 
 The spectrum check and the classification share one Krylov pass per system:
 PFSystem keeps the minimal polynomial ann(e_0) of A (m_0 = 1) and takes it
@@ -24,10 +28,10 @@ from math import prod
 
 import numpy as np
 
-from .bipoly import BiPoly
+from .bipoly import BiPoly, add_into, cleared, combine, integer_terms, partials, shifted, times
 from .critical import cluster, critical_points_numeric, value_clusters
 from .errors import NotRegularError
-from .forms import OneForm, differential, exterior_derivative
+from .forms import integer_one_form
 from .linalg import RatMatrix, char_poly, min_poly, pencil_determinant
 from .milnor import check_regular_at_infinity, divide_two_form, monomial_basis
 from .petrov import petrov_decompose
@@ -193,38 +197,60 @@ def validate_system(sys):
 
 
 def _check_exact_identities(sys, notes):
-    """The division and Petrov identities of every row, in BiPoly arithmetic.
+    """The division and Petrov identities of every row, on integer terms.
 
-    H_x, H_y and the powers H^k are computed once per system.
+    H is cleared to h = s*H once per system, with its gradient, the powers
+    h^k and every basis primitive omega_j = (P_j dx + Q_j dy)/s_j.  Each
+    identity is then one integer combination over the common denominator
+    of its rational weights, which must be empty:
+
+        H m_i - dH ^ eta_i - sum_j A_ij m_j,
+        eta_i - g dH - df - sum_jk c_jk H^k omega_j     (both components).
+
+    The products are the basis's own primitives times h^k, and nothing is
+    read from the basis's slice store, so this check shares neither data
+    nor the closed-form columns with the certificate check of petrov.
     """
-    H = sys.H
-    Hx, Hy = H.partial("x"), H.partial("y")
-    powers = [BiPoly.constant(1)]       # H^k
+    basis = sys.basis
+    h, s = integer_terms(sys.H)
+    hx, hy = partials(h)
+    powers = [{(0, 0): 1}]      # h^k
+    primitives = [integer_one_form(omega) for omega in basis.primitives]
     ok = True
-    for i, (a, b) in enumerate(sys.basis.monomials):
-        d_omega_i = BiPoly.monomial(a, b)
-        lhs = H * d_omega_i
-        eta = sys.etas[i]
-        rhs = Hx * eta.Q - Hy * eta.P   # dH ^ eta
-        for j, (aj, bj) in enumerate(sys.basis.monomials):
-            if sys.A[i, j] != 0:
-                rhs = rhs + BiPoly.monomial(aj, bj, sys.A[i, j])
-        if lhs != rhs:
+    for i, (a, b) in enumerate(basis.monomials):
+        P, Q, s_eta = integer_one_form(sys.etas[i])
+        # dH ^ eta_i = (hx Q - hy P) / (s s_eta)
+        (u, v, *w), _ = cleared([Fraction(1, s), Fraction(1, s * s_eta), *sys.A.entries[i]])
+        division = combine((u, shifted(h, a, b)), (-v, times(hx, Q)), (v, times(hy, P)),
+                           (-1, {m: c for m, c in zip(basis.monomials, w) if c}))
+        if division:
             ok = False
             notes.append(f"division identity fails for row {i}")
+
         cert = sys.certificates[i]
-        g = cert.witness_g
-        assembled = OneForm(g * Hx, g * Hy) + differential(cert.witness_f)
-        for j, p in enumerate(cert.coeff_polys):
-            for k, c in enumerate(p.coeffs):
-                if c != 0:
-                    while len(powers) <= k:
-                        powers.append(powers[-1] * H)
-                    assembled = assembled + sys.basis.primitives[j].multiply(c * powers[k])
-        if assembled != eta:
+        g, s_g = integer_terms(cert.witness_g)
+        f, s_f = integer_terms(cert.witness_f)
+        fx, fy = partials(f)
+        labels = [(j, k) for j, p in enumerate(cert.coeff_polys) for k, c in enumerate(p.coeffs) if c]
+        (u, v, w, *c), _ = cleared([
+            Fraction(1, s_eta), Fraction(1, s_g * s), Fraction(1, s_f),
+            *(cert.coeff_polys[j].coeffs[k] / (s**k * primitives[j][2]) for j, k in labels),
+        ])
+        defect = [combine((u, P), (-v, times(g, hx)), (-w, fx)),
+                  combine((u, Q), (-v, times(g, hy)), (-w, fy))]
+        # sum_jk c_jk h^k omega_j: per power k, one product of h^k with sum_j c_jk omega_j
+        for k in {k for _, k in labels}:
+            while len(powers) <= k:
+                powers.append(times(powers[-1], h))
+            for component, part in enumerate(defect):
+                omega = combine(*((cjk, primitives[j][component]) for (j, kj), cjk in zip(labels, c) if kj == k))
+                add_into(part, -1, times(powers[k], omega))
+        if any(defect):
             ok = False
             notes.append(f"Petrov certificate fails for row {i}")
-        if exterior_derivative(sys.basis.primitives[i]) != d_omega_i:
+
+        P, Q, s_i = primitives[i]
+        if combine((1, partials(Q)[0]), (-1, partials(P)[1])) != {(a, b): s_i}:
             ok = False
             notes.append(f"primitive {i} does not differentiate to its monomial")
     return ok

@@ -17,7 +17,8 @@ from picardfuchs.bipoly import X, Y
 from picardfuchs.cli import main
 from picardfuchs.errors import ParseError
 from picardfuchs.parsing import MAX_DEGREE, MAX_NESTING, parse_polynomial
-from picardfuchs.periods import MAX_SAMPLES, MAX_STEPS, MIN_SAMPLES
+from picardfuchs import periods
+from picardfuchs.periods import MAX_SAMPLES, MAX_STEP, MIN_SAMPLES
 
 
 def test_parse_examples():
@@ -350,16 +351,31 @@ def test_overflowing_x_loop_fiber_is_an_input_error(capsys):
     assert "fiber of H(x, .) = t overflows float arithmetic at x = (1e+300+0j)" in captured.err
 
 
-def test_real_oval_lap_budget_ends_the_search_at_once(capsys):
-    # a step of 0.05 cannot move a point at x = 1e150: the first lap spends the
-    # whole budget, and halving the step would only spend it again
+def test_real_oval_lap_budget_ends_the_search_at_once(monkeypatch, capsys):
+    # the circle of radius 1000 needs about 125000 steps of 0.05: the first lap
+    # spends the whole budget, and halving the step would only spend it again
+    monkeypatch.setattr(periods, "MAX_STEPS", 2000)
+    steps = []
+    explore = periods._explore
+    monkeypatch.setattr(periods, "_explore", lambda *args: steps.append(args[-1]) or explore(*args))
+    assert main(["periods", "x^2+y^2", "--t", "1e6", "--seed", "1000,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "within the budget of 2000 steps of length 0.05" in captured.err
+    assert steps == [MAX_STEP]
+
+
+def test_real_oval_step_below_float_spacing_ends_the_search_at_once(capsys):
+    # a step of 0.05 cannot move x = 1e150 (float spacing about 1e134): the
+    # search stops at the seed instead of walking the whole budget in y
     start = time.perf_counter()
     assert main(["periods", "x^2+y^2", "--t", "1e300", "--seed", "1e150,0"]) == 2
     elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"within the budget of {MAX_STEPS} steps" in captured.err
-    assert elapsed < 1.0
+    assert captured.err == ("error: step 0.05 is below the float spacing at the seed (1e+150, 0); "
+                            "no lap can move that coordinate\n")
+    assert elapsed < 0.5
 
 
 def test_verify_numeric_needs_a_level(capsys):

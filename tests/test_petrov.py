@@ -11,10 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from picardfuchs.bipoly import BiPoly, X, Y, integer_terms, times
 from picardfuchs.errors import InternalRankError, NoSolutionError
-from picardfuchs.forms import OneForm, canonical_primitive, differential, exterior_derivative
+from picardfuchs.forms import OneForm, canonical_primitive, differential, exterior_derivative, integer_one_form
 from picardfuchs.milnor import MilnorBasis, monomial_basis, reduce_mod_gradient
 from picardfuchs.petrov import (
-    _integer_one_form,
     _is_radial_combination,
     _p_column,
     differential_coefficient,
@@ -168,7 +167,7 @@ def test_radial_check_rejects_a_defect_off_by_one(rng):
     # the defect omega_0 H^2 - 3 omega_1 H / 4 is the p-part alone
     p_values = {(0, 2): Fraction(1), (1, 1): Fraction(-3, 4)}
     omega = basis.primitives[0].multiply(H**2) + basis.primitives[1].multiply(H).scale(Fraction(-3, 4))
-    P, Q, denom = _integer_one_form(omega)
+    P, Q, denom = integer_one_form(omega)
     assert _is_radial_combination(P, Q, denom, p_values, basis.monomials, powers, s)
     assert _is_radial_combination(P, Q, 3 * denom, p_values, basis.monomials, powers, s) is False
     for _ in range(10):

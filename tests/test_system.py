@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from picardfuchs.bipoly import BiPoly, X, Y
+from picardfuchs.bipoly import BiPoly, X, Y, integer_terms
 from picardfuchs.cli import main
-from picardfuchs.forms import wedge_with_dH
+from picardfuchs.forms import OneForm, wedge_with_dH
 from picardfuchs.linalg import RatMatrix, char_poly, min_poly
 from picardfuchs.milnor import MilnorBasis
 from picardfuchs.serialize import serialize_system
@@ -20,6 +20,8 @@ from tests.conftest import random_regular_hamiltonian
 QUINTIC = X**5 + Y**5 + X**2 * Y**2 + X + Y
 SPARSE_QUINTIC = X**5 + Y**5 + X**2 * Y**2 + X + 2 * Y
 CUBIC = X**3 + Y**3 - 3 * X * Y
+# rational coefficients: h = 30 H and the etas have denominators above 1
+RATIONAL = Fraction(1, 2) * X**3 + Fraction(1, 3) * Y**3 - X * Y + Fraction(1, 5) * X
 
 
 def _first_draws(seed, ns):
@@ -214,6 +216,127 @@ def test_validation_flags_tampered_systems(built_systems, case):
     flags = report.as_dict()
     assert flags == {name: name not in failing for name in flags}
     assert report.details.startswith(TAMPERED_DETAILS.get(case, ""))
+
+
+IDENTITY_INPUTS = ("A", "eta", "witness_g", "witness_f", "coeff_polys", "primitive")
+
+
+def _tamper(sys, field):
+    """sys with one input of the identity check changed by a seventh, and the identity notes expected.
+
+    The row changed is the last one; the primitive changed is omega_0, which
+    every row using it then fails, and whose derivative is no longer m_0.
+    """
+    last, seventh = sys.mu - 1, Fraction(1, 7)
+    cert = sys.certificates[last]
+    division, petrov = f"division identity fails for row {last}", f"Petrov certificate fails for row {last}"
+    if field == "A":
+        entries = [list(r) for r in sys.A.entries]
+        entries[last][0] += seventh
+        return dataclasses.replace(sys, A=RatMatrix(entries)), [division]
+    if field == "eta":
+        etas = list(sys.etas)
+        etas[last] = etas[last] + OneForm(0, seventh)   # + dy/7: the Q components only
+        return dataclasses.replace(sys, etas=tuple(etas)), [division, petrov]
+    if field == "primitive":
+        primitives = list(sys.basis.primitives)
+        primitives[0] = primitives[0].scale(2)
+        notes = []
+        for i, c in enumerate(sys.certificates):
+            if not c.coeff_polys[0].is_zero():
+                notes.append(f"Petrov certificate fails for row {i}")
+            if i == 0:
+                notes.append("primitive 0 does not differentiate to its monomial")
+        return dataclasses.replace(sys, basis=dataclasses.replace(sys.basis, primitives=tuple(primitives))), notes
+    if field == "coeff_polys":
+        polys = list(cert.coeff_polys)
+        polys[0] = polys[0] + UniPoly.constant(seventh)
+        changed = dataclasses.replace(cert, coeff_polys=tuple(polys))
+    else:   # g + x/7 adds x dH/7; f + x/7 adds dx/7, the P component only
+        changed = dataclasses.replace(cert, **{field: getattr(cert, field) + seventh * X})
+    certificates = sys.certificates[:last] + (changed,)
+    return dataclasses.replace(sys, certificates=certificates), [petrov]
+
+
+@pytest.fixture(scope="module")
+def identity_systems():
+    return {"cubic": build_system(CUBIC), "rational": build_system(RATIONAL)}
+
+
+def test_rational_hamiltonian_clears_denominators_above_one(identity_systems):
+    sys = identity_systems["rational"]
+    assert integer_terms(sys.H)[1] == 30
+    assert any(integer_terms(eta.P + eta.Q)[1] > 1 for eta in sys.etas)
+    assert validate_system(sys).all_ok()
+
+
+@pytest.mark.parametrize("field", IDENTITY_INPUTS[1:])
+@pytest.mark.parametrize("name", ["cubic", "rational"])
+def test_every_identity_input_reaches_identity_ok(identity_systems, name, field):
+    tampered, notes = _tamper(identity_systems[name], field)
+    report = validate_system(tampered)
+    flags = report.as_dict()
+    assert flags == {flag: flag != "identity_ok" for flag in flags}
+    assert report.details == "; ".join(notes)
+
+
+def test_valid_system_validates_without_bipoly_products(monkeypatch):
+    # the identities are re-checked on integer terms: no Fraction BiPoly product
+    calls = []
+    for H in (CUBIC, SPARSE_QUINTIC):
+        sys = build_system(H)
+        with monkeypatch.context() as patch:
+            for name in ("__mul__", "__rmul__"):
+                product = getattr(BiPoly, name)
+                patch.setattr(BiPoly, name, lambda self, other, product=product: calls.append(1) or product(self, other))
+            assert validate_system(sys).all_ok()
+        assert len(calls) == 0, H
+
+
+def _identities_hold_in_sympy(sys):
+    """Both identities and d(omega_i) = m_i of every row, re-expanded in sympy over QQ."""
+    import sympy
+
+    x, y = sympy.symbols("x y")
+    QQ = sympy.QQ
+
+    def poly(p):
+        return sympy.Poly.from_dict({e: QQ(c.numerator, c.denominator) for e, c in p.terms.items()} or {(0, 0): 0},
+                                    x, y, domain=QQ)
+
+    def scaled(p, c):
+        return p.mul_ground(QQ(c.numerator, c.denominator))
+
+    H, zero = poly(sys.H), poly(BiPoly.zero())
+    Hx, Hy = H.diff(x), H.diff(y)
+    primitives = [(poly(omega.P), poly(omega.Q)) for omega in sys.basis.primitives]
+    monomials = [poly(BiPoly.monomial(a, b)) for a, b in sys.basis.monomials]
+    for i, m in enumerate(monomials):
+        P, Q = poly(sys.etas[i].P), poly(sys.etas[i].Q)
+        division = H * m - (Hx * Q - Hy * P)
+        for j, mj in enumerate(monomials):
+            division -= scaled(mj, sys.A[i, j])
+        cert = sys.certificates[i]
+        g, f = poly(cert.witness_g), poly(cert.witness_f)
+        defect_P, defect_Q = P - g * Hx - f.diff(x), Q - g * Hy - f.diff(y)
+        for k in range(max(len(p.coeffs) for p in cert.coeff_polys)):
+            c = [p.coeffs[k] if k < len(p.coeffs) else Fraction(0) for p in cert.coeff_polys]
+            defect_P -= H**k * sum((scaled(omega[0], cj) for cj, omega in zip(c, primitives)), zero)
+            defect_Q -= H**k * sum((scaled(omega[1], cj) for cj, omega in zip(c, primitives)), zero)
+        d_primitive = primitives[i][1].diff(x) - primitives[i][0].diff(y)
+        if any(p.as_expr() != 0 for p in (division, defect_P, defect_Q, d_primitive - m)):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("name", ["cubic", "rational", "draw-mu16"])
+def test_identity_ok_agrees_with_sympy(identity_systems, name):
+    pytest.importorskip("sympy")
+    sys = identity_systems[name] if name in identity_systems else build_system(_first_draws(3, (4,))[0])
+    assert validate_system(sys).identity_ok is _identities_hold_in_sympy(sys) is True
+    for field in IDENTITY_INPUTS:
+        tampered, _ = _tamper(sys, field)
+        assert validate_system(tampered).identity_ok is _identities_hold_in_sympy(tampered) is False, field
 
 
 def test_spectrum_mismatch_note_says_what_failed(built_systems):

@@ -15,6 +15,10 @@ x^4 + y^4, gradient reductions of seeded rational polynomials, and Petrov
 decompositions and reductions of one query per degree asked of one basis
 twice, in descending and then in ascending degree (a result that depended
 on what the basis had answered before would print two different lines).
+Last come the flags and failure notes of ``validate_system`` on seeded
+tamperings of six systems, one per input of the identity check (A, eta_i,
+the witnesses g and f, a Petrov coefficient and a basis primitive), printed
+as text, so the failing branch of the check is compared too.
 
 The Hamiltonians: the tests' named ones, the sparse family d = 3..6, the
 ``system_json`` and ``build_random`` inputs of the benchmark at seeds 1-3
@@ -24,6 +28,7 @@ besides the package under test and the benchmark's input generator.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import random
@@ -40,10 +45,11 @@ from picardfuchs.bipoly import BiPoly
 from picardfuchs.cli import main
 from picardfuchs.errors import PicardFuchsError
 from picardfuchs.forms import OneForm
-from picardfuchs.linalg import char_poly, pencil_determinant, resultant
+from picardfuchs.linalg import RatMatrix, char_poly, pencil_determinant, resultant
 from picardfuchs.milnor import monomial_basis, reduce_mod_gradient
 from picardfuchs.petrov import petrov_decompose
-from picardfuchs.system import build_system
+from picardfuchs.system import build_system, validate_system
+from picardfuchs.unipoly import UniPoly
 
 NAMED = (
     {(3, 0): 1, (0, 3): 1, (1, 1): -3},
@@ -117,6 +123,41 @@ def random_poly(rng, degree, size):
                    for a in (rng.randint(0, degree) for _ in range(size))})
 
 
+TAMPERED_SYSTEMS = ("named 0", "named 3", "named 4", "named 5", "sparse d=4", "system_json seed 1 #2")
+TAMPERED_FIELDS = ("A", "eta", "g", "f", "coeff_polys", "primitive")
+
+
+def tampered(system, field, rng):
+    """(system with one input of the identity check changed by a seeded amount, the row changed)."""
+    i = rng.randrange(system.mu)
+    bump = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 9))
+    monomial = BiPoly.monomial(*rng.choice(((1, 0), (0, 1), (1, 1), (2, 0))), bump)
+    if field == "A":
+        entries = [list(row) for row in system.A.entries]
+        entries[i][rng.randrange(system.mu)] += bump
+        return dataclasses.replace(system, A=RatMatrix(entries)), i
+    if field == "eta":
+        etas = list(system.etas)
+        etas[i] = etas[i] + OneForm(monomial, 0)
+        return dataclasses.replace(system, etas=tuple(etas)), i
+    if field == "primitive":
+        primitives = list(system.basis.primitives)
+        primitives[i] = primitives[i] + OneForm(0, monomial)
+        return dataclasses.replace(system, basis=dataclasses.replace(system.basis, primitives=tuple(primitives))), i
+    cert = system.certificates[i]
+    if field == "coeff_polys":
+        polys = list(cert.coeff_polys)
+        j = rng.randrange(system.mu)
+        coeffs = [*polys[j].coeffs, 0, 0]
+        coeffs[rng.randrange(2)] += bump
+        polys[j] = UniPoly(coeffs)
+        cert = dataclasses.replace(cert, coeff_polys=tuple(polys))
+    else:
+        name = f"witness_{field}"
+        cert = dataclasses.replace(cert, **{name: getattr(cert, name) + monomial})
+    return dataclasses.replace(system, certificates=system.certificates[:i] + (cert,) + system.certificates[i + 1:]), i
+
+
 def main_digest():
     for label, h in hamiltonians():
         H = BiPoly({e: Fraction(c) for e, c in h.items()})
@@ -166,6 +207,17 @@ def main_digest():
                 form, P = queries[D]
                 dec, red = petrov_decompose(form, basis), reduce_mod_gradient(P, basis)
                 print(f"reuse {label} {order} degree {D}: {sha(petrov_record(dec))} {sha(reduction_record(red))}")
+
+    rng = random.Random(53)
+    for label, h in hamiltonians():
+        if label not in TAMPERED_SYSTEMS:
+            continue
+        system = build_system(BiPoly({e: Fraction(c) for e, c in h.items()}))
+        for field in TAMPERED_FIELDS:
+            changed, row = tampered(system, field, rng)
+            report = validate_system(changed)
+            failing = [name for name, ok in report.as_dict().items() if not ok]
+            print(f"tampered {label} {field} row {row}: fails {failing}: {report.details}")
 
 
 if __name__ == "__main__":
