@@ -14,7 +14,7 @@ integration along traced cycles for end-to-end residual checks.
 from .bipoly import BiPoly, X, Y
 from .unipoly import UniPoly
 from .linalg import RatMatrix, resultant
-from .forms import OneForm, canonical_primitive, exterior_derivative, wedge_with_dH
+from .forms import OneForm, canonical_primitive
 from .milnor import (
     GradientReduction,
     MilnorBasis,
@@ -22,7 +22,6 @@ from .milnor import (
     check_regular_at_infinity,
     divide_two_form,
     monomial_basis,
-    multiplication_matrix,
     reduce_mod_gradient,
 )
 from .critical import CriticalPoint, critical_points_numeric, critical_values_numeric
@@ -46,10 +45,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BiPoly", "X", "Y", "UniPoly", "RatMatrix", "resultant",
-    "OneForm", "canonical_primitive", "exterior_derivative", "wedge_with_dH",
+    "OneForm", "canonical_primitive",
     "GradientReduction", "MilnorBasis", "RegularityReport",
     "check_regular_at_infinity", "divide_two_form", "monomial_basis",
-    "multiplication_matrix", "reduce_mod_gradient",
+    "reduce_mod_gradient",
     "CriticalPoint", "critical_points_numeric", "critical_values_numeric",
     "PetrovDecomposition", "petrov_decompose",
     "PFSystem", "ValidationReport", "build_system", "classify_singularities", "validate_system",

@@ -76,21 +76,6 @@ def integer_one_form(omega):
     return dict(zip(P, ints)), dict(zip(Q, ints[len(P):])), denom
 
 
-def exterior_derivative(omega):
-    """d(P dx + Q dy) = (dQ/dx - dP/dy) dx^dy, returned as its coefficient."""
-    return omega.Q.partial("x") - omega.P.partial("y")
-
-
-def differential(f):
-    """df = f_x dx + f_y dy for a polynomial f."""
-    return OneForm(f.partial("x"), f.partial("y"))
-
-
-def wedge_with_dH(H, eta):
-    """dH ^ eta = (H_x * Q - H_y * P) dx^dy for eta = P dx + Q dy, returned as its coefficient."""
-    return H.partial("x") * eta.Q - H.partial("y") * eta.P
-
-
 def canonical_primitive(a, b):
     """Radial primitive of x^a y^b dx^dy.
 

@@ -31,10 +31,13 @@ solve_with_nullspace as its one-shot form, exact determinants, Sylvester
 resultants in y over Z (integer Sylvester matrices at the integer nodes
 0..bound, one Bareiss pivot each, interpolated over Z, then divided once by
 the scale s_p^dq s_q^dp that clearing the rows of p and q multiplies the
-determinant by), and the spectral polynomials of a multiplication matrix
-from ann(e_0), the annihilator of its unit row: one core pass over the
-Krylov columns e_0 M^k, k <= n (Wiedemann, IEEE Trans. IT 1986), O(n^3)
-operations, with the pencil det(t*I - M) when ann(e_0) has degree below n.
+determinant by), and the spectral polynomials of a multiplication matrix.
+spectral_polynomials is the one place that derives them: the minimal
+polynomial is ann(e_0), the annihilator of the unit row, from one core pass
+over the Krylov columns e_0 M^k, k <= n (Wiedemann, IEEE Trans. IT 1986),
+O(n^3) operations; it is the characteristic polynomial too when its degree
+is n, and only a derogatory M takes the pencil det(t*I - M) besides.
+min_poly and char_poly are its two halves.
 """
 
 from fractions import Fraction
@@ -104,12 +107,6 @@ class RatMatrix:
                 row.append(sum((self.entries[i][k] * other.entries[k][j] for k in range(self.cols)), Fraction(0)))
             out.append(row)
         return RatMatrix(out)
-
-    def matvec(self, vec):
-        if len(vec) != self.cols:
-            raise ValueError("shape mismatch")
-        vec = [_frac(v) for v in vec]
-        return [sum((row[k] * vec[k] for k in range(self.cols)), Fraction(0)) for row in self.entries]
 
     def to_float_array(self):
         import numpy as np
@@ -331,12 +328,22 @@ def _annihilator(vec, int_rows, denom):
     return UniPoly([Fraction(-c, den * denom ** (d - k)) for k, c in enumerate(nums)] + [1])
 
 
+def spectral_polynomials(matrix):
+    """(ann(e_0), monic det(t*I - M)) from one Krylov pass.
+
+    ann(e_0) = min_poly(M) divides det(t*I - M) and is monic, so it is
+    det(t*I - M) when its degree is n; below that M is derogatory and the
+    pencil det(-M + t*I) gives the characteristic polynomial.
+    """
+    minimal = min_poly(matrix)
+    if minimal.degree() == matrix.rows:
+        return minimal, minimal
+    return minimal, pencil_determinant(matrix.scale(-1), RatMatrix.identity(matrix.rows))
+
+
 def char_poly(matrix):
-    """Monic det(t*I - M): ann(e_0) = min_poly(M) if it has degree n, else the pencil det(-M + t*I)."""
-    p = min_poly(matrix)
-    if p.degree() == matrix.rows:
-        return p
-    return pencil_determinant(matrix.scale(-1), RatMatrix.identity(matrix.rows))
+    """Monic det(t*I - M), the second of spectral_polynomials(M)."""
+    return spectral_polynomials(matrix)[1]
 
 
 def min_poly(matrix):

@@ -40,9 +40,6 @@ operations on the top slice b to get E b, the last column a fresh Bareiss
 pass over [M | b] ends with (its pivots lie in M's columns), so the slice
 solution, the remainder, its scaling and its content are the integers of
 that pass, whatever the basis answered before.
-
-The multiplication-by-H matrix in the quotient basis is built row by row
-from reduce_mod_gradient(H * m_i).
 """
 
 from dataclasses import dataclass
@@ -53,7 +50,7 @@ from math import gcd
 from .bipoly import BiPoly, add_into, grlex_key, integer_terms, partials, shifted, times
 from .errors import DegreeTooSmallError, InternalRankError, NotRegularError
 from .forms import OneForm, canonical_primitive
-from .linalg import FractionFreeSolver, RatMatrix, pivot_columns
+from .linalg import FractionFreeSolver, pivot_columns
 from .unipoly import UniPoly, is_squarefree
 
 
@@ -318,12 +315,3 @@ def divide_two_form(F, basis):
     red = reduce_mod_gradient(F, basis)
     eta = OneForm(red.quotA, red.quotB)
     return eta, list(red.remainder_coeffs)
-
-
-def multiplication_matrix(basis):
-    """Matrix of multiplication by H on the quotient: H*m_i = sum_j A_ij m_j."""
-    rows = []
-    for a, b in basis.monomials:
-        red = reduce_mod_gradient(basis.H * BiPoly.monomial(a, b), basis)
-        rows.append(list(red.remainder_coeffs))
-    return RatMatrix(rows)

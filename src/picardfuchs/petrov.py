@@ -69,7 +69,7 @@ from fractions import Fraction
 
 from .bipoly import BiPoly, cleared, combine, integer_terms, partials, shifted, times
 from .errors import InternalRankError, NoSolutionError
-from .forms import OneForm, integer_one_form
+from .forms import integer_one_form
 from .milnor import peel_top_slices
 from .unipoly import UniPoly
 
@@ -159,8 +159,3 @@ def _is_radial_combination(nu_P, nu_Q, denom, p_values, monomials, powers, s):
     total = combine(*((w, shifted(powers[k], *monomials[i])) for (i, k), w in zip(p_values, weights)))
     return (shifted(nu_P, 0, 0, common) == shifted(total, 0, 1, -denom)
             and shifted(nu_Q, 0, 0, common) == shifted(total, 1, 0, denom))
-
-
-def differential_coefficient(g, H):
-    """The 1-form g*dH."""
-    return OneForm(g * H.partial("x"), g * H.partial("y"))

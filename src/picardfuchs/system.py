@@ -16,15 +16,18 @@ own primitives and the stored certificates alone: the check reads neither
 the basis's slice store nor petrov's closed-form columns, so an error in
 what the build shares with petrov's own certificate check cannot hide here.
 
-The spectrum check and the classification share one Krylov pass per system:
-PFSystem keeps the minimal polynomial ann(e_0) of A (m_0 = 1) and takes it
-as the characteristic polynomial too whenever its degree is mu.
+The spectrum check and the classification read one Spectrum per system,
+PFSystem.spectrum: the minimal and characteristic polynomials of A from
+linalg.spectral_polynomials (one Krylov pass; m_0 = 1 makes ann(e_0) the
+minimal polynomial) and the Yun factors of the characteristic polynomial.
+The check roots those factors; the classification compares degrees.
 """
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from math import prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,10 +35,18 @@ from .bipoly import BiPoly, add_into, cleared, combine, integer_terms, partials,
 from .critical import cluster, critical_points_numeric, value_clusters
 from .errors import NotRegularError
 from .forms import integer_one_form
-from .linalg import RatMatrix, char_poly, min_poly, pencil_determinant
+from .linalg import RatMatrix, pencil_determinant, spectral_polynomials
 from .milnor import check_regular_at_infinity, divide_two_form, monomial_basis
 from .petrov import petrov_decompose
-from .unipoly import UniPoly, is_squarefree, roots_with_multiplicity
+from .unipoly import UniPoly, roots_of_factors, squarefree_decomposition
+
+
+class Spectrum(NamedTuple):
+    """The exact spectral data of A: its minimal and characteristic polynomials and the latter's Yun factors."""
+
+    minimal: UniPoly
+    characteristic: UniPoly
+    factors: tuple          # (f_k, k): characteristic = prod f_k^k, f_k squarefree and coprime
 
 
 @dataclass(frozen=True)
@@ -68,20 +79,15 @@ class PFSystem:
         return value_clusters(self.critical_points)
 
     @cached_property
-    def minimal_polynomial(self):
-        """min_poly(A) = ann(e_0), made on first use; not a field, so dataclasses.replace drops it."""
-        return min_poly(self.A)
+    def spectrum(self):
+        """The Spectrum of A, made on first use; not a field, so dataclasses.replace drops it."""
+        minimal, characteristic = spectral_polynomials(self.A)
+        return Spectrum(minimal, characteristic, tuple(squarefree_decomposition(characteristic)[1]))
 
     @cached_property
     def float_matrices(self):
         """A, B0 and B1 as float arrays, made on first use and dropped by dataclasses.replace."""
         return self.A.to_float_array(), self.B0.to_float_array(), self.B1.to_float_array()
-
-    @cached_property
-    def characteristic_polynomial(self):
-        """The minimal polynomial when its degree is mu, else char_poly(A) (A derogatory)."""
-        minimal = self.minimal_polynomial
-        return minimal if minimal.degree() == self.mu else char_poly(self.A)
 
 
 def build_system(H, basis=None):
@@ -268,7 +274,7 @@ def _check_spectrum(sys, notes):
     the worst distance in both directions and each multiplicity that differs.
     """
     tol = SPECTRUM_TOL
-    eigen = cluster(roots_with_multiplicity(sys.characteristic_polynomial), tol, relative=True)
+    eigen = cluster(roots_of_factors(sys.spectrum.factors), tol, relative=True)
     oracle = cluster([(p.t, p.multiplicity) for p in sys.critical_points], tol, relative=True)
     met = [[j for j, (o, _) in enumerate(oracle) if abs(e - o) <= tol * max(1.0, abs(e))] for e, _ in eigen]
     paired = {js[0] for js, (_, m) in zip(met, eigen) if len(js) == 1 and oracle[js[0]][1] == m}
@@ -304,11 +310,19 @@ def classify_singularities(sys):
     """Fuchsian status of the finite singularities and of t = infinity.
 
     Finite critical values are Fuchsian poles exactly when A is
-    diagonalizable (squarefree minimal polynomial, decided exactly); the
+    diagonalizable, that is when its minimal polynomial is squarefree; the
     point at infinity keeps first-order form only when B1 = 0.
+
+    Squarefreeness is read off the spectrum without a gcd: the minimal
+    polynomial is squarefree exactly when its degree is sum deg f_k over the
+    Yun factors f_k of the characteristic polynomial.  The minimal polynomial
+    divides the characteristic polynomial and vanishes at each of its roots,
+    so the radical prod f_k, which has each of those roots once, divides it.
+    Both are monic with the same roots: of equal degree they are equal, and
+    squarefree; of larger degree, the minimal polynomial repeats a root.
     """
-    minimal = sys.minimal_polynomial
-    finite = is_squarefree(minimal)
+    minimal, _, factors = sys.spectrum
+    finite = minimal.degree() == sum(f.degree() for f, _ in factors)
     infinity = sys.B1.is_zero()
     details = []
     if finite:

@@ -246,16 +246,19 @@ def squarefree_decomposition(p):
 
 
 def roots_with_multiplicity(p):
-    """Numeric complex roots with exact multiplicities.
+    """Numeric complex roots with exact multiplicities: the roots of p's Yun factors."""
+    return roots_of_factors(squarefree_decomposition(p)[1])
 
-    Each squarefree factor from Yun's decomposition is rooted separately
-    (companion-matrix eigenvalues), so repeated roots of p are simple roots of
-    their factor and come back at full double precision.  Linear factors are
-    solved exactly.
+
+def roots_of_factors(factors):
+    """Numeric complex roots of squarefree factors (f_k, k), each with multiplicity k, sorted.
+
+    Each factor is rooted separately (companion-matrix eigenvalues), so a
+    repeated root of prod f_k^k is a simple root of its factor and comes back
+    at full double precision.  Linear factors are solved exactly.
     """
     import numpy as np
 
-    _, factors = squarefree_decomposition(p)
     out = []
     for f, mult in factors:
         if f.degree() == 1:

@@ -28,8 +28,8 @@ def random_regular_hamiltonian(rng, n, require_morse_plus=False):
     values), decided exactly.
     """
     from picardfuchs.linalg import char_poly
-    from picardfuchs.milnor import multiplication_matrix
     from picardfuchs.unipoly import is_squarefree
+    from tests.reference import multiplication_matrix
 
     while True:
         H = random_bipoly(rng, n + 1, density=0.6)

@@ -15,14 +15,15 @@ from scipy.optimize import linear_sum_assignment
 from picardfuchs.bipoly import BiPoly, X, Y
 from picardfuchs.critical import critical_points_numeric
 from picardfuchs.errors import NotRegularError
-from picardfuchs.forms import OneForm, differential, wedge_with_dH
+from picardfuchs.forms import OneForm
 from picardfuchs.linalg import RatMatrix, char_poly
 from picardfuchs.milnor import check_regular_at_infinity, monomial_basis
 from picardfuchs.periods import integrate_form, system_residual, trace_cycle
-from picardfuchs.petrov import differential_coefficient, petrov_decompose
+from picardfuchs.petrov import petrov_decompose
 from picardfuchs.system import build_system, classify_singularities
 from picardfuchs.unipoly import roots_with_multiplicity
 from tests.conftest import random_bipoly, random_regular_hamiltonian
+from tests.reference import differential, differential_coefficient, wedge_with_dH
 
 QUINTIC = X**5 + Y**5 + X**2 * Y**2 + X + Y
 CUBIC = X**3 + Y**3 - 3 * X * Y

@@ -121,8 +121,8 @@ def test_system_json_golden_entry(capsys):
 
 
 def test_system_json_sparse_septic(capsys):
-    # mu 36: the squarefree splits of char_poly(A) and min_poly(A) run on
-    # degree-36 polynomials with large coefficients
+    # mu 36: the Yun split of char_poly(A) runs on a degree-36 polynomial
+    # with large coefficients
     code = main(["system", "x^7+y^7+x^2y^4+x+2y", "--format", "json"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 0

@@ -9,17 +9,17 @@ from hypothesis import given, settings, strategies as st
 from picardfuchs.bipoly import BiPoly, X, Y
 from picardfuchs.critical import critical_points_numeric, critical_values_numeric
 from picardfuchs.errors import DegreeTooSmallError, NotRegularError
-from picardfuchs.forms import OneForm, wedge_with_dH
+from picardfuchs.forms import OneForm
 from picardfuchs.linalg import RatMatrix
 from picardfuchs.milnor import (
     check_regular_at_infinity,
     divide_two_form,
     monomial_basis,
-    multiplication_matrix,
     reduce_mod_gradient,
 )
 from picardfuchs.system import build_system
 from tests.conftest import random_bipoly, random_regular_hamiltonian, to_sympy
+from tests.reference import multiplication_matrix, wedge_with_dH
 
 QUINTIC = X**5 + Y**5 + X**2 * Y**2 + X + Y
 CUBIC = X**3 + Y**3 - 3 * X * Y

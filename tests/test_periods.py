@@ -11,7 +11,6 @@ import pytest
 from picardfuchs import periods
 from picardfuchs.bipoly import BiPoly, X, Y
 from picardfuchs.errors import NotClosed, SingularDenominator, TraceDiverged
-from picardfuchs.forms import differential
 from picardfuchs.linalg import RatMatrix
 from picardfuchs.periods import (
     FIBER_BLOCK,
@@ -26,9 +25,9 @@ from picardfuchs.periods import (
     system_residual,
     trace_cycle,
 )
-from picardfuchs.petrov import differential_coefficient
 from picardfuchs.system import build_system
 from tests.conftest import random_bipoly
+from tests.reference import differential, differential_coefficient
 
 CIRCLE_H = X**2 + Y**2
 CUBIC = X**3 + Y**3 - 3 * X * Y

@@ -11,16 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from picardfuchs.bipoly import BiPoly, X, Y, integer_terms, times
 from picardfuchs.errors import InternalRankError, NoSolutionError
-from picardfuchs.forms import OneForm, canonical_primitive, differential, exterior_derivative, integer_one_form
+from picardfuchs.forms import OneForm, canonical_primitive, integer_one_form
 from picardfuchs.milnor import MilnorBasis, monomial_basis, reduce_mod_gradient
-from picardfuchs.petrov import (
-    _is_radial_combination,
-    _p_column,
-    differential_coefficient,
-    petrov_decompose,
-)
+from picardfuchs.petrov import _is_radial_combination, _p_column, petrov_decompose
 from picardfuchs.unipoly import UniPoly
 from tests.conftest import random_bipoly, random_regular_hamiltonian
+from tests.reference import differential, differential_coefficient, exterior_derivative
 
 QUINTIC = X**5 + Y**5 + X**2 * Y**2 + X + Y
 

@@ -3,11 +3,10 @@
 import numpy as np
 
 from picardfuchs.bipoly import X, Y
-from picardfuchs.forms import differential
 from picardfuchs.periods import integrate_form, trace_cycle
-from picardfuchs.petrov import differential_coefficient
 from picardfuchs.system import build_system, validate_system
 from tests.conftest import random_bipoly
+from tests.reference import differential, differential_coefficient
 
 
 def test_hhat_divisible_by_x():

@@ -1,5 +1,6 @@
 """System assembly, structural validation, classification, serialization."""
 
+import collections
 import dataclasses
 import json
 import random
@@ -9,13 +10,14 @@ import pytest
 
 from picardfuchs.bipoly import BiPoly, X, Y, integer_terms
 from picardfuchs.cli import main
-from picardfuchs.forms import OneForm, wedge_with_dH
+from picardfuchs.forms import OneForm
 from picardfuchs.linalg import RatMatrix, char_poly, min_poly
 from picardfuchs.milnor import MilnorBasis
 from picardfuchs.serialize import serialize_system
 from picardfuchs.system import build_system, classify_singularities, validate_system
 from picardfuchs.unipoly import UniPoly, is_squarefree, roots_with_multiplicity, squarefree_decomposition
 from tests.conftest import random_regular_hamiltonian
+from tests.reference import wedge_with_dH
 
 QUINTIC = X**5 + Y**5 + X**2 * Y**2 + X + Y
 SPARSE_QUINTIC = X**5 + Y**5 + X**2 * Y**2 + X + 2 * Y
@@ -377,32 +379,56 @@ def test_non_diagonalizable_multiplication_matrix(capsys):
     assert all(doc["validation"].values())
 
 
-def test_one_krylov_pass_per_system(monkeypatch, capsys):
-    # min_poly(A) = ann(e_0) is also char_poly(A) when its degree is mu, so a
-    # nonderogatory system's validation and classification share one pass
-    import picardfuchs.linalg as linalg
+# derogatory A: ann(e_0) is t^2 + t for mu 4, t for mu 9 and of degree 8 for mu 16
+DEROGATORY = (CUBIC, X**4 + Y**4, X**5 + Y**5 + X**4 + X**2 * Y**2)
 
-    cubic, nonic = _first_draws(1, (2, 3))  # mu 4 and mu 9, both nonderogatory
-    calls = []
-    annihilator = linalg._annihilator
-    monkeypatch.setattr(linalg, "_annihilator", lambda *args: calls.append(1) or annihilator(*args))
+
+def _count_calls(monkeypatch, calls, module, name):
+    """Count calls to module.name in calls[name], under every package binding of it."""
+    import sys as _sys
+
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls[name] += 1
+        return original(*args)
+
+    for loaded in list(_sys.modules.values()):
+        if getattr(loaded, "__name__", "").startswith("picardfuchs") and getattr(loaded, name, None) is original:
+            monkeypatch.setattr(loaded, name, counted)
+
+
+def test_one_krylov_pass_per_system(monkeypatch, capsys):
+    # PFSystem.spectrum derives the spectral polynomials of A once: one
+    # Krylov pass (plus the pencil determinant when A is derogatory) and one
+    # Yun split, shared by validation and classification
+    import picardfuchs.linalg as linalg
+    import picardfuchs.unipoly as unipoly
+
+    calls = collections.Counter()
+    for module, name in ((linalg, "_annihilator"), (unipoly, "squarefree_decomposition"), (unipoly, "gcd")):
+        _count_calls(monkeypatch, calls, module, name)
 
     def passes(run):
         calls.clear()
         run()
-        return len(calls)
+        return calls["_annihilator"], calls["squarefree_decomposition"], calls["gcd"]
 
-    for H, mu in ((cubic, 4), (nonic, 9)):
+    for H in (*_first_draws(1, (2, 3)), *DEROGATORY):  # the two draws are nonderogatory
         sys = build_system(H)
-        assert passes(lambda: serialize_system(sys)) == 1
-        assert sys.mu == sys.minimal_polynomial.degree() == mu
-        assert passes(lambda: classify_singularities(sys)) == 0
+        assert passes(lambda: serialize_system(sys))[:2] == (1, 1)
+        assert (sys.spectrum.minimal.degree() < sys.mu) == (H in DEROGATORY)
+        assert passes(lambda: classify_singularities(sys)) == (0, 0, 0)
         for command in ("system", "verify"):
-            assert passes(lambda: main([command, str(H)])) == 1
+            assert passes(lambda: main([command, str(H)]))[0] == 1
     capsys.readouterr()
-    # derogatory: ann(e_0) has degree below mu (t^2 + t for mu 4, t for mu 9),
-    # so char_poly(A) makes a second pass
-    for H in (CUBIC, X**4 + Y**4):
-        sys = build_system(H)
-        assert passes(lambda: serialize_system(sys)) <= 2
-        assert passes(lambda: classify_singularities(sys)) == 0
+
+
+@pytest.mark.parametrize("H", [*DEROGATORY, *_first_draws(5, (2, 3, 3)), *_first_draws(11, (2, 3))],
+                         ids=["cubic", "quartic", "quintic-16", "draw5-n2", "draw5-n3", "draw5-n3b",
+                              "draw11-n2", "draw11-n3"])
+def test_degree_rule_matches_squarefree_minimal_polynomial(H):
+    # deg(minimal) == sum deg f_k over the Yun factors of the characteristic
+    # polynomial decides squarefreeness without a gcd; here it meets the gcd test
+    sys = build_system(H)
+    assert classify_singularities(sys)["finite_fuchsian"] == is_squarefree(min_poly(sys.A))

@@ -8,13 +8,16 @@ and compare the files of two trees with ``diff``: a change that must keep
 every exact output prints the same lines.  Per Hamiltonian it digests A, B0,
 B1, D, every eta_i and its Petrov certificate and ``critical_values`` of
 ``build_system`` (or the error it raises), and the stdout, stderr and exit
-code of ``pf system H --format json``.  Then come the resultants of 40
-seeded pairs with rational coefficients, Petrov decompositions of seeded
-rational forms, ``char_poly``/``pencil_determinant`` of the derogatory
-x^4 + y^4, gradient reductions of seeded rational polynomials, and Petrov
-decompositions and reductions of one query per degree asked of one basis
-twice, in descending and then in ascending degree (a result that depended
-on what the basis had answered before would print two different lines).
+code of ``pf system H --format json``; for the named ones also the
+``classify_singularities`` details, as text (the JSON leaves out that
+string, which prints the minimal polynomial), and the stdout and exit code
+of ``pf verify H``.  Then come the resultants of 40 seeded pairs with
+rational coefficients, Petrov decompositions of seeded rational forms,
+``char_poly``/``pencil_determinant`` of the derogatory x^4 + y^4, gradient
+reductions of seeded rational polynomials, and Petrov decompositions and
+reductions of one query per degree asked of one basis twice, in
+descending and then in ascending degree (a result that depended on what the
+basis had answered before would print two different lines).
 Last come the flags and failure notes of ``validate_system`` on seeded
 tamperings of six systems, one per input of the identity check (A, eta_i,
 the witnesses g and f, a Petrov coefficient and a basis primitive), printed
@@ -48,7 +51,7 @@ from picardfuchs.forms import OneForm
 from picardfuchs.linalg import RatMatrix, char_poly, pencil_determinant, resultant
 from picardfuchs.milnor import monomial_basis, reduce_mod_gradient
 from picardfuchs.petrov import petrov_decompose
-from picardfuchs.system import build_system, validate_system
+from picardfuchs.system import build_system, classify_singularities, validate_system
 from picardfuchs.unipoly import UniPoly
 
 NAMED = (
@@ -111,10 +114,10 @@ def reduction_record(red):
     return list(red.remainder_coeffs), terms(red.quotA), terms(red.quotB)
 
 
-def cli_record(text):
+def cli_record(*args):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["system", text, "--format", "json"])
+        code = main(list(args))
     return out.getvalue(), err.getvalue(), code
 
 
@@ -162,11 +165,17 @@ def main_digest():
     for label, h in hamiltonians():
         H = BiPoly({e: Fraction(c) for e, c in h.items()})
         try:
-            built = sha(system_record(build_system(H)))
+            system = build_system(H)
+            built = sha(system_record(system))
         except PicardFuchsError as exc:
-            built = f"{type(exc).__name__}: {exc}"
+            system, built = None, f"{type(exc).__name__}: {exc}"
         print(f"{label}: build {built}")
-        print(f"{label}: pf system json {sha(cli_record(inputs.poly_text(h)))}")
+        print(f"{label}: pf system json {sha(cli_record('system', inputs.poly_text(h), '--format', 'json'))}")
+        if label.startswith("named"):
+            if system is not None:
+                print(f"{label}: classification {classify_singularities(system)['details']}")
+            out, _, code = cli_record("verify", inputs.poly_text(h))
+            print(f"{label}: pf verify exit {code}: {out.strip().replace(chr(10), '; ')}")
 
     rng = random.Random(2024)
     for i in range(40):
