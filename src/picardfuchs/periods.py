@@ -11,21 +11,26 @@ Two cycle modes:
 
   * real_oval: arc-length continuation with Newton correction around a
     compact real component, positively oriented (counterclockwise around a
-    minimum); an exploratory lap sets the sample count, one lap of uniform
-    steps gives the samples, and closing rounds on all samples at once
-    spread the lap's closing gap over them until the loop closes to ~1e-11.
+    minimum); an exploratory lap sets the sample count, a short lap of
+    uniform steps is walked and closed by closing rounds on all its samples
+    at once, which spread the lap's closing gap over them until the loop
+    closes to ~1e-11, and the closed lap is resampled to the sample count
+    by trigonometric interpolation and projected back onto the curve.
   * x_loop: a prescribed closed circle in the x-plane (center, turns, with
     the radius set by the seed), lifting y through the fiber of H(x, .) = t
     by nearest-root continuation; a lift that returns to a different sheet
     raises NotClosed and the caller iterates the loop (more turns).
 
 The real-oval walk evaluates H and its partials in float arithmetic at one
-point at a time; the closing rounds evaluate them on float arrays of all
-samples.  The x values of an x-loop are known before the walk, so
-the fiber roots at all of them are computed in advance: the companion
-matrices of FIBER_BLOCK consecutive x values go to one eigenvalue call,
-which bounds the memory of one batch.  The walk then only matches nearest
-roots; the seed and the midpoints of a subdivided step are single x values.
+point at a time; the closing rounds and the projection of the resampled lap
+evaluate them on float arrays of all samples.  The x values of an x-loop are
+known before the walk, so the fiber roots at all of them are computed in
+advance: the companion matrices of FIBER_BLOCK consecutive x values go to
+one eigenvalue call, which bounds the memory of one batch.  Within a block
+the nearest-root map between consecutive fibers is built for every root at
+once, so the walk only follows an index; a step whose nearest root is not
+well separated is subdivided, and the seed and the midpoints of a subdivided
+step are single x values.
 
 The Gelfand-Leray derivative of a period of omega_i with d(omega_i) =
 m dx^dy is the period, over the same cycle, of the residue form
@@ -40,9 +45,11 @@ every basis form and monomial on them; integrate_form and
 gelfand_leray_derivative are the same computation for a single form.
 
 Tracing tolerances are module constants: MAX_STEP bounds the first
-arc-length step, NEWTON_TOL * max(1, |t|) is the level-curve residual at
-which Newton correction stops, and t must stay NONCRITICAL_TOL away from
-every critical value.
+arc-length step, LAP_MIN is the fewest steps of the lap a real oval is
+resampled from, NEWTON_TOL * max(1, |t|) is the level-curve residual at
+which Newton correction stops (a stall where the float rounding of H is at
+least that tolerance ends a real-oval trace at once), and t must stay
+NONCRITICAL_TOL away from every critical value.
 """
 
 import math
@@ -111,9 +118,22 @@ def _critical_values_cached(H):
 
 
 MAX_STEP = 0.05         # arc-length step of the first exploratory lap
+LAP_MIN = 64            # fewest steps of the walked lap that a real oval's samples are resampled from
 NEWTON_TOL = 1e-12      # |H - t| at which Newton correction stops, relative to max(1, |t|)
 NONCRITICAL_TOL = 1e-6  # minimum distance of t from a critical value
 MAX_STEPS = 200000      # step budget of one exploratory lap
+EPS = 2.0**-52          # float spacing at 1
+STALL_FACTOR = 16       # a residual within this many rounding bounds of H is rounding noise
+
+
+class _RoundingStall(TraceDiverged):
+    """Newton correction stalled in rounding noise that is at least its tolerance.
+
+    The rounding bound of H at (x, y) is EPS * sum |c| |x|^a |y|^b over its
+    terms; Newton stalls when the bound is at least the tolerance and the
+    residual is within STALL_FACTOR bounds of zero.  The bound depends on
+    the point alone, so no smaller step gets past it.
+    """
 
 
 def trace_cycle(H, t, seed, mode="real_oval", samples=512, loop_center=0j, turns=1):
@@ -139,31 +159,45 @@ def trace_cycle(H, t, seed, mode="real_oval", samples=512, loop_center=0j, turns
 
 
 def _trace_real_oval(H, t, seed, samples):
-    """Walk one lap of uniform steps from the seed, then close it in array rounds.
+    """Walk and close a short lap of uniform steps, then resample it to the sample count.
 
-    Pass 1 (_explore) measures the oval's length and largest curvature
-    kappa with a fixed step, which sets the sample count n.  Pass 2 (_walk)
-    makes n steps of length/n: n samples and the lap's end point, which
-    misses the start by a small gap.  Each closing round spreads that gap
-    over the lap: with delta the gap's component along the unit tangent at
-    the end point, sample k moves along its own unit tangent by -delta*k/n
-    and every sample is projected back onto {H = t} at once.  The stop rule
-    and the TraceDiverged checks of project and tangent hold at every sample.
+    Pass 1 (_explore) measures the oval's length L and largest curvature
+    kappa with a fixed step, which sets the sample count
+    n = max(samples, ceil(L*kappa/0.25), 16).  Pass 2 (_walk) makes
+    m = min(n, max(ceil(L*kappa/0.25), LAP_MIN)) steps of length L/m: m
+    samples and the lap's end point, which misses the start by a small gap.
+    Each closing round spreads that gap over the lap: with delta the gap's
+    component along the unit tangent at the end point, sample k moves along
+    its own unit tangent by -delta*k/m and every sample is projected back
+    onto {H = t} at once.  The stop rule and the TraceDiverged checks of
+    project and tangent hold at every sample.
 
     This keeps the quadrature valid: the trapezoid rule needs samples smooth
     and periodic in the index, not exactly uniform in arc length, and a
-    shift of -delta*k/n is a smooth (affine) reparametrization of the walked
-    lap, the step changed from h to h - delta/n.  Moving a point by d along
+    shift of -delta*k/m is a smooth (affine) reparametrization of the walked
+    lap, the step changed from h to h - delta/m.  Moving a point by d along
     its tangent and projecting covers an arc of d*(1 + O(d^2 kappa^2)), so
     each round cuts the gap by a factor of about (delta*kappa)^2.  The rounds
     stop once the gap is below 1e-11 * (1 + |x0| + |y0|); after 12 rounds
     the best one is kept, its gap the closure error.
+
+    When n > m, the closed lap is resampled by _resample: T, the
+    trigonometric interpolant of its m samples, is evaluated at n equispaced
+    parameters and every point is projected back onto the curve.  Sample k
+    is then P(T(s_k)), with s_k = k/n and P the Newton projection.  T is an
+    entire trigonometric polynomial and P is analytic near the curve, so the
+    chain samples P o T, a smooth periodic reparametrization of the oval:
+    all that the trapezoid rule needs to stay spectrally accurate.  T only
+    has to stay near the curve, where P converges; the curvature rule keeps
+    the turn of one lap step below 0.25 rad.  With n <= m the walked lap is
+    the chain.
     """
     if abs(t.imag) > 1e-12:
         raise ValueError("real_oval mode needs a real level value t")
     t_real = t.real
     newton_tol = NEWTON_TOL * max(1.0, abs(t_real))
     h_poly = _compiled(H, float)
+    h_abs = tuple((a, b, abs(c)) for a, b, c in h_poly)
     hx = _compiled(H.partial("x"), float)
     hy = _compiled(H.partial("y"), float)
 
@@ -179,6 +213,11 @@ def _trace_real_oval(H, t, seed, samples):
                 raise TraceDiverged("gradient vanished during Newton correction")
             x -= val * gx / norm2
             y -= val * gy / norm2
+        rounding = _eval_real(h_abs, abs(x), abs(y)) * EPS
+        if newton_tol <= rounding and abs(_eval_real(h_poly, x, y) - t_real) <= STALL_FACTOR * rounding:
+            raise _RoundingStall(f"Newton correction stalls at ({x:.6g}, {y:.6g}), where the float rounding "
+                                 f"of H, {rounding:.3g}, is at least the tolerance {newton_tol:.3g}; "
+                                 "no step size can get past it")
         raise TraceDiverged("Newton correction did not converge")
 
     def tangent(x, y):
@@ -231,25 +270,31 @@ def _trace_real_oval(H, t, seed, samples):
     else:
         raise TraceDiverged("no closed oval found from this seed")
 
-    n = max(int(samples), int(math.ceil(length * kappa_max / 0.25)), 16)
+    steps = int(math.ceil(length * kappa_max / 0.25))
+    n = max(int(samples), steps, 16)
+    m = min(n, max(steps, LAP_MIN))
 
-    # pass 2: one lap of uniform steps, then closing rounds on all samples at once
-    xs, ys = _walk(project, tangent, x0, y0, n, length / n)
-    shares = np.arange(n + 1) / n
+    # pass 2: one lap of m uniform steps, then closing rounds on all its samples at once
+    xs, ys = _walk(project, tangent, x0, y0, m, length / m)
+    shares = np.arange(m + 1) / m
     best = None
     for _ in range(12):
-        gap_x, gap_y = float(xs[n] - x0), float(ys[n] - y0)
+        gap_x, gap_y = float(xs[m] - x0), float(ys[m] - y0)
         gap = math.hypot(gap_x, gap_y)
         if best is None or gap < best[2]:
             best = (xs, ys, gap)
         if gap < 1e-11 * (1.0 + abs(x0) + abs(y0)):
             break
         txs, tys = tangent_all(xs, ys)
-        shift = -(gap_x * txs[n] + gap_y * tys[n]) * shares
+        shift = -(gap_x * txs[m] + gap_y * tys[m]) * shares
         xs, ys = xs + shift * txs, ys + shift * tys
         project_all(xs, ys)
     xs, ys, gap = best
-    points = tuple(zip(xs[:n].astype(complex).tolist(), ys[:n].astype(complex).tolist()))
+    xs, ys = xs[:m], ys[:m]
+    if n > m:
+        xs, ys = _resample(xs, ys, n)
+        project_all(xs, ys)
+    points = tuple(zip(xs.astype(complex).tolist(), ys.astype(complex).tolist()))
     return Cycle(t=complex(t_real), points=points, closure_error=gap,
                  hamiltonian=H, mode="real_oval")
 
@@ -284,9 +329,10 @@ def _explore(project, tangent, x0, y0, tx0, ty0, h):
 
     Returns None if the step is too large: the tangent flips or Newton
     correction fails.  Raises TraceDiverged if the lap does not close within
-    MAX_STEPS steps, or at once if a seed coordinate c has c + h == c == c - h:
-    no step can move c, so no lap closes.  A smaller step would help in
-    neither case.
+    MAX_STEPS steps, at once if a seed coordinate c has c + h == c == c - h:
+    no step can move c, so no lap closes, and at once if Newton correction
+    stalls where the float rounding of H is at least its tolerance.  A
+    smaller step would help in none of these cases.
     """
     if any(c - h == c == c + h for c in (x0, y0)):
         raise TraceDiverged(f"step {h:.3g} is below the float spacing at the seed ({x0:.6g}, {y0:.6g}); "
@@ -311,10 +357,32 @@ def _explore(project, tangent, x0, y0, tx0, ty0, h):
                 frac = s_prev / (s_prev - s_now) if s_now != s_prev else 0.0
                 return (steps - 1 + frac) * h, max(1e-9, turn_max / h)
             s_prev = s_now
+    except _RoundingStall:
+        raise
     except TraceDiverged:
         return None
     raise TraceDiverged(f"no closed oval found from this seed within the budget of "
                         f"{MAX_STEPS} steps of length {h:.3g}")
+
+
+def _resample(xs, ys, n):
+    """The trigonometric interpolant of the periodic samples xs, ys at n > len(xs) equispaced points.
+
+    The discrete Fourier coefficients of x + iy are zero-padded to n
+    frequencies; for an even sample count the Nyquist coefficient is split
+    evenly between the frequencies +m/2 and -m/2, which keeps the
+    interpolant real on real samples.  Returns new float arrays.
+    """
+    m = len(xs)
+    coeffs = np.fft.fft(xs + 1j * ys)
+    low = (m + 1) // 2  # frequencies 0 .. low-1 at the front, the rest at the back
+    padded = np.zeros(n, dtype=complex)
+    padded[:low] = coeffs[:low]
+    padded[n - (m - low):] = coeffs[low:]
+    if m % 2 == 0:
+        padded[m // 2] = padded[n - m // 2] = 0.5 * coeffs[m // 2]
+    z = np.fft.ifft(padded) * (n / m)
+    return z.real.copy(), z.imag.copy()
 
 
 def _walk(project, tangent, x0, y0, n, h):
@@ -334,6 +402,19 @@ def _walk(project, tangent, x0, y0, n, h):
 
 
 def _trace_x_loop(H, t, seed, samples, loop_center, turns):
+    """Lift the x-circle through the seed to {H = t} by nearest-root continuation.
+
+    The lift follows an index into the fiber roots.  For each FIBER_BLOCK of
+    x values, one array operation finds, for every root at the previous x,
+    its nearest root at the next x and whether that nearest root is well
+    separated (_continue_root's test: the nearest distance at most half the
+    second nearest).  A step from a well-separated root takes the mapped
+    index; any other step, and every step of a block whose fibers are not
+    all full companion eigenvalue rows, goes to _continue_root, which
+    subdivides it.  The index is picked up again where the returned y is
+    one of the roots at its x, so the samples are those of _continue_root
+    at every step.
+    """
     center = complex(loop_center)
     x_seed = complex(seed[0])
     y_seed = complex(seed[1])
@@ -347,16 +428,29 @@ def _trace_x_loop(H, t, seed, samples, loop_center, turns):
     total = int(samples)
     if total < MIN_SAMPLES:
         raise ValueError(f"x_loop needs at least {MIN_SAMPLES} samples, got {total}")
-    y = _nearest_root(H, t, x_seed, y_seed)
-    y0 = y
+    previous = next(_fiber_roots(H, t, [x_seed]))  # the roots at the previous x
+    index = int(np.argmin(np.abs(previous - y_seed)))  # of y among them, or None
+    y = y0 = complex(previous[index])
     points = []
     angles = 2.0 * math.pi * turns * np.arange(total + 1) / total
     xs = center + radius * np.exp(1j * angles)
     prev_x = x_seed
-    for xk, roots in zip(xs.tolist(), _fiber_roots(H, t, xs)):
-        y = _continue_root(H, t, prev_x, y, xk, roots)
-        points.append((xk, y))
-        prev_x = xk
+    for start, rows in zip(range(0, len(xs), FIBER_BLOCK), _fiber_root_blocks(H, t, xs)):
+        mapped = isinstance(rows, np.ndarray) and rows.shape[1] == len(previous)
+        if mapped:
+            nearest, safe = _nearest_root_map(np.concatenate([previous[None], rows[:-1]]), rows)
+            values = rows.tolist()
+        for k, xk in enumerate(xs[start:start + FIBER_BLOCK].tolist()):
+            if mapped and index is not None and safe[k][index]:
+                index = nearest[k][index]
+                y = values[k][index]
+            else:
+                y = _continue_root(H, t, prev_x, y, xk, rows[k])
+                hits = np.flatnonzero(rows[k] == y)
+                index = int(hits[0]) if len(hits) else None
+            points.append((xk, y))
+            prev_x = xk
+        previous = rows[-1]
     points.pop()  # the sample at angle 2 pi turns closes the loop
     gap = abs(y - y0)
     scale = 1.0 + abs(y0)
@@ -367,17 +461,37 @@ def _trace_x_loop(H, t, seed, samples, loop_center, turns):
     return Cycle(t=t, points=tuple(points), closure_error=gap, hamiltonian=H, mode="x_loop")
 
 
+def _nearest_root_map(before, after):
+    """For each step k and root i of before[k]: the index of its nearest root in after[k], and
+    whether that root is well separated, as nested lists indexed [k][i].
+
+    before and after are (steps, n) arrays of fiber roots.  The distances
+    are those of _continue_root, so the index and the test agree with it.
+    One root of before at a time keeps the temporaries at (steps, n).
+    """
+    nearest = np.empty(before.shape, dtype=int)
+    safe = np.ones(before.shape, dtype=bool)
+    for i in range(before.shape[1]):
+        dist = np.abs(after - before[:, i:i + 1])
+        nearest[:, i] = dist.argmin(axis=1)
+        if after.shape[1] > 1:
+            dist.partition(1, axis=1)
+            safe[:, i] = ~(dist[:, 0] > 0.5 * dist[:, 1])
+    return nearest.tolist(), safe.tolist()
+
+
 FIBER_BLOCK = 256  # x values per batched eigenvalue call in _fiber_roots
 
 
-def _fiber_roots(H, t, x_values):
-    """Yield the roots in y of H(x, y) = t at each of x_values, in order.
+def _fiber_root_blocks(H, t, x_values):
+    """Yield the roots in y of H(x, y) = t at x_values, one block of FIBER_BLOCK x values at a time.
 
     As in np.roots, the roots are the eigenvalues of the companion matrix of
-    the coefficients scaled by their largest modulus.  The matrices of
-    FIBER_BLOCK x values at a time go to one np.linalg.eigvals call; a row
-    with a zero leading or trailing coefficient goes to np.roots itself,
-    which strips those zeros.
+    the coefficients scaled by their largest modulus.  The matrices of one
+    block go to one np.linalg.eigvals call, and the block is its (len, n)
+    array of eigenvalues.  A row with a zero leading or trailing coefficient
+    goes to np.roots itself, which strips those zeros; a block with such a
+    row is a list of one root array per x value.
     """
     x_values = np.asarray(x_values, dtype=complex)
     n = max(H.degree_in("y"), 0)
@@ -401,17 +515,24 @@ def _fiber_roots(H, t, x_values):
         companion = np.zeros((int(regular.sum()), n, n), dtype=complex)
         companion[:, 0, :] = -rows[regular, 1:] / rows[regular, :1]
         companion[:, np.arange(1, n), np.arange(n - 1)] = 1
-        eigenvalues = iter(np.linalg.eigvals(companion))
+        eigenvalues = np.linalg.eigvals(companion)
+        if regular.all():
+            yield eigenvalues
+            continue
+        eigenvalues = iter(eigenvalues)
+        block = []
         for ok, row, x in zip(regular, rows, xs):
             roots = next(eigenvalues) if ok else np.roots(row)
             if not len(roots):
                 raise TraceDiverged(f"fiber of H(x, .) = t has no roots at x = {x}")
-            yield roots
+            block.append(roots)
+        yield block
 
 
-def _nearest_root(H, t, x_value, y_guess):
-    roots = next(_fiber_roots(H, t, [x_value]))
-    return complex(roots[np.argmin(np.abs(roots - y_guess))])
+def _fiber_roots(H, t, x_values):
+    """Yield the roots in y of H(x, y) = t at each of x_values, in order (see _fiber_root_blocks)."""
+    for block in _fiber_root_blocks(H, t, x_values):
+        yield from block
 
 
 def _continue_root(H, t, x_from, y_from, x_to, roots=None, depth=0):

@@ -5,8 +5,12 @@ are the textbook formulas on Fraction polynomials, so a test can state an
 identity the way the paper writes it.
 """
 
+import math
 from fractions import Fraction
 
+import numpy as np
+
+from picardfuchs import periods
 from picardfuchs.bipoly import BiPoly
 from picardfuchs.forms import OneForm
 from picardfuchs.linalg import RatMatrix
@@ -48,3 +52,23 @@ def matvec(matrix, vec):
         raise ValueError("shape mismatch")
     vec = [Fraction(v) for v in vec]
     return [sum((row[k] * vec[k] for k in range(matrix.cols)), Fraction(0)) for row in matrix.entries]
+
+
+def x_loop_points(H, t, seed, samples, loop_center=0j, turns=1):
+    """The samples of an x-loop lifted one x value at a time by periods._continue_root.
+
+    The per-sample form of trace_cycle(..., mode="x_loop"): the nearest root
+    at the seed x starts the lift, and every x on the circle continues it
+    from the previous x with the fiber roots computed in advance.
+    """
+    center, x_seed, y_seed = complex(loop_center), complex(seed[0]), complex(seed[1])
+    roots = next(periods._fiber_roots(H, t, [x_seed]))
+    y = complex(roots[np.argmin(np.abs(roots - y_seed))])
+    angles = 2.0 * math.pi * turns * np.arange(samples + 1) / samples
+    xs = center + (x_seed - center) * np.exp(1j * angles)
+    points, prev_x = [], x_seed
+    for xk, roots in zip(xs.tolist(), periods._fiber_roots(H, t, xs)):
+        y = periods._continue_root(H, t, prev_x, y, xk, roots)
+        points.append((xk, y))
+        prev_x = xk
+    return tuple(points[:-1])  # the sample at angle 2 pi turns closes the loop

@@ -365,6 +365,23 @@ def test_real_oval_lap_budget_ends_the_search_at_once(monkeypatch, capsys):
     assert steps == [MAX_STEP]
 
 
+def test_real_oval_newton_stall_in_rounding_ends_the_search_at_once(monkeypatch, capsys):
+    # the t = 0.5 branch through the seed is unbounded; near (-13.8, 12.8) the float
+    # rounding of H's terms exceeds the Newton tolerance 1e-12 at every step size
+    steps = []
+    explore = periods._explore
+    monkeypatch.setattr(periods, "_explore", lambda *args: steps.append(args[-1]) or explore(*args))
+    start = time.perf_counter()
+    assert main(["periods", "x^3+y^3-3*x*y", "--t", "0.5", "--seed", "2,0"]) == 2
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Newton correction stalls at (-13.")
+    assert "float rounding of H" in captured.err and "at least the tolerance 1e-12" in captured.err
+    assert steps == [MAX_STEP]
+    assert elapsed < 1.0
+
+
 def test_real_oval_step_below_float_spacing_ends_the_search_at_once(capsys):
     # a step of 0.05 cannot move x = 1e150 (float spacing about 1e134): the
     # search stops at the seed instead of walking the whole budget in y
@@ -486,6 +503,18 @@ def test_system_command_does_not_import_scipy():
     )
     done = _python("-c", script)
     assert done.stderr.decode() == "[]"
+
+
+def test_numpy_fft_loads_on_first_resampled_oval():
+    script = (
+        "import sys\n"
+        "from picardfuchs.cli import main\n"
+        "loaded = 'numpy.fft' in sys.modules\n"
+        "code = main(['periods', 'x^2+y^2', '--t', '1', '--seed', '1,0'])\n"
+        "sys.stderr.write(repr((loaded, 'numpy.fft' in sys.modules)))\n"
+        "sys.exit(code)\n"
+    )
+    assert _python("-c", script).stderr.decode() == "(False, True)"
 
 
 def _saddle_cycle(path):

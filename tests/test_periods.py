@@ -27,7 +27,7 @@ from picardfuchs.periods import (
 )
 from picardfuchs.system import build_system
 from tests.conftest import random_bipoly
-from tests.reference import differential, differential_coefficient
+from tests.reference import differential, differential_coefficient, x_loop_points
 
 CIRCLE_H = X**2 + Y**2
 CUBIC = X**3 + Y**3 - 3 * X * Y
@@ -50,14 +50,18 @@ def unit_circle():
     return trace_cycle(CIRCLE_H, 1.0, (1.0, 0.0))
 
 
-def big_loop(H, t, radius_factor=2.0):
-    """x-circle around 0 of radius radius_factor * |t|^(1/deg H), lifted in y."""
-    x0 = radius_factor * abs(t) ** (1.0 / H.degree()) + 0j
+def big_loop_seed(H, t):
+    """The seed of an x-circle around 0 of radius 2|t|^(1/deg H): its y of largest real part."""
+    x0 = 2.0 * abs(t) ** (1.0 / H.degree()) + 0j
     coeffs = [complex(c) for c in H.y_coefficients(x0)]
     coeffs[0] -= t
     roots = np.roots(np.array(coeffs[::-1]))
-    seed_y = max(roots, key=lambda z: (z.real, z.imag))
-    return trace_cycle(H, t, (x0, seed_y), mode="x_loop", loop_center=0j, turns=1, samples=512)
+    return x0, max(roots, key=lambda z: (z.real, z.imag))
+
+
+def big_loop(H, t):
+    """The x-circle of big_loop_seed, lifted in y."""
+    return trace_cycle(H, t, big_loop_seed(H, t), mode="x_loop", loop_center=0j, turns=1, samples=512)
 
 
 def test_trace_circle(unit_circle):
@@ -67,32 +71,48 @@ def test_trace_circle(unit_circle):
         assert abs(x.imag) < 1e-12
 
 
-@pytest.mark.parametrize("samples", [512, 24])
+@pytest.mark.parametrize("samples", [512, 24, 2048, 65536])
 @pytest.mark.parametrize("H, t, seed", [
     (CIRCLE_H, 1.0, (1.0, 0.0)),
+    (CIRCLE_H, 4.0, (2.0, 0.0)),
     (CUBIC, -0.5, (1.0, 1.0)),
     (QUARTIC, 1.0, (1.3, 0.0)),
-], ids=["circle", "cubic", "quartic"])
+], ids=["circle", "circle-t4", "cubic", "quartic"])
 def test_real_oval_walks_one_lap(H, t, seed, samples, monkeypatch):
-    # one uniform-step lap; closing rounds on the sample arrays replace re-walks
-    walks = []
-    walk = periods._walk
+    # one short lap of uniform steps, closed by rounds on its sample arrays and resampled
+    walks, explored = [], []
+    walk, explore = periods._walk, periods._explore
 
     def counted(*args):
-        walks.append(args)
+        walks.append(args[4])
         return walk(*args)
 
     monkeypatch.setattr(periods, "_walk", counted)
+    monkeypatch.setattr(periods, "_explore", lambda *args: explored.append(explore(*args)) or explored[-1])
     cycle = trace_cycle(H, t, seed, samples=samples)
-    assert len(walks) == 1
+    (length, kappa), = explored
+    rule = math.ceil(length * kappa / 0.25)
+    assert len(cycle) == max(samples, rule, 16)
+    assert walks == [min(len(cycle), max(rule, periods.LAP_MIN))]
     xs, ys = (np.array([p[k].real for p in cycle.points]) for k in (0, 1))
     off_curve = np.abs(periods._eval_real(periods._compiled(H, float), xs, ys) - t)
     assert off_curve.max() < NEWTON_TOL * max(1.0, abs(t))
     assert cycle.closure_error < 1e-11 * (1.0 + abs(xs[0]) + abs(ys[0]))
     if H == CIRCLE_H:
         area = integrate_form(build_system(H).basis.primitives[0], cycle)
-        # samples=24 traces 26 samples (length * kappa / 0.25), where the order-8 stencil errs by ~6e-8
-        assert abs(area - math.pi * t) < (1e-10 if samples == 512 else 1e-7)
+        # samples=24 traces 26 samples (length * kappa / 0.25), where the order-8 stencil errs by ~6e-8 t
+        assert abs(area - math.pi * t) < {24: 1e-7 * t, 512: 1e-10}.get(samples, 1e-13)
+
+
+@pytest.mark.parametrize("H, t, seed, samples, parent_residual", [
+    (CUBIC, -1e-3, (1.0, 1.0), 512, 6.54e-6),
+    (CUBIC, -0.999, (1.0, 1.0), 512, 4.80e-9),
+    (QUARTIC, -0.2501, (0.7071, 0.7071), 4096, 2.99e-7),
+], ids=["cubic-near-saddle", "cubic-near-minimum", "quartic-near-saddle"])
+def test_near_critical_ovals_resample_no_worse(H, t, seed, samples, parent_residual):
+    # parent_residual: the residual when one lap of uniform steps gave all the samples
+    cycle = trace_cycle(H, t, seed, samples=samples)
+    assert system_residual(build_system(H), cycle).residual <= parent_residual
 
 
 def test_trace_rejects_critical_level():
@@ -293,6 +313,50 @@ def test_exponents_cubic_large_t():
     assert fitted
     for i, e in fitted.items():
         assert e == pytest.approx(float(sys.D[i]), abs=0.05)
+
+
+def _real_root(x):
+    """The real y with x^3 + y^3 = 1."""
+    return complex(max(np.roots([1, 0, 0, x**3 - 1.0]), key=lambda z: (abs(z.imag) < 1e-12, z.real)))
+
+
+FERMAT_CUBIC = X**3 + Y**3
+BIG_LOOPS = [(H, 40.0 * complex(math.cos(a), math.sin(a)), samples)
+             for H in (CUBIC, QUARTIC, SEXTIC) for a, samples in ((0.3, 512), (2.0, 2048))]
+
+
+@pytest.mark.parametrize("H, t, seed, options, subdivided", [
+    *[(H, t, big_loop_seed(H, t), {"samples": samples}, 0) for H, t, samples in BIG_LOOPS],
+    (SEXTIC, 40.0, big_loop_seed(SEXTIC, 40.0), {"samples": 777}, 0),
+    (FERMAT_CUBIC, 1.0, (1.5 + 0j, max(np.roots([1, 0, 0, 1.5**3 - 1.0]), key=abs)),
+     {"loop_center": 1.0 + 0j, "turns": 3, "samples": 720}, None),
+    (FERMAT_CUBIC, 1.0, (1.02 + 0j, _real_root(1.02)), {"samples": 16}, 36),
+    (FERMAT_CUBIC, 1.0, (1.02 + 0j, _real_root(1.02)), {"samples": 32}, 16),
+    (FERMAT_CUBIC, 1.0, (1.02 + 0j, _real_root(1.02)), {"samples": 64}, 4),
+    (FERMAT_CUBIC, 1.0, (1.0005 + 0j, _real_root(1.0005)), {"samples": 600}, 24),
+    (FERMAT_CUBIC, 1.0, (1.0005 + 0j, _real_root(1.0005)), {"samples": 1500}, 12),
+], ids=[*(f"big-{i}" for i in range(len(BIG_LOOPS))), "sextic-777", "fermat-3-turns",
+        "subdivide-16", "subdivide-32", "subdivide-64", "subdivide-600", "subdivide-1500"])
+def test_x_loop_blocks_match_per_sample_lift(H, t, seed, options, subdivided, monkeypatch):
+    # the block-wise lift reproduces the per-sample _continue_root loop bit for bit
+    depths = []
+    continue_root = periods._continue_root
+
+    def counted(*args, depth=0, **kwargs):
+        depths.append(depth)
+        return continue_root(*args, depth=depth, **kwargs)
+
+    monkeypatch.setattr(periods, "_continue_root", counted)
+    expected = x_loop_points(H, t, seed, **options)
+    reference, depths[:] = depths[:], []
+    if subdivided is not None:
+        assert sum(d > 0 for d in reference) == subdivided
+    cycle = trace_cycle(H, t, seed, mode="x_loop", **options)
+    assert np.array(cycle.points).tobytes() == np.array(expected).tobytes()
+    # _continue_root runs at exactly the steps that the per-sample loop subdivides
+    unsafe_steps = sum(a == 0 and b == 1 for a, b in zip(reference, reference[1:]))
+    assert depths.count(0) == unsafe_steps
+    assert [d for d in depths if d > 0] == [d for d in reference if d > 0]
 
 
 def test_x_loop_monodromy_iteration():

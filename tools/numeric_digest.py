@@ -13,11 +13,14 @@ the bytes of the samples as a complex128 array, the closure error, the
 residual of ``system_residual`` and every period and derivative, each
 number at ``%.15e`` (a complex number as ``re,im``), or the error the case
 raised.  The comparison reports per mode how many lines have identical
-samples, closure errors and periods, and the largest difference of a period
-or derivative relative to the largest entry of its vector.
+samples, closure errors and periods, the largest difference of a period
+or derivative relative to the largest entry of its vector, and each file's
+own largest residual and closure error.
 
-The cases: every ``periods_sweep`` case of the benchmark at seeds 1-3, and
-the real ovals and x-loops that ``tests/test_periods.py`` traces.  Standard
+The cases: every ``periods_sweep`` case of the benchmark at seeds 1-3, the
+real ovals and x-loops that ``tests/test_periods.py`` traces, ovals near a
+critical level, a 65536-sample circle, and x-loops that pass close enough
+to branch points to subdivide steps.  Standard
 library and numpy only, besides the package under test and the benchmark's
 workload definitions.
 """
@@ -70,6 +73,15 @@ def period_test_cases():
     seed_y = max(np.roots([1, 0, 0, x_seed**3 - 1.0]), key=abs)
     cases.append(("fermat cubic monodromy 3 turns", FERMAT_CUBIC, 1.0, (x_seed, seed_y),
                   {"mode": "x_loop", "loop_center": 1.0 + 0j, "turns": 3, "samples": 720}))
+    cases += [("cubic near saddle t=-0.001", CUBIC, -1e-3, (1.0, 1.0), {"samples": 512}),
+              ("cubic near minimum t=-0.999", CUBIC, -0.999, (1.0, 1.0), {"samples": 512}),
+              ("quartic near saddle t=-0.2501", QUARTIC, -0.2501, (0.7071, 0.7071), {"samples": 4096}),
+              ("circle samples=65536", CIRCLE, 1.0, (1.0, 0.0), {"samples": 65536})]
+    for x_seed, counts in ((1.02, (16, 32, 64)), (1.0005, (600, 1500))):
+        real_y = max(np.roots([1, 0, 0, x_seed**3 - 1.0]), key=lambda z: (abs(z.imag) < 1e-12, z.real))
+        cases += [(f"fermat cubic subdivided loop x={x_seed} samples={n}", FERMAT_CUBIC, 1.0,
+                   (complex(x_seed), complex(real_y)), {"mode": "x_loop", "loop_center": 0j, "samples": n})
+                  for n in counts]
     return cases
 
 
@@ -143,8 +155,9 @@ def main_compare(path_a, path_b):
         mode = label.rsplit(" ", 1)[-1]
         stats = summary.setdefault(mode, {"lines": 0, "identical samples": 0, "identical closure": 0,
                                           "identical periods": 0, "identical lines": 0,
-                                          "largest period change": 0.0,
-                                          "largest derivative change": 0.0, "largest residual": 0.0})
+                                          "largest period change": 0.0, "largest derivative change": 0.0,
+                                          **{f"largest {name} in {path}": 0.0
+                                             for path in (path_a, path_b) for name in ("residual", "closure")}})
         stats["lines"] += 1
         fa, fb = a[label], b[label]
         stats["identical lines"] += fa == fb
@@ -160,7 +173,10 @@ def main_compare(path_a, path_b):
         stats["largest derivative change"] = max(stats["largest derivative change"],
                                                  relative_change(vector(fa, "Idot", None),
                                                                  vector(fb, "Idot", None)))
-        stats["largest residual"] = max(stats["largest residual"], float(fa[5]), float(fb[5]))
+        for path, fields in ((path_a, fa), (path_b, fb)):
+            for name, position in (("residual", 5), ("closure", 3)):
+                key = f"largest {name} in {path}"
+                stats[key] = max(stats[key], float(fields[position]))
     for mode, stats in summary.items():
         print(f"{mode}: " + ", ".join(f"{k} {v:.3e}" if isinstance(v, float) else f"{k} {v}"
                                       for k, v in stats.items()))
