@@ -25,12 +25,14 @@ The real-oval walk evaluates H and its partials in float arithmetic at one
 point at a time; the closing rounds and the projection of the resampled lap
 evaluate them on float arrays of all samples.  The x values of an x-loop are
 known before the walk, so the fiber roots at all of them are computed in
-advance: the companion matrices of FIBER_BLOCK consecutive x values go to
-one eigenvalue call, which bounds the memory of one batch.  Within a block
-the nearest-root map between consecutive fibers is built for every root at
+advance by the fibers module, one block of FIBER_BLOCK x values at a time:
+companion eigenvalues at one anchor row in ANCHOR_STRIDE, and between them
+a certified Aberth-Ehrlich polish from the anchor's roots, each row the
+certificate rejects rooted by eigenvalues after all.  Within a block the
+nearest-root map between consecutive fibers is built for every root at
 once, so the walk only follows an index; a step whose nearest root is not
-well separated is subdivided, and the seed and the midpoints of a subdivided
-step are single x values.
+well separated is subdivided, and the seed and the midpoints of a
+subdivided step are single x values.
 
 The Gelfand-Leray derivative of a period of omega_i with d(omega_i) =
 m dx^dy is the period, over the same cycle, of the residue form
@@ -60,6 +62,7 @@ import numpy as np
 
 from .critical import critical_values_numeric
 from .errors import NotClosed, NumericalFailure, SingularDenominator, TraceDiverged
+from .fibers import FIBER_BLOCK, _fiber_root_blocks, _fiber_roots
 
 
 @dataclass(frozen=True)
@@ -478,61 +481,6 @@ def _nearest_root_map(before, after):
             dist.partition(1, axis=1)
             safe[:, i] = ~(dist[:, 0] > 0.5 * dist[:, 1])
     return nearest.tolist(), safe.tolist()
-
-
-FIBER_BLOCK = 256  # x values per batched eigenvalue call in _fiber_roots
-
-
-def _fiber_root_blocks(H, t, x_values):
-    """Yield the roots in y of H(x, y) = t at x_values, one block of FIBER_BLOCK x values at a time.
-
-    As in np.roots, the roots are the eigenvalues of the companion matrix of
-    the coefficients scaled by their largest modulus.  The matrices of one
-    block go to one np.linalg.eigvals call, and the block is its (len, n)
-    array of eigenvalues.  A row with a zero leading or trailing coefficient
-    goes to np.roots itself, which strips those zeros; a block with such a
-    row is a list of one root array per x value.
-    """
-    x_values = np.asarray(x_values, dtype=complex)
-    n = max(H.degree_in("y"), 0)
-    for start in range(0, len(x_values), FIBER_BLOCK):
-        xs = x_values[start:start + FIBER_BLOCK]
-        coeffs = np.zeros((len(xs), n + 1), dtype=complex)
-        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail the test below
-            for (a, b), c in H.terms.items():
-                coeffs[:, n - b] += complex(c) * xs**a
-            coeffs[:, n] -= complex(t)
-        overflowed = np.flatnonzero(~np.isfinite(coeffs).all(axis=1))
-        if len(overflowed):
-            raise TraceDiverged(f"fiber of H(x, .) = t overflows float arithmetic at x = {xs[overflowed[0]]}")
-        scale = np.abs(coeffs).max(axis=1)
-        degenerate = np.flatnonzero(scale == 0)
-        if n < 1 or len(degenerate):
-            x_bad = xs[degenerate[0] if len(degenerate) else 0]
-            raise TraceDiverged(f"fiber of H(x, .) = t degenerate at x = {x_bad}")
-        rows = coeffs / scale[:, None]
-        regular = (rows[:, 0] != 0) & (rows[:, n] != 0)
-        companion = np.zeros((int(regular.sum()), n, n), dtype=complex)
-        companion[:, 0, :] = -rows[regular, 1:] / rows[regular, :1]
-        companion[:, np.arange(1, n), np.arange(n - 1)] = 1
-        eigenvalues = np.linalg.eigvals(companion)
-        if regular.all():
-            yield eigenvalues
-            continue
-        eigenvalues = iter(eigenvalues)
-        block = []
-        for ok, row, x in zip(regular, rows, xs):
-            roots = next(eigenvalues) if ok else np.roots(row)
-            if not len(roots):
-                raise TraceDiverged(f"fiber of H(x, .) = t has no roots at x = {x}")
-            block.append(roots)
-        yield block
-
-
-def _fiber_roots(H, t, x_values):
-    """Yield the roots in y of H(x, y) = t at each of x_values, in order (see _fiber_root_blocks)."""
-    for block in _fiber_root_blocks(H, t, x_values):
-        yield from block
 
 
 def _continue_root(H, t, x_from, y_from, x_to, roots=None, depth=0):

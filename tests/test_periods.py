@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from picardfuchs import periods
+from picardfuchs import fibers, periods
 from picardfuchs.bipoly import BiPoly, X, Y
 from picardfuchs.errors import NotClosed, SingularDenominator, TraceDiverged
 from picardfuchs.linalg import RatMatrix
@@ -405,24 +405,134 @@ def assert_same_roots(got, expected, tol=1e-13):
         assert abs(root - remaining.pop(k)) <= tol * scale, (got, expected)
 
 
-@pytest.mark.parametrize("H, t", [
-    (X**6 + Y**6 - X**2 - Y**2 + 3 * X * Y**3, 0.3 + 1j),
+def loop_xs(H, t, samples):
+    """The x values of big_loop's x-circle at the given sample count, the closing one included."""
+    return big_loop_seed(H, t)[0] * np.exp(2j * math.pi * np.arange(samples + 1) / samples)
+
+
+@pytest.mark.parametrize("H, t, xs", [
+    (X**6 + Y**6 - X**2 - Y**2 + 3 * X * Y**3, 0.3 + 1j, None),
     # the leading y-coefficient 3x vanishes at x = 0, and at t = 0 the constant one too
-    (X**3 + 3 * X * Y**2 + Y, 0.5),
-    (X**3 + 3 * X * Y**2 + Y, 0.0),
-], ids=["sextic", "regular-cubic", "regular-cubic-t0"])
-def test_batched_fiber_roots_match_np_roots(H, t):
-    rng = np.random.default_rng(5)
-    count = 2 * FIBER_BLOCK + 37  # not a multiple of the block
-    xs = rng.normal(size=count) + 1j * rng.normal(size=count)
-    xs[FIBER_BLOCK + 3] = 0.0
-    xs[7] = 1.25  # a real x
+    (X**3 + 3 * X * Y**2 + Y, 0.5, None),
+    (X**3 + 3 * X * Y**2 + Y, 0.0, None),
+    # consecutive x values, where the rows between the anchors are polished
+    *[(H, t, loop_xs(H, t, samples)) for H, t, samples in BIG_LOOPS],
+    # degree 1 in y: every row is rooted on its own
+    (X**3 + (2 + X) * Y, 0.5, 1.5 * np.exp(2j * math.pi * np.arange(301) / 300)),
+], ids=["sextic", "regular-cubic", "regular-cubic-t0", *(f"loop-{i}" for i in range(len(BIG_LOOPS))),
+        "degree-one-loop"])
+def test_batched_fiber_roots_match_np_roots(H, t, xs):
+    if xs is None:  # random x values
+        rng = np.random.default_rng(5)
+        count = 2 * FIBER_BLOCK + 37  # not a multiple of the block
+        xs = rng.normal(size=count) + 1j * rng.normal(size=count)
+        xs[FIBER_BLOCK + 3] = 0.0
+        xs[7] = 1.25  # a real x
     batched = list(_fiber_roots(H, t, xs))
-    assert len(batched) == count
+    assert len(batched) == len(xs)
     for x, roots in zip(xs, batched):
         coeffs = H.y_coefficients(complex(x))
         coeffs[0] -= t
         assert_same_roots(roots, np.roots(np.array(coeffs[::-1])))
+
+
+def companion_eigenvalues(row):
+    """The eigenvalues of the companion matrix that np.roots builds for one coefficient row."""
+    n = len(row) - 1
+    companion = np.diag(np.ones(n - 1, dtype=complex), -1)
+    companion[0, :] = -row[1:] / row[0]
+    return np.linalg.eigvals(companion)
+
+
+def record_polished_blocks(monkeypatch):
+    """Record each block of fibers._anchored_roots as (rows, roots) and the rows the certificate rejects."""
+    blocks, rejected = [], []
+    anchored_roots, smith_certified = fibers._anchored_roots, fibers._smith_certified
+
+    def recorded_roots(rows):
+        roots = anchored_roots(rows)
+        blocks.append((rows, roots))
+        return roots
+
+    def recorded_certificate(rows, z):
+        certified = smith_certified(rows, z)
+        rejected.extend(rows[~certified])
+        return certified
+
+    monkeypatch.setattr(fibers, "_anchored_roots", recorded_roots)
+    monkeypatch.setattr(fibers, "_smith_certified", recorded_certificate)
+    return blocks, rejected
+
+
+def assert_rejected_rows_are_eigenvalues(blocks, rejected):
+    """Every rejected row comes back as its companion eigenvalues, bit for bit; returns their count."""
+    roots_of = {row.tobytes(): roots for rows, block in blocks for row, roots in zip(rows, block)}
+    for row in rejected:
+        assert roots_of[row.tobytes()].tobytes() == companion_eigenvalues(row).tobytes()
+    return len(rejected)
+
+
+def test_uncertified_random_rows_fall_back_to_eigenvalues(monkeypatch):
+    # with random x values a row's anchor is no guide to its roots, so most polished rows are rejected
+    blocks, rejected = record_polished_blocks(monkeypatch)
+    rng = np.random.default_rng(5)
+    xs = rng.normal(size=FIBER_BLOCK) + 1j * rng.normal(size=FIBER_BLOCK)
+    list(_fiber_roots(X**6 + Y**6 - X**2 - Y**2 + 3 * X * Y**3, 0.3 + 1j, xs))
+    assert assert_rejected_rows_are_eigenvalues(blocks, rejected) > FIBER_BLOCK // 2
+
+
+def test_two_guesses_on_one_root_fall_back_to_eigenvalues(monkeypatch):
+    # the run's anchor (its middle row) has the double root 1 of (y - 1)^2 (y + 2), so every other
+    # row (y - 1)(y - c)(y + 2) starts with two guesses on its root 1 and none near c
+    stride = fibers.ANCHOR_STRIDE
+    cs = np.linspace(1.5, 3.0, stride)
+    cs[stride // 2] = 1.0
+    rows = np.array([np.poly([1.0, c, -2.0]) for c in cs], dtype=complex)
+    rows /= np.abs(rows).max(axis=1)[:, None]
+    blocks, rejected = record_polished_blocks(monkeypatch)
+    roots = fibers._anchored_roots(rows)
+    assert assert_rejected_rows_are_eigenvalues(blocks, rejected) == stride - 1
+    for row, got in zip(rows, roots):
+        assert_same_roots(got, np.roots(row), tol=1e-7)  # the double root splits by about sqrt(eps)
+
+
+def test_x_loop_near_a_branch_point_falls_back_to_eigenvalues(monkeypatch):
+    # the circle |x| = 1 + 1e-7 passes within 1e-7 of the three branch points of x^3 + y^3 = 1,
+    # where the fiber roots move too far between a row and its anchor to be polished
+    blocks, rejected = record_polished_blocks(monkeypatch)
+    xs = (1 + 1e-7) * np.exp(2j * math.pi * np.arange(769) / 768)
+    batched = list(_fiber_roots(FERMAT_CUBIC, 1.0, xs))
+    assert assert_rejected_rows_are_eigenvalues(blocks, rejected) > 0
+    for x, roots in zip(xs, batched):
+        assert_same_roots(roots, np.roots([1.0, 0.0, 0.0, x**3 - 1.0]))
+
+
+def test_smith_certificate_rejects_overlapping_disks():
+    # the roots of y^2 - 1e-30 are +-1e-15; both approximations sit at +1e-15, each radius is
+    # below CERTIFIED_RADIUS, and only the disks' overlap shows that the root -1e-15 is missed
+    row = np.array([[1.0, 0.0, -1e-30]], dtype=complex)
+    assert fibers._smith_certified(row, np.array([[1e-15, -1e-15]], dtype=complex)).all()
+    assert not fibers._smith_certified(row, np.array([[1e-15, 1e-15 + 1e-20]], dtype=complex)).any()
+
+
+def test_x_loop_eigenproblems_only_at_anchors(monkeypatch):
+    # on the benchmark-shaped loops one companion matrix per ANCHOR_STRIDE rows of a block, plus one
+    # for the seed, goes to eigvals; every polished row passes the certificate
+    blocks, rejected = record_polished_blocks(monkeypatch)
+    matrices = []
+    eigvals = np.linalg.eigvals
+
+    def counted(a):
+        matrices.append(len(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    for H, t, samples in BIG_LOOPS:
+        matrices.clear()
+        trace_cycle(H, t, big_loop_seed(H, t), mode="x_loop", samples=samples)
+        blocks_rows = [min(FIBER_BLOCK, samples + 1 - start) for start in range(0, samples + 1, FIBER_BLOCK)]
+        assert sum(matrices) <= sum(-(-rows // fibers.ANCHOR_STRIDE) for rows in blocks_rows) + 1
+    assert rejected == []
 
 
 def test_fiber_roots_degenerate_fiber():
