@@ -88,7 +88,7 @@ def _build_parser():
     p_verify = add("verify", "validate the structural properties of the system", _cmd_verify)
     p_verify.add_argument("--numeric", action="store_true",
                           help="also trace cycles and check system residuals")
-    p_verify.set_defaults(parser=p_verify)  # to report --numeric without --t
+    p_verify.set_defaults(parser=p_verify)  # to report --numeric without --t and --t without --numeric
     p_verify.add_argument("--t", action="append", default=[], type=_parse_complex,
                           help="level value for a numeric check (repeatable)")
     p_verify.add_argument("--seed", default="1,1", type=_parse_seed,
@@ -270,12 +270,13 @@ def _trace(args, H, t, seed):
 def _cmd_verify(args, H):
     if args.numeric and not args.t:
         raise UsageError(args.parser, "--numeric needs at least one --t level value")
+    if args.t and not args.numeric:
+        raise UsageError(args.parser, "--t needs --numeric; without it no level is traced")
     sys_obj = build_system(H)
     report = validate_system(sys_obj)
     classification = classify_singularities(sys_obj)
     # every level is traced before anything is printed, so an input error leaves stdout empty
-    levels = args.t if args.numeric else []
-    samples = [system_residual(sys_obj, _trace(args, H, t, args.seed)) for t in levels]
+    samples = [system_residual(sys_obj, _trace(args, H, t, args.seed)) for t in args.t]
     ok = report.all_ok()
     for name, value in report.as_dict().items():
         print(f"{name}: {'pass' if value else 'FAIL'}")
@@ -283,7 +284,7 @@ def _cmd_verify(args, H):
     print(f"infinity_fuchsian_form: {classification['infinity_fuchsian_form']}")
     if not ok:
         print(f"details: {report.details}")
-    for t, sample in zip(levels, samples):
+    for t, sample in zip(args.t, samples):
         passed = sample.residual < args.residual_tol
         ok = ok and passed
         print(f"residual at t = {t.real if t.imag == 0 else t!r}: {sample.residual:.3e} "

@@ -11,9 +11,9 @@ Two cycle modes:
 
   * real_oval: arc-length continuation with Newton correction around a
     compact real component, positively oriented (counterclockwise around a
-    minimum); an exploratory lap sets the sample count, a short lap of
-    uniform steps is walked and closed by closing rounds on all its samples
-    at once, which spread the lap's closing gap over them until the loop
+    minimum); one lap of fixed steps, each turning by at most MAX_TURN, is
+    walked once and sets the sample count; closing rounds on all its
+    samples at once spread the lap's closing gap over them until the loop
     closes to ~1e-11, and the closed lap is resampled to the sample count
     by trigonometric interpolation and projected back onto the curve.
   * x_loop: a prescribed closed circle in the x-plane (center, turns, with
@@ -46,12 +46,12 @@ kernel (H_x, H_y, the DENOMINATOR_FLOOR guard) once per cycle and evaluates
 every basis form and monomial on them; integrate_form and
 gelfand_leray_derivative are the same computation for a single form.
 
-Tracing tolerances are module constants: MAX_STEP bounds the first
-arc-length step, LAP_MIN is the fewest steps of the lap a real oval is
-resampled from, NEWTON_TOL * max(1, |t|) is the level-curve residual at
-which Newton correction stops (a stall where the float rounding of H is at
-least that tolerance ends a real-oval trace at once), and t must stay
-NONCRITICAL_TOL away from every critical value.
+Tracing tolerances are module constants: MAX_STEP is the step of a real
+oval's first lap, MAX_TURN the largest turn of one step of an accepted lap,
+LAP_MIN its fewest steps, NEWTON_TOL * max(1, |t|) is the level-curve
+residual at which Newton correction stops (a stall where the float rounding
+of H is at least that tolerance ends a real-oval trace at once), and t must
+stay NONCRITICAL_TOL away from every critical value.
 """
 
 import math
@@ -95,17 +95,10 @@ def _compiled(poly, kind=complex):
 
 
 def _eval_real(compiled, x, y):
-    """A polynomial compiled with kind=float at the float point (x, y), or at float arrays x, y."""
+    """A compiled polynomial at the point (x, y), or at arrays x, y; 0.0 if it has no terms."""
     total = 0.0
     for a, b, c in compiled:
         total += c * x**a * y**b
-    return total
-
-
-def _eval_arrays(compiled, xs, ys):
-    total = np.zeros(np.broadcast(xs, ys).shape, dtype=complex)
-    for a, b, c in compiled:
-        total += c * xs**a * ys**b
     return total
 
 
@@ -120,11 +113,12 @@ def _critical_values_cached(H):
 # -- tracing -------------------------------------------------------------------
 
 
-MAX_STEP = 0.05         # arc-length step of the first exploratory lap
-LAP_MIN = 64            # fewest steps of the walked lap that a real oval's samples are resampled from
+MAX_STEP = 0.05         # arc-length step of a real oval's first lap
+MAX_TURN = 0.25         # largest tangent turn, in radians, of one step of an accepted lap or one sample step
+LAP_MIN = 64            # fewest steps of the accepted lap that a real oval's samples are resampled from
 NEWTON_TOL = 1e-12      # |H - t| at which Newton correction stops, relative to max(1, |t|)
 NONCRITICAL_TOL = 1e-6  # minimum distance of t from a critical value
-MAX_STEPS = 200000      # step budget of one exploratory lap
+MAX_STEPS = 200000      # step budget of one lap
 EPS = 2.0**-52          # float spacing at 1
 STALL_FACTOR = 16       # a residual within this many rounding bounds of H is rounding noise
 
@@ -162,38 +156,45 @@ def trace_cycle(H, t, seed, mode="real_oval", samples=512, loop_center=0j, turns
 
 
 def _trace_real_oval(H, t, seed, samples):
-    """Walk and close a short lap of uniform steps, then resample it to the sample count.
+    """Walk one lap of fixed steps, close it, then resample it to the sample count.
 
-    Pass 1 (_explore) measures the oval's length L and largest curvature
-    kappa with a fixed step, which sets the sample count
-    n = max(samples, ceil(L*kappa/0.25), 16).  Pass 2 (_walk) makes
-    m = min(n, max(ceil(L*kappa/0.25), LAP_MIN)) steps of length L/m: m
-    samples and the lap's end point, which misses the start by a small gap.
-    Each closing round spreads that gap over the lap: with delta the gap's
-    component along the unit tangent at the end point, sample k moves along
-    its own unit tangent by -delta*k/m and every sample is projected back
-    onto {H = t} at once.  The stop rule and the TraceDiverged checks of
-    project and tangent hold at every sample.
+    _explore walks steps of h from the landed seed to its first return, of
+    length L.  The lap is accepted when no step turns the tangent by more
+    than MAX_TURN and it has m = round(L/h) >= LAP_MIN steps.  Else it is
+    walked again, at most 10 laps, with h halved after a flipped tangent or
+    a failed Newton correction and min(0.9*h*MAX_TURN/turn, L/(LAP_MIN + 1/2))
+    after a lap that breaks the rule: step control by the turn angle
+    (Allgower and Georg, Numerical Continuation Methods, 1990).  A step that
+    turns by at most 0.25 rad covers an arc within about 2% of h, so the
+    accepted lap goes round the oval once, and the chain that gets closed is
+    the chain that was walked.  The sample count is
+    n = max(samples, ceil(L*kappa/MAX_TURN), 16), with kappa = turn/h.
+
+    The first m steps give m samples and an end point that misses the seed
+    by a gap of at most about h/2.  Each closing round spreads that gap over
+    the lap: with delta the gap's component along the unit tangent at the
+    end point, sample k moves along its own unit tangent by -delta*k/m and
+    every sample is projected back onto {H = t} at once.  The stop rule and
+    the TraceDiverged checks of project and tangent hold at every sample.
 
     This keeps the quadrature valid: the trapezoid rule needs samples smooth
     and periodic in the index, not exactly uniform in arc length, and a
     shift of -delta*k/m is a smooth (affine) reparametrization of the walked
     lap, the step changed from h to h - delta/m.  Moving a point by d along
     its tangent and projecting covers an arc of d*(1 + O(d^2 kappa^2)), so
-    each round cuts the gap by a factor of about (delta*kappa)^2.  The rounds
-    stop once the gap is below 1e-11 * (1 + |x0| + |y0|); after 12 rounds
-    the best one is kept, its gap the closure error.
+    each round cuts the gap by a factor of about (delta*kappa)^2 <= 0.017.
+    The rounds stop once the gap is below 1e-11 * (1 + |x0| + |y0|); after
+    12 rounds the best one is kept, its gap the closure error.
 
-    When n > m, the closed lap is resampled by _resample: T, the
-    trigonometric interpolant of its m samples, is evaluated at n equispaced
-    parameters and every point is projected back onto the curve.  Sample k
-    is then P(T(s_k)), with s_k = k/n and P the Newton projection.  T is an
-    entire trigonometric polynomial and P is analytic near the curve, so the
-    chain samples P o T, a smooth periodic reparametrization of the oval:
-    all that the trapezoid rule needs to stay spectrally accurate.  T only
-    has to stay near the curve, where P converges; the curvature rule keeps
-    the turn of one lap step below 0.25 rad.  With n <= m the walked lap is
-    the chain.
+    When n != m, the closed lap is resampled by _resample: T, the
+    trigonometric interpolant of its m samples (truncated when n < m), is
+    evaluated at n equispaced parameters and every point is projected back
+    onto the curve.  Sample k is then P(T(s_k)), with s_k = k/n and P the
+    Newton projection.  T is an entire trigonometric polynomial and P is
+    analytic near the curve, so the chain samples P o T, a smooth periodic
+    reparametrization of the oval: all that the trapezoid rule needs to stay
+    spectrally accurate.  T only has to stay near the curve, where P
+    converges; no step of the lap turns by more than MAX_TURN.
     """
     if abs(t.imag) > 1e-12:
         raise ValueError("real_oval mode needs a real level value t")
@@ -262,23 +263,23 @@ def _trace_real_oval(H, t, seed, samples):
                         float(complex(seed[1]).real), project)
     tx0, ty0 = tangent(x0, y0)
 
-    # pass 1: explore with a fixed step to estimate length and curvature
-    h1 = MAX_STEP
+    h = MAX_STEP
     for _ in range(10):
-        result = _explore(project, tangent, x0, y0, tx0, ty0, h1)
-        if result is not None:
-            length, kappa_max = result
+        lap = _explore(project, tangent, x0, y0, tx0, ty0, h)
+        if lap is None:
+            h *= 0.5
+            continue
+        xs, ys, length, turn = lap
+        m = round(length / h)
+        if turn <= MAX_TURN and m >= LAP_MIN:
             break
-        h1 *= 0.5
+        h = min(0.9 * h * MAX_TURN / turn, length / (LAP_MIN + 0.5))
     else:
         raise TraceDiverged("no closed oval found from this seed")
+    n = max(int(samples), math.ceil(length * (turn / h) / MAX_TURN), 16)
 
-    steps = int(math.ceil(length * kappa_max / 0.25))
-    n = max(int(samples), steps, 16)
-    m = min(n, max(steps, LAP_MIN))
-
-    # pass 2: one lap of m uniform steps, then closing rounds on all its samples at once
-    xs, ys = _walk(project, tangent, x0, y0, m, length / m)
+    # closing rounds on the first m steps of the lap, all samples at once
+    xs, ys = xs[:m + 1], ys[:m + 1]
     shares = np.arange(m + 1) / m
     best = None
     for _ in range(12):
@@ -294,7 +295,7 @@ def _trace_real_oval(H, t, seed, samples):
         project_all(xs, ys)
     xs, ys, gap = best
     xs, ys = xs[:m], ys[:m]
-    if n > m:
+    if n != m:
         xs, ys = _resample(xs, ys, n)
         project_all(xs, ys)
     points = tuple(zip(xs.astype(complex).tolist(), ys.astype(complex).tolist()))
@@ -328,7 +329,11 @@ def _land_real(H, t_real, x0, y0, project):
 
 
 def _explore(project, tangent, x0, y0, tx0, ty0, h):
-    """One fixed-step lap; returns (length, max curvature).
+    """One lap of steps of h from the seed to its first return; returns (xs, ys, length, turn).
+
+    xs, ys hold the seed and every point walked up to the first that crosses
+    the seed's normal line within 10*h of it; length = (steps - 1 + frac)*h;
+    turn is the largest angle between the unit tangents at the ends of a step.
 
     Returns None if the step is too large: the tangent flips or Newton
     correction fails.  Raises TraceDiverged if the lap does not close within
@@ -342,6 +347,7 @@ def _explore(project, tangent, x0, y0, tx0, ty0, h):
                             f"no lap can move that coordinate")
     x, y = x0, y0
     tx, ty = tx0, ty0
+    xs, ys = [x0], [y0]
     turn_max = 0.0
     s_prev = 0.0
     try:
@@ -355,10 +361,12 @@ def _explore(project, tangent, x0, y0, tx0, ty0, h):
             if turn > turn_max:
                 turn_max = turn
             x, y, tx, ty = x_new, y_new, tx_new, ty_new
+            xs.append(x)
+            ys.append(y)
             s_now = (x - x0) * tx0 + (y - y0) * ty0
             if s_prev < 0.0 <= s_now and steps > 3 and math.hypot(x - x0, y - y0) < 10 * h:
                 frac = s_prev / (s_prev - s_now) if s_now != s_prev else 0.0
-                return (steps - 1 + frac) * h, max(1e-9, turn_max / h)
+                return np.array(xs), np.array(ys), (steps - 1 + frac) * h, turn_max
             s_prev = s_now
     except _RoundingStall:
         raise
@@ -369,39 +377,29 @@ def _explore(project, tangent, x0, y0, tx0, ty0, h):
 
 
 def _resample(xs, ys, n):
-    """The trigonometric interpolant of the periodic samples xs, ys at n > len(xs) equispaced points.
+    """The trigonometric interpolant of the m periodic samples xs, ys at n equispaced points.
 
-    The discrete Fourier coefficients of x + iy are zero-padded to n
-    frequencies; for an even sample count the Nyquist coefficient is split
-    evenly between the frequencies +m/2 and -m/2, which keeps the
-    interpolant real on real samples.  Returns new float arrays.
+    The discrete Fourier coefficients of x + iy keep their lowest k = min(m, n)
+    frequencies, zero-padded when n > m.  For an even k the Nyquist coefficient
+    of size k is split evenly between +k/2 and -k/2, which keeps the
+    interpolant real on real samples; at n < m points the two halves fall on
+    one frequency, which holds the sum of the coefficients at +n/2 and -n/2,
+    so resampling to n > m points and back is the identity.  Returns new
+    float arrays.
     """
     m = len(xs)
+    k = min(m, n)
     coeffs = np.fft.fft(xs + 1j * ys)
-    low = (m + 1) // 2  # frequencies 0 .. low-1 at the front, the rest at the back
-    padded = np.zeros(n, dtype=complex)
-    padded[:low] = coeffs[:low]
-    padded[n - (m - low):] = coeffs[low:]
-    if m % 2 == 0:
-        padded[m // 2] = padded[n - m // 2] = 0.5 * coeffs[m // 2]
-    z = np.fft.ifft(padded) * (n / m)
+    low = (k + 1) // 2  # frequencies 0 .. low-1 at the front, the k-low below 0 at the back
+    spectrum = np.zeros(n, dtype=complex)
+    spectrum[:low] = coeffs[:low]
+    spectrum[n - (k - low):] = coeffs[m - (k - low):]
+    if k % 2 == 0 and n > m:
+        spectrum[k // 2] = spectrum[n - k // 2] = 0.5 * coeffs[k // 2]
+    elif k % 2 == 0:
+        spectrum[k // 2] = coeffs[k // 2] + coeffs[m - k // 2]
+    z = np.fft.ifft(spectrum) * (n / m)
     return z.real.copy(), z.imag.copy()
-
-
-def _walk(project, tangent, x0, y0, n, h):
-    """n uniform steps from (x0, y0): the n samples and the end point as float arrays xs, ys.
-
-    The end point, index n, misses (x0, y0) by the closing gap that the
-    rounds of _trace_real_oval spread over the samples.
-    """
-    xs, ys = [x0], [y0]
-    x, y = x0, y0
-    for _ in range(n):
-        tx, ty = tangent(x, y)
-        x, y = project(x + h * tx, y + h * ty)
-        xs.append(x)
-        ys.append(y)
-    return np.array(xs), np.array(ys)
 
 
 def _trace_x_loop(H, t, seed, samples, loop_center, turns):
@@ -530,7 +528,7 @@ def _derivative(values, stencil=_STENCIL):
 
 def _form_values(omega, xs, ys):
     """P and Q of the 1-form at the samples."""
-    return _eval_arrays(_compiled(omega.P), xs, ys), _eval_arrays(_compiled(omega.Q), xs, ys)
+    return _eval_real(_compiled(omega.P), xs, ys), _eval_real(_compiled(omega.Q), xs, ys)
 
 
 def _trapezoid(pq, dxs, dys):
@@ -563,8 +561,8 @@ def _residue_kernel(H, xs, ys, dxs, dys):
     They are conj(H_x) dy - conj(H_y) dx and |H_x|^2 + |H_y|^2.  Raises
     SingularDenominator if both partials nearly vanish at a sample.
     """
-    hxv = _eval_arrays(_compiled(H.partial("x")), xs, ys)
-    hyv = _eval_arrays(_compiled(H.partial("y")), xs, ys)
+    hxv = _eval_real(_compiled(H.partial("x")), xs, ys)
+    hyv = _eval_real(_compiled(H.partial("y")), xs, ys)
     dominant = np.maximum(np.abs(hxv), np.abs(hyv))
     scale = max(float(dominant.max()), 1e-30)
     if float(dominant.min()) < DENOMINATOR_FLOOR * scale:
@@ -575,7 +573,7 @@ def _residue_kernel(H, xs, ys, dxs, dys):
 def _residue_period(compiled_m, xs, ys, kernel):
     """The trapezoid sum of the residue form of m dx^dy, m compiled."""
     numerator, norm2 = kernel
-    return complex((_eval_arrays(compiled_m, xs, ys) * numerator / norm2).sum())
+    return complex((_eval_real(compiled_m, xs, ys) * numerator / norm2).sum())
 
 
 def gelfand_leray_derivative(m, cycle):
@@ -683,7 +681,7 @@ def cycle_from_json(doc, H):
                          f"the quadrature needs at least {MIN_SAMPLES}")
     chain = np.array(points)
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail the test below
-        worst = float(np.abs(_eval_arrays(_compiled(H), chain[:, 0], chain[:, 1]) - t).max())
+        worst = float(np.abs(_eval_real(_compiled(H), chain[:, 0], chain[:, 1]) - t).max())
     if not worst <= TRACE_TOL * (1.0 + abs(t)):  # a NaN in the document fails too
         raise NumericalFailure(f"imported samples leave the level curve by {worst:.3e}")
     longest = float(np.linalg.norm(np.diff(chain, axis=0), axis=1).max())

@@ -252,6 +252,14 @@ def test_periods_real_oval_at_large_level(capsys):
     assert abs(doc["I"][0][0] - math.pi * 1e4) < 1e-9 * math.pi * 1e4
 
 
+def test_periods_small_oval_is_traced_once(capsys):
+    # the first step, MAX_STEP, is longer than this oval's radius; the period is the area, not twice it
+    code = main(["periods", "x^2+y^2", "--t", "0.001", "--seed", "0.0316,0"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert abs(doc["I"][0][0] - math.pi * 1e-3) < 1e-9 * math.pi * 1e-3
+
+
 def test_periods_x_loop_mode(capsys):
     code = main(["periods", "x^3+y^3", "--t", "1", "--seed", "2,-1.26",
                  "--mode", "x_loop", "--loop-center", "0", "--loop-turns", "1"])
@@ -405,6 +413,20 @@ def test_verify_numeric_needs_a_level(capsys):
         main(["verify", "x^2+y^2", "--numeric"])
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
+def test_verify_level_needs_numeric(capsys):
+    message = "--t needs --numeric; without it no level is traced"
+    assert main(["--json-errors", "verify", "x^2+y^2", "--t", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "UsageError", "message": message}
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "x^2+y^2", "--t", "0.5"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: {message}\n")
 
 
 def test_file_errors_exit_2_with_a_reason(tmp_path, capsys):

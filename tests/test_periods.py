@@ -71,6 +71,13 @@ def test_trace_circle(unit_circle):
         assert abs(x.imag) < 1e-12
 
 
+def turning_number(cycle):
+    """The signed angles between consecutive chords of the closed real chain, summed, over 2 pi."""
+    z = np.array([complex(x.real, y.real) for x, y in cycle.points])
+    chords = np.roll(z, -1) - z
+    return float(np.angle(np.roll(chords, -1) / chords).sum() / (2 * math.pi))
+
+
 @pytest.mark.parametrize("samples", [512, 24, 2048, 65536])
 @pytest.mark.parametrize("H, t, seed", [
     (CIRCLE_H, 1.0, (1.0, 0.0)),
@@ -79,21 +86,24 @@ def test_trace_circle(unit_circle):
     (QUARTIC, 1.0, (1.3, 0.0)),
 ], ids=["circle", "circle-t4", "cubic", "quartic"])
 def test_real_oval_walks_one_lap(H, t, seed, samples, monkeypatch):
-    # one short lap of uniform steps, closed by rounds on its sample arrays and resampled
-    walks, explored = [], []
-    walk, explore = periods._walk, periods._explore
-
-    def counted(*args):
-        walks.append(args[4])
-        return walk(*args)
-
-    monkeypatch.setattr(periods, "_walk", counted)
-    monkeypatch.setattr(periods, "_explore", lambda *args: explored.append(explore(*args)) or explored[-1])
+    # one accepted lap of fixed steps, closed by rounds on its sample arrays and resampled
+    laps = []
+    explore = periods._explore
+    monkeypatch.setattr(periods, "_explore", lambda *args: laps.append((args[-1], explore(*args))) or laps[-1][1])
     cycle = trace_cycle(H, t, seed, samples=samples)
-    (length, kappa), = explored
-    rule = math.ceil(length * kappa / 0.25)
+
+    def breaks_rule(h, lap):
+        return lap is None or lap[3] > periods.MAX_TURN or round(lap[2] / h) < periods.LAP_MIN
+
+    *rejected, (h, accepted) = laps
+    assert all(breaks_rule(*lap) for lap in rejected) and not breaks_rule(h, accepted)
+    lap_xs, lap_ys, length, turn = accepted
+    m = round(length / h)
+    lap = dataclasses.replace(cycle, points=tuple(zip(lap_xs[:m].astype(complex), lap_ys[:m].astype(complex))))
+    assert abs(turning_number(lap) - 1) < 1e-9
+    assert abs(turning_number(cycle) - 1) < 1e-9
+    rule = math.ceil(length * (turn / h) / periods.MAX_TURN)
     assert len(cycle) == max(samples, rule, 16)
-    assert walks == [min(len(cycle), max(rule, periods.LAP_MIN))]
     xs, ys = (np.array([p[k].real for p in cycle.points]) for k in (0, 1))
     off_curve = np.abs(periods._eval_real(periods._compiled(H, float), xs, ys) - t)
     assert off_curve.max() < NEWTON_TOL * max(1.0, abs(t))
@@ -102,6 +112,38 @@ def test_real_oval_walks_one_lap(H, t, seed, samples, monkeypatch):
         area = integrate_form(build_system(H).basis.primitives[0], cycle)
         # samples=24 traces 26 samples (length * kappa / 0.25), where the order-8 stencil errs by ~6e-8 t
         assert abs(area - math.pi * t) < {24: 1e-7 * t, 512: 1e-10}.get(samples, 1e-13)
+
+
+@pytest.mark.parametrize("H, t, seed, area, tolerance", [
+    *[(CIRCLE_H, t, (math.sqrt(t), 0.0), math.pi * t, 1e-6) for t in (2e-6, 1e-5, 1e-4, 4e-4, 1e-3)],
+    *[(X**2 + 4 * Y**2, t, (math.sqrt(t), 0.0), math.pi * t / 2, 1e-6) for t in (1e-4, 1e-3)],
+    # the Morse value: the Hessian of CUBIC at its minimum (1, 1) has determinant 27
+    *[(CUBIC, t, (1.0, 1.0), 2 * math.pi * (t + 1) / math.sqrt(27), 2e-3) for t in (-0.9999, -0.999, -0.995)],
+], ids=[*(f"circle-t{t}" for t in (2e-6, 1e-5, 1e-4, 4e-4, 1e-3)),
+        *(f"ellipse-t{t}" for t in (1e-4, 1e-3)), *(f"cubic-t{t}" for t in (-0.9999, -0.999, -0.995))])
+def test_small_ovals_are_traced_once(H, t, seed, area, tolerance):
+    # the chain goes round the oval once: a k-fold chain is still a cycle, so its residual
+    # passes and only the period (k times the area) and the turning number show it
+    cycle = trace_cycle(H, t, seed)
+    assert abs(turning_number(cycle) - 1) < 1e-9
+    assert abs(system_residual(build_system(H), cycle).I[0] - area) < tolerance * area
+
+
+@pytest.mark.parametrize("m, n", [(12, 48), (64, 12), (13, 40), (41, 13)])
+def test_resample_keeps_band_limited_samples(m, n):
+    # below the Nyquist frequency of the smaller size, and at it for an even size, both ways
+    nyquist = min(m, n) // 2 if min(m, n) % 2 == 0 else 0
+
+    def curve(count):
+        s = 2 * math.pi * np.arange(count) / count
+        return 0.3 + np.cos(s) - 0.2 * np.sin(3 * s) + 0.1 * np.cos(nyquist * s), np.sin(s) + 0.05 * np.cos(2 * s)
+
+    xs, ys = periods._resample(*curve(m), n)
+    assert np.abs(np.concatenate([xs, ys]) - np.concatenate(curve(n))).max() < 1e-14
+    rng = np.random.default_rng(m)
+    xs, ys = rng.standard_normal((2, min(m, n)))
+    assert np.abs(np.concatenate(periods._resample(*periods._resample(xs, ys, max(m, n)), min(m, n)))
+                  - np.concatenate([xs, ys])).max() < 1e-14
 
 
 @pytest.mark.parametrize("H, t, seed, samples, parent_residual", [

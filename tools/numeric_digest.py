@@ -23,8 +23,9 @@ with its absolute changes and left out of the relative maxima.
 
 The cases: every ``periods_sweep`` case of the benchmark at seeds 1-3, the
 real ovals and x-loops that ``tests/test_periods.py`` traces, ovals near a
-critical level, a 65536-sample circle, and x-loops that pass close enough
-to branch points to subdivide steps.  Standard
+critical level, a 65536-sample circle, ovals small against the first
+step of the real-oval lap, and x-loops that pass close enough to branch
+points to subdivide steps.  Standard
 library and numpy only, besides the package under test and the benchmark's
 workload definitions.
 """
@@ -52,6 +53,7 @@ def period_test_cases():
     from picardfuchs.bipoly import X, Y
 
     CIRCLE = X**2 + Y**2
+    ELLIPSE = X**2 + 4 * Y**2
     CUBIC = X**3 + Y**3 - 3 * X * Y
     FERMAT_CUBIC = X**3 + Y**3
     QUARTIC = X**4 + Y**4 - X**2 - Y**2
@@ -81,6 +83,9 @@ def period_test_cases():
               ("cubic near minimum t=-0.999", CUBIC, -0.999, (1.0, 1.0), {"samples": 512}),
               ("quartic near saddle t=-0.2501", QUARTIC, -0.2501, (0.7071, 0.7071), {"samples": 4096}),
               ("circle samples=65536", CIRCLE, 1.0, (1.0, 0.0), {"samples": 65536})]
+    cases += [(f"small circle t={t}", CIRCLE, t, (math.sqrt(t), 0.0), {}) for t in (2e-6, 1e-4, 1e-3)]
+    cases += [("small ellipse t=0.001", ELLIPSE, 1e-3, (math.sqrt(1e-3), 0.0), {}),
+              ("cubic near minimum t=-0.9999", CUBIC, -0.9999, (1.0, 1.0), {})]
     for x_seed, counts in ((1.02, (16, 32, 64)), (1.0005, (600, 1500))):
         real_y = max(np.roots([1, 0, 0, x_seed**3 - 1.0]), key=lambda z: (abs(z.imag) < 1e-12, z.real))
         cases += [(f"fermat cubic subdivided loop x={x_seed} samples={n}", FERMAT_CUBIC, 1.0,
