@@ -205,6 +205,10 @@ class BiPoly:
 
     __rmul__ = __mul__
 
+    def shift(self, a, b):
+        """x^a y^b * self, by moving the exponents: no coefficient arithmetic."""
+        return _raw({(i + a, j + b): c for (i, j), c in self.terms.items()})
+
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers must be nonnegative integers")

@@ -4,7 +4,12 @@ Critical x-coordinates come from the exact resultant Res_y(H_x, H_y); its
 exact Yun squarefree decomposition is rooted factor by factor (companion
 matrices), so a root of multiplicity k is found as a simple root carrying
 exact multiplicity k.  Above each x the critical y is the matching common
-root of H_x(x0, .) and H_y(x0, .).  Multiplicity of a cluster is the number
+root of H_x(x0, .) and H_y(x0, .).  These fibers of every x-cluster are
+rooted together before the clusters are read: the rows of one length
+stacked into one companion eigenproblem (fibers._companion_eigenvalues,
+the matrices and eigenvalues np.roots would use row by row), and a row
+that np.roots would strip of zero end coefficients rooted by np.roots
+itself, so every point is the one a per-row np.roots gives.  Multiplicity of a cluster is the number
 of resultant roots in it; when several critical points share one x, the
 cluster count is split evenly across them (and a NumericalFailure is raised
 if it does not split).  One radius, CLUSTER_RADIUS, decides which numeric
@@ -17,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotRegularError, NumericalFailure
+from .fibers import _companion_eigenvalues
 from .linalg import resultant
 from .milnor import check_regular_at_infinity
 from .unipoly import UniPoly, roots_with_multiplicity
@@ -54,9 +60,10 @@ def critical_points_numeric(H):
 
     # exact multiplicities from the squarefree decomposition, then cluster
     # whatever numerically coincides across factors
+    x_clusters = cluster(roots_with_multiplicity(g))
+    h_terms = _complex_terms(H)
     points = []
-    for x0, mult in cluster(roots_with_multiplicity(g)):
-        y_values = _critical_y_values(Hx, Hy, x0)
+    for (x0, mult), y_values in zip(x_clusters, _critical_y_values(Hx, Hy, [x0 for x0, _ in x_clusters])):
         if not y_values:
             raise NumericalFailure(f"no critical y found above x = {x0}")
         if mult % len(y_values) != 0:
@@ -66,7 +73,10 @@ def critical_points_numeric(H):
             )
         each = mult // len(y_values)
         for y0 in y_values:
-            points.append(CriticalPoint(x0, y0, complex(H.eval_at(x0, y0)), each))
+            t = 0
+            for a, b, c in h_terms:
+                t += c * (x0**a) * (y0**b)
+            points.append(CriticalPoint(x0, y0, complex(t), each))
     if sum(p.multiplicity for p in points) != mu:
         raise NumericalFailure("multiplicities do not sum to mu")
     points.sort(key=lambda p: (p.t.real, p.t.imag, p.x.real, p.x.imag))
@@ -101,44 +111,75 @@ def cluster(points, radius=CLUSTER_RADIUS, relative=False):
     return [(v, m) for v, m in clusters]
 
 
-def _critical_y_values(Hx, Hy, x0):
-    """Common roots of H_x(x0, .) and H_y(x0, .), deduplicated.
+def _critical_y_values(Hx, Hy, x_values):
+    """Per x0 of x_values, the common roots of H_x(x0, .) and H_y(x0, .), deduplicated; a generator.
 
     If one partial is numerically the zero polynomial at x0 the other decides
-    alone (both cannot vanish identically for a regular Hamiltonian).
+    alone (both cannot vanish identically for a regular Hamiltonian).  The
+    fibers of all x0 are rooted before the first is yielded, by _roots_of_rows.
     """
-    px, ref_x = _complex_coeffs(Hx, x0)
-    py, ref_y = _complex_coeffs(Hy, x0)
-    roots_x = _poly_roots(px, ref_x)
-    roots_y = _poly_roots(py, ref_y)
-    if roots_x is None and roots_y is None:
-        raise NumericalFailure(f"both partials vanish identically above x = {x0}")
-    if roots_x is None:
-        common = roots_y
-    elif roots_y is None:
-        common = roots_x
-    else:
-        common = [
-            ry for ry in roots_y if any(abs(ry - rx) <= CLUSTER_RADIUS for rx in roots_x)
-        ]
-    return [y0 for y0, _ in cluster([(y, 1) for y in common])]
+    roots = []
+    for poly in (Hx, Hy):
+        terms, degree = _complex_terms(poly), poly.degree_in("y")
+        roots.append(_roots_of_rows([_scaled_row(*_complex_coeffs(terms, degree, x0)) for x0 in x_values]))
+    for x0, roots_x, roots_y in zip(x_values, *roots):
+        if roots_x is None and roots_y is None:
+            raise NumericalFailure(f"both partials vanish identically above x = {x0}")
+        if roots_x is None:
+            common = roots_y
+        elif roots_y is None:
+            common = roots_x
+        else:
+            common = [
+                ry for ry in roots_y if any(abs(ry - rx) <= CLUSTER_RADIUS for rx in roots_x)
+            ]
+        yield [y0 for y0, _ in cluster([(y, 1) for y in common])]
 
 
-def _complex_coeffs(poly, x0):
-    """(evaluated ascending coefficients in y, achievable magnitude bound)."""
-    coeffs = poly.y_coefficients(complex(x0))
-    ref = sum(
-        abs(complex(c)) * max(1.0, abs(complex(x0))) ** a for (a, _), c in poly.terms.items()
-    )
-    return coeffs, ref
+def _complex_terms(poly):
+    """The terms of a BiPoly as (a, b, complex coefficient) triples, in its term order."""
+    return [(a, b, complex(c)) for (a, b), c in poly.terms.items()]
 
 
-def _poly_roots(coeffs, ref_scale):
-    """Roots of an ascending complex coefficient list; None if ~zero poly.
+def _complex_coeffs(terms, degree_y, x0):
+    """(evaluated ascending coefficients in y, achievable magnitude bound), as BiPoly.y_coefficients forms them."""
+    coeffs = [0j] * (degree_y + 1)
+    for a, b, c in terms:
+        coeffs[b] += c * x0**a
+    reach = max(1.0, abs(x0))
+    return coeffs, sum(abs(c) * reach ** a for a, _, c in terms)
+
+
+def _roots_of_rows(rows):
+    """The roots of each _scaled_row, as np.roots finds them, in one eigenproblem per row length.
+
+    None stays None and a row of one coefficient has no roots.  np.roots
+    strips zero end coefficients and roots the rest as the eigenvalues of
+    its companion matrix.  A row without zero end coefficients goes with the
+    other rows of its length to fibers._companion_eigenvalues, which builds
+    the same companion matrices and gives each the same eigenvalues; any
+    other row goes to np.roots.
+    """
+    roots = [None if row is None else [] for row in rows]
+    stacked = {}
+    for k, row in enumerate(rows):
+        if row is None or len(row) < 2:
+            continue
+        if row[-1] != 0:
+            stacked.setdefault(len(row), []).append(k)
+        else:
+            roots[k] = [complex(r) for r in np.roots(row)]
+    for members in stacked.values():
+        for k, found in zip(members, _companion_eigenvalues(np.array([rows[k] for k in members]))):
+            roots[k] = [complex(r) for r in found]
+    return roots
+
+
+def _scaled_row(coeffs, ref_scale):
+    """Ascending coefficients scaled to the descending row np.roots is given; None if ~zero poly.
 
     Zeroness is judged relative to the magnitude the coefficients could have
     reached, so exact cancellations at float root locations are recognized.
-    Constant nonzero polynomials have no roots (empty list).
     """
     if not coeffs or ref_scale == 0:
         return None
@@ -150,6 +191,4 @@ def _poly_roots(coeffs, ref_scale):
         stripped.pop()
     if not stripped:
         return None
-    if len(stripped) == 1:
-        return []
-    return [complex(r) for r in np.roots(np.array(stripped[::-1]) / scale)]
+    return np.array(stripped[::-1]) / scale

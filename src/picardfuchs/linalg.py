@@ -29,9 +29,11 @@ FractionFreeSolver (one reduction of M, then a particular solution per
 right-hand side, None when inconsistent, and the kernel) with
 solve_with_nullspace as its one-shot form, exact determinants, Sylvester
 resultants in y over Z (integer Sylvester matrices at the integer nodes
-0..bound, one Bareiss pivot each, interpolated over Z, then divided once by
-the scale s_p^dq s_q^dp that clearing the rows of p and q multiplies the
-determinant by), and the spectral polynomials of a multiplication matrix.
+0..bound, with bound a degree bound of the resultant in x from the total
+or the x-degrees of its arguments, whichever is smaller, one Bareiss pivot
+each, interpolated over Z, then divided once by the scale s_p^dq s_q^dp
+that clearing the rows of p and q multiplies the determinant by), and the
+spectral polynomials of a multiplication matrix.
 spectral_polynomials is the one place that derives them: the minimal
 polynomial is ann(e_0), the annihilator of the unit row, from one core pass
 over the Krylov columns e_0 M^k, k <= n (Wiedemann, IEEE Trans. IT 1986),
@@ -386,6 +388,21 @@ def resultant(p, q):
     determinant commutes with evaluation, so interpolating the integer
     values and dividing by that scale once gives the resultant.  For p
     constant in y the matrix is dq x dq diagonal, with determinant p^dq.
+
+    The bound is the smaller of two degree bounds in x of the determinant.
+    With x-degrees: every entry of a p-row has x-degree at most deg_x p and
+    of a q-row at most deg_x q, so every term of the determinant has
+    x-degree at most dq deg_x p + dp deg_x q.  With total degrees: the
+    y^k coefficient of p has x-degree at most deg p - k, so the entry of
+    p-row r (r < dq) in column c (c < dp + dq, descending powers of y) has
+    x-degree at most (deg p - dp - r) + c, and that of q-row r at most
+    (deg q - dq - r) + c.  Weighting each entry by its row and its column
+    this way, a term of the determinant takes one entry from every row and
+    every column, so its x-degree is at most the sum of all row and column
+    weights, dq (deg p - dp) + dp (deg q - dq) - dq(dq-1)/2 - dp(dp-1)/2
+    + (dp+dq)(dp+dq-1)/2 = dq deg p + dp deg q - dp dq.  For H_x, H_y of a
+    Hamiltonian regular at infinity of degree n+1 that is n^2 = mu nodes
+    past the first, against 2 mu from the x-degrees.
     """
     if p.is_zero() or q.is_zero():
         raise ValueError("resultant arguments must be nonzero")
@@ -395,7 +412,8 @@ def resultant(p, q):
         raise DegenerateResultantError("both arguments constant in the eliminated variable")
     p_coeffs, sp = _integer_y_coefficients(p, dp)
     q_coeffs, sq = _integer_y_coefficients(q, dq)
-    bound = dq * (len(p_coeffs[0]) - 1) + dp * (len(q_coeffs[0]) - 1)
+    bound = min(dq * (len(p_coeffs[0]) - 1) + dp * (len(q_coeffs[0]) - 1),
+                dq * p.degree() + dp * q.degree() - dp * dq)
     scale = sp**dq * sq**dp
     values = []
     for x0 in range(bound + 1):

@@ -23,31 +23,38 @@ has lower degree.  The reduction's columns in degree d are the basis
 monomials of degree d, independent of the ideal slice and so unique, then
 H_x*x^i y^j and -H_y*x^i y^j, the columns of the basis selection.
 
-The solver works over the integers.  H is cleared of denominators once, so
-the gradient columns are shifts of the integer partials of H (bipoly's
-integer-term kernel), built without rational arithmetic, and the remainder
-is integer numerators over one positive denominator: a round takes the
-slice solution as integer numerators over one denominator, subtracts the
-columns in int arithmetic and divides out the content.  Fractions appear
-only in the returned values.
+The solver works over the integers and slice by slice.  H is cleared of
+denominators once, and its SliceStore keeps the integer gradient (hx, hy)
+and the powers h^k as slice bases: the terms of each total degree e as
+(b, c) pairs for c x^(e-b) y^b.  Every column is a few shifted, weighted
+copies of such bases, with no dict of its own: H_x*x^i y^j is hx shifted
+by (i, j), a basis monomial is the base of 1 shifted by it, and petrov's
+columns are weighted copies of h^k and of the gradient.  The remainder is
+dense integer slices, one list per total degree, over one positive
+denominator: a round takes the slice solution as integer numerators over
+one denominator, subtracts each column's copies from the slices they
+land in, in int arithmetic, and divides out the content.  Fractions
+appear only in the returned values.
 
 The degree-d slice matrix M of a column kind depends only on Hhat, the
 basis and d, so each basis keeps one operator per (kind, d) in its
 SliceStore, made on the first round that reaches it: M reduced once by a
 FractionFreeSolver, whose row operations form an integer E with U = E M,
-and whether M's kernel moves the unique group.  A round replays the
-operations on the top slice b to get E b, the last column a fresh Bareiss
-pass over [M | b] ends with (its pivots lie in M's columns), so the slice
-solution, the remainder, its scaling and its content are the integers of
-that pass, whatever the basis answered before.
+the labels of its columns, and whether M's kernel moves the unique group.
+A round replays the operations on the top slice b to get E b, the last
+column a fresh Bareiss pass over [M | b] ends with (its pivots lie in M's
+columns), so the slice solution, the remainder, its scaling and its
+content are the integers of that pass, whatever the basis answered
+before.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import gcd
 
-from .bipoly import BiPoly, add_into, grlex_key, integer_terms, partials, shifted, times
+from .bipoly import BiPoly, grlex_key, integer_terms, partials, times
 from .errors import DegreeTooSmallError, InternalRankError, NotRegularError
 from .forms import OneForm, canonical_primitive
 from .linalg import FractionFreeSolver, pivot_columns
@@ -118,16 +125,19 @@ class MilnorBasis:
 class SliceStore:
     """What the peels over one basis reuse, each part made on first use.
 
-    h = s*H as integer terms, its gradient (hx, hy), the powers h^k, and per
-    column kind ("reduction", "petrov") a dict from the degree d to the
-    slice operator of peel_top_slices.  Columns are not kept: a round
-    builds the ones it subtracts.
+    h = s*H as integer terms, its gradient (hx, hy), the powers h^k, their
+    slice bases (see slice_base) and per column kind ("reduction",
+    "petrov") a dict from the degree d to the slice operator of
+    peel_top_slices.  Columns are not kept: a column is a few shifted,
+    weighted copies of these bases, made when a round subtracts it.
     """
 
     def __init__(self, H):
         self.h, self.s = integer_terms(H)
         self.hx, self.hy = partials(self.h)
+        self.hx_base, self.hy_base = slice_base(self.hx), slice_base(self.hy)
         self.powers = {0: {(0, 0): 1}}
+        self.power_bases = {}
         self.operators = {"reduction": {}, "petrov": {}}
 
     def power(self, k):
@@ -135,6 +145,23 @@ class SliceStore:
         if k not in self.powers:
             self.powers[k] = times(self.power(k - 1), self.h)
         return self.powers[k]
+
+    def power_base(self, k):
+        """The slice base of h^k."""
+        if k not in self.power_bases:
+            self.power_bases[k] = slice_base(self.power(k))
+        return self.power_bases[k]
+
+
+def slice_base(terms):
+    """Integer terms by slice, {e: [(b, c), ...]} over the nonzero slices, for the terms c x^(e-b) y^b."""
+    base = {}
+    for (a, b), c in terms.items():
+        base.setdefault(a + b, []).append((b, c))
+    return base
+
+
+ONE = {0: [(0, 1)]}  # the slice base of the constant 1
 
 
 def monomial_basis(H, report=None):
@@ -153,7 +180,7 @@ def monomial_basis(H, report=None):
     if not report.regular:
         raise NotRegularError(report.reason)
     n = report.n
-    hx, hy = partials(integer_terms(H)[0])
+    hx, hy = map(slice_base, partials(integer_terms(H)[0]))
 
     chosen = []
     for d in range(0, 2 * n - 1):
@@ -175,10 +202,11 @@ def monomial_basis(H, report=None):
     return MilnorBasis(H=H, n=n, mu=report.mu, monomials=tuple(monomials), primitives=primitives)
 
 
-def _complement(hx, hy, n, d, candidates):
+def _complement(hx_base, hy_base, n, d, candidates):
     """(candidates that are pivot columns after the ideal slice, rank of the degree-d slice matrix)."""
-    ideal = [_ideal_column(hx, hy, label) for label in _ideal_labels(n, d)]
-    pivots = pivot_columns(_slice_rows(ideal + [{m: 1} for m in candidates], d))
+    ideal = [_ideal_column(hx_base, hy_base, label) for label in _ideal_labels(n, d)]
+    columns = ideal + [[(1, 0, ONE, a, b)] for a, b in candidates]
+    pivots = pivot_columns(_slice_matrix(columns, d))
     return [candidates[c - len(ideal)] for c in pivots if c >= len(ideal)], len(pivots)
 
 
@@ -191,62 +219,71 @@ def _ideal_labels(n, d):
     return [(kind, m) for kind in ("B", "A") for m in quot_monos]
 
 
-def _ideal_column(hx, hy, label):
-    """The integer column hx*x^i y^j for ("B", (i, j)), -hy*x^i y^j for ("A", (i, j)).
+def _ideal_column(hx_base, hy_base, label):
+    """The column hx*x^i y^j for ("B", (i, j)), -hy*x^i y^j for ("A", (i, j)), as pieces.
 
     For H regular at infinity its degree-d slice is Hhat_x*x^i y^j or
     -Hhat_y*x^i y^j times the denominator of H.
     """
     kind, (i, j) = label
-    return shifted(hx, i, j) if kind == "B" else shifted(hy, i, j, -1)
+    return [(1, 0, hx_base, i, j)] if kind == "B" else [(-1, 0, hy_base, i, j)]
 
 
-def _slice_rows(columns, d):
-    """The degree-d slices of term dicts as a matrix: row b holds the x^(d-b) y^b coefficients."""
-    return [[col.get((d - b, b), 0) for col in columns] for b in range(d + 1)]
+def _slice_matrix(columns, d):
+    """The degree-d slices of columns given as pieces, as a matrix: row b holds the x^(d-b) y^b coefficients."""
+    rows = [[0] * len(columns) for _ in range(d + 1)]
+    for col, pieces in enumerate(columns):
+        for w0, w1, base, i, j in pieces:
+            e = d - i - j
+            for b, c in base.get(e, ()):
+                rows[b + j][col] += (w0 + w1 * e) * c
+    return rows
 
 
-def peel_top_slices(target, operators, slice_columns, inconsistent):
+def peel_top_slices(target, operators, slice_labels, column, inconsistent):
     """Write target = sum_j v_j * column_j exactly, one top homogeneous slice at a time.
 
     ``target`` is a pair (terms, denom) of integer terms and a positive
-    integer, standing for terms / denom.  ``slice_columns(d)`` returns
-    ``(unique, labels, column)``: the labels of the polynomials of degree d
-    whose degree-d slices may cancel a top slice of degree d, of which the
-    first ``unique`` must have uniquely determined values, and ``column``,
-    which builds the column of a label as a pair (terms, s) of integer terms
-    and a positive integer s, standing for terms / s.  ``operators`` (a
-    SliceStore dict) keeps per degree d the slice operator: the d+1 x
-    len(labels) slice matrix reduced by a FractionFreeSolver, and whether a
-    kernel vector moves the first group, both made on first use.
+    integer, standing for terms / denom.  ``slice_labels(d)`` returns
+    ``(unique, labels)``: the labels of the polynomials of degree d whose
+    degree-d slices may cancel a top slice of degree d, of which the first
+    ``unique`` must have uniquely determined values.  ``column(label)``
+    builds the column of a label as a pair (pieces, s) standing for
+    sum x^i y^j sum_e (w0 + w1 e) base_e / s over its pieces
+    (w0, w1, base, i, j): slice bases from the SliceStore (see slice_base),
+    their slices base_e of degree e weighted by the integers w0 + w1 e, and
+    a positive integer s.  ``operators`` (a SliceStore dict) keeps per
+    degree d the slice operator, made on first use: the d+1 x len(labels)
+    slice matrix reduced by a FractionFreeSolver, the labels, and whether a
+    kernel vector moves the first group.
 
-    The remainder is integer numerators W over one positive denominator D.
-    Each round solves the d+1 integer equations sum_j u_j top(terms_j) =
-    top(W) with the stored operator (free values zero; u_j = N_j / Q with
-    integers N_j, Q > 0, and v_j = u_j * s_j / D), scales W by
-    L = Q / gcd(Q, N), subtracts sum_j (L u_j) terms_j in int arithmetic,
-    sets D to L*D and divides out the content; the remainder's degree is
-    lower.  Raises ``inconsistent`` when a slice lies outside the span of its
-    columns and InternalRankError when the first group is not unique, on
-    every round that reaches such a slice.  Returns {label: Fraction value}
-    over nonzero values.
+    The remainder is dense integer slices W_e, one list per total degree e,
+    over one positive denominator D.  Each round solves the d+1 integer
+    equations sum_j u_j top(column_j) = W_d with the stored operator (free
+    values zero; u_j = N_j / Q with integers N_j, Q > 0, and
+    v_j = u_j * s_j / D), scales W by L = Q / gcd(Q, N), subtracts each
+    column's pieces, weighted by L u_j, slice by slice in int arithmetic,
+    sets D to L*D and divides out the content; W_d is then zero.  Raises
+    ``inconsistent`` when a slice lies outside the span of its columns and
+    InternalRankError when the first group is not unique, on every round
+    that reaches such a slice, or when the top slice is left nonzero.
+    Returns {label: Fraction value} over nonzero values.
     """
-    work, denom = dict(target[0]), target[1]
+    terms, denom = target
+    top = max((a + b for a, b in terms), default=-1)
+    work = [[0] * (e + 1) for e in range(top + 1)]
+    for (a, b), c in terms.items():
+        work[a + b][b] = c
     values = {}
-    previous = float("inf")
-    while work:
-        d = max(a + b for a, b in work)
-        if d >= previous:
-            raise InternalRankError("top slice failed to cancel; basis invalid")
-        previous = d
-        unique, labels, column = slice_columns(d)
-        built = {}
+    for d in range(top, -1, -1):
+        if not any(work[d]):
+            continue
         if d not in operators:
-            built = {label: column(label) for label in labels}
-            solver = FractionFreeSolver(_slice_rows([terms for terms, _ in built.values()], d))
-            operators[d] = solver, unique > 0 and any(any(vec[:unique]) for vec in solver.nullspace())
-        solver, leading_free = operators[d]
-        solution = solver.solve([work.get((d - b, b), 0) for b in range(d + 1)])
+            unique, labels = slice_labels(d)
+            solver = FractionFreeSolver(_slice_matrix([column(label)[0] for label in labels], d))
+            operators[d] = solver, labels, unique > 0 and any(any(vec[:unique]) for vec in solver.nullspace())
+        solver, labels, leading_free = operators[d]
+        solution = solver.solve(work[d])
         if solution is None:
             raise inconsistent(f"degree-{d} slice system inconsistent; basis invalid")
         if leading_free:
@@ -255,16 +292,24 @@ def peel_top_slices(target, operators, slice_columns, inconsistent):
         common = gcd(den, *nums)
         scale = den // common
         if scale > 1:
-            work = {e: scale * c for e, c in work.items()}
+            work[:d + 1] = [[scale * c for c in row] for row in work[:d + 1]]
         for label, num in zip(labels, nums):
             if num:
-                terms, s = built.get(label) or column(label)
+                pieces, s = column(label)
                 values[label] = Fraction(num * s, den * denom)
-                add_into(work, -(num // common), terms)
+                num //= common
+                for w0, w1, base, i, j in pieces:
+                    for e, row in base.items():
+                        f = num * (w0 + w1 * e)
+                        out = work[e + i + j]
+                        for b, c in row:
+                            out[b + j] -= f * c
+        if any(work[d]):
+            raise InternalRankError("top slice failed to cancel; basis invalid")
         denom *= scale
-        content = gcd(denom, *work.values())
+        content = gcd(denom, *chain.from_iterable(work[:d]))
         if content > 1:
-            work = {e: c // content for e, c in work.items()}
+            work[:d] = [[c // content for c in row] for row in work[:d]]
             denom //= content
     return values
 
@@ -291,16 +336,17 @@ def reduce_mod_gradient(P, basis):
     def column(label):
         kind, key = label
         if kind == "c":
-            return {basis.monomials[key]: 1}, 1
-        return _ideal_column(store.hx, store.hy, label), store.s
+            return [(1, 0, ONE, *basis.monomials[key])], 1
+        return _ideal_column(store.hx_base, store.hy_base, label), store.s
 
-    def slice_columns(d):
+    def slice_labels(d):
         own = [i for i, (a, b) in enumerate(basis.monomials) if a + b == d]
-        return len(own), [("c", i) for i in own] + _ideal_labels(basis.n, d), column
+        return len(own), [("c", i) for i in own] + _ideal_labels(basis.n, d)
 
-    values = peel_top_slices(integer_terms(P), store.operators["reduction"], slice_columns, InternalRankError)
+    values = peel_top_slices(integer_terms(P), store.operators["reduction"], slice_labels, column, InternalRankError)
+    zero = Fraction(0)
     return GradientReduction(
-        tuple(values.get(("c", i), Fraction(0)) for i in range(basis.mu)),
+        tuple(values.get(("c", i), zero) for i in range(basis.mu)),
         quotA=BiPoly({m: v for (kind, m), v in values.items() if kind == "A"}),
         quotB=BiPoly({m: v for (kind, m), v in values.items() if kind == "B"}),
     )

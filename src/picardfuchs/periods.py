@@ -183,8 +183,13 @@ def _trace_real_oval(H, t, seed, samples):
     lap, the step changed from h to h - delta/m.  Moving a point by d along
     its tangent and projecting covers an arc of d*(1 + O(d^2 kappa^2)), so
     each round cuts the gap by a factor of about (delta*kappa)^2 <= 0.017.
-    The rounds stop once the gap is below 1e-11 * (1 + |x0| + |y0|); after
-    12 rounds the best one is kept, its gap the closure error.
+    The rounds stop once the gap is below 1e-11 * (1 + |x0| + |y0|), once a
+    round fails to halve the gap, or after 12 rounds; the best chain is
+    kept, its gap the closure error.  A round only moves samples along the
+    curve, and a gap normal to it can be Newton noise: Newton stops at
+    |H - t| < NEWTON_TOL*max(1, |t|), which leaves a sample up to about
+    NEWTON_TOL*max(1, |t|)/|grad H| off the curve (5e-11 on x^2 + y^2 at
+    t = 1e-4, where the gap stays at 1.4e-11 after the second round).
 
     When n != m, the closed lap is resampled by _resample: T, the
     trigonometric interpolant of its m samples (truncated when n < m), is
@@ -278,22 +283,7 @@ def _trace_real_oval(H, t, seed, samples):
         raise TraceDiverged("no closed oval found from this seed")
     n = max(int(samples), math.ceil(length * (turn / h) / MAX_TURN), 16)
 
-    # closing rounds on the first m steps of the lap, all samples at once
-    xs, ys = xs[:m + 1], ys[:m + 1]
-    shares = np.arange(m + 1) / m
-    best = None
-    for _ in range(12):
-        gap_x, gap_y = float(xs[m] - x0), float(ys[m] - y0)
-        gap = math.hypot(gap_x, gap_y)
-        if best is None or gap < best[2]:
-            best = (xs, ys, gap)
-        if gap < 1e-11 * (1.0 + abs(x0) + abs(y0)):
-            break
-        txs, tys = tangent_all(xs, ys)
-        shift = -(gap_x * txs[m] + gap_y * tys[m]) * shares
-        xs, ys = xs + shift * txs, ys + shift * tys
-        project_all(xs, ys)
-    xs, ys, gap = best
+    xs, ys, gap = _close_lap(xs[:m + 1], ys[:m + 1], x0, y0, tangent_all, project_all)
     xs, ys = xs[:m], ys[:m]
     if n != m:
         xs, ys = _resample(xs, ys, n)
@@ -301,6 +291,34 @@ def _trace_real_oval(H, t, seed, samples):
     points = tuple(zip(xs.astype(complex).tolist(), ys.astype(complex).tolist()))
     return Cycle(t=complex(t_real), points=points, closure_error=gap,
                  hamiltonian=H, mode="real_oval")
+
+
+def _close_lap(xs, ys, x0, y0, tangent_all, project_all):
+    """Closing rounds on the samples of a walked lap that should end at (x0, y0): (xs, ys, gap) of the best.
+
+    With m the last index, each round moves sample k along its unit tangent
+    by -delta*k/m, delta the gap's component along the tangent at sample m,
+    and projects every sample back onto the curve (see _trace_real_oval).
+    The rounds stop at 12, once the gap is below 1e-11 * (1 + |x0| + |y0|),
+    or once a round fails to halve it: what is left is then normal to the
+    curve, where the rounds do not reach it.
+    """
+    m = len(xs) - 1
+    shares = np.arange(m + 1) / m
+    best = None
+    for _ in range(12):
+        gap_x, gap_y = float(xs[m] - x0), float(ys[m] - y0)
+        gap = math.hypot(gap_x, gap_y)
+        halved = best is None or gap <= 0.5 * best[2]
+        if best is None or gap < best[2]:
+            best = (xs, ys, gap)
+        if not halved or gap < 1e-11 * (1.0 + abs(x0) + abs(y0)):
+            break
+        txs, tys = tangent_all(xs, ys)
+        shift = -(gap_x * txs[m] + gap_y * tys[m]) * shares
+        xs, ys = xs + shift * txs, ys + shift * tys
+        project_all(xs, ys)
+    return best
 
 
 def _land_real(H, t_real, x0, y0, project):

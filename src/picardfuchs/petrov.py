@@ -33,9 +33,10 @@ d(-F y m_i dx) = (y F_y m_i + (b+1) F m_i) dx^dy.  E is a derivation, so for
 F = H^k this is m_i H^(k-1) (H + k E(H)/deg_i).  E multiplies the degree-j
 part of a polynomial by j, so with the integer h = s*H the column is h^k
 with its degree-j part scaled by deg_i + j, shifted by m_i, over deg_i s^k:
-integer terms from the powers h^k, built once per basis.  The g-columns
-a x^(a-1) y^b H_y - b x^a y^(b-1) H_x are one integer combination of two
-shifts of the integer gradient of H, weighted by a and -b.
+one shifted copy of the slice base of h^k that the SliceStore keeps (see
+milnor), its slice of degree j weighted by deg_i + j.  The g-columns
+a x^(a-1) y^b H_y - b x^a y^(b-1) H_x are two shifted copies of the slice
+bases of the integer gradient of H, weighted by a and -b.
 
 The c-columns are checked unique in every slice, and that makes the p_i
 unique: if sum c_ik d(H^k omega_i) = dg^dH with the largest nonzero c_ik in
@@ -98,23 +99,25 @@ def petrov_decompose(omega, basis):
         if kind == "p":
             i, k = key
             return _p_column(basis.monomials[i], k, store)
-        a, b = key
-        # s d(x^a y^b)^dH = a x^(a-1) y^b hy - b x^a y^(b-1) hx
-        return combine((a, shifted(hy, a - 1, b)), (-b, shifted(hx, a, b - 1))), s
+        return _g_column(*key, store)
 
-    def slice_columns(d):
+    def slice_labels(d):
         p_labels = [(i, (d + 2 - deg) // (n + 1)) for i, deg in enumerate(degrees)
                     if deg <= d + 2 and (d + 2 - deg) % (n + 1) == 0]
         e = d - n + 1
         g_monos = [(a, e - a) for a in range(e, -1, -1) if e > 0]
-        return len(p_labels), [("p", label) for label in p_labels] + [("g", m) for m in g_monos], column
+        return len(p_labels), [("p", label) for label in p_labels] + [("g", m) for m in g_monos]
 
     P, Q, s_omega = integer_one_form(omega)
     d_omega = combine((1, partials(Q)[0]), (-1, partials(P)[1]))
-    values = peel_top_slices((d_omega, s_omega), store.operators["petrov"], slice_columns, NoSolutionError)
+    values = peel_top_slices((d_omega, s_omega), store.operators["petrov"], slice_labels, column, NoSolutionError)
     p_values = {key: v for (kind, key), v in values.items() if kind == "p"}
-    top = max((k for _, k in p_values), default=-1)
-    coeff_polys = tuple(UniPoly([p_values.get((i, k), 0) for k in range(top + 1)]) for i in range(mu))
+    rows = {}
+    for (i, k), v in p_values.items():
+        rows.setdefault(i, {})[k] = v
+    zero = Fraction(0)
+    coeff_polys = tuple(UniPoly([rows[i].get(k, zero) for k in range(max(rows[i]) + 1)] if i in rows else ())
+                        for i in range(mu))
     witness_g = BiPoly({m: v for (kind, m), v in values.items() if kind == "g"})
 
     # every H^k omega_i has zero radial contraction, so f integrates rest = omega - g dH
@@ -139,14 +142,21 @@ def petrov_decompose(omega, basis):
 
 
 def _p_column(monomial, k, store):
-    """d(H^k omega_i) as (integer terms, denominator), from the stored h^k = (s H)^k.
+    """d(H^k omega_i) as (pieces, denominator), from the stored h^k = (s H)^k.
 
-    The terms are m_i (deg_i h^k + E(h^k)): h^k with its degree-j part times
-    deg_i + j, shifted by m_i; the denominator is deg_i s^k.
+    The one piece is m_i (deg_i h^k + E(h^k)): the slice base of h^k with
+    its degree-j slice weighted by deg_i + j, shifted by m_i; the
+    denominator is deg_i s^k.
     """
     a, b = monomial
     deg = a + b + 2
-    return {(x + a, y + b): (deg + x + y) * c for (x, y), c in store.power(k).items()}, deg * store.s**k
+    return [(deg, 1, store.power_base(k), a, b)], deg * store.s**k
+
+
+def _g_column(a, b, store):
+    """d(x^a y^b)^dH as (pieces, s): a x^(a-1) y^b hy - b x^a y^(b-1) hx over s, zero weights left out."""
+    pieces = [(a, 0, store.hy_base, a - 1, b)] if a else []
+    return pieces + ([(-b, 0, store.hx_base, a, b - 1)] if b else []), store.s
 
 
 def _is_radial_combination(nu_P, nu_Q, denom, p_values, monomials, powers, s):

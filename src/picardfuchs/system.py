@@ -1,6 +1,8 @@
 """Assembly and validation of the irredundant Picard-Fuchs system.
 
-For each basis monomial m_i the 2-form H*m_i dx^dy is divided by dH, giving
+The numeric critical-point oracle runs first, so a Hamiltonian it cannot
+resolve fails before any row is built.  For each basis monomial m_i the
+2-form H*m_i dx^dy (H shifted by m_i) is divided by dH, giving
 row i of the multiplication matrix A and a 1-form eta_i with
 deg eta_i <= deg omega_i <= 2n; the Petrov decomposition of eta_i (degree
 bound forces deg p_j <= 1) fills row i of B0 and B1.  The period vector
@@ -31,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bipoly import BiPoly, add_into, cleared, combine, integer_terms, partials, shifted, times
+from .bipoly import add_into, cleared, combine, integer_terms, partials, shifted, times
 from .critical import cluster, critical_points_numeric, value_clusters
 from .errors import NotRegularError
 from .forms import integer_one_form
@@ -97,10 +99,11 @@ def build_system(H, basis=None):
         raise NotRegularError(report.reason)
     if basis is None:
         basis = monomial_basis(H, report)
+    # the oracle first: an input it rejects fails before any row is peeled
+    critical_points = tuple(critical_points_numeric(H))
 
     def build_row(i):
-        a, b = basis.monomials[i]
-        eta, a_row = divide_two_form(H * BiPoly.monomial(a, b), basis)
+        eta, a_row = divide_two_form(H.shift(*basis.monomials[i]), basis)
         cert = petrov_decompose(eta, basis)
         b0_row = [Fraction(0)] * basis.mu
         b1_row = [Fraction(0)] * basis.mu
@@ -119,7 +122,7 @@ def build_system(H, basis=None):
         B0=RatMatrix(list(b0_rows)),
         B1=RatMatrix(list(b1_rows)),
         D=tuple(Fraction(d, basis.n + 1) for d in degrees),
-        critical_points=tuple(critical_points_numeric(H)),
+        critical_points=critical_points,
         etas=tuple(etas),
         certificates=tuple(certs),
     )

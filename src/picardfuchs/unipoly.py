@@ -5,6 +5,10 @@ characteristic/minimal polynomials, resultants after elimination, and the
 determinant of the matrix pencil B0 + t*B1.  Numeric root extraction goes
 through an exact Yun squarefree decomposition first, so multiple roots are
 found as simple roots of squarefree factors and keep full double accuracy.
+Most polynomials the package splits are squarefree, and one prime proves
+it in O(deg^2) operations on integers below 2^61: squarefree_decomposition
+and is_squarefree return at once when that certificate holds, and run
+Yun's split and the gcd over Z only when it does not apply.
 
 The gcd under every squarefree split is Brown's primitive pseudo-remainder
 sequence over Z (W. S. Brown, "On Euclid's algorithm and the computation of
@@ -209,9 +213,54 @@ def _pseudo_remainder(a, b):
     return r
 
 
+CERTIFICATE_PRIME = 2**61 - 1  # the one prime of the squarefree certificate
+
+
+def _squarefree_mod_prime(p):
+    """Whether one prime certifies p squarefree: False only means the certificate does not apply.
+
+    Let P be the integer multiple of p with its denominators cleared and q
+    the prime CERTIFICATE_PRIME.  If q does not divide lc(P) and
+    gcd(P mod q, P' mod q) is constant, then p is squarefree.  For if it is
+    not, P has a factor f^2 with f primitive and deg f >= 1 (a repeated
+    factor over Q, made primitive, divides P over Z by Gauss's lemma).
+    lc(f)^2 divides lc(P), which q does not divide, so f keeps its degree
+    mod q, and f mod q divides both P = f^2 g and P' = f (2 f' g + f g')
+    mod q: their gcd mod q is not constant.  Euclid mod q runs on int lists
+    in O(deg^2) operations, against the gcds over Z of Yun's split.
+    """
+    q = CERTIFICATE_PRIME
+    a, _ = cleared(p.coeffs)
+    if a[-1] % q == 0:
+        return False
+    a = [c % q for c in a]
+    b = _stripped([k * c % q for k, c in enumerate(a)][1:])
+    while len(b) > 1:
+        inverse = pow(b[-1], -1, q)
+        d = len(b) - 1
+        while len(a) > d:
+            top = a.pop() * inverse % q
+            k = len(a) - d
+            if top:
+                a[k:] = [(c - top * e) % q for c, e in zip(a[k:], b)]
+        a, b = b, _stripped(a)
+    return len(b) == 1
+
+
+def _stripped(coeffs):
+    """coeffs without its zero top coefficients, in place."""
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
 def is_squarefree(p):
-    """True iff p has no repeated roots (gcd with its derivative is constant)."""
-    if p.degree() <= 1:
+    """True iff p has no repeated roots (gcd with its derivative is constant).
+
+    The one-prime certificate of _squarefree_mod_prime answers first; the
+    gcd over Z runs only when it does not apply.
+    """
+    if p.degree() <= 1 or _squarefree_mod_prime(p):
         return True
     return gcd(p, p.derivative()).degree() == 0
 
@@ -220,6 +269,10 @@ def squarefree_decomposition(p):
     """Yun's algorithm: p = lead * prod f_k^k with f_k squarefree, coprime.
 
     Returns (leading coefficient, list of (f_k, k) with deg f_k >= 1).
+    When the one-prime certificate of _squarefree_mod_prime holds, p is
+    squarefree and Yun's own answer is [(p.monic(), 1)]: gcd(p, p') = 1, so
+    its first factor is gcd(p, 0) = monic p and its loop stops.  That answer
+    is returned at once; Yun runs only when the certificate does not apply.
     """
     if p.is_zero():
         raise ValueError("zero polynomial has no squarefree decomposition")
@@ -227,6 +280,8 @@ def squarefree_decomposition(p):
     p = p.monic()
     if p.degree() == 0:
         return lead, []
+    if _squarefree_mod_prime(p):
+        return lead, [(p, 1)]
     dp = p.derivative()
     a = gcd(p, dp)
     b = p // a

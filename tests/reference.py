@@ -37,6 +37,18 @@ def differential_coefficient(g, H):
     return OneForm(g * H.partial("x"), g * H.partial("y"))
 
 
+def column_polynomial(pieces, den):
+    """The polynomial of a peel column given as pieces (w0, w1, base, i, j), over den.
+
+    Each piece is x^i y^j times its base with the slice of degree e weighted by w0 + w1 e.
+    """
+    total = BiPoly.zero()
+    for w0, w1, base, i, j in pieces:
+        for e, row in base.items():
+            total = total + BiPoly({(e - b + i, b + j): Fraction((w0 + w1 * e) * c, den) for b, c in row})
+    return total
+
+
 def multiplication_matrix(basis):
     """Matrix of multiplication by H on the quotient: H*m_i = sum_j A_ij m_j."""
     rows = []

@@ -326,3 +326,56 @@ def test_spectra_match_sympy(rng):
         assert char_poly(m) == cp, m
         if m in multiplication:
             assert min_poly(m) == mp, m
+
+
+def _count_determinants(monkeypatch):
+    import picardfuchs.linalg as linalg
+
+    calls = []
+    original = linalg._integer_determinant
+
+    def counted(rows):
+        calls.append(len(rows))
+        return original(rows)
+
+    monkeypatch.setattr(linalg, "_integer_determinant", counted)
+    return calls
+
+
+def test_resultant_nodes_follow_the_degree_bound(monkeypatch, rng):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.subresultants_qq_zz import sylvester
+
+    y = sympy.Symbol("y")
+    calls = _count_determinants(monkeypatch)
+
+    def check(p, q):
+        dp, dq = max(p.degree_in("y"), 0), max(q.degree_in("y"), 0)
+        bound = min(dq * p.degree_in("x") + dp * q.degree_in("x"), dq * p.degree() + dp * q.degree() - dp * dq)
+        calls.clear()
+        res = resultant(p, q)
+        assert len(calls) == bound + 1, (p, q)
+        # the determinant of the Sylvester matrix: sympy.resultant flips its sign on some of these pairs
+        expected = sylvester(to_sympy(p, sympy), to_sympy(q, sympy), y).det(method="berkowitz")
+        assert sympy.expand(to_sympy(res, sympy) - expected) == 0, (p, q)
+
+    # H_x, H_y of a Hamiltonian of degree n+1 regular at infinity: mu + 1 nodes, not 2 mu + 1
+    for n in (2, 3, 4):
+        H = random_regular_hamiltonian(rng, n)
+        calls.clear()
+        resultant(H.partial("x"), H.partial("y"))
+        assert len(calls) == n * n + 1
+    # dp below deg p: the total-degree bound is the smaller one, and then the larger one
+    check(X**3 * Y + X**4 + Y, Y**2 + X**3 - Fraction(1, 2))
+    check(X**2 * Y + 3 * X - 1, X * Y**2 + Fraction(2, 3) * Y - X**2)
+    check(Y**3 + X, Y**3 + X - 1)
+    for _ in range(8):
+        p = BiPoly({(rng.randint(0, 4), rng.randint(0, 2)): Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                    for _ in range(5)}) + X**5 * Y
+        q = BiPoly({(rng.randint(0, 3), rng.randint(0, 3)): Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                    for _ in range(5)}) + X * Y**3
+        check(p, q)
+        check(q, p)
+    # p constant in y: dq x dq diagonal Sylvester matrices
+    check(Fraction(2, 3) * X**2 + 1, Y**3 * X + Y - X**2)
+    check(X**3 - 2 * X, Fraction(3, 7) * Y**2 + X * Y + 5)

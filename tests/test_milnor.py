@@ -8,15 +8,17 @@ from hypothesis import given, settings, strategies as st
 
 from picardfuchs.bipoly import BiPoly, X, Y
 from picardfuchs.critical import critical_points_numeric, critical_values_numeric
-from picardfuchs.errors import DegreeTooSmallError, NotRegularError
-from picardfuchs.forms import OneForm
+from picardfuchs.errors import DegreeTooSmallError, InternalRankError, NoSolutionError, NotRegularError
+from picardfuchs.forms import OneForm, canonical_primitive
 from picardfuchs.linalg import RatMatrix
 from picardfuchs.milnor import (
+    MilnorBasis,
     check_regular_at_infinity,
     divide_two_form,
     monomial_basis,
     reduce_mod_gradient,
 )
+from picardfuchs.petrov import petrov_decompose
 from picardfuchs.system import build_system
 from tests.conftest import random_bipoly, random_regular_hamiltonian, to_sympy
 from tests.reference import multiplication_matrix, wedge_with_dH
@@ -254,3 +256,36 @@ def test_quotient_dimension_saturates(rng):
     for n in (2, 3):
         H = random_regular_hamiltonian(rng, n)
         assert monomial_basis(H).mu == n * n
+
+
+def test_peel_failures_keep_their_messages():
+    # x^2 is in the ideal of the cubic's top part (3x^2, 3y^2): with it in place of xy the degree-2
+    # slices miss xy, and x^2 is both a basis column and the top of H_x, so its coefficient is free
+    good = monomial_basis(CUBIC)
+    monos = tuple((2, 0) if m == (1, 1) else m for m in good.monomials)
+    bad = MilnorBasis(CUBIC, good.n, good.mu, monos, tuple(canonical_primitive(a, b) for a, b in monos))
+    inconsistent = r"^degree-2 slice system inconsistent; basis invalid$"
+    for _ in range(2):  # the second call reads the stored operators
+        with pytest.raises(InternalRankError, match=inconsistent):
+            reduce_mod_gradient(X * Y, bad)
+        with pytest.raises(NoSolutionError, match=inconsistent):
+            petrov_decompose(OneForm(BiPoly.zero(), X**2 * Y), bad)
+        with pytest.raises(InternalRankError, match=r"^degree-2 slice leaves leading coefficients free; basis invalid$"):
+            reduce_mod_gradient(X**2, bad)
+
+    # a stored operator whose solutions are half the true ones leaves half the top slice
+    class Halved:
+        def __init__(self, solver):
+            self.solver = solver
+
+        def solve(self, rhs):
+            nums, den = self.solver.solve(rhs)
+            return nums, 2 * den
+
+    basis = monomial_basis(CUBIC)
+    reduce_mod_gradient(X**3, basis)
+    operators = basis.slice_store.operators["reduction"]
+    solver, labels, free = operators[3]
+    operators[3] = Halved(solver), labels, free
+    with pytest.raises(InternalRankError, match=r"^top slice failed to cancel; basis invalid$"):
+        reduce_mod_gradient(X**3, basis)

@@ -129,6 +129,27 @@ def test_small_ovals_are_traced_once(H, t, seed, area, tolerance):
     assert abs(system_residual(build_system(H), cycle).I[0] - area) < tolerance * area
 
 
+def test_closing_rounds_stop_at_newton_noise(monkeypatch):
+    # on x^2 + y^2 at t = 1e-4 the gap is 4.7e-4, 5.3e-7, then 1.38e-11 normal to the curve, within the
+    # Newton tolerance's NEWTON_TOL / |grad H| = 5e-11 of it: the third round cannot halve it, so the
+    # rounds stop there, with that gap as the closure error
+    close = periods._close_lap
+    rounds = []
+
+    def counted(xs, ys, x0, y0, tangent_all, project_all):
+        def project(*args):
+            rounds.append(1)
+            return project_all(*args)
+
+        return close(xs, ys, x0, y0, tangent_all, project)
+
+    monkeypatch.setattr(periods, "_close_lap", counted)
+    cycle = trace_cycle(X**2 + Y**2, 1e-4, (0.01, 0.0))
+    assert len(rounds) <= 4
+    assert cycle.closure_error == pytest.approx(1.38e-11, rel=1e-2)
+    assert abs(turning_number(cycle) - 1) < 1e-9
+
+
 @pytest.mark.parametrize("m, n", [(12, 48), (64, 12), (13, 40), (41, 13)])
 def test_resample_keeps_band_limited_samples(m, n):
     # below the Nyquist frequency of the smaller size, and at it for an even size, both ways

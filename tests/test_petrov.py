@@ -13,10 +13,10 @@ from picardfuchs.bipoly import BiPoly, X, Y, integer_terms, times
 from picardfuchs.errors import InternalRankError, NoSolutionError
 from picardfuchs.forms import OneForm, canonical_primitive, integer_one_form
 from picardfuchs.milnor import MilnorBasis, monomial_basis, reduce_mod_gradient
-from picardfuchs.petrov import _is_radial_combination, _p_column, petrov_decompose
+from picardfuchs.petrov import _g_column, _is_radial_combination, _p_column, petrov_decompose
 from picardfuchs.unipoly import UniPoly
 from tests.conftest import random_bipoly, random_regular_hamiltonian
-from tests.reference import differential, differential_coefficient, exterior_derivative
+from tests.reference import column_polynomial, differential, differential_coefficient, exterior_derivative
 
 QUINTIC = X**5 + Y**5 + X**2 * Y**2 + X + Y
 
@@ -139,10 +139,20 @@ def test_closed_form_columns_match_bipoly_arithmetic():
         basis = monomial_basis(H)
         for i, monomial in enumerate(basis.monomials):
             for k in range(4):
-                terms, den = _p_column(monomial, k, basis.slice_store)
                 expected = exterior_derivative(basis.primitives[i].multiply(H**k))
-                assert BiPoly({e: Fraction(c, den) for e, c in terms.items()}) == expected, (H, i, k)
+                assert column_polynomial(*_p_column(monomial, k, basis.slice_store)) == expected, (H, i, k)
     assert (1, 1) not in monomial_basis(hamiltonians[1]).monomials
+
+
+def test_g_columns_match_bipoly_arithmetic():
+    # d(x^a y^b) ^ dH, including the monomials with a = 0 or b = 0, whose zero-weight piece is left out
+    for H in (WITNESS_HAMILTONIANS[0], QUINTIC, WITNESS_HAMILTONIANS[3]):
+        basis = monomial_basis(H)
+        for a, b in itertools.product(range(4), repeat=2):
+            if a + b:
+                g = BiPoly.monomial(a, b)
+                expected = g.partial("x") * H.partial("y") - g.partial("y") * H.partial("x")
+                assert column_polynomial(*_g_column(a, b, basis.slice_store)) == expected, (H, a, b)
 
 
 def test_closed_primitive_formula(rng):

@@ -432,3 +432,20 @@ def test_degree_rule_matches_squarefree_minimal_polynomial(H):
     # polynomial decides squarefreeness without a gcd; here it meets the gcd test
     sys = build_system(H)
     assert classify_singularities(sys)["finite_fuchsian"] == is_squarefree(min_poly(sys.A))
+
+
+def test_oracle_failure_comes_before_any_row(monkeypatch):
+    # the quartic the oracle cannot split fails at once, and a cubic still makes 4 divisions and 1 oracle call
+    import picardfuchs.system as system
+    from picardfuchs.errors import NumericalFailure
+
+    calls = collections.Counter()
+    for name in ("divide_two_form", "critical_points_numeric"):
+        _count_calls(monkeypatch, calls, system, name)
+    with pytest.raises(NumericalFailure) as failure:
+        build_system(X**4 + Y**4 - 2 * Y**2 + X**2 * Y)
+    assert str(failure.value) == "x-cluster of multiplicity 5 at x = 0j does not split evenly over 3 critical points"
+    assert (calls["divide_two_form"], calls["critical_points_numeric"]) == (0, 1)
+    calls.clear()
+    build_system(CUBIC)
+    assert (calls["divide_two_form"], calls["critical_points_numeric"]) == (4, 1)

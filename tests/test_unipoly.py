@@ -164,3 +164,82 @@ def test_gcd_and_yun_match_sympy(rng):
     g = UniPoly([res.coefficient(k, 0) for k in range(int(res.degree()) + 1)])
     assert g.degree() == 25
     assert check_yun(g) == [1, 3]
+
+
+def _yun_only(monkeypatch, p):
+    """squarefree_decomposition and is_squarefree of p with the one-prime certificate switched off."""
+    import picardfuchs.unipoly as unipoly
+
+    with monkeypatch.context() as patch:
+        patch.setattr(unipoly, "_squarefree_mod_prime", lambda p: False)
+        return squarefree_decomposition(p), is_squarefree(p)
+
+
+def _counting_gcd(monkeypatch):
+    import picardfuchs.unipoly as unipoly
+
+    calls = []
+    original = unipoly.gcd
+
+    def counted(p, q):
+        calls.append(1)
+        return original(p, q)
+
+    monkeypatch.setattr(unipoly, "gcd", counted)
+    return calls
+
+
+def test_squarefree_certificate_falls_back_to_yun(monkeypatch):
+    from picardfuchs.unipoly import CERTIFICATE_PRIME, _squarefree_mod_prime
+
+    q = CERTIFICATE_PRIME
+    cases = [
+        # x^2 + q is x^2 mod q: gcd x with 2x, though x^2 + q is squarefree over Q
+        (UniPoly([q, 0, 1]), [(UniPoly([q, 0, 1]), 1)]),
+        # q divides the leading coefficient: the degree drops mod q
+        (UniPoly([1, 1, q]), [(UniPoly([Fraction(1, q), Fraction(1, q), 1]), 1)]),
+        (UniPoly([1, q]) * UniPoly([1, q]) * UniPoly([-3, 1]),
+         [(UniPoly([-3, 1]), 1), (UniPoly([Fraction(1, q), 1]), 2)]),
+    ]
+    calls = _counting_gcd(monkeypatch)
+    for p, factors in cases:
+        assert not _squarefree_mod_prime(p)
+        calls.clear()
+        found = squarefree_decomposition(p)
+        assert calls, p
+        calls.clear()
+        assert is_squarefree(p) == (len(factors) == 1 and factors[0][1] == 1)
+        assert calls, p
+        assert found == (p.leading(), factors) == _yun_only(monkeypatch, p)[0]
+
+
+def test_squarefree_input_makes_no_gcd_call(monkeypatch, rng):
+    calls = _counting_gcd(monkeypatch)
+    polys = [UniPoly([0, 1, 1]), UniPoly([Fraction(-2, 3), 0, 0, Fraction(5, 7)])]
+    polys += [_product(Fraction(rng.randint(1, 9), rng.randint(1, 9)),
+                      [(UniPoly([Fraction(rng.randint(-99, 99), rng.randint(1, 9)), 1]), 1) for _ in range(6)])
+              for _ in range(10)]
+    # the oracle's resultant of a mu 16 draw
+    H = random_regular_hamiltonian(rng, 4)
+    res = resultant(H.partial("x"), H.partial("y"))
+    polys.append(UniPoly([res.coefficient(k, 0) for k in range(int(res.degree()) + 1)]))
+    for p in polys:
+        assert squarefree_decomposition(p) == (p.leading(), [(p.monic(), 1)])
+        assert is_squarefree(p)
+    assert not calls
+
+
+def test_squarefree_certificate_matches_sympy_and_yun(monkeypatch, rng):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    for i in range(30):
+        planted = [(_random_factor(rng, rng.randint(1, 3)), 1 if i % 3 == 0 else rng.randint(1, 3))
+                   for _ in range(rng.randint(1, 4))]
+        p = _product(Fraction(rng.choice([-5, -1, 2, 7]), rng.randint(1, 6)), planted)
+        lead, factors = squarefree_decomposition(p)
+        reference = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)],
+                               t, domain="QQ").sqf_list()
+        assert lead == Fraction(int(reference[0].p), int(reference[0].q)), p
+        assert factors == [(UniPoly([Fraction(int(c.p), int(c.q)) for c in reversed(f.all_coeffs())]), k)
+                           for f, k in reference[1]], p
+        assert ((lead, factors), is_squarefree(p)) == _yun_only(monkeypatch, p)

@@ -7,17 +7,23 @@ Run from any directory against one source tree:
 and compare the files of two trees with ``diff``: a change that must keep
 every exact output prints the same lines.  Per Hamiltonian it digests A, B0,
 B1, D, every eta_i and its Petrov certificate and ``critical_values`` of
-``build_system`` (or the error it raises), and the stdout, stderr and exit
-code of ``pf system H --format json``; for the named ones also the
-``classify_singularities`` details, as text (the JSON leaves out that
-string, which prints the minimal polynomial), and the stdout and exit code
-of ``pf verify H``.  Then come the resultants of 40 seeded pairs with
-rational coefficients, Petrov decompositions of seeded rational forms,
-``char_poly``/``pencil_determinant`` of the derogatory x^4 + y^4, gradient
-reductions of seeded rational polynomials, and Petrov decompositions and
-reductions of one query per degree asked of one basis twice, in
-descending and then in ascending degree (a result that depended on what the
-basis had answered before would print two different lines).
+``build_system`` (or the error it raises), its ``critical_points`` in full
+(x, y, t and multiplicity, every bit of the floats), and the stdout,
+stderr and exit code of ``pf system H --format json``; for the named ones
+also the ``classify_singularities`` details, as text (the JSON leaves out
+that string, which prints the minimal polynomial), and the stdout and exit
+code of ``pf verify H``.  Then come the resultants of 40 seeded pairs with
+rational coefficients and of 24 seeded pairs whose degree in y is below
+their total degree, the squarefree decompositions (and ``is_squarefree``)
+of seeded products of random factors, most with repeated factors, and of
+the inputs where the one-prime squarefree certificate does not apply
+(x^2 + 2^61 - 1, a leading coefficient divisible by 2^61 - 1), Petrov
+decompositions of seeded rational forms, ``char_poly`` and
+``pencil_determinant`` of the derogatory x^4 + y^4, gradient reductions of
+seeded rational polynomials, and Petrov decompositions and reductions of
+one query per degree asked of one basis twice, in descending and then in
+ascending degree (a result that depended on what the basis had answered
+before would print two different lines).
 Last come the flags and failure notes of ``validate_system`` on seeded
 tamperings of six systems, one per input of the identity check (A, eta_i,
 the witnesses g and f, a Petrov coefficient and a basis primitive), printed
@@ -52,7 +58,7 @@ from picardfuchs.linalg import RatMatrix, char_poly, pencil_determinant, resulta
 from picardfuchs.milnor import monomial_basis, reduce_mod_gradient
 from picardfuchs.petrov import petrov_decompose
 from picardfuchs.system import build_system, classify_singularities, validate_system
-from picardfuchs.unipoly import UniPoly
+from picardfuchs.unipoly import UniPoly, is_squarefree, squarefree_decomposition
 
 NAMED = (
     {(3, 0): 1, (0, 3): 1, (1, 1): -3},
@@ -126,6 +132,16 @@ def random_poly(rng, degree, size):
                    for a in (rng.randint(0, degree) for _ in range(size))})
 
 
+def random_product(rng, squarefree):
+    """A seeded product of random rational factors, each squared or cubed at times unless squarefree."""
+    p = UniPoly([Fraction(rng.choice((-5, -1, 1, 2, 7)), rng.randint(1, 6))])
+    for _ in range(rng.randint(1, 4)):
+        factor = UniPoly([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(2, 4))] + [1])
+        for _ in range(1 if squarefree else rng.choice((1, 2, 3))):
+            p = p * factor
+    return p
+
+
 TAMPERED_SYSTEMS = ("named 0", "named 3", "named 4", "named 5", "sparse d=4", "system_json seed 1 #2")
 TAMPERED_FIELDS = ("A", "eta", "g", "f", "coeff_polys", "primitive")
 
@@ -170,6 +186,8 @@ def main_digest():
         except PicardFuchsError as exc:
             system, built = None, f"{type(exc).__name__}: {exc}"
         print(f"{label}: build {built}")
+        if system is not None:
+            print(f"{label}: critical points {sha([dataclasses.astuple(p) for p in system.critical_points])}")
         print(f"{label}: pf system json {sha(cli_record('system', inputs.poly_text(h), '--format', 'json'))}")
         if label.startswith("named"):
             if system is not None:
@@ -185,6 +203,27 @@ def main_digest():
             p = p + BiPoly.monomial(rng.randint(0, 3), 0, Fraction(rng.randint(1, 9), rng.randint(1, 5)))
         q = random_poly(rng, rng.randint(1, 4), rng.randint(1, 6)) + BiPoly.monomial(0, 5)
         print(f"resultant {i}: {sha(terms(resultant(p, q)))} {sha(terms(resultant(q, p)))}")
+
+    # degree in y below the total degree: the total-degree node bound is below the x-degree one, or above it
+    rng = random.Random(2025)
+    for i in range(24):
+        p = random_poly(rng, rng.randint(2, 5), rng.randint(2, 7)) + BiPoly.monomial(rng.randint(1, 4), 1)
+        q = random_poly(rng, rng.randint(2, 5), rng.randint(2, 7)) + BiPoly.monomial(rng.randint(0, 2), 2)
+        if i % 3 == 0:
+            q = q + BiPoly.monomial(0, rng.randint(3, 5))
+        print(f"resultant low y-degree {i}: {sha(terms(resultant(p, q)))} {sha(terms(resultant(q, p)))}")
+
+    rng = random.Random(2026)
+    prime = 2**61 - 1  # the prime of the squarefree certificate
+    cases = [(f"product {i}", random_product(rng, squarefree=i % 4 == 0)) for i in range(24)]
+    cases += [("x^2 + 2^61 - 1", UniPoly([prime, 0, 1])),
+              ("2^61 - 1 times (x^3 - 2x + 1/3)", UniPoly([Fraction(prime, 3), -2 * prime, 0, prime])),
+              ("(2^61 - 1) x^2 + x + 1", UniPoly([1, 1, prime])),
+              ("x^2 (2^61 - 1) / 5 + x", UniPoly([0, 1, Fraction(prime, 5)])),
+              ("((2^61 - 1) x + 1)^2 (x - 3)", UniPoly([1, prime]) * UniPoly([1, prime]) * UniPoly([-3, 1]))]
+    for label, p in cases:
+        lead, factors = squarefree_decomposition(p)
+        print(f"squarefree {label}: {lead} {sha(factors)} {is_squarefree(p)}")
 
     rng = random.Random(31)
     for i, h in enumerate(NAMED[:5]):
