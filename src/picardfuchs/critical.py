@@ -9,12 +9,13 @@ rooted together before the clusters are read: the rows of one length
 stacked into one companion eigenproblem (fibers._companion_eigenvalues,
 the matrices and eigenvalues np.roots would use row by row), and a row
 that np.roots would strip of zero end coefficients rooted by np.roots
-itself, so every point is the one a per-row np.roots gives.  Multiplicity of a cluster is the number
-of resultant roots in it; when several critical points share one x, the
-cluster count is split evenly across them (and a NumericalFailure is raised
-if it does not split).  One radius, CLUSTER_RADIUS, decides which numeric
-roots count as one, and one routine, ``cluster``, merges x-roots, y-roots,
-critical values and (in ``system``, at a relative radius) eigenvalues.
+itself, so every point is the one a per-row np.roots gives.
+Multiplicity of a cluster is the number of resultant roots in it; when
+several critical points share one x, the cluster count is split evenly
+across them (and a NumericalFailure is raised if it does not split).  One
+radius, CLUSTER_RADIUS, decides which numeric roots count as one, and one
+routine, ``cluster``, merges x-roots, y-roots, critical values and (in
+``system``, at a relative radius) eigenvalues.
 """
 
 from dataclasses import dataclass
@@ -61,7 +62,6 @@ def critical_points_numeric(H):
     # exact multiplicities from the squarefree decomposition, then cluster
     # whatever numerically coincides across factors
     x_clusters = cluster(roots_with_multiplicity(g))
-    h_terms = _complex_terms(H)
     points = []
     for (x0, mult), y_values in zip(x_clusters, _critical_y_values(Hx, Hy, [x0 for x0, _ in x_clusters])):
         if not y_values:
@@ -73,10 +73,7 @@ def critical_points_numeric(H):
             )
         each = mult // len(y_values)
         for y0 in y_values:
-            t = 0
-            for a, b, c in h_terms:
-                t += c * (x0**a) * (y0**b)
-            points.append(CriticalPoint(x0, y0, complex(t), each))
+            points.append(CriticalPoint(x0, y0, complex(H.eval_at(x0, y0)), each))
     if sum(p.multiplicity for p in points) != mu:
         raise NumericalFailure("multiplicities do not sum to mu")
     points.sort(key=lambda p: (p.t.real, p.t.imag, p.x.real, p.x.imag))
@@ -118,10 +115,7 @@ def _critical_y_values(Hx, Hy, x_values):
     alone (both cannot vanish identically for a regular Hamiltonian).  The
     fibers of all x0 are rooted before the first is yielded, by _roots_of_rows.
     """
-    roots = []
-    for poly in (Hx, Hy):
-        terms, degree = _complex_terms(poly), poly.degree_in("y")
-        roots.append(_roots_of_rows([_scaled_row(*_complex_coeffs(terms, degree, x0)) for x0 in x_values]))
+    roots = [_roots_of_rows([_scaled_row(*_complex_coeffs(poly, x0)) for x0 in x_values]) for poly in (Hx, Hy)]
     for x0, roots_x, roots_y in zip(x_values, *roots):
         if roots_x is None and roots_y is None:
             raise NumericalFailure(f"both partials vanish identically above x = {x0}")
@@ -136,18 +130,13 @@ def _critical_y_values(Hx, Hy, x_values):
         yield [y0 for y0, _ in cluster([(y, 1) for y in common])]
 
 
-def _complex_terms(poly):
-    """The terms of a BiPoly as (a, b, complex coefficient) triples, in its term order."""
-    return [(a, b, complex(c)) for (a, b), c in poly.terms.items()]
-
-
-def _complex_coeffs(terms, degree_y, x0):
-    """(evaluated ascending coefficients in y, achievable magnitude bound), as BiPoly.y_coefficients forms them."""
-    coeffs = [0j] * (degree_y + 1)
-    for a, b, c in terms:
-        coeffs[b] += c * x0**a
-    reach = max(1.0, abs(x0))
-    return coeffs, sum(abs(c) * reach ** a for a, _, c in terms)
+def _complex_coeffs(poly, x0):
+    """(evaluated ascending coefficients in y, achievable magnitude bound)."""
+    coeffs = poly.y_coefficients(complex(x0))
+    ref = sum(
+        abs(complex(c)) * max(1.0, abs(complex(x0))) ** a for (a, _), c in poly.terms.items()
+    )
+    return coeffs, ref
 
 
 def _roots_of_rows(rows):

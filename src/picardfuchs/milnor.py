@@ -125,32 +125,26 @@ class MilnorBasis:
 class SliceStore:
     """What the peels over one basis reuse, each part made on first use.
 
-    h = s*H as integer terms, its gradient (hx, hy), the powers h^k, their
-    slice bases (see slice_base) and per column kind ("reduction",
-    "petrov") a dict from the degree d to the slice operator of
-    peel_top_slices.  Columns are not kept: a column is a few shifted,
-    weighted copies of these bases, made when a round subtracts it.
+    h = s*H as integer terms, its gradient (hx, hy) as integer terms and as
+    slice bases (see slice_base), the powers h^k as slice bases only, and
+    per column kind ("reduction", "petrov") a dict from the degree d to the
+    slice operator of peel_top_slices.  Columns are not kept: a column is a
+    few shifted, weighted copies of these bases, made when a round
+    subtracts it.
     """
 
     def __init__(self, H):
         self.h, self.s = integer_terms(H)
         self.hx, self.hy = partials(self.h)
         self.hx_base, self.hy_base = slice_base(self.hx), slice_base(self.hy)
-        self.powers = {0: {(0, 0): 1}}
-        self.power_bases = {}
+        self.powers = {0: ONE}
         self.operators = {"reduction": {}, "petrov": {}}
 
     def power(self, k):
-        """h^k as integer terms."""
-        if k not in self.powers:
-            self.powers[k] = times(self.power(k - 1), self.h)
-        return self.powers[k]
-
-    def power_base(self, k):
         """The slice base of h^k."""
-        if k not in self.power_bases:
-            self.power_bases[k] = slice_base(self.power(k))
-        return self.power_bases[k]
+        if k not in self.powers:
+            self.powers[k] = slice_base(times(base_terms(self.power(k - 1)), self.h))
+        return self.powers[k]
 
 
 def slice_base(terms):
@@ -159,6 +153,11 @@ def slice_base(terms):
     for (a, b), c in terms.items():
         base.setdefault(a + b, []).append((b, c))
     return base
+
+
+def base_terms(base):
+    """The integer terms of a slice base, the inverse of slice_base."""
+    return {(e - b, b): c for e, row in base.items() for b, c in row}
 
 
 ONE = {0: [(0, 1)]}  # the slice base of the constant 1
@@ -344,9 +343,8 @@ def reduce_mod_gradient(P, basis):
         return len(own), [("c", i) for i in own] + _ideal_labels(basis.n, d)
 
     values = peel_top_slices(integer_terms(P), store.operators["reduction"], slice_labels, column, InternalRankError)
-    zero = Fraction(0)
     return GradientReduction(
-        tuple(values.get(("c", i), zero) for i in range(basis.mu)),
+        tuple(values.get(("c", i), Fraction(0)) for i in range(basis.mu)),
         quotA=BiPoly({m: v for (kind, m), v in values.items() if kind == "A"}),
         quotB=BiPoly({m: v for (kind, m), v in values.items() if kind == "B"}),
     )

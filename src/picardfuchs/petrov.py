@@ -71,7 +71,7 @@ from fractions import Fraction
 from .bipoly import BiPoly, cleared, combine, integer_terms, partials, shifted, times
 from .errors import InternalRankError, NoSolutionError
 from .forms import integer_one_form
-from .milnor import peel_top_slices
+from .milnor import base_terms, peel_top_slices
 from .unipoly import UniPoly
 
 
@@ -112,12 +112,8 @@ def petrov_decompose(omega, basis):
     d_omega = combine((1, partials(Q)[0]), (-1, partials(P)[1]))
     values = peel_top_slices((d_omega, s_omega), store.operators["petrov"], slice_labels, column, NoSolutionError)
     p_values = {key: v for (kind, key), v in values.items() if kind == "p"}
-    rows = {}
-    for (i, k), v in p_values.items():
-        rows.setdefault(i, {})[k] = v
-    zero = Fraction(0)
-    coeff_polys = tuple(UniPoly([rows[i].get(k, zero) for k in range(max(rows[i]) + 1)] if i in rows else ())
-                        for i in range(mu))
+    top = max((k for _, k in p_values), default=-1)
+    coeff_polys = tuple(UniPoly([p_values.get((i, k), 0) for k in range(top + 1)]) for i in range(mu))
     witness_g = BiPoly({m: v for (kind, m), v in values.items() if kind == "g"})
 
     # every H^k omega_i has zero radial contraction, so f integrates rest = omega - g dH
@@ -134,7 +130,7 @@ def petrov_decompose(omega, basis):
     (u, v), M = cleared((Fraction(1, R), Fraction(1, sf)))
     fx, fy = partials(f)
     nu_P, nu_Q = combine((u, rest_P), (-v, fx)), combine((u, rest_Q), (-v, fy))
-    powers = {k: store.power(k) for _, k in p_values}
+    powers = {k: base_terms(store.power(k)) for k in {k for _, k in p_values}}
     if not _is_radial_combination(nu_P, nu_Q, M, p_values, basis.monomials, powers, s):
         raise InternalRankError("closed defect failed to integrate; basis invalid")
 
@@ -150,7 +146,7 @@ def _p_column(monomial, k, store):
     """
     a, b = monomial
     deg = a + b + 2
-    return [(deg, 1, store.power_base(k), a, b)], deg * store.s**k
+    return [(deg, 1, store.power(k), a, b)], deg * store.s**k
 
 
 def _g_column(a, b, store):

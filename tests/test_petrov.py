@@ -230,7 +230,7 @@ def test_stored_operators_do_not_depend_on_query_order(rng):
         for copy in copies:
             assert copy == basis
             assert copy.slice_store.operators == {"reduction": {}, "petrov": {}}
-            assert copy.slice_store.powers == {0: {(0, 0): 1}}
+            assert copy.slice_store.powers == {0: {0: [(0, 1)]}}
 
 
 def test_certificate_check_catches_a_wrong_coefficient(monkeypatch):
