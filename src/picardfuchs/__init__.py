@@ -24,7 +24,7 @@ from .milnor import (
     monomial_basis,
     reduce_mod_gradient,
 )
-from .critical import CriticalPoint, critical_points_numeric, critical_values_numeric
+from .critical import CriticalPoint, critical_points_numeric
 from .petrov import PetrovDecomposition, petrov_decompose
 from .system import PFSystem, ValidationReport, build_system, classify_singularities, validate_system
 from .serialize import serialize_system, system_to_dict
@@ -49,7 +49,7 @@ __all__ = [
     "GradientReduction", "MilnorBasis", "RegularityReport",
     "check_regular_at_infinity", "divide_two_form", "monomial_basis",
     "reduce_mod_gradient",
-    "CriticalPoint", "critical_points_numeric", "critical_values_numeric",
+    "CriticalPoint", "critical_points_numeric",
     "PetrovDecomposition", "petrov_decompose",
     "PFSystem", "ValidationReport", "build_system", "classify_singularities", "validate_system",
     "serialize_system", "system_to_dict",

@@ -1,18 +1,15 @@
 """Numeric critical-point oracle, independent of the quotient-ring machinery.
 
 Critical x-coordinates come from the exact resultant Res_y(H_x, H_y); its
-exact Yun squarefree decomposition is rooted factor by factor (companion
-matrices), so a root of multiplicity k is found as a simple root carrying
-exact multiplicity k.  Above each x the critical y is the matching common
-root of H_x(x0, .) and H_y(x0, .).  These fibers of every x-cluster are
-rooted together before the clusters are read: the rows of one length
-stacked into one companion eigenproblem (fibers._companion_eigenvalues,
-the matrices and eigenvalues np.roots would use row by row), and a row
-that np.roots would strip of zero end coefficients rooted by np.roots
-itself, so every point is the one a per-row np.roots gives.
-Multiplicity of a cluster is the number of resultant roots in it; when
-several critical points share one x, the cluster count is split evenly
-across them (and a NumericalFailure is raised if it does not split).  One
+exact Yun squarefree decomposition is rooted factor by factor, so a root of
+multiplicity k is found as a simple root carrying exact multiplicity k.
+Above each x the critical y is the matching common root of H_x(x0, .) and
+H_y(x0, .).  These fibers of every x-cluster are rooted together before the
+clusters are read.  Every float root here is taken by
+fibers.companion_roots, by the rule stated there.  Multiplicity of a
+cluster is the number of resultant roots in it; when several critical
+points share one x, the cluster count is split evenly across them (and a
+NumericalFailure is raised if it does not split).  One
 radius, CLUSTER_RADIUS, decides which numeric roots count as one, and one
 routine, ``cluster``, merges x-roots, y-roots, critical values and (in
 ``system``, at a relative radius) eigenvalues.
@@ -23,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotRegularError, NumericalFailure
-from .fibers import _companion_eigenvalues
+from .fibers import companion_roots
 from .linalg import resultant
 from .milnor import check_regular_at_infinity
 from .unipoly import UniPoly, roots_with_multiplicity
@@ -80,11 +77,6 @@ def critical_points_numeric(H):
     return points
 
 
-def critical_values_numeric(H):
-    """Critical values with multiplicities, clustered over coinciding t."""
-    return value_clusters(critical_points_numeric(H))
-
-
 def value_clusters(points):
     """(value, multiplicity) pairs of critical points merged over coinciding values, sorted by value."""
     return cluster([(p.t, p.multiplicity) for p in points])
@@ -113,10 +105,11 @@ def _critical_y_values(Hx, Hy, x_values):
 
     If one partial is numerically the zero polynomial at x0 the other decides
     alone (both cannot vanish identically for a regular Hamiltonian).  The
-    fibers of all x0 are rooted before the first is yielded, by _roots_of_rows.
+    fibers of all x0 are rooted before the first is yielded, by companion_roots.
     """
-    roots = [_roots_of_rows([_scaled_row(*_complex_coeffs(poly, x0)) for x0 in x_values]) for poly in (Hx, Hy)]
-    for x0, roots_x, roots_y in zip(x_values, *roots):
+    roots = [companion_roots([_scaled_row(poly, x0) for x0 in x_values]) for poly in (Hx, Hy)]
+    for x0, *found in zip(x_values, *roots):
+        roots_x, roots_y = (None if r is None else [complex(z) for z in r] for r in found)
         if roots_x is None and roots_y is None:
             raise NumericalFailure(f"both partials vanish identically above x = {x0}")
         if roots_x is None:
@@ -130,46 +123,15 @@ def _critical_y_values(Hx, Hy, x_values):
         yield [y0 for y0, _ in cluster([(y, 1) for y in common])]
 
 
-def _complex_coeffs(poly, x0):
-    """(evaluated ascending coefficients in y, achievable magnitude bound)."""
-    coeffs = poly.y_coefficients(complex(x0))
-    ref = sum(
-        abs(complex(c)) * max(1.0, abs(complex(x0))) ** a for (a, _), c in poly.terms.items()
-    )
-    return coeffs, ref
-
-
-def _roots_of_rows(rows):
-    """The roots of each _scaled_row, as np.roots finds them, in one eigenproblem per row length.
-
-    None stays None and a row of one coefficient has no roots.  np.roots
-    strips zero end coefficients and roots the rest as the eigenvalues of
-    its companion matrix.  A row without zero end coefficients goes with the
-    other rows of its length to fibers._companion_eigenvalues, which builds
-    the same companion matrices and gives each the same eigenvalues; any
-    other row goes to np.roots.
-    """
-    roots = [None if row is None else [] for row in rows]
-    stacked = {}
-    for k, row in enumerate(rows):
-        if row is None or len(row) < 2:
-            continue
-        if row[-1] != 0:
-            stacked.setdefault(len(row), []).append(k)
-        else:
-            roots[k] = [complex(r) for r in np.roots(row)]
-    for members in stacked.values():
-        for k, found in zip(members, _companion_eigenvalues(np.array([rows[k] for k in members]))):
-            roots[k] = [complex(r) for r in found]
-    return roots
-
-
-def _scaled_row(coeffs, ref_scale):
-    """Ascending coefficients scaled to the descending row np.roots is given; None if ~zero poly.
+def _scaled_row(poly, x0):
+    """The coefficients in y of poly(x0, .) as a descending row scaled to modulus 1; None if ~zero poly.
 
     Zeroness is judged relative to the magnitude the coefficients could have
-    reached, so exact cancellations at float root locations are recognized.
+    reached, sum |c| max(1, |x0|)^a over the terms c x^a y^b, so exact
+    cancellations at float root locations are recognized.
     """
+    coeffs = poly.y_coefficients(complex(x0))
+    ref_scale = sum(abs(complex(c)) * max(1.0, abs(complex(x0))) ** a for (a, _), c in poly.terms.items())
     if not coeffs or ref_scale == 0:
         return None
     scale = max(abs(c) for c in coeffs)

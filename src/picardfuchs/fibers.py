@@ -1,19 +1,25 @@
-"""Roots in y of the fibers H(x, y) = t of a level curve, at many x values at once.
+"""Roots of float coefficient rows, and roots in y of the fibers H(x, y) = t at many x values at once.
+
+Every float root of the package is taken by the rule of np.roots: strip a
+descending coefficient row of its zero end coefficients, take the
+eigenvalues of the companion matrix of the rest and add a root 0 for each
+stripped trailing zero.  companion_roots applies it to many rows at once,
+the rows of one length and dtype in one eigenproblem; the oracle's fibers
+and Yun factors and the spectrum check's Yun factors are rooted by it.
 
 The x-loops of periods lift a circle of x values through the fiber roots,
 which are all computed before the walk, FIBER_BLOCK consecutive x values
-at a time; that bounds the memory of one batch.  The roots of a row of
-fiber coefficients are, as in np.roots, the eigenvalues of its companion
-matrix.  One eigenproblem per row is most of the cost of a loop, and
-consecutive rows of a loop have nearby roots, so in a block only one row in
-ANCHOR_STRIDE, its anchor, is rooted by companion eigenvalues.  The rows
-between start from their anchor's roots, and ABERTH_ROUNDS simultaneous
-Aberth-Ehrlich rounds refine all of them at once as array operations.  A
-polished row is kept only if Smith's inclusion disks, whose radii include
-the rounding of Horner's rule, are disjoint and certify each of its roots
-to CERTIFIED_RADIUS; any other row goes to the companion eigenvalues, bit
-for bit, as do single x values, fibers of degree 1 and every block that
-holds a row np.roots must strip.
+at a time; that bounds the memory of one batch.  One eigenproblem per row
+is most of the cost of a loop, and consecutive rows of a loop have nearby
+roots, so in a block only one row in ANCHOR_STRIDE, its anchor, is rooted
+by companion eigenvalues.  The rows between start from their anchor's
+roots, and ABERTH_ROUNDS simultaneous Aberth-Ehrlich rounds refine all of
+them at once as array operations.  A polished row is kept only if Smith's
+inclusion disks, whose radii include the rounding of Horner's rule, are
+disjoint and certify each of its roots to CERTIFIED_RADIUS; any other row
+goes to the companion eigenvalues, bit for bit, as do single x values,
+fibers of degree 1 and every block that holds a row np.roots must strip,
+which is rooted by companion_roots.
 """
 
 import numpy as np
@@ -32,13 +38,12 @@ def _fiber_root_blocks(H, t, x_values):
 
     The roots of a row are those of its coefficients scaled by their largest
     modulus.  A block of full rows (nonzero leading and trailing
-    coefficients) goes to _anchored_roots: companion eigenvalues, as in
-    np.roots, at one anchor row in ANCHOR_STRIDE, and a certified Aberth
-    polish of the rows between, each row the certificate rejects rooted by
-    eigenvalues after all; the block is its (len, n) array of roots.  A row
-    with a zero leading or trailing coefficient goes to np.roots itself,
-    which strips those zeros; a block with such a row is a list of one root
-    array per x value, its other rows rooted by companion eigenvalues.
+    coefficients) goes to _anchored_roots: companion eigenvalues at one
+    anchor row in ANCHOR_STRIDE, and a certified Aberth polish of the rows
+    between, each row the certificate rejects rooted by eigenvalues after
+    all; the block is its (len, n) array of roots.  A block with a row that
+    has a zero leading or trailing coefficient goes to companion_roots and
+    is a list of one root array per x value.
     """
     x_values = np.asarray(x_values, dtype=complex)
     n = max(H.degree_in("y"), 0)
@@ -58,24 +63,42 @@ def _fiber_root_blocks(H, t, x_values):
             x_bad = xs[degenerate[0] if len(degenerate) else 0]
             raise TraceDiverged(f"fiber of H(x, .) = t degenerate at x = {x_bad}")
         rows = coeffs / scale[:, None]
-        regular = (rows[:, 0] != 0) & (rows[:, n] != 0)
-        if regular.all():
+        if ((rows[:, 0] != 0) & (rows[:, n] != 0)).all():
             yield _anchored_roots(rows)
             continue
-        eigenvalues = iter(_companion_eigenvalues(rows[regular]))
-        block = []
-        for ok, row, x in zip(regular, rows, xs):
-            roots = next(eigenvalues) if ok else np.roots(row)
-            if not len(roots):
-                raise TraceDiverged(f"fiber of H(x, .) = t has no roots at x = {x}")
-            block.append(roots)
+        block = companion_roots(rows)
+        empty = [x for x, roots in zip(xs, block) if not len(roots)]
+        if empty:
+            raise TraceDiverged(f"fiber of H(x, .) = t has no roots at x = {empty[0]}")
         yield block
 
 
+def companion_roots(rows):
+    """The roots of each float or complex row, as np.roots gives them; a None row stays None.
+
+    The rows of one length and dtype with nonzero end coefficients go to one
+    _companion_eigenvalues call, any other row to np.roots.  A real row gets
+    complex roots, of the same bits, when another row of its call has them.
+    """
+    roots = [None] * len(rows)
+    stacked = {}
+    for k, row in enumerate(rows):
+        if row is None:
+            continue
+        if len(row) > 1 and row[0] != 0 and row[-1] != 0:
+            stacked.setdefault((len(row), row.dtype), []).append(k)
+        else:
+            roots[k] = np.roots(row)
+    for members in stacked.values():
+        for k, found in zip(members, _companion_eigenvalues(np.array([rows[k] for k in members]))):
+            roots[k] = found
+    return roots
+
+
 def _companion_eigenvalues(rows):
-    """The eigenvalues of the companion matrices of the rows, as np.roots builds them, in one call."""
+    """The eigenvalues of the companion matrices of the rows, built in their dtype as np.roots builds them."""
     n = rows.shape[1] - 1
-    companion = np.zeros((len(rows), n, n), dtype=complex)
+    companion = np.zeros((len(rows), n, n), dtype=rows.dtype)
     companion[:, 0, :] = -rows[:, 1:] / rows[:, :1]
     companion[:, np.arange(1, n), np.arange(n - 1)] = 1
     return np.linalg.eigvals(companion)

@@ -2,12 +2,14 @@
 
 Accepts + - * ^, parentheses, implicit multiplication ("x^2y^2", "3x",
 "2(x+y)"), integer and rational literals ("3/2"); whitespace is ignored.
-The '/' character is only legal inside a rational literal.  Parentheses and
-prefix signs nest at most MAX_NESTING levels deep.  Exponents, and the total
-degree of every power and product, are at most MAX_DEGREE; the cap is
-checked before the power or product is expanded.  Raises ParseError with
-the offending position.  str(BiPoly) output round-trips through this
-parser.
+The '/' character is only legal inside a rational literal.  An exponent is
+an integer literal, so x^4/2 is an error (write 1/2*x^4), and powers do not
+chain.  A prefix minus negates the power after it, as a leading one does:
+2*-x^2 is -2*x^2, while (-x)^2 is x^2.  Parentheses and prefix signs nest at
+most MAX_NESTING levels deep.  Exponents, and the total degree of every
+power and product, are at most MAX_DEGREE; the cap is checked before the
+power or product is expanded.  Raises ParseError with the offending
+position.  str(BiPoly) output round-trips through this parser.
 """
 
 from fractions import Fraction
@@ -63,7 +65,7 @@ class _Tokenizer:
                         raise ParseError("zero denominator in a rational literal", start)
                     value = Fraction(int(numerator), int(src[j:i]))
                 else:
-                    value = Fraction(int(numerator))
+                    value = int(numerator)
                 self.tokens.append(("number", value, start))
                 continue
             raise ParseError(f"unexpected character {ch!r}", i)
@@ -131,12 +133,15 @@ def _parse_power(tokens):
     if kind != "^":
         return base
     tokens.advance()
-    kind, value, pos = tokens.advance()
-    if kind != "number" or value.denominator != 1 or value < 0:
-        raise ParseError("exponent must be a nonnegative integer", pos)
-    exponent = int(value)
+    kind, exponent, pos = tokens.advance()
+    if kind != "number" or not isinstance(exponent, int):  # a rational literal such as 4/2 is a Fraction
+        raise ParseError("exponent must be a nonnegative integer literal; "
+                         "write a rational coefficient before its power, as in 1/2*x^2", pos)
     if max(base.degree(), 1) * exponent > MAX_DEGREE:
         raise ParseError(f"power has exponent or degree above the cap {MAX_DEGREE}", pos)
+    kind, _, pos = tokens.peek()
+    if kind == "^":
+        raise ParseError("a power cannot be raised again; write (x^2)^3", pos)
     return base ** exponent
 
 
@@ -156,7 +161,7 @@ def _parse_atom(tokens):
         kind, _, pos = tokens.advance()
         if kind != ")":
             raise ParseError("expected ')'", pos)
-    else:
-        inner = -_parse_atom(tokens)
+    else:  # a prefix minus negates the power after it: 2*-x^2 is -2*x^2
+        inner = -_parse_power(tokens)
     tokens.depth -= 1
     return inner

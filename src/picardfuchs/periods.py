@@ -60,7 +60,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .critical import critical_values_numeric
+from .critical import critical_points_numeric, value_clusters
 from .errors import NotClosed, NumericalFailure, SingularDenominator, TraceDiverged
 from .fibers import FIBER_BLOCK, _fiber_root_blocks, _fiber_roots
 
@@ -105,7 +105,7 @@ def _eval_real(compiled, x, y):
 @lru_cache(maxsize=64)
 def _critical_values_cached(H):
     try:
-        return tuple(t for t, _ in critical_values_numeric(H))
+        return tuple(t for t, _ in value_clusters(critical_points_numeric(H)))
     except NumericalFailure:
         return ()
 

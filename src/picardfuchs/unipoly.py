@@ -4,7 +4,8 @@ Hosts the pieces of exact linear algebra output that live in one variable:
 characteristic/minimal polynomials, resultants after elimination, and the
 determinant of the matrix pencil B0 + t*B1.  Numeric root extraction goes
 through an exact Yun squarefree decomposition first, so multiple roots are
-found as simple roots of squarefree factors and keep full double accuracy.
+found as simple roots of squarefree factors and keep full double accuracy;
+the factors are rooted by fibers.companion_roots, by the rule stated there.
 Most polynomials the package splits are squarefree, and one prime proves
 it in O(deg^2) operations on integers below 2^61: squarefree_decomposition
 and is_squarefree return at once when that certificate holds, and run
@@ -23,7 +24,10 @@ forward differences of integer values stay integers.
 from fractions import Fraction
 from math import factorial, gcd as _igcd
 
+import numpy as np
+
 from .bipoly import _frac, cleared
+from .fibers import companion_roots
 
 
 class UniPoly:
@@ -308,28 +312,21 @@ def roots_with_multiplicity(p):
 def roots_of_factors(factors):
     """Numeric complex roots of squarefree factors (f_k, k), each with multiplicity k, sorted.
 
-    Each factor is rooted separately (companion-matrix eigenvalues), so a
-    repeated root of prod f_k^k is a simple root of its factor and comes back
-    at full double precision.  Linear factors are solved exactly.
+    Each factor is rooted on its own float coefficients, scaled exactly by
+    their largest modulus, so a repeated root of prod f_k^k is a simple root
+    of its factor and comes back at full double precision.  The factors go
+    to fibers.companion_roots together, which roots the factors of one
+    degree in one eigenproblem; linear factors are solved exactly.
     """
-    import numpy as np
-
+    rows = []
+    for f, _ in factors:
+        scale = max(abs(c) for c in f.coeffs)
+        rows.append(None if f.degree() == 1 else np.array([float(c / scale) for c in reversed(f.coeffs)]))
     out = []
-    for f, mult in factors:
-        if f.degree() == 1:
-            out.append((complex(-f[0] / f[1]), mult))
-            continue
-        coeffs = _float_coefficients(f)
-        for r in np.roots(coeffs[::-1]):
-            out.append((complex(r), mult))
+    for (f, mult), roots in zip(factors, companion_roots(rows)):
+        out += [(complex(r), mult) for r in ([-f[0] / f[1]] if roots is None else roots)]
     out.sort(key=lambda rm: (rm[0].real, rm[0].imag))
     return out
-
-
-def _float_coefficients(p):
-    """Ascending float coefficients, rescaled exactly to avoid overflow."""
-    scale = max(abs(c) for c in p.coeffs)
-    return [float(c / scale) for c in p.coeffs]
 
 
 def lagrange_interpolate(values):

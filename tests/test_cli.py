@@ -48,6 +48,29 @@ def test_parse_errors_carry_position():
         parse_polynomial("x +")
 
 
+def test_exponent_is_an_integer_literal(capsys):
+    # 3/3 and 4/2 are one rational literal each, of integer value; as exponents they are input errors
+    for text in ("x^3/3+y^3/3-x*y", "x^4/2+y^4"):
+        assert main(["--json-errors", "check", text]) == 2
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["error"] == "ParseError" and doc["position"] == 2
+        assert "1/2*x^2" in doc["message"]
+    assert parse_polynomial("x^2*1/2") == Fraction(1, 2) * X**2
+    assert parse_polynomial("3/2*x^2") == Fraction(3, 2) * X**2
+
+
+def test_prefix_minus_negates_the_power_after_it():
+    assert parse_polynomial("y^2+2*-x^2") == Y**2 - 2 * X**2
+    assert parse_polynomial("x^3+y^3+-x^2") == X**3 + Y**3 - X**2
+    assert parse_polynomial("x*--y^3") == X * Y**3
+    assert parse_polynomial("(-x)^2") == X**2
+    # powers do not chain, with a sign before them or not
+    for text, position in (("x^2^3", 3), ("-x^2^3", 4), ("2*-x^2^3", 6)):
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(text)
+        assert err.value.position == position
+
+
 def test_nesting_limit_is_an_input_error(capsys):
     # parentheses and prefix signs each recurse once per level
     for depth, code in ((MAX_NESTING, 0), (MAX_NESTING + 1, 2)):

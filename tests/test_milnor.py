@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from picardfuchs.bipoly import BiPoly, X, Y
-from picardfuchs.critical import critical_points_numeric, critical_values_numeric
-from picardfuchs.errors import DegreeTooSmallError, InternalRankError, NoSolutionError, NotRegularError
+from picardfuchs.critical import _critical_y_values, _scaled_row, critical_points_numeric, value_clusters
+from picardfuchs.errors import (
+    DegreeTooSmallError, InternalRankError, NoSolutionError, NotRegularError, NumericalFailure,
+)
 from picardfuchs.forms import OneForm, canonical_primitive
 from picardfuchs.linalg import RatMatrix
 from picardfuchs.milnor import (
@@ -239,10 +241,22 @@ def test_critical_points_examples():
     # x(x^3 - 1) = 0 with y = x^2: values {0, -1, -1, -1}
     points = critical_points_numeric(CUBIC)
     assert sum(p.multiplicity for p in points) == 4
-    values = sorted(critical_values_numeric(CUBIC), key=lambda vm: vm[0].real)
+    values = sorted(value_clusters(points), key=lambda vm: vm[0].real)
     assert len(values) == 2
     assert abs(values[0][0] - (-1)) < 1e-9 and values[0][1] == 3
     assert abs(values[1][0]) < 1e-9 and values[1][1] == 1
+
+
+def test_numerically_zero_partial_leaves_the_other_to_decide():
+    # H_x = 2x is the zero polynomial in y above x = 0, so H_y = 2y alone gives the critical y,
+    # the root 0 that np.roots appends for the stripped constant term, as a complex number
+    H = X**2 + Y**2
+    Hx, Hy = H.partial("x"), H.partial("y")
+    assert _scaled_row(Hx, 0j) is None
+    (ys,) = _critical_y_values(Hx, Hy, [0j])
+    assert ys == [0j] and type(ys[0]) is complex
+    with pytest.raises(NumericalFailure, match="both partials vanish"):
+        list(_critical_y_values(Hx, Hx, [0j]))
 
 
 def test_critical_points_homogeneous_multiplicity():

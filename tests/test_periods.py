@@ -507,6 +507,32 @@ def companion_eigenvalues(row):
     return np.linalg.eigvals(companion)
 
 
+def root_bits(roots):
+    """Every bit of each root, as complex() gives it."""
+    return [(z.real.hex(), z.imag.hex()) for z in map(complex, roots)]
+
+
+def test_companion_roots_match_np_roots_bit_for_bit():
+    # real and complex rows of lengths 1 to 6, some with a zero leading or trailing
+    # coefficient (np.roots strips them) and one all zero; None stays None
+    rng = np.random.default_rng(11)
+    rows = []
+    for k in range(90):
+        row = rng.normal(size=1 + k % 6)
+        if k % 3 == 1:
+            row = row + 1j * rng.normal(size=len(row))
+        if k % 5 == 0:
+            row[0] = 0
+        if k % 7 == 0:
+            row[-1] = 0
+        rows.append(row)
+    rows += [np.zeros(4), None]
+    found = fibers.companion_roots(rows)
+    assert found[-1] is None
+    for row, roots in zip(rows[:-1], found):
+        assert root_bits(roots) == root_bits(np.roots(row)), row
+
+
 def record_polished_blocks(monkeypatch):
     """Record each block of fibers._anchored_roots as (rows, roots) and the rows the certificate rejects."""
     blocks, rejected = [], []

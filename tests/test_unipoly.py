@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from picardfuchs.bipoly import BiPoly, Y
@@ -13,6 +14,7 @@ from picardfuchs.unipoly import (
     is_squarefree,
     horner,
     lagrange_interpolate,
+    roots_of_factors,
     roots_with_multiplicity,
     squarefree_decomposition,
 )
@@ -54,6 +56,51 @@ def test_multiple_roots_recovered_at_full_precision():
     p = UniPoly([0, 1, 3, 3, 1])
     roots = roots_with_multiplicity(p)
     assert sorted((round(v.real, 14), m) for v, m in roots) == [(-1.0, 3), (0.0, 1)]
+
+
+def _roots_one_factor_at_a_time(factors):
+    """Each Yun factor rooted by its own np.roots call on its exactly scaled float coefficients."""
+    out = []
+    for f, mult in factors:
+        if f.degree() == 1:
+            out.append((complex(-f[0] / f[1]), mult))
+            continue
+        scale = max(abs(c) for c in f.coeffs)
+        out += [(complex(r), mult) for r in np.roots([float(c / scale) for c in reversed(f.coeffs)])]
+    out.sort(key=lambda rm: (rm[0].real, rm[0].imag))
+    return out
+
+
+def _bits(roots):
+    return [(z.real.hex(), z.imag.hex(), m) for z, m in roots]
+
+
+def test_factors_of_one_degree_share_one_eigenproblem(monkeypatch, rng):
+    cubics = [_random_factor(rng, 3) for _ in range(3)]
+    p = _product(Fraction(5, 3), [(cubics[0], 1), (cubics[1], 2), (cubics[2], 3), (UniPoly([-2, 3]), 4)])
+    factors = squarefree_decomposition(p)[1]
+    assert [(f.degree(), k) for f, k in factors] == [(3, 1), (3, 2), (3, 3), (1, 4)]
+    expected = _roots_one_factor_at_a_time(factors)
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    assert _bits(roots_of_factors(factors)) == _bits(expected)
+    assert calls == [(3, 3, 3)]  # the linear factor is solved exactly
+
+
+def test_factor_roots_match_np_roots_bit_for_bit(rng):
+    # seeded Yun factor sets, half with a factor that has the root 0 (np.roots strips its zero constant term)
+    for i in range(12):
+        planted = [(_random_factor(rng, rng.randint(1, 4)), k) for k in range(1, rng.randint(2, 5))]
+        if i % 2:
+            planted.append((UniPoly([0, 1]) * _random_factor(rng, 2), len(planted) + 1))
+        factors = squarefree_decomposition(_product(Fraction(rng.randint(1, 9), 7), planted))[1]
+        assert _bits(roots_of_factors(factors)) == _bits(_roots_one_factor_at_a_time(factors))
 
 
 def test_lagrange_interpolation():

@@ -17,7 +17,11 @@ rational coefficients and of 24 seeded pairs whose degree in y is below
 their total degree, the squarefree decompositions (and ``is_squarefree``)
 of seeded products of random factors, most with repeated factors, and of
 the inputs where the one-prime squarefree certificate does not apply
-(x^2 + 2^61 - 1, a leading coefficient divisible by 2^61 - 1), Petrov
+(x^2 + 2^61 - 1, a leading coefficient divisible by 2^61 - 1), every bit
+of the numeric roots, with their multiplicities, of seeded products whose
+Yun factors are several of one degree, one with the root 0 and linear ones
+(the resultants of the Hamiltonians above are mostly squarefree, so they
+seldom root more than one factor), Petrov
 decompositions of seeded rational forms, ``char_poly`` and
 ``pencil_determinant`` of the derogatory x^4 + y^4, gradient reductions of
 seeded rational polynomials, and Petrov decompositions and reductions of
@@ -58,7 +62,7 @@ from picardfuchs.linalg import RatMatrix, char_poly, pencil_determinant, resulta
 from picardfuchs.milnor import monomial_basis, reduce_mod_gradient
 from picardfuchs.petrov import petrov_decompose
 from picardfuchs.system import build_system, classify_singularities, validate_system
-from picardfuchs.unipoly import UniPoly, is_squarefree, squarefree_decomposition
+from picardfuchs.unipoly import UniPoly, is_squarefree, roots_with_multiplicity, squarefree_decomposition
 
 NAMED = (
     {(3, 0): 1, (0, 3): 1, (1, 1): -3},
@@ -138,6 +142,23 @@ def random_product(rng, squarefree):
     for _ in range(rng.randint(1, 4)):
         factor = UniPoly([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(2, 4))] + [1])
         for _ in range(1 if squarefree else rng.choice((1, 2, 3))):
+            p = p * factor
+    return p
+
+
+def yun_stack(rng, i):
+    """A seeded product of one random factor per multiplicity k.
+
+    The factors have one degree but for a linear one, and one of them has the root 0.
+    """
+    degree = rng.randint(2, 4)
+    p = UniPoly([Fraction(rng.choice((-5, -1, 1, 2, 7)), rng.randint(1, 6))])
+    for k in range(1, rng.randint(4, 5)):
+        size = 1 if k == 3 + i % 2 else degree
+        factor = UniPoly([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(size)] + [1])
+        if k == 1 + i % 3:
+            factor = UniPoly([0, 1]) * UniPoly(factor.coeffs[1:])  # the root 0, the degree kept
+        for _ in range(k):
             p = p * factor
     return p
 
@@ -224,6 +245,13 @@ def main_digest():
     for label, p in cases:
         lead, factors = squarefree_decomposition(p)
         print(f"squarefree {label}: {lead} {sha(factors)} {is_squarefree(p)}")
+
+    rng = random.Random(2027)
+    for i in range(16):
+        p = yun_stack(rng, i)
+        factors = squarefree_decomposition(p)[1]
+        roots = [(z.real.hex(), z.imag.hex(), m) for z, m in roots_with_multiplicity(p)]
+        print(f"roots {i}, Yun factor degrees {[f.degree() for f, _ in factors]}: {roots}")
 
     rng = random.Random(31)
     for i, h in enumerate(NAMED[:5]):
