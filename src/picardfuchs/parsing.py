@@ -1,7 +1,9 @@
 """Parser for polynomial expressions in x and y with rational coefficients.
 
 Accepts + - * ^, parentheses, implicit multiplication ("x^2y^2", "3x",
-"2(x+y)"), integer and rational literals ("3/2"); whitespace is ignored.
+"2(x+y)"), integer and rational literals ("3/2") of the ASCII digits 0-9, each
+digit run at most as long as int() converts (sys.get_int_max_str_digits());
+whitespace is ignored.
 The '/' character is only legal inside a rational literal.  An exponent is
 an integer literal, so x^4/2 is an error (write 1/2*x^4), and powers do not
 chain.  A prefix minus negates the power after it, as a leading one does:
@@ -12,6 +14,7 @@ power or product is expanded.  Raises ParseError with the offending
 position.  str(BiPoly) output round-trips through this parser.
 """
 
+import sys
 from fractions import Fraction
 
 from .bipoly import BiPoly
@@ -22,6 +25,7 @@ MAX_NESTING = 100
 # mu = (degree - 1)^2 grows quadratically; the cap keeps input like x^100000 from
 # starting unbounded work (every test and benchmark input has degree <= 8)
 MAX_DEGREE = 32
+DIGITS = "0123456789"  # only ASCII digits are numbers: str.isdigit also accepts '²' and '٣'
 
 
 class _Tokenizer:
@@ -49,27 +53,38 @@ class _Tokenizer:
                 self.tokens.append(("var", ch, i))
                 i += 1
                 continue
-            if ch.isdigit():
+            if ch in DIGITS:
                 start = i
-                while i < len(src) and src[i].isdigit():
-                    i += 1
-                numerator = src[start:i]
+                i = self._digits(start)
+                numerator = int(src[start:i])
                 if i < len(src) and src[i] == "/":
                     j = i + 1
-                    if j >= len(src) or not src[j].isdigit():
+                    if j >= len(src) or src[j] not in DIGITS:
                         raise ParseError("expected digits after '/'", i)
-                    i = j
-                    while i < len(src) and src[i].isdigit():
-                        i += 1
+                    i = self._digits(j)
                     if not int(src[j:i]):
                         raise ParseError("zero denominator in a rational literal", start)
-                    value = Fraction(int(numerator), int(src[j:i]))
+                    value = Fraction(numerator, int(src[j:i]))
                 else:
-                    value = int(numerator)
+                    value = numerator
                 self.tokens.append(("number", value, start))
                 continue
+            if ch.isdigit():
+                raise ParseError(f"digit {ch!r} is not one of the ASCII digits 0-9", i)
             raise ParseError(f"unexpected character {ch!r}", i)
         self.tokens.append(("end", None, len(src)))
+
+    def _digits(self, start):
+        """The end of the run of ASCII digits at start; ParseError if int() cannot convert it."""
+        src = self.src
+        i = start
+        while i < len(src) and src[i] in DIGITS:
+            i += 1
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+        if limit and i - start > limit:
+            raise ParseError(f"number of {i - start} digits is longer than the {limit} digits "
+                             "an integer literal may have", start)
+        return i
 
     def peek(self):
         return self.tokens[self.index]

@@ -22,17 +22,27 @@ Two cycle modes:
     raises NotClosed and the caller iterates the loop (more turns).
 
 The real-oval walk evaluates H and its partials in float arithmetic at one
-point at a time; the closing rounds and the projection of the resampled lap
-evaluate them on float arrays of all samples.  The x values of an x-loop are
-known before the walk, so the fiber roots at all of them are computed in
-advance by the fibers module, one block of FIBER_BLOCK x values at a time:
-companion eigenvalues at one anchor row in ANCHOR_STRIDE, and between them
-a certified Aberth-Ehrlich polish from the anchor's roots, each row the
-certificate rejects rooted by eigenvalues after all.  Within a block the
-nearest-root map between consecutive fibers is built for every root at
-once, so the walk only follows an index; a step whose nearest root is not
-well separated is subdivided, and the seed and the midpoints of a
-subdivided step are single x values.
+point at a time.  Every evaluation on a set of samples goes through one
+power table (_PowerTable): the powers x^k and y^k of the samples, made once
+by repeated multiplication, from which every polynomial reads its monomials
+as x^a * y^b.  The closing rounds and the projection of the resampled lap
+use it on float arrays of all samples; the quadrature builds one table per
+cycle for the basis forms, the monomials and the partials of H.  A cycle
+keeps its samples as one (n, 2) complex array; samples whose imaginary parts
+are all 0, as on real ovals, are evaluated as float arrays with float
+coefficients.  The quadrature runs with float overflow and invalid
+operations raised, and declines a level whose periods leave the float range
+with NumericalFailure.
+
+The x values of an x-loop are known before the walk, so the fiber roots at
+all of them are computed in advance by the fibers module, one block of
+FIBER_BLOCK x values at a time: companion eigenvalues at one anchor row in
+ANCHOR_STRIDE, and between them a certified Aberth-Ehrlich polish from the
+anchor's roots, each row the certificate rejects rooted by eigenvalues after
+all.  Within a block the nearest-root map between consecutive fibers is built
+for every root at once, so the walk only follows an index; a step whose
+nearest root is not well separated is subdivided, and the seed and the
+midpoints of a subdivided step are single x values.
 
 The Gelfand-Leray derivative of a period of omega_i with d(omega_i) =
 m dx^dy is the period, over the same cycle, of the residue form
@@ -41,10 +51,11 @@ is m dx^dy, so on the curve it equals -(m/H_y) dx = (m/H_x) dy; its
 denominator vanishes only at critical points of H, so one formula serves
 every sample of real ovals and complex cycles alike.
 
-system_residual builds the samples, their derivatives and the residue
-kernel (H_x, H_y, the DENOMINATOR_FLOOR guard) once per cycle and evaluates
-every basis form and monomial on them; integrate_form and
-gelfand_leray_derivative are the same computation for a single form.
+system_residual builds the samples' power table, their derivatives and the
+residue weight (from H_x and H_y, behind the DENOMINATOR_FLOOR guard) once
+per cycle and evaluates every basis form and monomial on them;
+integrate_form and gelfand_leray_derivative are the same computation for a
+single form.
 
 Tracing tolerances are module constants: MAX_STEP is the step of a real
 oval's first lap, MAX_TURN the largest turn of one step of an accepted lap,
@@ -55,6 +66,7 @@ stay NONCRITICAL_TOL away from every critical value.
 """
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -65,12 +77,15 @@ from .errors import NotClosed, NumericalFailure, SingularDenominator, TraceDiver
 from .fibers import FIBER_BLOCK, _fiber_root_blocks, _fiber_roots
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cycle:
-    """Closed sampled curve on {H = t}; points wrap (last connects to first)."""
+    """Closed sampled curve on {H = t}; points wrap (last connects to first).
+
+    Two cycles are equal only when they are the same object.
+    """
 
     t: complex
-    points: tuple           # of (x, y) complex pairs, periodic in the index
+    points: np.ndarray      # (n, 2) complex array of the (x, y) samples, periodic in the index
     closure_error: float
     hamiltonian: object     # BiPoly of the level function
     mode: str = "real_oval"
@@ -87,7 +102,7 @@ class PeriodSample:
     residual: float
 
 
-# -- compiled float evaluation ------------------------------------------------
+# -- evaluation -----------------------------------------------------------------
 
 
 def _compiled(poly, kind=complex):
@@ -95,11 +110,52 @@ def _compiled(poly, kind=complex):
 
 
 def _eval_real(compiled, x, y):
-    """A compiled polynomial at the point (x, y), or at arrays x, y; 0.0 if it has no terms."""
+    """A compiled polynomial at the point (x, y); 0.0 if it has no terms."""
     total = 0.0
     for a, b, c in compiled:
         total += c * x**a * y**b
     return total
+
+
+class _PowerTable:
+    """Every polynomial on one sample set, read from the powers of its x and y samples.
+
+    The powers x^k and y^k are made by repeated multiplication, each once, up
+    to the highest power asked for; the monomial x^a y^b is x^a * y^b, a
+    single power when the other exponent is 0.  Monomial products are not
+    kept: a table lives as long as one sample set's evaluations.  Float
+    samples take float coefficients; on real data the repeated products
+    give exactly the real parts of the complex path.
+    """
+
+    def __init__(self, xs, ys):
+        self.kind = complex if np.iscomplexobj(xs) else float
+        self._powers = ([None, xs], [None, ys])
+
+    def _power(self, axis, k):
+        powers = self._powers[axis]
+        while len(powers) <= k:
+            powers.append(powers[-1] * powers[1])
+        return powers[k]
+
+    def monomial(self, a, b):
+        """x^a y^b at the samples; a stored power when a or b is 0, so it must not be written into."""
+        if a and b:
+            return self._power(0, a) * self._power(1, b)
+        if a or b:
+            return self._power(0, a) if a else self._power(1, b)
+        return np.ones(len(self._powers[0][1]), self.kind)
+
+    def __call__(self, compiled):
+        """A polynomial compiled to the table's kind at the samples."""
+        total = np.zeros(len(self._powers[0][1]), self.kind)
+        for a, b, c in compiled:
+            total += c * self.monomial(a, b) if a or b else c
+        return total
+
+    def evaluate(self, poly):
+        """The BiPoly poly at the samples."""
+        return self(_compiled(poly, self.kind))
 
 
 @lru_cache(maxsize=64)
@@ -148,7 +204,7 @@ def trace_cycle(H, t, seed, mode="real_oval", samples=512, loop_center=0j, turns
         try:
             with np.errstate(over="raise", invalid="raise"):
                 return _trace_real_oval(H, t, seed, samples)
-        except (OverflowError, FloatingPointError):  # _eval_real far from the origin, scalar or array
+        except (OverflowError, FloatingPointError):  # H far from the origin, at a point or on the samples
             raise TraceDiverged("float overflow while walking the real oval from this seed") from None
     if mode == "x_loop":
         return _trace_x_loop(H, t, seed, samples, loop_center, turns)
@@ -242,13 +298,15 @@ def _trace_real_oval(H, t, seed, samples):
         todo = np.arange(len(xs))
         for _ in range(20):
             px, py = xs[todo], ys[todo]
-            val = _eval_real(h_poly, px, py) - t_real
+            table = _PowerTable(px, py)
+            val = table(h_poly) - t_real
             off = ~(np.abs(val) < newton_tol)
             if not off.any():
                 return
-            todo, px, py, val = todo[off], px[off], py[off], val[off]
-            gx = _eval_real(hx, px, py)
-            gy = _eval_real(hy, px, py)
+            if not off.all():
+                todo, px, py, val = todo[off], px[off], py[off], val[off]
+                table = _PowerTable(px, py)
+            gx, gy = table(hx), table(hy)
             norm2 = gx * gx + gy * gy
             if norm2.min() < 1e-20:
                 raise TraceDiverged("gradient vanished during Newton correction")
@@ -257,8 +315,8 @@ def _trace_real_oval(H, t, seed, samples):
         raise TraceDiverged("Newton correction did not converge")
 
     def tangent_all(xs, ys):
-        gx = _eval_real(hx, xs, ys)
-        gy = _eval_real(hy, xs, ys)
+        table = _PowerTable(xs, ys)
+        gx, gy = table(hx), table(hy)
         norm = np.hypot(gx, gy)
         if norm.min() < 1e-12:
             raise TraceDiverged("tangent undefined (gradient too small)")
@@ -288,7 +346,7 @@ def _trace_real_oval(H, t, seed, samples):
     if n != m:
         xs, ys = _resample(xs, ys, n)
         project_all(xs, ys)
-    points = tuple(zip(xs.astype(complex).tolist(), ys.astype(complex).tolist()))
+    points = np.stack((xs, ys), axis=1).astype(complex)
     return Cycle(t=complex(t_real), points=points, closure_error=gap,
                  hamiltonian=H, mode="real_oval")
 
@@ -450,7 +508,7 @@ def _trace_x_loop(H, t, seed, samples, loop_center, turns):
     previous = next(_fiber_roots(H, t, [x_seed]))  # the roots at the previous x
     index = int(np.argmin(np.abs(previous - y_seed)))  # of y among them, or None
     y = y0 = complex(previous[index])
-    points = []
+    ys = []
     angles = 2.0 * math.pi * turns * np.arange(total + 1) / total
     xs = center + radius * np.exp(1j * angles)
     prev_x = x_seed
@@ -467,17 +525,17 @@ def _trace_x_loop(H, t, seed, samples, loop_center, turns):
                 y = _continue_root(H, t, prev_x, y, xk, rows[k])
                 hits = np.flatnonzero(rows[k] == y)
                 index = int(hits[0]) if len(hits) else None
-            points.append((xk, y))
+            ys.append(y)
             prev_x = xk
         previous = rows[-1]
-    points.pop()  # the sample at angle 2 pi turns closes the loop
+    points = np.column_stack((xs[:total], ys[:total]))  # the sample at angle 2 pi turns closes the loop
     gap = abs(y - y0)
     scale = 1.0 + abs(y0)
     if gap > 1e-8 * scale:
         raise NotClosed(
             f"x-loop lift returned on a different sheet (gap {gap:.3e}); "
             "iterate the loop with more turns", gap)
-    return Cycle(t=t, points=tuple(points), closure_error=gap, hamiltonian=H, mode="x_loop")
+    return Cycle(t=t, points=points, closure_error=gap, hamiltonian=H, mode="x_loop")
 
 
 def _nearest_root_map(before, after):
@@ -530,28 +588,43 @@ MAX_SAMPLES = 1 << 16  # the most samples a command line may ask a traced cycle 
 
 
 def _samples(cycle):
-    """The samples xs, ys of the cycle as arrays."""
+    """The samples xs, ys of the cycle as arrays (see _sample_arrays)."""
     n = len(cycle.points)
     if n < MIN_SAMPLES:
         raise ValueError(f"cycle needs at least {MIN_SAMPLES} samples, got {n}")
-    chain = np.array(cycle.points)
-    return chain[:, 0], chain[:, 1]
+    return _sample_arrays(cycle.points)
+
+
+def _sample_arrays(points):
+    """The x and y columns of (n, 2) points: float arrays when every imaginary part is 0, else complex."""
+    chain = np.asarray(points, dtype=complex)
+    if chain.imag.any():
+        return chain[:, 0].copy(), chain[:, 1].copy()
+    return chain[:, 0].real.copy(), chain[:, 1].real.copy()
+
+
+@contextmanager
+def _overflow_declines(t):
+    """Float overflow, and the invalid operations it leads to, as NumericalFailure on the level t."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        raise NumericalFailure(f"float overflow in the quadrature on the level t = {complex(t):.6g}: "
+                               "its values there leave the float range") from None
 
 
 def _derivative(values, stencil=_STENCIL):
     """The derivative of periodic samples in the sample index."""
-    return sum(w * (np.roll(values, -k) - np.roll(values, k))
+    n, width = len(values), len(stencil)
+    wrapped = np.concatenate((values[n - width:], values, values[:width]))
+    return sum(w * (wrapped[width + k:width + k + n] - wrapped[width - k:width - k + n])
                for k, w in enumerate(stencil, start=1))
 
 
-def _form_values(omega, xs, ys):
-    """P and Q of the 1-form at the samples."""
-    return _eval_real(_compiled(omega.P), xs, ys), _eval_real(_compiled(omega.Q), xs, ys)
-
-
-def _trapezoid(pq, dxs, dys):
-    p, q = pq
-    return complex((p * dxs + q * dys).sum())
+def _trapezoid(table, omega, dxs, dys):
+    """The trapezoid sum of P dx + Q dy, P and Q read from the power table of the samples."""
+    return complex((table.evaluate(omega.P) * dxs + table.evaluate(omega.Q) * dys).sum())
 
 
 def integrate_form(omega, cycle, with_error=False):
@@ -559,39 +632,36 @@ def integrate_form(omega, cycle, with_error=False):
 
     The trapezoid rule in the sample index, with dx and dy from the order-8
     difference stencil; with_error additionally returns the change under the
-    order-6 stencil as an error estimate.
+    order-6 stencil as an error estimate.  Raises NumericalFailure on float
+    overflow.
     """
     xs, ys = _samples(cycle)
-    pq = _form_values(omega, xs, ys)
-    value = _trapezoid(pq, _derivative(xs), _derivative(ys))
-    if not with_error:
-        return value
-    coarse = _trapezoid(pq, _derivative(xs, _STENCIL_COARSE), _derivative(ys, _STENCIL_COARSE))
+    with _overflow_declines(cycle.t):
+        table = _PowerTable(xs, ys)
+        value = _trapezoid(table, omega, _derivative(xs), _derivative(ys))
+        if not with_error:
+            return value
+        coarse = _trapezoid(table, omega, _derivative(xs, _STENCIL_COARSE), _derivative(ys, _STENCIL_COARSE))
     return value, abs(value - coarse)
 
 
 DENOMINATOR_FLOOR = 1e-8  # max(|H_x|, |H_y|) at a sample, relative to its largest value
 
 
-def _residue_kernel(H, xs, ys, dxs, dys):
-    """Numerator and denominator of the residue form over m dx^dy at the samples.
+def _residue_weight(H, table, dxs, dys):
+    """The residue form over m dx^dy at the samples, to be multiplied by m.
 
-    They are conj(H_x) dy - conj(H_y) dx and |H_x|^2 + |H_y|^2.  Raises
+    It is (conj(H_x) dy - conj(H_y) dx) / (|H_x|^2 + |H_y|^2).  Raises
     SingularDenominator if both partials nearly vanish at a sample.
     """
-    hxv = _eval_real(_compiled(H.partial("x")), xs, ys)
-    hyv = _eval_real(_compiled(H.partial("y")), xs, ys)
-    dominant = np.maximum(np.abs(hxv), np.abs(hyv))
+    hxv = table.evaluate(H.partial("x"))
+    hyv = table.evaluate(H.partial("y"))
+    abs_x, abs_y = np.abs(hxv), np.abs(hyv)
+    dominant = np.maximum(abs_x, abs_y)
     scale = max(float(dominant.max()), 1e-30)
     if float(dominant.min()) < DENOMINATOR_FLOOR * scale:
         raise SingularDenominator("cycle passes too close to a critical point of H")
-    return np.conj(hxv) * dys - np.conj(hyv) * dxs, np.abs(hxv) ** 2 + np.abs(hyv) ** 2
-
-
-def _residue_period(compiled_m, xs, ys, kernel):
-    """The trapezoid sum of the residue form of m dx^dy, m compiled."""
-    numerator, norm2 = kernel
-    return complex((_eval_real(compiled_m, xs, ys) * numerator / norm2).sum())
+    return (np.conj(hxv) * dys - np.conj(hyv) * dxs) / (abs_x * abs_x + abs_y * abs_y)
 
 
 def gelfand_leray_derivative(m, cycle):
@@ -599,11 +669,14 @@ def gelfand_leray_derivative(m, cycle):
 
     Integrates the residue form m (conj(H_x) dy - conj(H_y) dx) / (|H_x|^2 +
     |H_y|^2), equal to -(m/H_y) dx = (m/H_x) dy on the level curve.  Raises
-    SingularDenominator if both partials nearly vanish at a sample.
+    SingularDenominator if both partials nearly vanish at a sample and
+    NumericalFailure on float overflow.
     """
     xs, ys = _samples(cycle)
-    kernel = _residue_kernel(cycle.hamiltonian, xs, ys, _derivative(xs), _derivative(ys))
-    return _residue_period(_compiled(m), xs, ys, kernel)
+    with _overflow_declines(cycle.t):
+        table = _PowerTable(xs, ys)
+        weight = _residue_weight(cycle.hamiltonian, table, _derivative(xs), _derivative(ys))
+        return complex((table.evaluate(m) * weight).sum())
 
 
 # -- residuals and asymptotics --------------------------------------------------
@@ -612,22 +685,24 @@ def gelfand_leray_derivative(m, cycle):
 def system_residual(sys, cycle):
     """Evaluate the system on one cycle's period vector; small residual = pass.
 
-    The samples, their derivatives and the residue kernel are built once for
-    all basis forms and monomials.
+    The samples, their power table, their derivatives and the residue
+    weight are built once for all basis forms and monomials.  Raises
+    NumericalFailure on float overflow.
     """
     xs, ys = _samples(cycle)
-    dxs, dys = _derivative(xs), _derivative(ys)
-    periods = [_trapezoid(_form_values(omega, xs, ys), dxs, dys) for omega in sys.basis.primitives]
-    kernel = _residue_kernel(cycle.hamiltonian, xs, ys, dxs, dys)
-    derivatives = [_residue_period(((a, b, 1 + 0j),), xs, ys, kernel)
-                   for a, b in sys.basis.monomials]
-    I = np.array(periods)
-    Idot = np.array(derivatives)
     t = complex(cycle.t)
-    a_f, b0_f, b1_f = sys.float_matrices
-    lhs = t * Idot - a_f @ Idot
-    rhs = b0_f @ I + t * (b1_f @ I)
-    residual = float(np.abs(lhs - rhs).max() / max(1.0, float(np.abs(I).max())))
+    with _overflow_declines(t):
+        table = _PowerTable(xs, ys)
+        dxs, dys = _derivative(xs), _derivative(ys)
+        periods = [_trapezoid(table, omega, dxs, dys) for omega in sys.basis.primitives]
+        weight = _residue_weight(cycle.hamiltonian, table, dxs, dys)
+        derivatives = [complex((table.monomial(a, b) * weight).sum()) for a, b in sys.basis.monomials]
+        I = np.array(periods)
+        Idot = np.array(derivatives)
+        a_f, b0_f, b1_f = sys.float_matrices
+        lhs = t * Idot - a_f @ Idot
+        rhs = b0_f @ I + t * (b1_f @ I)
+        residual = float(np.abs(lhs - rhs).max() / max(1.0, float(np.abs(I).max())))
     return PeriodSample(t=t, I=tuple(periods), Idot=tuple(derivatives), residual=residual)
 
 
@@ -699,7 +774,7 @@ def cycle_from_json(doc, H):
                          f"the quadrature needs at least {MIN_SAMPLES}")
     chain = np.array(points)
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail the test below
-        worst = float(np.abs(_eval_real(_compiled(H), chain[:, 0], chain[:, 1]) - t).max())
+        worst = float(np.abs(_PowerTable(*_sample_arrays(chain)).evaluate(H) - t).max())
     if not worst <= TRACE_TOL * (1.0 + abs(t)):  # a NaN in the document fails too
         raise NumericalFailure(f"imported samples leave the level curve by {worst:.3e}")
     longest = float(np.linalg.norm(np.diff(chain, axis=0), axis=1).max())
@@ -711,4 +786,4 @@ def cycle_from_json(doc, H):
     if gap > OPEN_TOL * longest:
         raise ValueError(f"the cycle document is an open path: the step from the last sample back to the "
                          f"first is {wrap:.3e}, the longest step between samples {longest:.3e}")
-    return Cycle(t=t, points=points, closure_error=gap, hamiltonian=H, mode="imported")
+    return Cycle(t=t, points=chain, closure_error=gap, hamiltonian=H, mode="imported")

@@ -71,6 +71,34 @@ def test_prefix_minus_negates_the_power_after_it():
         assert err.value.position == position
 
 
+@pytest.mark.parametrize("text, position", [
+    ("x^3+y^3+x\u0663", 9),  # ARABIC-INDIC DIGIT THREE, which str.isdigit accepts
+    ("x\u00b2+y^3", 1),  # SUPERSCRIPT TWO, which int() rejects
+], ids=["arabic-indic", "superscript"])
+def test_only_ascii_digits_are_numbers(text, position, capsys):
+    assert main(["check", text]) == 2
+    assert capsys.readouterr().out == ""
+    assert main(["--json-errors", "check", text]) == 2
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["error"] == "ParseError" and doc["position"] == position
+    assert "is not one of the ASCII digits 0-9" in doc["message"]
+
+
+def test_literal_longer_than_the_int_conversion_limit_is_a_parse_error(capsys):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert parse_polynomial("9" * 4300 + "*x") == int("9" * 4300) * X
+        long = "9" * 4301
+        for text, position in ((f"x^3+y^3+{long}*x", 8), (f"x^3+y^3+1/{long}*x", 10)):
+            assert main(["--json-errors", "check", text]) == 2
+            doc = json.loads(capsys.readouterr().err)
+            assert doc["error"] == "ParseError" and doc["position"] == position
+            assert "longer than the 4300 digits" in doc["message"]
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_nesting_limit_is_an_input_error(capsys):
     # parentheses and prefix signs each recurse once per level
     for depth, code in ((MAX_NESTING, 0), (MAX_NESTING + 1, 2)):
@@ -371,6 +399,20 @@ def test_float_overflow_while_tracing_is_an_input_error(argv, reason, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and reason in captured.err and "Warning" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "x^3+y^3", "--numeric", "--t", "1e300", "--seed", "2,-1.26", "--mode", "x_loop", "--loop-center", "0"],
+    ["periods", "x^3+y^3", "--t", "1e200", "--seed", "1e100,-1e100", "--mode", "x_loop", "--loop-center", "0"],
+], ids=["verify", "periods"])
+def test_float_overflow_in_the_quadrature_is_declined(argv, capsys):
+    # the cycles trace, but |H_y|^2 (and in periods the integrands) leave the float range:
+    # exit 2 with the level, not a residual FAIL beside passing exact checks or NaN in the JSON
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: float overflow in the quadrature on the level t = 1e+")
+    assert "Warning" not in captured.err
 
 
 def test_overflowing_x_loop_fiber_is_an_input_error(capsys):

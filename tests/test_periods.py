@@ -104,8 +104,8 @@ def test_real_oval_walks_one_lap(H, t, seed, samples, monkeypatch):
     assert abs(turning_number(cycle) - 1) < 1e-9
     rule = math.ceil(length * (turn / h) / periods.MAX_TURN)
     assert len(cycle) == max(samples, rule, 16)
-    xs, ys = (np.array([p[k].real for p in cycle.points]) for k in (0, 1))
-    off_curve = np.abs(periods._eval_real(periods._compiled(H, float), xs, ys) - t)
+    xs, ys = cycle.points.real.T
+    off_curve = np.abs(periods._PowerTable(xs, ys).evaluate(H) - t)
     assert off_curve.max() < NEWTON_TOL * max(1.0, abs(t))
     assert cycle.closure_error < 1e-11 * (1.0 + abs(xs[0]) + abs(ys[0]))
     if H == CIRCLE_H:
@@ -261,6 +261,62 @@ def test_system_residual_matches_single_form_entry_points(circle_system, unit_ci
         for value, (a, b) in zip(sample.Idot, basis.monomials):
             single = gelfand_leray_derivative(BiPoly.monomial(a, b), cycle)
             assert abs(value - single) <= 1e-13 * abs(single)
+
+
+def exact_value(poly, x, y):
+    """poly at the complex point (x, y), rounded once from exact Gaussian rational arithmetic."""
+    def times(p, q):
+        return p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]
+
+    def power(z, k):
+        out = (Fraction(1), Fraction(0))
+        for _ in range(k):
+            out = times(out, z)
+        return out
+
+    zx, zy = ((Fraction(z.real), Fraction(z.imag)) for z in (complex(x), complex(y)))
+    re = im = Fraction(0)
+    for (a, b), c in poly.terms.items():
+        m = times(power(zx, a), power(zy, b))
+        re, im = re + c * m[0], im + c * m[1]
+    return complex(float(re), float(im))
+
+
+@pytest.mark.parametrize("kind", [float, complex])
+def test_power_table_matches_exact_evaluation(rng, kind):
+    poly = random_bipoly(rng, 7)
+    gen = np.random.default_rng(7)
+    xs, ys = gen.uniform(-2.0, 2.0, (2, 64))
+    if kind is complex:
+        xs, ys = xs + 1j * gen.uniform(-2.0, 2.0, 64), ys + 1j * gen.uniform(-2.0, 2.0, 64)
+    table = periods._PowerTable(xs, ys)
+    values = table.evaluate(poly)
+    assert values.dtype == kind and len(values) == 64
+    for x, y, value in zip(xs, ys, values):
+        # a term of degree <= 7 is rounded at most 8 times (powers, product, coefficient) and the
+        # sum once per term; a complex rounding errs by at most 2 eps
+        magnitude = sum(abs(c) * abs(x) ** a * abs(y) ** b for (a, b), c in poly.terms.items())
+        rounding = 2.0 * (8 + len(poly.terms)) * 2.0**-52 * magnitude
+        assert abs(value - exact_value(poly, x, y)) <= rounding
+    assert not table.evaluate(BiPoly.zero()).any()
+    assert (table.evaluate(BiPoly.constant(3)) == 3).all()
+    assert (table.monomial(2, 3) == table.evaluate(X**2 * Y**3)).all()
+
+
+def test_real_samples_take_the_float_path(cubic_system, monkeypatch):
+    # a real oval is evaluated on float arrays; the same samples as complex arrays agree to rounding
+    cycle = trace_cycle(CUBIC, -0.5, (1.0, 1.0), samples=2048)
+    assert all(column.dtype == float for column in periods._samples(cycle))
+    real = system_residual(cubic_system, cycle)
+    sample_arrays = periods._sample_arrays
+    monkeypatch.setattr(periods, "_sample_arrays",
+                        lambda points: tuple(column.astype(complex) for column in sample_arrays(points)))
+    assert all(column.dtype == complex for column in periods._samples(cycle))
+    on_complex = system_residual(cubic_system, cycle)
+    for got, expected in ((real.I, on_complex.I), (real.Idot, on_complex.Idot)):
+        got, expected = np.array(got), np.array(expected)
+        assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+    assert abs(real.residual - on_complex.residual) <= 1e-14
 
 
 def test_system_residual_converts_matrices_once(circle_system, unit_circle, monkeypatch):
@@ -436,16 +492,16 @@ def test_x_loop_monodromy_iteration():
 
 
 def test_cycle_json_round_trip(cubic_system):
-    cycle = trace_cycle(CUBIC, -0.5, (1.0, 1.0))
-    doc = cycle_to_json(cycle)
-    assert set(doc) == {"t", "samples"}
-    assert doc["samples"][0].keys() == {"x", "y"}
-    rebuilt = cycle_from_json(doc, CUBIC)
-    assert rebuilt.t == cycle.t
-    assert len(rebuilt) == len(cycle)
-    s1 = system_residual(cubic_system, cycle)
-    s2 = system_residual(cubic_system, rebuilt)
-    assert abs(s1.I[0] - s2.I[0]) < 1e-12
+    # the wire format's floats round-trip exactly, so the rebuilt samples give the same numbers
+    for cycle in (trace_cycle(CUBIC, -0.5, (1.0, 1.0)), big_loop(CUBIC, 40.0)):
+        doc = cycle_to_json(cycle)
+        assert set(doc) == {"t", "samples"}
+        assert doc["samples"][0].keys() == {"x", "y"}
+        rebuilt = cycle_from_json(doc, CUBIC)
+        assert rebuilt.t == cycle.t
+        assert len(rebuilt) == len(cycle)
+        assert rebuilt.points.tobytes() == cycle.points.tobytes()
+        assert system_residual(cubic_system, rebuilt) == system_residual(cubic_system, cycle)
 
 
 def test_cycle_json_measures_the_wrap_around_step():

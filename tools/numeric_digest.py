@@ -21,6 +21,12 @@ monodromy loop, whose periods are rounding noise: relative to its largest
 entry any change would read as about 1, so the line is listed on its own
 with its absolute changes and left out of the relative maxima.
 
+The comparison also lists every line whose residual in the second file
+exceeds max(2 * its residual in the first file, ``RESIDUAL_FLOOR``), and
+every line that is an error in one file and not the same error in the
+other, and then exits 1: a change to the numeric layer may move a residual
+by rounding, but not double one that is above the floor.
+
 The cases: every ``periods_sweep`` case of the benchmark at seeds 1-3, the
 real ovals and x-loops that ``tests/test_periods.py`` traces, ovals near a
 critical level, a 65536-sample circle, ovals small against the first
@@ -149,6 +155,7 @@ def vector(fields, name, end):
 
 
 NULL_PERIOD = 1e-12  # a line whose first file's periods are all below this is a null cycle
+RESIDUAL_FLOOR = 1e-10  # a residual that stays below this is never listed as grown
 
 
 def absolute_change(a, b):
@@ -169,6 +176,7 @@ def main_compare(path_a, path_b):
         print(f"the files list different cases: {sorted(a.keys() ^ b.keys())}")
         return 1
     summary = {}
+    flagged = 0
     for label in a:
         mode = label.rsplit(" ", 1)[-1]
         stats = summary.setdefault(mode, {"lines": 0, "identical samples": 0, "identical closure": 0,
@@ -181,6 +189,7 @@ def main_compare(path_a, path_b):
         stats["identical lines"] += fa == fb
         if fa[0] == "error" or fb[0] == "error":
             if fa != fb:
+                flagged += 1
                 print(f"{label}: {' '.join(fa)} against {' '.join(fb)}")
             continue
         stats["identical samples"] += fa[1] == fb[1]
@@ -189,6 +198,11 @@ def main_compare(path_a, path_b):
             for name, position in (("residual", 5), ("closure", 3)):
                 key = f"largest {name} in {path}"
                 stats[key] = max(stats[key], float(fields[position]))
+        residual_a, residual_b = float(fa[5]), float(fb[5])
+        if not residual_b <= max(2.0 * residual_a, RESIDUAL_FLOOR):
+            flagged += 1
+            print(f"{label}: residual grew from {residual_a:.3e} to {residual_b:.3e}, "
+                  f"above max(2x, {RESIDUAL_FLOOR:.0e})")
         Ia, Ib = vector(fa, "I", "Idot"), vector(fb, "I", "Idot")
         Da, Db = vector(fa, "Idot", None), vector(fb, "Idot", None)
         stats["identical periods"] += fa[fa.index("I"):fa.index("Idot")] == fb[fb.index("I"):fb.index("Idot")]
@@ -201,7 +215,9 @@ def main_compare(path_a, path_b):
     for mode, stats in summary.items():
         print(f"{mode}: " + ", ".join(f"{k} {v:.3e}" if isinstance(v, float) else f"{k} {v}"
                                       for k, v in stats.items()))
-    return 0
+    if flagged:
+        print(f"{flagged} lines with a new or changed error or a residual grown above max(2x, {RESIDUAL_FLOOR:.0e})")
+    return 1 if flagged else 0
 
 
 if __name__ == "__main__":
