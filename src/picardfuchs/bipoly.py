@@ -226,15 +226,8 @@ class BiPoly:
 
     def partial(self, var):
         """Formal partial derivative with respect to 'x' or 'y'."""
-        idx = _var_index(var)
-        out = {}
-        for (a, b), c in self.terms.items():
-            e = (a, b)[idx]
-            if e == 0:
-                continue
-            new = (a - 1, b) if idx == 0 else (a, b - 1)
-            out[new] = out.get(new, Fraction(0)) + c * e
-        return _raw({e: c for e, c in out.items() if c != 0})
+        terms, denom = integer_terms(self)
+        return _raw({e: Fraction(c, denom) for e, c in partials(terms)[_var_index(var)].items()})
 
     # -- evaluation --------------------------------------------------------
 
@@ -282,31 +275,33 @@ class BiPoly:
         return f"BiPoly({self})"
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        pieces = []
         # graded order, highest degree first, x-heavy first within a degree
-        for (a, b), c in sorted(self.terms.items(), key=lambda term: (-sum(term[0]), term[0][1])):
-            mono = []
-            if a == 1:
-                mono.append("x")
-            elif a > 1:
-                mono.append(f"x^{a}")
-            if b == 1:
-                mono.append("y")
-            elif b > 1:
-                mono.append(f"y^{b}")
-            if not mono:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = "*".join(mono)
-            else:
-                body = "*".join([str(abs(c))] + mono)
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(pieces)
+        order = sorted(self.terms.items(), key=lambda term: (-sum(term[0]), term[0][1]))
+        return signed_terms((c, _monomial_text(a, b)) for (a, b), c in order)
+
+
+def _monomial_text(a, b):
+    """x^a*y^b as text, without the factors of exponent 0: x^2*y, y, "" for a = b = 0."""
+    return "*".join(f"{v}^{e}" if e > 1 else v for v, e in (("x", a), ("y", b)) if e)
+
+
+def signed_terms(terms):
+    """The sum of (coefficient, monomial text) pairs, in their order, as text; "0" when there are none.
+
+    The monomial text of a constant term is "", and a coefficient of modulus
+    1 before a monomial is left out: -x^2 + 3/2*x*y - 1.
+    """
+    pieces = []
+    for c, mono in terms:
+        if not mono:
+            body = str(abs(c))
+        elif abs(c) == 1:
+            body = mono
+        else:
+            body = f"{abs(c)}*{mono}"
+        sign = ("+ " if c > 0 else "- ") if pieces else ("" if c > 0 else "-")
+        pieces.append(sign + body)
+    return " ".join(pieces) or "0"
 
 
 def _var_index(var):

@@ -18,8 +18,9 @@ Two cycle modes:
     by trigonometric interpolation and projected back onto the curve.
   * x_loop: a prescribed closed circle in the x-plane (center, turns, with
     the radius set by the seed), lifting y through the fiber of H(x, .) = t
-    by nearest-root continuation; a lift that returns to a different sheet
-    raises NotClosed and the caller iterates the loop (more turns).
+    by nearest-root continuation, with at least MIN_SAMPLES samples per
+    turn; a lift that returns to a different sheet raises NotClosed and the
+    caller iterates the loop (more turns).
 
 The real-oval walk evaluates H and its partials in float arithmetic at one
 point at a time.  Every evaluation on a set of samples goes through one
@@ -51,18 +52,20 @@ is m dx^dy, so on the curve it equals -(m/H_y) dx = (m/H_x) dy; its
 denominator vanishes only at critical points of H, so one formula serves
 every sample of real ovals and complex cycles alike.
 
-system_residual builds the samples' power table, their derivatives and the
-residue weight (from H_x and H_y, behind the DENOMINATOR_FLOOR guard) once
-per cycle and evaluates every basis form and monomial on them;
+One set-up (_quadrature) gives every quadrature on a cycle its samples,
+their power table and their derivatives.  system_residual builds these and
+the residue weight (from H_x and H_y, behind the DENOMINATOR_FLOOR guard)
+once per cycle and evaluates every basis form and monomial on them;
 integrate_form and gelfand_leray_derivative are the same computation for a
 single form.
 
 Tracing tolerances are module constants: MAX_STEP is the step of a real
 oval's first lap, MAX_TURN the largest turn of one step of an accepted lap,
 LAP_MIN its fewest steps, NEWTON_TOL * max(1, |t|) is the level-curve
-residual at which Newton correction stops (a stall where the float rounding
-of H is at least that tolerance ends a real-oval trace at once), and t must
-stay NONCRITICAL_TOL away from every critical value.
+residual at which Newton correction stops (a stall where the rounding bound
+of the float sum H, gamma_k * sum |c| |x|^a |y|^b with k the number of its
+terms plus 3, is at least that tolerance ends a real-oval trace at once),
+and t must stay NONCRITICAL_TOL away from every critical value.
 """
 
 import math
@@ -74,7 +77,7 @@ import numpy as np
 
 from .critical import critical_points_numeric, value_clusters
 from .errors import NotClosed, NumericalFailure, SingularDenominator, TraceDiverged
-from .fibers import FIBER_BLOCK, _fiber_root_blocks, _fiber_roots
+from .fibers import FIBER_BLOCK, UNIT_ROUNDOFF, _fiber_root_blocks, _fiber_roots
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +91,6 @@ class Cycle:
     points: np.ndarray      # (n, 2) complex array of the (x, y) samples, periodic in the index
     closure_error: float
     hamiltonian: object     # BiPoly of the level function
-    mode: str = "real_oval"
 
     def __len__(self):
         return len(self.points)
@@ -175,17 +177,18 @@ LAP_MIN = 64            # fewest steps of the accepted lap that a real oval's sa
 NEWTON_TOL = 1e-12      # |H - t| at which Newton correction stops, relative to max(1, |t|)
 NONCRITICAL_TOL = 1e-6  # minimum distance of t from a critical value
 MAX_STEPS = 200000      # step budget of one lap
-EPS = 2.0**-52          # float spacing at 1
-STALL_FACTOR = 16       # a residual within this many rounding bounds of H is rounding noise
 
 
 class _RoundingStall(TraceDiverged):
     """Newton correction stalled in rounding noise that is at least its tolerance.
 
-    The rounding bound of H at (x, y) is EPS * sum |c| |x|^a |y|^b over its
-    terms; Newton stalls when the bound is at least the tolerance and the
-    residual is within STALL_FACTOR bounds of zero.  The bound depends on
-    the point alone, so no smaller step gets past it.
+    The float value of H - t at (x, y) is off by at most gamma_k * sum |c|
+    |x|^a |y|^b over the terms of H, with gamma_k = k u / (1 - k u), u the
+    unit roundoff and k the number of terms plus 3 (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, section 3.1).  Newton stalls
+    when that bound is at least the tolerance and the residual is within
+    it.  The bound depends on the point alone, so no smaller step gets past
+    it.
     """
 
 
@@ -263,6 +266,8 @@ def _trace_real_oval(H, t, seed, samples):
     newton_tol = NEWTON_TOL * max(1.0, abs(t_real))
     h_poly = _compiled(H, float)
     h_abs = tuple((a, b, abs(c)) for a, b, c in h_poly)
+    k = len(h_poly) + 3
+    gamma = k * UNIT_ROUNDOFF / (1.0 - k * UNIT_ROUNDOFF)
     hx = _compiled(H.partial("x"), float)
     hy = _compiled(H.partial("y"), float)
 
@@ -278,8 +283,8 @@ def _trace_real_oval(H, t, seed, samples):
                 raise TraceDiverged("gradient vanished during Newton correction")
             x -= val * gx / norm2
             y -= val * gy / norm2
-        rounding = _eval_real(h_abs, abs(x), abs(y)) * EPS
-        if newton_tol <= rounding and abs(_eval_real(h_poly, x, y) - t_real) <= STALL_FACTOR * rounding:
+        rounding = gamma * _eval_real(h_abs, abs(x), abs(y))
+        if newton_tol <= rounding and abs(_eval_real(h_poly, x, y) - t_real) <= rounding:
             raise _RoundingStall(f"Newton correction stalls at ({x:.6g}, {y:.6g}), where the float rounding "
                                  f"of H, {rounding:.3g}, is at least the tolerance {newton_tol:.3g}; "
                                  "no step size can get past it")
@@ -347,8 +352,7 @@ def _trace_real_oval(H, t, seed, samples):
         xs, ys = _resample(xs, ys, n)
         project_all(xs, ys)
     points = np.stack((xs, ys), axis=1).astype(complex)
-    return Cycle(t=complex(t_real), points=points, closure_error=gap,
-                 hamiltonian=H, mode="real_oval")
+    return Cycle(t=complex(t_real), points=points, closure_error=gap, hamiltonian=H)
 
 
 def _close_lap(xs, ys, x0, y0, tangent_all, project_all):
@@ -484,13 +488,16 @@ def _trace_x_loop(H, t, seed, samples, loop_center, turns):
     The lift follows an index into the fiber roots.  For each FIBER_BLOCK of
     x values, one array operation finds, for every root at the previous x,
     its nearest root at the next x and whether that nearest root is well
-    separated (_continue_root's test: the nearest distance at most half the
-    second nearest).  A step from a well-separated root takes the mapped
-    index; any other step, and every step of a block whose fibers are not
-    all full companion eigenvalue rows, goes to _continue_root, which
-    subdivides it.  The index is picked up again where the returned y is
-    one of the roots at its x, so the samples are those of _continue_root
-    at every step.
+    separated (_nearest_root_map).  A step from a well-separated root takes
+    the mapped index; any other step, and every step of a block whose
+    fibers are not all full companion eigenvalue rows, goes to
+    _continue_root, which applies the same rule to the one root and
+    subdivides the step.  The index is picked up again where the returned y
+    is one of the roots at its x.
+
+    Each turn needs at least MIN_SAMPLES samples: fewer put consecutive
+    samples so far apart on the circle that the stencil no longer resolves
+    the lift.
     """
     center = complex(loop_center)
     x_seed = complex(seed[0])
@@ -503,8 +510,9 @@ def _trace_x_loop(H, t, seed, samples, loop_center, turns):
         raise ValueError("turns must be >= 1")
 
     total = int(samples)
-    if total < MIN_SAMPLES:
-        raise ValueError(f"x_loop needs at least {MIN_SAMPLES} samples, got {total}")
+    if total < MIN_SAMPLES * turns:
+        raise ValueError(f"x_loop needs at least {MIN_SAMPLES * turns} samples, got {total}: "
+                         f"{MIN_SAMPLES} per turn over {turns} turns")
     previous = next(_fiber_roots(H, t, [x_seed]))  # the roots at the previous x
     index = int(np.argmin(np.abs(previous - y_seed)))  # of y among them, or None
     y = y0 = complex(previous[index])
@@ -535,16 +543,18 @@ def _trace_x_loop(H, t, seed, samples, loop_center, turns):
         raise NotClosed(
             f"x-loop lift returned on a different sheet (gap {gap:.3e}); "
             "iterate the loop with more turns", gap)
-    return Cycle(t=t, points=points, closure_error=gap, hamiltonian=H, mode="x_loop")
+    return Cycle(t=t, points=points, closure_error=gap, hamiltonian=H)
 
 
 def _nearest_root_map(before, after):
     """For each step k and root i of before[k]: the index of its nearest root in after[k], and
     whether that root is well separated, as nested lists indexed [k][i].
 
-    before and after are (steps, n) arrays of fiber roots.  The distances
-    are those of _continue_root, so the index and the test agree with it.
-    One root of before at a time keeps the temporaries at (steps, n).
+    before and after are (steps, n) arrays of fiber roots.  A nearest root
+    is well separated when its distance is at most half the second nearest.
+    This is the one step rule of the x-loop lift: _continue_root applies it
+    to a single root.  One root of before at a time keeps the temporaries
+    at (steps, n).
     """
     nearest = np.empty(before.shape, dtype=int)
     safe = np.ones(before.shape, dtype=bool)
@@ -564,16 +574,14 @@ def _continue_root(H, t, x_from, y_from, x_to, roots=None, depth=0):
     """
     if roots is None:
         roots = next(_fiber_roots(H, t, [x_to]))
-    dist = np.abs(roots - y_from)
-    order = np.argsort(dist)
-    nearest = complex(roots[order[0]])
-    if len(order) > 1 and dist[order[0]] > 0.5 * dist[order[1]]:
+    nearest, safe = _nearest_root_map(np.array([[y_from]]), roots[None])
+    if not safe[0][0]:
         if depth >= 12:
             raise TraceDiverged("x-path passes too close to a branch point")
         mid = 0.5 * (x_from + x_to)
         y_mid = _continue_root(H, t, x_from, y_from, mid, depth=depth + 1)
         return _continue_root(H, t, mid, y_mid, x_to, depth=depth + 1)
-    return nearest
+    return complex(roots[nearest[0][0]])
 
 
 # -- quadrature ----------------------------------------------------------------
@@ -587,30 +595,31 @@ MIN_SAMPLES = 2 * len(_STENCIL) + 1  # the width of the stencil
 MAX_SAMPLES = 1 << 16  # the most samples a command line may ask a traced cycle for
 
 
-def _samples(cycle):
-    """The samples xs, ys of the cycle as arrays (see _sample_arrays)."""
-    n = len(cycle.points)
-    if n < MIN_SAMPLES:
-        raise ValueError(f"cycle needs at least {MIN_SAMPLES} samples, got {n}")
-    return _sample_arrays(cycle.points)
-
-
-def _sample_arrays(points):
+def _samples(points):
     """The x and y columns of (n, 2) points: float arrays when every imaginary part is 0, else complex."""
     chain = np.asarray(points, dtype=complex)
+    if len(chain) < MIN_SAMPLES:
+        raise ValueError(f"cycle needs at least {MIN_SAMPLES} samples, got {len(chain)}")
     if chain.imag.any():
         return chain[:, 0].copy(), chain[:, 1].copy()
     return chain[:, 0].real.copy(), chain[:, 1].real.copy()
 
 
 @contextmanager
-def _overflow_declines(t):
-    """Float overflow, and the invalid operations it leads to, as NumericalFailure on the level t."""
+def _quadrature(cycle):
+    """The set-up of every quadrature on a cycle: (xs, ys, table, dxs, dys).
+
+    xs and ys are its samples, table their power table and dxs, dys their
+    derivatives in the sample index.  Float overflow, and the invalid
+    operations it leads to, raise NumericalFailure on the cycle's level,
+    in the set-up and in the body alike.
+    """
+    xs, ys = _samples(cycle.points)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            yield
+            yield xs, ys, _PowerTable(xs, ys), _derivative(xs), _derivative(ys)
     except FloatingPointError:
-        raise NumericalFailure(f"float overflow in the quadrature on the level t = {complex(t):.6g}: "
+        raise NumericalFailure(f"float overflow in the quadrature on the level t = {complex(cycle.t):.6g}: "
                                "its values there leave the float range") from None
 
 
@@ -635,10 +644,8 @@ def integrate_form(omega, cycle, with_error=False):
     order-6 stencil as an error estimate.  Raises NumericalFailure on float
     overflow.
     """
-    xs, ys = _samples(cycle)
-    with _overflow_declines(cycle.t):
-        table = _PowerTable(xs, ys)
-        value = _trapezoid(table, omega, _derivative(xs), _derivative(ys))
+    with _quadrature(cycle) as (xs, ys, table, dxs, dys):
+        value = _trapezoid(table, omega, dxs, dys)
         if not with_error:
             return value
         coarse = _trapezoid(table, omega, _derivative(xs, _STENCIL_COARSE), _derivative(ys, _STENCIL_COARSE))
@@ -672,10 +679,8 @@ def gelfand_leray_derivative(m, cycle):
     SingularDenominator if both partials nearly vanish at a sample and
     NumericalFailure on float overflow.
     """
-    xs, ys = _samples(cycle)
-    with _overflow_declines(cycle.t):
-        table = _PowerTable(xs, ys)
-        weight = _residue_weight(cycle.hamiltonian, table, _derivative(xs), _derivative(ys))
+    with _quadrature(cycle) as (_, _, table, dxs, dys):
+        weight = _residue_weight(cycle.hamiltonian, table, dxs, dys)
         return complex((table.evaluate(m) * weight).sum())
 
 
@@ -689,11 +694,8 @@ def system_residual(sys, cycle):
     weight are built once for all basis forms and monomials.  Raises
     NumericalFailure on float overflow.
     """
-    xs, ys = _samples(cycle)
     t = complex(cycle.t)
-    with _overflow_declines(t):
-        table = _PowerTable(xs, ys)
-        dxs, dys = _derivative(xs), _derivative(ys)
+    with _quadrature(cycle) as (_, _, table, dxs, dys):
         periods = [_trapezoid(table, omega, dxs, dys) for omega in sys.basis.primitives]
         weight = _residue_weight(cycle.hamiltonian, table, dxs, dys)
         derivatives = [complex((table.monomial(a, b) * weight).sum()) for a, b in sys.basis.monomials]
@@ -774,7 +776,7 @@ def cycle_from_json(doc, H):
                          f"the quadrature needs at least {MIN_SAMPLES}")
     chain = np.array(points)
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail the test below
-        worst = float(np.abs(_PowerTable(*_sample_arrays(chain)).evaluate(H) - t).max())
+        worst = float(np.abs(_PowerTable(*_samples(chain)).evaluate(H) - t).max())
     if not worst <= TRACE_TOL * (1.0 + abs(t)):  # a NaN in the document fails too
         raise NumericalFailure(f"imported samples leave the level curve by {worst:.3e}")
     longest = float(np.linalg.norm(np.diff(chain, axis=0), axis=1).max())
@@ -786,4 +788,4 @@ def cycle_from_json(doc, H):
     if gap > OPEN_TOL * longest:
         raise ValueError(f"the cycle document is an open path: the step from the last sample back to the "
                          f"first is {wrap:.3e}, the longest step between samples {longest:.3e}")
-    return Cycle(t=t, points=chain, closure_error=gap, hamiltonian=H, mode="imported")
+    return Cycle(t=t, points=chain, closure_error=gap, hamiltonian=H)

@@ -8,8 +8,8 @@ found as simple roots of squarefree factors and keep full double accuracy;
 the factors are rooted by fibers.companion_roots, by the rule stated there.
 Most polynomials the package splits are squarefree, and one prime proves
 it in O(deg^2) operations on integers below 2^61: squarefree_decomposition
-and is_squarefree return at once when that certificate holds, and run
-Yun's split and the gcd over Z only when it does not apply.
+returns at once when that certificate holds, and runs Yun's split only when
+it does not apply; is_squarefree reads its answer from that decomposition.
 
 The gcd under every squarefree split is Brown's primitive pseudo-remainder
 sequence over Z (W. S. Brown, "On Euclid's algorithm and the computation of
@@ -26,7 +26,7 @@ from math import factorial, gcd as _igcd
 
 import numpy as np
 
-from .bipoly import _frac, cleared
+from .bipoly import _frac, cleared, signed_terms
 from .fibers import companion_roots
 
 
@@ -131,23 +131,8 @@ class UniPoly:
         return UniPoly([c / lead for c in self.coeffs])
 
     def __str__(self):
-        if self.is_zero():
-            return "0"
-        pieces = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            if k == 0:
-                body = str(abs(c))
-            else:
-                var = "t" if k == 1 else f"t^{k}"
-                body = var if abs(c) == 1 else f"{abs(c)}*{var}"
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(pieces)
+        terms = [(c, "" if k == 0 else "t" if k == 1 else f"t^{k}") for k, c in enumerate(self.coeffs) if c]
+        return signed_terms(reversed(terms))
 
     def __repr__(self):
         return f"UniPoly({self})"
@@ -259,14 +244,8 @@ def _stripped(coeffs):
 
 
 def is_squarefree(p):
-    """True iff p has no repeated roots (gcd with its derivative is constant).
-
-    The one-prime certificate of _squarefree_mod_prime answers first; the
-    gcd over Z runs only when it does not apply.
-    """
-    if p.degree() <= 1 or _squarefree_mod_prime(p):
-        return True
-    return gcd(p, p.derivative()).degree() == 0
+    """True iff p has no repeated roots: p is zero, or every factor of its squarefree decomposition is simple."""
+    return p.is_zero() or all(k == 1 for _, k in squarefree_decomposition(p)[1])
 
 
 def squarefree_decomposition(p):

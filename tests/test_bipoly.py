@@ -45,6 +45,15 @@ def test_partial_derivatives():
     assert (X**3 + Y**3 - 3 * X * Y).partial("x") == 3 * X**2 - 3 * Y
 
 
+def test_partial_keeps_the_insertion_order_of_terms():
+    # the x*y of the product cancels and comes back last, so x*y follows y^2; the
+    # float evaluations of a partial add its terms in this order
+    p = parse_polynomial("(x + 1/2*y)*(x - 1/2*y) + 1/3*x*y")
+    assert list(p.terms) == [(2, 0), (0, 2), (1, 1)]
+    assert list(p.partial("x").terms.items()) == [((1, 0), 2), ((0, 1), Fraction(1, 3))]
+    assert list(p.partial("y").terms.items()) == [((0, 1), Fraction(-1, 2)), ((1, 0), Fraction(1, 3))]
+
+
 def test_highest_homogeneous_part():
     assert QUINTIC.highest_part() == X**5 + Y**5
     assert (Y**2 + X**3 - X).highest_part() == X**3
@@ -87,6 +96,12 @@ def test_str_format():
     assert str(QUINTIC) == "x^5 + y^5 + x^2*y^2 + x + y"
     assert str(Fraction(3, 2) * X * Y - Y**3) == "-y^3 + 3/2*x*y"
     assert str(BiPoly.zero()) == "0"
+    assert str(BiPoly.constant(7)) == "7"
+    assert str(BiPoly.constant(Fraction(-3, 2))) == "-3/2"
+    assert str(-X) == "-x"
+    assert str(X**2 * Y - Y + 1) == "x^2*y - y + 1"
+    assert str(Fraction(-3, 2) * X**2 + Fraction(3, 2) * X * Y**3 - 1) == "3/2*x*y^3 - 3/2*x^2 - 1"
+    assert str(-Y**2 + Fraction(-3, 2)) == "-y^2 - 3/2"
 
 
 def test_coefficients_stay_canonical():

@@ -296,6 +296,20 @@ def test_minimum_samples_are_accepted(capsys):
     assert json.loads(capsys.readouterr().out)["samples"] == MIN_SAMPLES
 
 
+@pytest.mark.parametrize("verb", [
+    ["periods", "x^3+y^3", "--t", "1", "--seed", "2,-1.26", "--mode", "x_loop"],
+    ["verify", "x^3+y^3", "--numeric", "--t", "1", "--seed", "2,-1.26", "--mode", "x_loop"],
+], ids=["periods", "verify"])
+def test_x_loop_needs_the_minimum_samples_per_turn(verb, capsys):
+    # 512 samples over 100 turns put consecutive samples 70 degrees apart on the
+    # circle; the lift they sample read as a residual FAIL of a correct system
+    assert main([*verb, "--loop-center", "0", "--loop-turns", "100"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: x_loop needs at least {100 * MIN_SAMPLES} samples, got 512: "
+                            f"{MIN_SAMPLES} per turn over 100 turns\n")
+
+
 def test_periods_real_oval_at_large_level(capsys):
     code = main(["periods", "x^2+y^2", "--t", "10000", "--seed", "100,0"])
     doc = json.loads(capsys.readouterr().out)
@@ -438,21 +452,32 @@ def test_real_oval_lap_budget_ends_the_search_at_once(monkeypatch, capsys):
     assert steps == [MAX_STEP]
 
 
-def test_real_oval_newton_stall_in_rounding_ends_the_search_at_once(monkeypatch, capsys):
-    # the t = 0.5 branch through the seed is unbounded; near (-13.8, 12.8) the float
-    # rounding of H's terms exceeds the Newton tolerance 1e-12 at every step size
+def _assert_newton_stall_ends_the_search_at_once(t, seed, point, tolerance, monkeypatch, capsys):
     steps = []
     explore = periods._explore
     monkeypatch.setattr(periods, "_explore", lambda *args: steps.append(args[-1]) or explore(*args))
     start = time.perf_counter()
-    assert main(["periods", "x^3+y^3-3*x*y", "--t", "0.5", "--seed", "2,0"]) == 2
+    assert main(["periods", "x^3+y^3-3*x*y", "--t", t, "--seed", seed]) == 2
     elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: Newton correction stalls at (-13.")
-    assert "float rounding of H" in captured.err and "at least the tolerance 1e-12" in captured.err
+    assert captured.err.startswith(f"error: Newton correction stalls at {point}")
+    assert "float rounding of H" in captured.err and f"at least the tolerance {tolerance}" in captured.err
     assert steps == [MAX_STEP]
     assert elapsed < 1.0
+
+
+def test_real_oval_newton_stall_in_rounding_ends_the_search_at_once(monkeypatch, capsys):
+    # the t = 0.5 branch through the seed is unbounded; near (-13.8, 12.8) the float
+    # rounding of H's terms exceeds the Newton tolerance 1e-12 at every step size
+    _assert_newton_stall_ends_the_search_at_once("0.5", "2,0", "(-13.", "1e-12", monkeypatch, capsys)
+
+
+def test_newton_stall_is_bounded_by_the_rounding_of_the_sum(monkeypatch, capsys):
+    # the t = 5 branch follows the asymptote x + y = -1; at (-22.06, 21.06) the rounding
+    # bound of one term, 4.77e-12, stays under the tolerance 5e-12 and ten laps walked
+    # on, while the bound of the sum of H's terms, 1.43e-11, ends the first lap
+    _assert_newton_stall_ends_the_search_at_once("5", "2,2", "(-22.", "5e-12", monkeypatch, capsys)
 
 
 def test_real_oval_step_below_float_spacing_ends_the_search_at_once(capsys):

@@ -185,13 +185,15 @@ def test_trace_rejects_critical_level():
         trace_cycle(CUBIC, -1.0, (1.0, 1.0))
 
 
-@pytest.mark.parametrize("samples", [0, 1, MIN_SAMPLES - 1])
-def test_x_loop_rejects_too_few_samples(samples):
+@pytest.mark.parametrize("samples, turns", [(0, 1), (1, 1), (MIN_SAMPLES - 1, 1), (3 * MIN_SAMPLES - 1, 3)],
+                         ids=["0", "1", str(MIN_SAMPLES - 1), f"{3 * MIN_SAMPLES - 1}-over-3-turns"])
+def test_x_loop_rejects_too_few_samples(samples, turns):
     # before the check, 0 samples divided by zero and numpy warned about it
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=f"needs at least {MIN_SAMPLES} samples, got {samples}"):
-            trace_cycle(X**3 + Y**3, 1.0, (2.0, -1.26), mode="x_loop", samples=samples)
+        with pytest.raises(ValueError, match=f"needs at least {turns * MIN_SAMPLES} samples, got {samples}: "
+                                             f"{MIN_SAMPLES} per turn over {turns} turns"):
+            trace_cycle(X**3 + Y**3, 1.0, (2.0, -1.26), mode="x_loop", samples=samples, turns=turns)
 
 
 def test_period_is_area(circle_system, unit_circle):
@@ -306,12 +308,12 @@ def test_power_table_matches_exact_evaluation(rng, kind):
 def test_real_samples_take_the_float_path(cubic_system, monkeypatch):
     # a real oval is evaluated on float arrays; the same samples as complex arrays agree to rounding
     cycle = trace_cycle(CUBIC, -0.5, (1.0, 1.0), samples=2048)
-    assert all(column.dtype == float for column in periods._samples(cycle))
+    assert all(column.dtype == float for column in periods._samples(cycle.points))
     real = system_residual(cubic_system, cycle)
-    sample_arrays = periods._sample_arrays
-    monkeypatch.setattr(periods, "_sample_arrays",
-                        lambda points: tuple(column.astype(complex) for column in sample_arrays(points)))
-    assert all(column.dtype == complex for column in periods._samples(cycle))
+    samples = periods._samples
+    monkeypatch.setattr(periods, "_samples",
+                        lambda points: tuple(column.astype(complex) for column in samples(points)))
+    assert all(column.dtype == complex for column in periods._samples(cycle.points))
     on_complex = system_residual(cubic_system, cycle)
     for got, expected in ((real.I, on_complex.I), (real.Idot, on_complex.Idot)):
         got, expected = np.array(got), np.array(expected)

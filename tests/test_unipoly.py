@@ -9,6 +9,7 @@ import pytest
 from picardfuchs.bipoly import BiPoly, Y
 from picardfuchs.linalg import RatMatrix, char_poly, resultant
 from picardfuchs.unipoly import (
+    CERTIFICATE_PRIME,
     UniPoly,
     gcd,
     is_squarefree,
@@ -35,6 +36,22 @@ def test_squarefree_flags():
     assert is_squarefree(UniPoly([0, 1, 1]))          # t(t+1)
     assert not is_squarefree(UniPoly([1, 2, 1]))      # (t+1)^2
     assert is_squarefree(UniPoly([5]))
+    assert is_squarefree(UniPoly())                   # zero has no roots to repeat
+
+
+def test_squarefree_flag_reads_the_yun_multiplicities(rng):
+    # checked against the gcd of p and p' as well
+    q = CERTIFICATE_PRIME
+    polys = [UniPoly(), UniPoly([5]), UniPoly([Fraction(-3, 2)]), UniPoly([1, 1, q]),
+             UniPoly([1, q]) * UniPoly([1, q]) * UniPoly([-3, 1])]
+    for i in range(20):
+        planted = [(_random_factor(rng, rng.randint(1, 3)), 1 if i % 2 else rng.randint(1, 3))
+                   for _ in range(rng.randint(1, 3))]
+        polys.append(_product(Fraction(rng.choice([-5, -1, 2, 7]), rng.randint(1, 6)), planted))
+    flags = [is_squarefree(p) for p in polys]
+    assert flags == [p.is_zero() or all(k == 1 for _, k in squarefree_decomposition(p)[1]) for p in polys]
+    assert flags == [p.is_zero() or gcd(p, p.derivative()).degree() == 0 for p in polys]
+    assert True in flags[5:] and False in flags[5:]
 
 
 def test_yun_decomposition():
@@ -138,6 +155,11 @@ def test_string_rendering():
     assert str(UniPoly([0, Fraction(1, 175)])) == "1/175*t"
     assert str(UniPoly([2, -3, 1])) == "t^2 - 3*t + 2"
     assert str(UniPoly()) == "0"
+    assert str(UniPoly([7])) == "7"
+    assert str(UniPoly([Fraction(-3, 2)])) == "-3/2"
+    assert str(UniPoly([0, -1])) == "-t"
+    assert str(UniPoly([-1, 0, -1])) == "-t^2 - 1"
+    assert str(UniPoly([Fraction(3, 2), Fraction(-3, 2), 0, 1])) == "t^3 - 3/2*t + 3/2"
 
 
 def _random_factor(rng, degree):
