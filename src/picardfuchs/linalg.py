@@ -44,6 +44,7 @@ min_poly and char_poly are its two halves.
 
 from fractions import Fraction
 from math import prod
+from operator import mul
 
 from .bipoly import BiPoly, _frac, cleared, integer_terms
 from .errors import DegenerateResultantError, InternalRankError
@@ -222,9 +223,29 @@ class FractionFreeSolver:
     rows with t gives the free-zero solution, the integers (nums, |last
     pivot|) of a single pass over [M | b].  Every replay division is exact,
     as in that pass.
+
+    After len(rows) solves by replay the solver makes its solution map and
+    answers every later right-hand side with it.  With P = order[:rank] the
+    original indices of the pivot rows, C the pivot columns and
+    den = |last pivot|, the map is the rank x rank integer matrix N with
+    den x_C = N b_P, and the rows R = order[rank:] of M itself, kept sparse
+    on C.  A mapped solve is nums_C = N b_P, the free columns zero, and
+    returns None unless M_R nums = den b_R.  Proof: the first rank rows of
+    E mix only the rows P of b, so U's rank rows with t say M[P, C] x_C =
+    b_P, and den = |det M[P, C]|, the last pivot.  So den x_C = N b_P is an
+    integer vector by Cramer's rule, and for a consistent b it is the
+    free-zero solution; b is consistent exactly when that x also solves the
+    rows R.  The answers (nums, den) are therefore the replay's, bit for bit.
+    Column k of N is the back substitution of the unit vector at echelon
+    row k replayed: the steps before k only scale it, to p_(k-1) (p_(-1) =
+    1), so its replay starts there at step k.
+
+    Making the map costs about 2/3 len(rows) replays, so a solver that
+    answers few right-hand sides never makes it; the switch point is the
+    size of M, not a setting.
     """
 
-    __slots__ = ("ncols", "pivots", "rows", "order")
+    __slots__ = ("ncols", "pivots", "rows", "order", "rest", "replays", "map")
 
     def __init__(self, int_rows):
         """``int_rows``: the rows of M as integers (not modified)."""
@@ -234,19 +255,58 @@ class FractionFreeSolver:
         position = {id(row): i for i, row in enumerate(self.rows)}
         self.pivots, _ = _bareiss_echelon(self.rows, self.ncols)
         self.order = [position[id(row)] for row in self.rows]
+        cols = [col for _, col in self.pivots]
+        self.rest = [(i, [(k, int_rows[i][c]) for k, c in enumerate(cols) if int_rows[i][c]])
+                     for i in self.order[len(cols):]]
+        self.replays = len(self.rows)
+        self.map = None
 
     def solve(self, rhs):
         """(nums, den) of the free-zero solution of M x = rhs over the integers, None when inconsistent."""
-        t = [rhs[i] for i in self.order]
-        rows = self.rows
-        prev = 1
-        for k, (_, col) in enumerate(self.pivots):
+        if self.map is None:
+            if self.replays:
+                self.replays -= 1
+                t = self._replay([rhs[i] for i in self.order], 0)
+                if any(t[len(self.pivots):]):
+                    return None
+                return _back_substitute(self.rows, self.pivots, self.ncols, t)
+            self.map = self._solution_map()
+        matrix, den = self.map
+        b = [rhs[i] for i in self.order[:len(matrix)]]
+        nums_c = [sum(map(mul, row, b)) for row in matrix]
+        for i, row in self.rest:
+            if sum(v * nums_c[k] for k, v in row) != den * rhs[i]:
+                return None
+        nums = [0] * self.ncols
+        for (_, col), v in zip(self.pivots, nums_c):
+            nums[col] = v
+        return nums, den
+
+    def _replay(self, t, start):
+        """t (echelon order) with the pass's steps from pivot ``start`` on applied, in place."""
+        rows, pivots = self.rows, self.pivots
+        prev = self._pivot(start - 1)
+        for k in range(start, len(pivots)):
+            col = pivots[k][1]
             piv, tk = rows[k][col], t[k]
             t[k + 1:] = [(piv * v - row[col] * tk) // prev for v, row in zip(t[k + 1:], rows[k + 1:])]
             prev = piv
-        if any(t[len(self.pivots):]):
-            return None
-        return _back_substitute(rows, self.pivots, self.ncols, t)
+        return t
+
+    def _solution_map(self):
+        """(N, den): den x_C = N b_P for the rank x rank integer N, one row per pivot."""
+        pivots = self.pivots
+        columns = []
+        for k in range(len(pivots)):
+            t = [0] * len(self.rows)
+            t[k] = self._pivot(k - 1)
+            nums, _ = _back_substitute(self.rows, pivots, self.ncols, self._replay(t, k))
+            columns.append([nums[col] for _, col in pivots])
+        return [list(row) for row in zip(*columns)], abs(self._pivot(len(pivots) - 1))
+
+    def _pivot(self, k):
+        """p_k, the pivot of echelon row k; p_(-1) = 1."""
+        return self.rows[k][self.pivots[k][1]] if k >= 0 else 1
 
     def nullspace(self):
         """The integer kernel basis of M: per free column, that coordinate positive and the later ones zero."""

@@ -41,11 +41,14 @@ basis and d, so each basis keeps one operator per (kind, d) in its
 SliceStore, made on the first round that reaches it: M reduced once by a
 FractionFreeSolver, whose row operations form an integer E with U = E M,
 the labels of its columns, and whether M's kernel moves the unique group.
-A round replays the operations on the top slice b to get E b, the last
-column a fresh Bareiss pass over [M | b] ends with (its pivots lie in M's
-columns), so the slice solution, the remainder, its scaling and its
-content are the integers of that pass, whatever the basis answered
-before.
+A round answers the top slice b with the operator's solver.  Its first
+d+1 rounds replay the operations on b to get E b, the last column a fresh
+Bareiss pass over [M | b] ends with (its pivots lie in M's columns), and
+back substitute; later rounds take one integer matrix-vector product with
+the solver's solution map, which gives the same integers (see
+FractionFreeSolver).  So the slice solution, the remainder, its scaling
+and its content are the integers of that pass, whatever the basis
+answered before.
 """
 
 from dataclasses import dataclass

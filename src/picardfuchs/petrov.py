@@ -60,15 +60,22 @@ likewise f_y - Q.  The radial contraction of every F omega_i is
 F m_i (y*x - x*y)/deg_i = 0, so f is the primitive of rest = omega - g dH
 and needs no sum over the basis.  With g = g_int/s_g, rest is integer terms
 over R = lcm(s_omega, s_g*s), g dH taken from the integer products g_int*hx
-and g_int*hy, and f has the numerators above over (a+b) R.  The certificate
-identity omega - g dH - df = sum c_ik H^k omega_i is then checked exactly
-on integer terms, over one common denominator on shifts of the powers h^k.
+and g_int*hy, and f has the numerators above over (a+b) R.  With L the lcm
+of the degrees a+b present, f = f_int / (L R) for the integer terms f_int
+with the numerators times L/(a+b), read straight from rest.  The
+certificate identity omega - g dH - df = sum c_ik H^k omega_i is then
+checked exactly on integer terms: the left side is (L rest - df_int) /
+(L R), and the right side is shifts of the powers h^k, each weighted by
+the numerator of p_ik times common / q_ik with q_ik = den(p_ik) deg_i s^k,
+over common = lcm of the q_ik.  Neither scale need be the least one; the
+identity checked is the same at any common scale.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .bipoly import BiPoly, cleared, combine, integer_terms, partials, shifted, times
+from .bipoly import BiPoly, _raw, cleared, combine, integer_terms, partials, shifted, times
 from .errors import InternalRankError, NoSolutionError
 from .forms import integer_one_form
 from .milnor import base_terms, peel_top_slices
@@ -114,7 +121,7 @@ def petrov_decompose(omega, basis):
     p_values = {key: v for (kind, key), v in values.items() if kind == "p"}
     top = max((k for _, k in p_values), default=-1)
     coeff_polys = tuple(UniPoly([p_values.get((i, k), 0) for k in range(top + 1)]) for i in range(mu))
-    witness_g = BiPoly({m: v for (kind, m), v in values.items() if kind == "g"})
+    witness_g = _raw({m: v for (kind, m), v in values.items() if kind == "g"})
 
     # every H^k omega_i has zero radial contraction, so f integrates rest = omega - g dH
     g, sg = integer_terms(witness_g)
@@ -123,15 +130,14 @@ def petrov_decompose(omega, basis):
     rest_P = combine((u, P), (-v, times(g, hx)))
     rest_Q = combine((u, Q), (-v, times(g, hy)))
     radial = combine((1, shifted(rest_P, 1, 0)), (1, shifted(rest_Q, 0, 1)))
-    witness_f = BiPoly({(a, b): Fraction(c, (a + b) * R) for (a, b), c in radial.items()})
+    witness_f = _raw({(a, b): Fraction(c, (a + b) * R) for (a, b), c in radial.items()})
 
-    # rest - df over M = lcm(R, s_f), with witness_f = f / s_f
-    f, sf = integer_terms(witness_f)
-    (u, v), M = cleared((Fraction(1, R), Fraction(1, sf)))
-    fx, fy = partials(f)
-    nu_P, nu_Q = combine((u, rest_P), (-v, fx)), combine((u, rest_Q), (-v, fy))
+    # f = f_int / (L R) with L the lcm of the degrees a+b present, so rest - df = (L rest - df_int) / (L R)
+    L = lcm(*{a + b for a, b in radial})
+    fx, fy = partials({(a, b): c * (L // (a + b)) for (a, b), c in radial.items()})
+    nu_P, nu_Q = combine((L, rest_P), (-1, fx)), combine((L, rest_Q), (-1, fy))
     powers = {k: base_terms(store.power(k)) for k in {k for _, k in p_values}}
-    if not _is_radial_combination(nu_P, nu_Q, M, p_values, basis.monomials, powers, s):
+    if not _is_radial_combination(nu_P, nu_Q, L * R, p_values, basis.monomials, powers, s):
         raise InternalRankError("closed defect failed to integrate; basis invalid")
 
     return PetrovDecomposition(coeff_polys, witness_g, witness_f)
@@ -159,9 +165,12 @@ def _is_radial_combination(nu_P, nu_Q, denom, p_values, monomials, powers, s):
     """Whether (nu_P dx + nu_Q dy) / denom = sum_(i,k) p_values[i, k] H^k omega_i, on integer terms.
 
     The sum is S (x dy - y dx) with S = sum p_ik h^k m_i / (deg_i s^k), the
-    integer terms total over the common denominator of its weights.
+    integer terms total over common, the lcm of the q_ik = den(p_ik) deg_i s^k:
+    the weight of h^k m_i is num(p_ik) common / q_ik.
     """
-    weights, common = cleared([v / ((sum(monomials[i]) + 2) * s**k) for (i, k), v in p_values.items()])
+    denominators = [v.denominator * (sum(monomials[i]) + 2) * s**k for (i, k), v in p_values.items()]
+    common = lcm(*denominators)
+    weights = [v.numerator * (common // d) for v, d in zip(p_values.values(), denominators)]
     total = combine(*((w, shifted(powers[k], *monomials[i])) for (i, k), w in zip(p_values, weights)))
     return (shifted(nu_P, 0, 0, common) == shifted(total, 0, 1, -denom)
             and shifted(nu_Q, 0, 0, common) == shifted(total, 1, 0, denom))

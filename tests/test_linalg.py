@@ -122,7 +122,8 @@ def test_stored_solver_matches_one_shot_solves(seed):
     copy = [list(row) for row in m]
     solver = FractionFreeSolver(m)
     kernel = solver.nullspace()
-    for _ in range(4):
+    # past len(rows) answers the solver makes its solution map and answers with it
+    for _ in range(2 * rows + 2):
         if rng.random() < 0.5:
             x = [rng.randint(-5, 5) for _ in range(cols)]
             rhs = [sum(a * v for a, v in zip(row, x)) for row in m]
@@ -131,7 +132,25 @@ def test_stored_solver_matches_one_shot_solves(seed):
         one_shot, null_basis = solve_with_nullspace(m, rhs, want_nullspace=True)
         assert solver.solve(rhs) == one_shot == _augmented_solve(m, rhs)
         assert null_basis == (kernel if one_shot is not None else [])
-    assert m == copy
+    assert m == copy and solver.map is not None
+
+
+@pytest.mark.parametrize("m, consistent", [
+    ([[0, 0], [0, 0], [0, 0]], [0, 0, 0]),                   # zero matrix, rank 0
+    ([[], [], []], [0, 0, 0]),                               # rank 0 without columns
+    ([[1, 2], [2, 4], [3, 6]], [1, 2, 3]),                   # rank 1 < rows: inconsistent b exist
+    ([[0, 0, 0], [0, 0, 0], [0, 1, 2], [0, 3, 4]], [0, 0, 1, 1]),  # pivot rows not first
+    ([[2**70 + 1, -3 * 2**65, 7], [5, 2**66 - 1, -2**80], [2**64 + 3, 11, 2**67]], [2**90, -1, 2**65]),
+])
+def test_solution_map_matches_a_pass_over_the_augmented_matrix(m, consistent):
+    solver = FractionFreeSolver(m)
+    rhs_list = [consistent, [3 * v for v in consistent]] + [
+        [v + (i == r) * 2**65 for i, v in enumerate(consistent)] for r in range(len(m))]
+    for _ in range(3):
+        for rhs in rhs_list:
+            assert solver.solve(rhs) == _augmented_solve(m, rhs)
+    assert solver.map is not None
+    assert solver.solve(consistent) is not None
 
 
 def test_back_substitution_rejects_an_inexact_division():

@@ -224,6 +224,12 @@ def test_stored_operators_do_not_depend_on_query_order(rng):
         for D in first + first[::-1]:
             assert answer(D, basis) == fresh[D], D
         assert all(basis.slice_store.operators.values())
+        # until every stored operator answers by its solution map, not by replay
+        for _ in range(3 * n + 2):
+            for D in first:
+                assert answer(D, basis) == fresh[D], D
+        operators = basis.slice_store.operators.values()
+        assert all(solver.map is not None for kind in operators for solver, _, _ in kind.values())
         assert (repr(basis), hash(basis)) == seen and basis == monomial_basis(H)
         copies = (dataclasses.replace(basis),
                   MilnorBasis(basis.H, basis.n, basis.mu, basis.monomials, basis.primitives))
@@ -233,20 +239,47 @@ def test_stored_operators_do_not_depend_on_query_order(rng):
             assert copy.slice_store.powers == {0: {0: [(0, 1)]}}
 
 
+def test_one_query_on_a_fresh_basis_makes_no_solution_map(rng):
+    basis = monomial_basis(random_regular_hamiltonian(rng, 3))
+    petrov_decompose(OneForm(random_bipoly(rng, 8), random_bipoly(rng, 8)), basis)
+    reduce_mod_gradient(random_bipoly(rng, 9), basis)
+    operators = basis.slice_store.operators
+    assert operators["petrov"] and operators["reduction"]
+    assert all(solver.map is None for kind in operators.values() for solver, _, _ in kind.values())
+
+
 def test_certificate_check_catches_a_wrong_coefficient(monkeypatch):
     import picardfuchs.petrov as petrov
 
-    basis = monomial_basis(X**3 + Y**3 - 3 * X * Y)
     peel = petrov.peel_top_slices
-    for label in (("p", (0, 1)), ("g", (1, 0))):
-        def tampered(*args, label=label):
+
+    def assert_rejected(omega, basis, label, step):
+        """The certificate check fails once the peel's value of label moves by step(value)."""
+        def tampered(*args):
             values = peel(*args)
-            values[label] = values.get(label, 0) + 1
+            values[label] = values.get(label, 0) + step(values.get(label, 0))
             return values
 
         monkeypatch.setattr(petrov, "peel_top_slices", tampered)
         with pytest.raises(InternalRankError, match="closed defect"):
-            petrov_decompose(basis.primitives[0].multiply(basis.H), basis)
+            petrov_decompose(omega, basis)
+        monkeypatch.setattr(petrov, "peel_top_slices", peel)
+
+    basis = monomial_basis(X**3 + Y**3 - 3 * X * Y)
+    for label in (("p", (0, 1)), ("g", (1, 0))):
+        assert_rejected(basis.primitives[0].multiply(basis.H), basis, label, lambda v: 1)
+
+    # the rational H has s = 42; the row has p-values with k = 2 and g-values, most with denominators;
+    # each value moves by the smallest step its own denominator allows
+    for H in WITNESS_HAMILTONIANS[::3]:
+        basis = monomial_basis(H)
+        omega = (basis.primitives[1].multiply(H**2).scale(Fraction(3, 5))
+                 + OneForm(Fraction(1, 7) * X**4 * Y + Y**2, Fraction(2, 3) * X * Y**4 - X**3))
+        dec = petrov_decompose(omega, basis)
+        labels = [("p", (i, k)) for i, p in enumerate(dec.coeff_polys) for k, c in enumerate(p.coeffs) if c]
+        assert any(k >= 2 for _, (_, k) in labels) and dec.witness_g
+        for label in labels + [("g", m) for m in dec.witness_g.terms]:
+            assert_rejected(omega, basis, label, lambda v: Fraction(1, v.denominator))
 
 
 @settings(max_examples=25, deadline=None, database=None)
