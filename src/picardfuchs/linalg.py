@@ -242,7 +242,9 @@ class FractionFreeSolver:
 
     Making the map costs about 2/3 len(rows) replays, so a solver that
     answers few right-hand sides never makes it; the switch point is the
-    size of M, not a setting.
+    size of M, not a setting.  The map pays only for a solver that answers
+    more than len(rows) right-hand sides in its life, as a stored slice
+    operator does when many queries reach one basis.
     """
 
     __slots__ = ("ncols", "pivots", "rows", "order", "rest", "replays", "map")

@@ -16,8 +16,9 @@ count for neither), whether the change is worse than the parent's median
 by more than the metric's bound, and whether a gain holds: the change wins
 at least nine in ten pairs and its median is better by more than the
 parent's interquartile range.  Standard output is one JSON object in the
-layout of the BENCH_*.json files: per side the first pair's results, and
-every pair's values.  Nothing under perfbench/ is written besides run.py's
+layout of the BENCH_*.json files: the run.py command of each run, per side
+the first pair's results, and every pair's values under a note that names
+this invocation.  Nothing under perfbench/ is written besides run.py's
 own results directory.  Standard library only.
 """
 
@@ -140,16 +141,18 @@ def main(argv=None):
                   f"| {wins(p, c, m['better'])}/{len(p)} | {regressed(p, c, m['better'], m['bound'])} "
                   f"| {gain_holds(p, c, m['better'])} |", file=sys.stderr)
 
+    seconds = "" if args.seconds is None else f" --seconds {args.seconds}"
     report = {
-        "command": " ".join(benchmark["command"]),
+        "command": " ".join(benchmark["command"]) + f" --workload W --seed {args.seed} --trace 0{seconds}",
         "machine": f"{len(os.sched_getaffinity(0))} CPUs, Python {platform.python_version()}, "
                    "PYTHONDONTWRITEBYTECODE=1",
         "parent": {"commit": commit_of(trees["parent"]), "result": merged(first["parent"])},
         "change": {"commit": commit_of(trees["change"]), "result": merged(first["change"])},
         "pairs": {
             "note": f"{args.pairs} alternated parent/change pairs (parent first in odd pairs), "
-                    f"seed {args.seed}, seconds {args.seconds or benchmark['run_seconds']}: "
-                    "per metric the values in pair order",
+                    f"seed {args.seed}, seconds {args.seconds or benchmark['run_seconds']}, made with "
+                    f"python3 tools/bench_pairs.py PARENT_TREE --workload {' '.join(workloads)} "
+                    f"--pairs {args.pairs} --seed {args.seed}{seconds}: per metric the values in pair order",
             "runs": runs,
         },
     }
