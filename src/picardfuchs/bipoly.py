@@ -15,7 +15,10 @@ degree the x-heavy monomial comes first (x^2 > x*y > y^2).
 The exact layers compute on integer terms, {(a, b): int} without zeros over
 one positive denominator that the caller keeps.  Their whole arithmetic is
 here: ``cleared`` (the one place denominators are cleared), ``integer_terms``,
-``shifted``, ``add_into``/``combine``, ``times`` and ``partials``.
+``shifted``, ``add_into``/``combine``, ``times`` and ``partials``.  BiPoly's
+ring operators and ``partial`` run on it too: each clears its operands once
+with ``integer_terms``, computes on the integer terms and divides the result
+once by its denominator (``_from_integer_terms``).
 """
 
 from fractions import Fraction
@@ -165,14 +168,8 @@ class BiPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return _raw(out)
+        (p, sp), (q, sq) = integer_terms(self), integer_terms(other)
+        return _from_integer_terms(combine((sq, p), (sp, q)), sp * sq)
 
     __radd__ = __add__
 
@@ -192,16 +189,8 @@ class BiPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                e = (a1 + a2, b1 + b2)
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return _raw(out)
+        (p, sp), (q, sq) = integer_terms(self), integer_terms(other)
+        return _from_integer_terms(times(p, q), sp * sq)
 
     __rmul__ = __mul__
 
@@ -212,22 +201,22 @@ class BiPoly:
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        result = BiPoly.constant(1)
-        base = self
+        base, denom = integer_terms(self)
+        result = {(0, 0): 1}
         e = exponent
         while e:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = times(result, base)
+            base = times(base, base)
             e >>= 1
-        return result
+        return _from_integer_terms(result, denom**exponent)
 
     # -- calculus ----------------------------------------------------------
 
     def partial(self, var):
         """Formal partial derivative with respect to 'x' or 'y'."""
         terms, denom = integer_terms(self)
-        return _raw({e: Fraction(c, denom) for e, c in partials(terms)[_var_index(var)].items()})
+        return _from_integer_terms(partials(terms)[_var_index(var)], denom)
 
     # -- evaluation --------------------------------------------------------
 
@@ -318,6 +307,11 @@ def _coerce(value):
     if isinstance(value, (int, Fraction)):
         return BiPoly.constant(value)
     return NotImplemented
+
+
+def _from_integer_terms(terms, denom):
+    """The BiPoly terms / denom, for integer terms without zeros and a positive denom."""
+    return _raw({e: Fraction(c, denom) for e, c in terms.items()})
 
 
 def _raw(terms):

@@ -27,13 +27,15 @@ on U with E b gives the same integers as the single pass over [M | b].
 On top of the core sit: pivot columns (rank and greedy column bases),
 FractionFreeSolver (one reduction of M, then a particular solution per
 right-hand side, None when inconsistent, and the kernel) with
-solve_with_nullspace as its one-shot form, exact determinants, Sylvester
-resultants in y over Z (integer Sylvester matrices at the integer nodes
-0..bound, with bound a degree bound of the resultant in x from the total
-or the x-degrees of its arguments, whichever is smaller, one Bareiss pivot
-each, interpolated over Z, then divided once by the scale s_p^dq s_q^dp
-that clearing the rows of p and q multiplies the determinant by), and the
-spectral polynomials of a multiplication matrix.
+solve_with_nullspace as its one-shot form, exact determinants, one
+interpolated determinant (integer matrices at the integer nodes 0..bound,
+one Bareiss pivot each, interpolated over Z, then divided once by the scale
+that clearing their rows multiplies the determinant by) behind both Sylvester
+resultants in y (bound a degree bound of the resultant in x from the total
+or the x-degrees of its arguments, whichever is smaller, scale s_p^dq
+s_q^dp) and the pencil det(B0 + t*B1) (bound n, scale the product of the
+row scalings of [B0 | B1]), and the spectral polynomials of a
+multiplication matrix.
 spectral_polynomials is the one place that derives them: the minimal
 polynomial is ann(e_0), the annihilator of the unit row, from one core pass
 over the Krylov columns e_0 M^k, k <= n (Wiedemann, IEEE Trans. IT 1986),
@@ -103,13 +105,8 @@ class RatMatrix:
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                row.append(sum((self.entries[i][k] * other.entries[k][j] for k in range(self.cols)), Fraction(0)))
-            out.append(row)
-        return RatMatrix(out)
+        (left, d), (right, e) = _integer_form(self), _integer_form(other)
+        return RatMatrix([[Fraction(v, d * e) for v in _row_times(row, right)] for row in left])
 
     def to_float_array(self):
         import numpy as np
@@ -244,7 +241,9 @@ class FractionFreeSolver:
     answers few right-hand sides never makes it; the switch point is the
     size of M, not a setting.  The map pays only for a solver that answers
     more than len(rows) right-hand sides in its life, as a stored slice
-    operator does when many queries reach one basis.
+    operator does when many queries reach one basis.  Once the map is made
+    the solver drops its echelon rows, which only replays and nullspace()
+    read: ask for the kernel before the map is made.
     """
 
     __slots__ = ("ncols", "pivots", "rows", "order", "rest", "replays", "map")
@@ -272,7 +271,7 @@ class FractionFreeSolver:
                 if any(t[len(self.pivots):]):
                     return None
                 return _back_substitute(self.rows, self.pivots, self.ncols, t)
-            self.map = self._solution_map()
+            self.map, self.rows = self._solution_map(), None
         matrix, den = self.map
         b = [rhs[i] for i in self.order[:len(matrix)]]
         nums_c = [sum(map(mul, row, b)) for row in matrix]
@@ -426,14 +425,29 @@ def min_poly(matrix):
 
 
 def pencil_determinant(b0, b1):
-    """det(B0 + t*B1) as an exact UniPoly, by evaluation/interpolation."""
+    """det(B0 + t*B1) as an exact UniPoly, by evaluation/interpolation.
+
+    Each row of [B0 | B1] is cleared once, so the pencil at an integer node
+    is an integer matrix whose determinant is the product of the row
+    scalings times det(B0 + t*B1) there.
+    """
     if b0.rows != b1.rows or b0.cols != b1.cols or not b0.is_square():
         raise ValueError("pencil needs two square matrices of equal size")
     n = b0.rows
-    return lagrange_interpolate([
-        determinant(RatMatrix([[b0.entries[i][j] + t * b1.entries[i][j] for j in range(n)] for i in range(n)]))
-        for t in range(n + 1)
-    ])
+    int_rows, scale = _integer_rows([r0 + r1 for r0, r1 in zip(b0.entries, b1.entries)])
+    return UniPoly(_interpolated_determinant(
+        lambda t: [[a + t * b for a, b in zip(row[:n], row[n:])] for row in int_rows], n, scale))
+
+
+def _interpolated_determinant(matrix_at, bound, scale):
+    """The ascending coefficients of the polynomial through det(matrix_at(t)) / scale at t = 0..bound.
+
+    ``matrix_at(t)`` gives a new square integer matrix; each determinant is
+    one Bareiss pass, and the interpolation runs over Z with one division
+    by scale at the end.
+    """
+    values = [_integer_determinant(matrix_at(t)) for t in range(bound + 1)]
+    return [c / scale for c in lagrange_interpolate(values).coeffs]
 
 
 # -- resultants ----------------------------------------------------------------
@@ -476,17 +490,17 @@ def resultant(p, q):
     q_coeffs, sq = _integer_y_coefficients(q, dq)
     bound = min(dq * (len(p_coeffs[0]) - 1) + dp * (len(q_coeffs[0]) - 1),
                 dq * p.degree() + dp * q.degree() - dp * dq)
-    scale = sp**dq * sq**dp
-    values = []
-    for x0 in range(bound + 1):
+
+    def sylvester_at(x0):
         rows = []
         for coeffs, shifts in ((p_coeffs, dq), (q_coeffs, dp)):
             # descending powers of y, p rows first
             vals = [horner(c, x0) for c in reversed(coeffs)]
             rows += [[0] * k + vals + [0] * (shifts - 1 - k) for k in range(shifts)]
-        values.append(_integer_determinant(rows))
-    interp = lagrange_interpolate(values)
-    return BiPoly({(k, 0): c / scale for k, c in enumerate(interp.coeffs)})
+        return rows
+
+    coeffs = _interpolated_determinant(sylvester_at, bound, sp**dq * sq**dp)
+    return BiPoly({(k, 0): c for k, c in enumerate(coeffs)})
 
 
 def _integer_y_coefficients(p, dy):

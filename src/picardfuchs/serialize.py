@@ -2,28 +2,24 @@
 
 JSON carries every rational as a canonical "p/q" string (integers without
 the "/1") and matrices as row-major arrays of arrays, so Fraction() of each
-entry reproduces the exact matrices.  LaTeX renders the system
+entry reproduces the exact matrices; the entries are printed as the
+Fractions the system holds, with str().  LaTeX renders the system
 (t - A) \\dot X = (B_0 + B_1 t) X with \\frac{p}{q} entries; text is an
 aligned human-readable report.
 """
 
 import json
-from fractions import Fraction
 
-from .bipoly import BiPoly
+from .bipoly import _monomial_text
 from .system import validate_system, classify_singularities
 
 
 def monomial_str(a, b):
-    return str(BiPoly.monomial(a, b))
-
-
-def rational_str(q):
-    return str(Fraction(q))
+    return _monomial_text(a, b) or "1"
 
 
 def matrix_to_strings(m):
-    return [[rational_str(v) for v in row] for row in m.entries]
+    return [[str(v) for v in row] for row in m.entries]
 
 
 def basis_to_list(basis):
@@ -43,7 +39,7 @@ def system_to_dict(sys):
         "A": matrix_to_strings(sys.A),
         "B0": matrix_to_strings(sys.B0),
         "B1": matrix_to_strings(sys.B1),
-        "D": [rational_str(d) for d in sys.D],
+        "D": [str(d) for d in sys.D],
         "critical_values": [
             {"re": float(t.real), "im": float(t.imag), "mult": m} for t, m in sys.critical_values()
         ],
@@ -67,7 +63,6 @@ def serialize_system(sys, format="json"):
 
 
 def _latex_rational(q):
-    q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     sign = "-" if q < 0 else ""
@@ -100,7 +95,7 @@ def _latex(sys):
 
 
 def _format_matrix_block(name, m):
-    cells = [[rational_str(v) for v in row] for row in m.entries]
+    cells = matrix_to_strings(m)
     widths = [max(len(cells[i][j]) for i in range(m.rows)) for j in range(m.cols)]
     lines = [f"{name} ="]
     for row in cells:
@@ -115,7 +110,7 @@ def _text(sys):
         "basis (graded order): " + ", ".join(
             monomial_str(a, b) for a, b in sys.basis.monomials
         ),
-        "form degrees D: " + ", ".join(rational_str(d) for d in sys.D),
+        "form degrees D: " + ", ".join(map(str, sys.D)),
     ]
     for name, m in (("A", sys.A), ("B0", sys.B0), ("B1", sys.B1)):
         lines.extend(_format_matrix_block(name, m))

@@ -20,6 +20,7 @@ from picardfuchs.bipoly import (
 )
 from picardfuchs.errors import ZeroPolynomialError
 from picardfuchs.parsing import MAX_DEGREE, parse_polynomial
+from tests.conftest import to_sympy
 
 QUINTIC = X**5 + Y**5 + X**2 * Y**2 + X + Y
 
@@ -131,28 +132,47 @@ def _over(terms, denom):
     return BiPoly({e: Fraction(c, denom) for e, c in terms.items()})
 
 
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(p=RATIONAL_POLYS, q=RATIONAL_POLYS, a=st.integers(-9, 9), b=st.integers(-9, 9),
-       shift=st.tuples(st.integers(0, 3), st.integers(0, 3)))
-def test_integer_terms_agree_with_bipoly_arithmetic(p, q, a, b, shift):
+       shift=st.tuples(st.integers(0, 3), st.integers(0, 3)), k=st.integers(0, 4))
+def test_kernel_and_bipoly_arithmetic_agree_with_sympy(sympy, p, q, a, b, shift, k):
+    x, y = sympy.symbols("x y")
+
+    def ref(poly):
+        return sympy.Poly(to_sympy(poly, sympy), x, y, domain="QQ")
+
+    P, Q = ref(p), ref(q)
     ints, denom = cleared(list(p.terms.values()))
     assert denom > 0 and [Fraction(c, denom) for c in ints] == list(p.terms.values())
     pt, sp = integer_terms(p)
     qt, sq = integer_terms(q)
-    assert sp > 0 and all(type(c) is int and c for c in pt.values()) and _over(pt, sp) == p
+    assert sp > 0 and all(type(c) is int and c for c in pt.values()) and ref(_over(pt, sp)) == P
     i, j = shift
-    assert _over(shifted(pt, i, j, a), sp) == a * BiPoly.monomial(i, j) * p
+    assert ref(_over(shifted(pt, i, j, a), sp)) == a * ref(BiPoly.monomial(i, j)) * P
     # no zero coefficient is stored, so equal polynomials have equal terms
     combined = combine((a * sq, pt), (b * sp, qt))
-    assert _over(combined, sp * sq) == a * p + b * q and all(combined.values())
+    assert ref(_over(combined, sp * sq)) == a * P + b * Q and all(combined.values())
     assert combine((1, pt), (-1, pt)) == {} == times(pt, {})
     total = dict(pt)
     add_into(total, a, pt)
-    assert _over(total, sp) == (1 + a) * p and all(total.values())
+    assert ref(_over(total, sp)) == (1 + a) * P and all(total.values())
     product = times(pt, qt)
-    assert _over(product, sp * sq) == p * q and all(product.values())
+    assert ref(_over(product, sp * sq)) == P * Q and all(product.values())
     px, py = partials(pt)
-    assert (_over(px, sp), _over(py, sp)) == (p.partial("x"), p.partial("y"))
+    assert (ref(_over(px, sp)), ref(_over(py, sp))) == (P.diff(x), P.diff(y))
+
+    # BiPoly's operators, on the kernel: canonical Fractions, no zeros stored
+    for poly, expected in ((p + q, P + Q), (p - q, P - Q), (a * p + q * b, a * P + b * Q), (p * q, P * Q),
+                           (p**k, P**k), (p.partial("x"), P.diff(x)), (p.partial("y"), P.diff(y))):
+        assert ref(poly) == expected and all(type(c) is Fraction and c for c in poly.terms.values())
+    # cancellation to zero
+    assert (p - p).terms == (p * 0).terms == (p * BiPoly.zero()).terms == {}
+    assert p**0 == BiPoly.constant(1) == (p - p) ** 0 and (p - p) ** (k + 1) == 0
 
 
 def test_integer_terms_of_zero():

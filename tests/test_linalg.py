@@ -132,7 +132,8 @@ def test_stored_solver_matches_one_shot_solves(seed):
         one_shot, null_basis = solve_with_nullspace(m, rhs, want_nullspace=True)
         assert solver.solve(rhs) == one_shot == _augmented_solve(m, rhs)
         assert null_basis == (kernel if one_shot is not None else [])
-    assert m == copy and solver.map is not None
+    # the map replaces the echelon rows, and the kernel was asked for before it
+    assert m == copy and solver.map is not None and solver.rows is None
 
 
 @pytest.mark.parametrize("m, consistent", [
@@ -151,6 +152,14 @@ def test_solution_map_matches_a_pass_over_the_augmented_matrix(m, consistent):
             assert solver.solve(rhs) == _augmented_solve(m, rhs)
     assert solver.map is not None
     assert solver.solve(consistent) is not None
+
+
+def test_a_solver_without_rows_answers_every_right_hand_side():
+    solver = FractionFreeSolver([])
+    assert solver.nullspace() == []
+    for _ in range(3):
+        assert solver.solve([]) == ([], 1)
+    assert solver.nullspace() == []
 
 
 def test_back_substitution_rejects_an_inexact_division():
@@ -205,6 +214,35 @@ def test_determinant_matches_pencil():
     assert pencil == UniPoly([2])
     assert determinant(b0) == 2
     assert determinant(RatMatrix([[1, 2], [2, 4]])) == 0
+
+
+def _row_denominators(rng, rows, cols):
+    """A seeded rows x cols RatMatrix whose rows have denominators of their own."""
+    return RatMatrix([[Fraction(rng.randint(-20, 20), d * rng.randint(1, 3)) for _ in range(cols)]
+                      for d in (rng.randint(1, 12) for _ in range(rows))])
+
+
+def test_pencil_determinant_and_products_match_sympy(rng):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+
+    def ref(m):
+        return sympy.Matrix(m.rows, m.cols, lambda i, j: sympy.Rational(m[i, j].numerator, m[i, j].denominator))
+
+    def pencil_ref(b0, b1):
+        det = sympy.Poly((ref(b0) + t * ref(b1)).det(method="berkowitz"), t)
+        return UniPoly([Fraction(int(c.p), int(c.q)) for c in reversed(det.all_coeffs())])
+
+    for n in range(1, 6):
+        for _ in range(3):
+            b0, b1 = _row_denominators(rng, n, n), _row_denominators(rng, n, n)
+            assert pencil_determinant(b0, b1) == pencil_ref(b0, b1)
+            wide, tall = _row_denominators(rng, n, rng.randint(1, 5)), _row_denominators(rng, rng.randint(1, 5), n)
+            assert ref(b0 @ wide) == ref(b0) * ref(wide) and ref(tall @ b0) == ref(tall) * ref(b0)
+    # singular: the last row of [B0 | B1] is 3/7 times the first, so det(B0 + t*B1) = 0 for every t
+    b0, b1 = _row_denominators(rng, 4, 4), _row_denominators(rng, 4, 4)
+    b0, b1 = (RatMatrix(m.entries[:3] + [[Fraction(3, 7) * v for v in m.entries[0]]]) for m in (b0, b1))
+    assert pencil_determinant(b0, b1).is_zero() and pencil_ref(b0, b1).is_zero()
 
 
 def test_resultant_substitution_case():

@@ -3,9 +3,9 @@
 Run from any directory:
 
     python3 tools/bench_pairs.py PARENT_TREE [--workload W [W ...]] [--pairs 10]
-                                 [--seed 1] [--seconds S] > BENCH.json
+                                 [--seed 1 [S ...]] [--seconds S] > BENCH.json
 
-Per workload and pair, ``perfbench/run.py --trace 0`` runs once in each
+Per seed, workload and pair, ``perfbench/run.py --trace 0`` runs once in each
 tree, one process at a time, the parent first in odd pairs and this tree
 first in even ones, with ``PYTHONDONTWRITEBYTECODE=1``; ``--seconds``
 passes on to run.py (default: ``run_seconds`` of BENCHMARK.json).  The
@@ -17,8 +17,9 @@ by more than the metric's bound, and whether a gain holds: the change wins
 at least nine in ten pairs and its median is better by more than the
 parent's interquartile range.  Standard output is one JSON object in the
 layout of the BENCH_*.json files: the run.py command of each run, per side
-the first pair's results, and every pair's values under a note that names
-this invocation.  Nothing under perfbench/ is written besides run.py's
+the first seed's first pair's results, and every pair's values keyed
+"<workload> seed <s>" under a note that names this one invocation, every
+seed included.  Nothing under perfbench/ is written besides run.py's
 own results directory.  Standard library only.
 """
 
@@ -99,13 +100,60 @@ def merged(results):
     }
 
 
+def run_pairs(run, trees, workloads, seeds, pairs, metrics):
+    """(first result per side and workload, values per "<workload> seed <s>", metric and side, in pair order).
+
+    ``run(tree, workload, seed)`` gives one run.py result; every seed runs
+    its own pairs of every workload, and ``first`` keeps the first seed's.
+    The table of each workload and seed goes to standard error.
+    """
+    first = {"parent": {}, "change": {}}
+    runs = {}
+    for seed in seeds:
+        for workload in workloads:
+            key = f"{workload} seed {seed}"
+            values = {m["name"]: {"parent": [], "change": []} for m in metrics}
+            failed = {"parent": [], "change": []}
+            for pair in range(1, pairs + 1):
+                for side in ("parent", "change") if pair % 2 else ("change", "parent"):
+                    result = run(trees[side], workload, seed)
+                    first[side].setdefault(workload, result)
+                    failed[side].append(f"{result['failed']}/{result['attempted']}" if result["correct"] else None)
+                    for m in metrics:
+                        values[m["name"]][side].append(round(result["metrics"][m["name"]]["value"], 5))
+                    print(f"{key} pair {pair} {side}: {result['metrics']['wall_s']['value']:.5f} s", file=sys.stderr)
+            runs[key] = values
+            print(f"\n{key}, {pairs} pairs; failed/attempted per run (None: not correct): "
+                  f"parent {failed['parent']}, change {failed['change']}", file=sys.stderr)
+            print("| metric | parent median [q1, q3] | change median [q1, q3] | change wins | worse than bound "
+                  "| gain holds |\n|---|---|---|---|---|---|", file=sys.stderr)
+            for m in metrics:
+                p, c = values[m["name"]]["parent"], values[m["name"]]["change"]
+                (p1, p2, p3), (c1, c2, c3) = quartiles(p), quartiles(c)
+                print(f"| {m['name']} | {p2:.5g} [{p1:.5g}, {p3:.5g}] | {c2:.5g} [{c1:.5g}, {c3:.5g}] "
+                      f"| {wins(p, c, m['better'])}/{len(p)} | {regressed(p, c, m['better'], m['bound'])} "
+                      f"| {gain_holds(p, c, m['better'])} |", file=sys.stderr)
+    return first, runs
+
+
+def pairs_note(workloads, seeds, pairs, seconds, run_seconds):
+    """The note over the pairs: how they were run and the one invocation of this tool that made them."""
+    seed_list = " ".join(map(str, seeds))
+    option = "" if seconds is None else f" --seconds {seconds}"
+    return (f"{pairs} alternated parent/change pairs (parent first in odd pairs) per workload and seed, "
+            f"seeds {seed_list}, seconds {seconds or run_seconds}, made with one invocation, "
+            f"python3 tools/bench_pairs.py PARENT_TREE --workload {' '.join(workloads)} "
+            f"--pairs {pairs} --seed {seed_list}{option}: per metric the values in pair order")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="root of the parent's source tree")
     parser.add_argument("--workload", nargs="+", default=None,
                         help="workloads to run (default: every workload of BENCHMARK.json)")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seed", type=int, nargs="+", default=[1],
+                        help="one or more seeds; each runs its own pairs of every workload")
     parser.add_argument("--seconds", type=float, default=None)
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -115,44 +163,17 @@ def main(argv=None):
     workloads = args.workload or [w["name"] for w in benchmark["workloads"]]
     trees = {"parent": args.parent.resolve(), "change": HERE}
 
-    first = {"parent": {}, "change": {}}
-    runs = {}
-    for workload in workloads:
-        values = {m["name"]: {"parent": [], "change": []} for m in metrics}
-        failed = {"parent": [], "change": []}
-        for pair in range(1, args.pairs + 1):
-            for side in ("parent", "change") if pair % 2 else ("change", "parent"):
-                result = run_once(trees[side], workload, args.seed, args.seconds)
-                first[side].setdefault(workload, result)
-                failed[side].append(f"{result['failed']}/{result['attempted']}" if result["correct"] else None)
-                for m in metrics:
-                    values[m["name"]][side].append(round(result["metrics"][m["name"]]["value"], 5))
-                print(f"{workload} pair {pair} {side}: {result['metrics']['wall_s']['value']:.5f} s",
-                      file=sys.stderr)
-        runs[f"{workload} seed {args.seed}"] = values
-        print(f"\n{workload} seed {args.seed}, {args.pairs} pairs; failed/attempted per run (None: not correct): "
-              f"parent {failed['parent']}, change {failed['change']}", file=sys.stderr)
-        print("| metric | parent median [q1, q3] | change median [q1, q3] | change wins | worse than bound "
-              "| gain holds |\n|---|---|---|---|---|---|", file=sys.stderr)
-        for m in metrics:
-            p, c = values[m["name"]]["parent"], values[m["name"]]["change"]
-            (p1, p2, p3), (c1, c2, c3) = quartiles(p), quartiles(c)
-            print(f"| {m['name']} | {p2:.5g} [{p1:.5g}, {p3:.5g}] | {c2:.5g} [{c1:.5g}, {c3:.5g}] "
-                  f"| {wins(p, c, m['better'])}/{len(p)} | {regressed(p, c, m['better'], m['bound'])} "
-                  f"| {gain_holds(p, c, m['better'])} |", file=sys.stderr)
-
+    first, runs = run_pairs(lambda tree, workload, seed: run_once(tree, workload, seed, args.seconds),
+                            trees, workloads, args.seed, args.pairs, metrics)
     seconds = "" if args.seconds is None else f" --seconds {args.seconds}"
     report = {
-        "command": " ".join(benchmark["command"]) + f" --workload W --seed {args.seed} --trace 0{seconds}",
+        "command": " ".join(benchmark["command"]) + f" --workload W --seed S --trace 0{seconds}",
         "machine": f"{len(os.sched_getaffinity(0))} CPUs, Python {platform.python_version()}, "
                    "PYTHONDONTWRITEBYTECODE=1",
         "parent": {"commit": commit_of(trees["parent"]), "result": merged(first["parent"])},
         "change": {"commit": commit_of(trees["change"]), "result": merged(first["change"])},
         "pairs": {
-            "note": f"{args.pairs} alternated parent/change pairs (parent first in odd pairs), "
-                    f"seed {args.seed}, seconds {args.seconds or benchmark['run_seconds']}, made with "
-                    f"python3 tools/bench_pairs.py PARENT_TREE --workload {' '.join(workloads)} "
-                    f"--pairs {args.pairs} --seed {args.seed}{seconds}: per metric the values in pair order",
+            "note": pairs_note(workloads, args.seed, args.pairs, args.seconds, benchmark["run_seconds"]),
             "runs": runs,
         },
     }

@@ -9,7 +9,8 @@ every exact output prints the same lines.  Per Hamiltonian it digests A, B0,
 B1, D, every eta_i and its Petrov certificate and ``critical_values`` of
 ``build_system`` (or the error it raises), its ``critical_points`` in full
 (x, y, t and multiplicity, every bit of the floats), and the stdout,
-stderr and exit code of ``pf system H --format json``; for the named ones
+stderr and exit code of ``pf system H`` in each of the formats json, text
+and latex (the text and LaTeX printers are compared too); for the named ones
 also the ``classify_singularities`` details, as text (the JSON leaves out
 that string, which prints the minimal polynomial), and the stdout and exit
 code of ``pf verify H``.  Then come the resultants of 40 seeded pairs with
@@ -209,7 +210,8 @@ def main_digest():
         print(f"{label}: build {built}")
         if system is not None:
             print(f"{label}: critical points {sha([dataclasses.astuple(p) for p in system.critical_points])}")
-        print(f"{label}: pf system json {sha(cli_record('system', inputs.poly_text(h), '--format', 'json'))}")
+        for fmt in ("json", "text", "latex"):
+            print(f"{label}: pf system {fmt} {sha(cli_record('system', inputs.poly_text(h), '--format', fmt))}")
         if label.startswith("named"):
             if system is not None:
                 print(f"{label}: classification {classify_singularities(system)['details']}")
