@@ -25,6 +25,7 @@ from fractions import Fraction
 from math import lcm
 
 NEG_INFINITY = float("-inf")
+ZERO = Fraction(0)  # the one zero the exact layers hand out for a missing coefficient
 
 
 def _frac(value):
@@ -148,7 +149,7 @@ class BiPoly:
         return max(e[idx] for e in self.terms)
 
     def coefficient(self, a, b):
-        return self.terms.get((a, b), Fraction(0))
+        return self.terms.get((a, b), ZERO)
 
     def homogeneous_slice(self, d):
         """The sum of all terms of total degree exactly d."""

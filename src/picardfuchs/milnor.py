@@ -49,6 +49,23 @@ the solver's solution map, which gives the same integers (see
 FractionFreeSolver).  So the slice solution, the remainder, its scaling
 and its content are the integers of that pass, whatever the basis
 answered before.
+
+Below degree n there is nothing to solve.  The ideal has no element of
+degree < n, so every monomial of degree d < n is a basis monomial, in the
+grid and in the greedy selection alike (_ideal_labels is empty there),
+and the reduction's columns of degree d are the d+1 monomials x^(d-b) y^b
+over 1.  Petrov's columns there are the d(omega_i) = deg_i m_i / deg_i of
+the basis monomials of degree d: a column d(H^k omega_i) with k >= 1 has
+degree (n+1)k + deg omega_i - 2 >= n+1, and dg^dH with deg g >= 1 has
+degree >= n.  So the slice matrix of such a degree is a permutation of
+the identity on unit monomial columns without lower slices, and the value
+of the label of x^(d-b) y^b is W_d[b] / D: no solve, no scaling, no
+content step, and the lower slices are untouched.  The operator of such
+a degree holds no solver, only the labels in the order of b; it is
+recognised from its columns (each one piece of the base of 1, of weight
+equal to its denominator, the d+1 of them on distinct monomials), so a
+hand-made basis that lacks a monomial of low degree still gets a solver
+and the same errors.
 """
 
 from dataclasses import dataclass
@@ -57,7 +74,7 @@ from functools import cached_property
 from itertools import chain
 from math import gcd
 
-from .bipoly import BiPoly, grlex_key, integer_terms, partials, times
+from .bipoly import ZERO, BiPoly, _raw, grlex_key, integer_terms, partials, times
 from .errors import DegreeTooSmallError, InternalRankError, NotRegularError
 from .forms import OneForm, canonical_primitive
 from .linalg import FractionFreeSolver, pivot_columns
@@ -255,9 +272,11 @@ def peel_top_slices(target, operators, slice_labels, column, inconsistent):
     (w0, w1, base, i, j): slice bases from the SliceStore (see slice_base),
     their slices base_e of degree e weighted by the integers w0 + w1 e, and
     a positive integer s.  ``operators`` (a SliceStore dict) keeps per
-    degree d the slice operator, made on first use: the d+1 x len(labels)
-    slice matrix reduced by a FractionFreeSolver, the labels, and whether a
-    kernel vector moves the first group.
+    degree d the slice operator, made on first use (_slice_operator): the
+    d+1 x len(labels) slice matrix reduced by a FractionFreeSolver, the
+    labels, and whether a kernel vector moves the first group; or, when
+    the columns are the d+1 unit monomials, no solver and the labels in
+    slice order.
 
     The remainder is dense integer slices W_e, one list per total degree e,
     over one positive denominator D.  Each round solves the d+1 integer
@@ -265,7 +284,9 @@ def peel_top_slices(target, operators, slice_labels, column, inconsistent):
     values zero; u_j = N_j / Q with integers N_j, Q > 0, and
     v_j = u_j * s_j / D), scales W by L = Q / gcd(Q, N), subtracts each
     column's pieces, weighted by L u_j, slice by slice in int arithmetic,
-    sets D to L*D and divides out the content; W_d is then zero.  Raises
+    sets D to L*D and divides out the content; W_d is then zero.  A round
+    on unit monomial columns reads v_j = W_d[b] / D off for the label of
+    x^(d-b) y^b and leaves W and D as they are.  Raises
     ``inconsistent`` when a slice lies outside the span of its columns and
     InternalRankError when the first group is not unique, on every round
     that reaches such a slice, or when the top slice is left nonzero.
@@ -281,10 +302,13 @@ def peel_top_slices(target, operators, slice_labels, column, inconsistent):
         if not any(work[d]):
             continue
         if d not in operators:
-            unique, labels = slice_labels(d)
-            solver = FractionFreeSolver(_slice_matrix([column(label)[0] for label in labels], d))
-            operators[d] = solver, labels, unique > 0 and any(any(vec[:unique]) for vec in solver.nullspace())
+            operators[d] = _slice_operator(d, slice_labels, column)
         solver, labels, leading_free = operators[d]
+        if solver is None:  # unit monomial columns: the slice is the solution
+            for label, c in zip(labels, work[d]):
+                if c:
+                    values[label] = Fraction(c, denom)
+            continue
         solution = solver.solve(work[d])
         if solution is None:
             raise inconsistent(f"degree-{d} slice system inconsistent; basis invalid")
@@ -314,6 +338,27 @@ def peel_top_slices(target, operators, slice_labels, column, inconsistent):
             work[:d] = [[c // content for c in row] for row in work[:d]]
             denom //= content
     return values
+
+
+def _slice_operator(d, slice_labels, column):
+    """The slice operator of degree d: (solver, labels, whether a kernel vector moves the unique group).
+
+    When the columns are d+1 unit monomials x^(d-b) y^b without lower
+    slices (every degree below n; see the module docstring), the solver is
+    None and labels[b] is the label of x^(d-b) y^b.
+    """
+    unique, labels = slice_labels(d)
+    columns = [column(label) for label in labels]
+    read_off = {}
+    for label, (pieces, s) in zip(labels, columns):
+        if len(pieces) == 1:
+            (w0, _, base, i, j), = pieces
+            if base is ONE and w0 == s and i + j == d:
+                read_off[j] = label
+    if len(read_off) == len(labels) == d + 1:
+        return None, [read_off[b] for b in range(d + 1)], False
+    solver = FractionFreeSolver(_slice_matrix([pieces for pieces, _ in columns], d))
+    return solver, labels, unique > 0 and any(any(vec[:unique]) for vec in solver.nullspace())
 
 
 @dataclass(frozen=True)
@@ -347,9 +392,9 @@ def reduce_mod_gradient(P, basis):
 
     values = peel_top_slices(integer_terms(P), store.operators["reduction"], slice_labels, column, InternalRankError)
     return GradientReduction(
-        tuple(values.get(("c", i), Fraction(0)) for i in range(basis.mu)),
-        quotA=BiPoly({m: v for (kind, m), v in values.items() if kind == "A"}),
-        quotB=BiPoly({m: v for (kind, m), v in values.items() if kind == "B"}),
+        tuple(values.get(("c", i), ZERO) for i in range(basis.mu)),
+        quotA=_raw({m: v for (kind, m), v in values.items() if kind == "A"}),
+        quotB=_raw({m: v for (kind, m), v in values.items() if kind == "B"}),
     )
 
 

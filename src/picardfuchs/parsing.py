@@ -16,8 +16,9 @@ position.  str(BiPoly) output round-trips through this parser.
 
 import sys
 from fractions import Fraction
+from math import lcm
 
-from .bipoly import BiPoly
+from .bipoly import BiPoly, _from_integer_terms, combine, integer_terms
 from .errors import ParseError
 
 # each level is a recursive call, so the limit keeps deep input off the stack
@@ -107,24 +108,19 @@ def parse_polynomial(src):
 
 
 def _parse_sum(tokens):
-    kind, _, _ = tokens.peek()
-    negate = False
-    if kind in ("+", "-"):
-        negate = kind == "-"
-        tokens.advance()
-    total = _parse_product(tokens)
-    if negate:
-        total = -total
+    """A signed sum of products, added once: each product is cleared once and the sum divided once."""
+    products = []
     while True:
         kind, _, _ = tokens.peek()
-        if kind == "+":
+        if products and kind not in ("+", "-"):
+            break
+        sign = 1
+        if kind in ("+", "-"):
+            sign = -1 if kind == "-" else 1
             tokens.advance()
-            total = total + _parse_product(tokens)
-        elif kind == "-":
-            tokens.advance()
-            total = total - _parse_product(tokens)
-        else:
-            return total
+        products.append((sign, *integer_terms(_parse_product(tokens))))
+    denom = lcm(*(s for _, _, s in products))
+    return _from_integer_terms(combine(*((sign * (denom // s), p) for sign, p, s in products)), denom)
 
 
 def _parse_product(tokens):

@@ -69,17 +69,29 @@ checked exactly on integer terms: the left side is (L rest - df_int) /
 the numerator of p_ik times common / q_ik with q_ik = den(p_ik) deg_i s^k,
 over common = lcm of the q_ik.  Neither scale need be the least one; the
 identity checked is the same at any common scale.
+
+The witness and the inputs of that check take one pass each: rest is
+accumulated in place, u (P, Q) and then -v g_int (hx, hy) product term by
+product term, with no product dict to combine afterwards; one loop over
+the radial terms then writes the Fraction terms of f, and subtracts the
+partials of f_int (a and b times the numerator times L/(a+b)) from L rest,
+which leaves the integer terms nu of (L rest - df_int).  The peel's values
+reach the results as they are: the p-values go into coeff_polys only for
+the basis forms that have one (the others share one zero UniPoly), and the
+g-values become witness_g without a second normalisation.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .bipoly import BiPoly, _raw, cleared, combine, integer_terms, partials, shifted, times
+from .bipoly import ZERO, BiPoly, _raw, combine, integer_terms, partials, shifted
 from .errors import InternalRankError, NoSolutionError
 from .forms import integer_one_form
 from .milnor import base_terms, peel_top_slices
 from .unipoly import UniPoly
+
+ZERO_POLY = UniPoly()  # the coefficient of every basis form a decomposition does not use
 
 
 @dataclass(frozen=True)
@@ -118,29 +130,53 @@ def petrov_decompose(omega, basis):
     P, Q, s_omega = integer_one_form(omega)
     d_omega = combine((1, partials(Q)[0]), (-1, partials(P)[1]))
     values = peel_top_slices((d_omega, s_omega), store.operators["petrov"], slice_labels, column, NoSolutionError)
-    p_values = {key: v for (kind, key), v in values.items() if kind == "p"}
-    top = max((k for _, k in p_values), default=-1)
-    coeff_polys = tuple(UniPoly([p_values.get((i, k), 0) for k in range(top + 1)]) for i in range(mu))
+    p_values, by_row = {}, {}
+    for (kind, key), v in values.items():
+        if kind == "p":
+            i, k = key
+            p_values[key] = by_row.setdefault(i, {})[k] = v
+    coeff_polys = [ZERO_POLY] * mu
+    for i, row in by_row.items():
+        coeff_polys[i] = UniPoly([row.get(k, ZERO) for k in range(max(row) + 1)])
     witness_g = _raw({m: v for (kind, m), v in values.items() if kind == "g"})
 
     # every H^k omega_i has zero radial contraction, so f integrates rest = omega - g dH
     g, sg = integer_terms(witness_g)
     # rest over R = lcm(s_omega, s_g s): P / s_omega = u P / R, g H_x = v g hx / R
-    (u, v), R = cleared((Fraction(1, s_omega), Fraction(1, sg * s)))
-    rest_P = combine((u, P), (-v, times(g, hx)))
-    rest_Q = combine((u, Q), (-v, times(g, hy)))
-    radial = combine((1, shifted(rest_P, 1, 0)), (1, shifted(rest_Q, 0, 1)))
-    witness_f = _raw({(a, b): Fraction(c, (a + b) * R) for (a, b), c in radial.items()})
+    R = lcm(s_omega, sg * s)
+    u, v = R // s_omega, R // (sg * s)
+    rest_P, rest_Q = shifted(P, 0, 0, u), shifted(Q, 0, 0, u)
+    for (a1, b1), c1 in g.items():
+        w = -v * c1
+        for rest, dh in ((rest_P, hx), (rest_Q, hy)):
+            for (a2, b2), c2 in dh.items():
+                e = (a1 + a2, b1 + b2)
+                rest[e] = rest.get(e, 0) + w * c2
+    radial = {(a + 1, b): c for (a, b), c in rest_P.items()}
+    for (a, b), c in rest_Q.items():
+        radial[a, b + 1] = radial.get((a, b + 1), 0) + c
+    radial = {e: c for e, c in radial.items() if c}
 
-    # f = f_int / (L R) with L the lcm of the degrees a+b present, so rest - df = (L rest - df_int) / (L R)
+    # f = f_int / (L R) with L the lcm of the degrees a+b present, so rest - df = (L rest - df_int) / (L R);
+    # one loop over the radial terms writes f and subtracts df_int from L rest
     L = lcm(*{a + b for a, b in radial})
-    fx, fy = partials({(a, b): c * (L // (a + b)) for (a, b), c in radial.items()})
-    nu_P, nu_Q = combine((L, rest_P), (-1, fx)), combine((L, rest_Q), (-1, fy))
+    f_terms = {}
+    nu_P, nu_Q = shifted(rest_P, 0, 0, L), shifted(rest_Q, 0, 0, L)
+    for (a, b), c in radial.items():
+        f_terms[a, b] = Fraction(c, (a + b) * R)
+        f = c * (L // (a + b))
+        if a:
+            nu_P[a - 1, b] = nu_P.get((a - 1, b), 0) - a * f
+        if b:
+            nu_Q[a, b - 1] = nu_Q.get((a, b - 1), 0) - b * f
+    witness_f = _raw(f_terms)
+    nu_P = {e: c for e, c in nu_P.items() if c}
+    nu_Q = {e: c for e, c in nu_Q.items() if c}
     powers = {k: base_terms(store.power(k)) for k in {k for _, k in p_values}}
     if not _is_radial_combination(nu_P, nu_Q, L * R, p_values, basis.monomials, powers, s):
         raise InternalRankError("closed defect failed to integrate; basis invalid")
 
-    return PetrovDecomposition(coeff_polys, witness_g, witness_f)
+    return PetrovDecomposition(tuple(coeff_polys), witness_g, witness_f)
 
 
 def _p_column(monomial, k, store):

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bipoly import add_into, cleared, combine, integer_terms, partials, shifted, times
+from .bipoly import ZERO, add_into, cleared, combine, integer_terms, partials, shifted, times
 from .critical import cluster, critical_points_numeric, value_clusters
 from .errors import NotRegularError
 from .forms import integer_one_form
@@ -105,13 +105,16 @@ def build_system(H, basis=None):
     def build_row(i):
         eta, a_row = divide_two_form(H.shift(*basis.monomials[i]), basis)
         cert = petrov_decompose(eta, basis)
-        b0_row = [Fraction(0)] * basis.mu
-        b1_row = [Fraction(0)] * basis.mu
+        b0_row = [ZERO] * basis.mu
+        b1_row = [ZERO] * basis.mu
         for j, p in enumerate(cert.coeff_polys):
-            if p.degree() > 1:
+            coeffs = p.coeffs
+            if len(coeffs) > 2:
                 raise AssertionError("Petrov degree bound deg p <= 1 violated")
-            b0_row[j] = p[0]
-            b1_row[j] = p[1]
+            if coeffs:
+                b0_row[j] = coeffs[0]
+            if len(coeffs) == 2:
+                b1_row[j] = coeffs[1]
         return a_row, b0_row, b1_row, eta, cert
 
     a_rows, b0_rows, b1_rows, etas, certs = zip(*(build_row(i) for i in range(basis.mu)))

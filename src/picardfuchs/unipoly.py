@@ -26,7 +26,7 @@ from math import factorial, gcd as _igcd
 
 import numpy as np
 
-from .bipoly import _frac, cleared, signed_terms
+from .bipoly import ZERO, _frac, cleared, signed_terms
 from .fibers import companion_roots
 
 
@@ -52,10 +52,10 @@ class UniPoly:
         return len(self.coeffs) - 1 if self.coeffs else float("-inf")
 
     def leading(self):
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return self.coeffs[-1] if self.coeffs else ZERO
 
     def __getitem__(self, k):
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else ZERO
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

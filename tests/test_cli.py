@@ -36,6 +36,20 @@ def test_parse_implicit_and_parens():
     assert parse_polynomial("  - 3 x ") == -3 * X
 
 
+@pytest.mark.parametrize("text", [
+    "x - x", "2*x*y - x*y - x*y + 1", "-x + x - 1/2 + 1/2", "1/3*x - 1/6*x - 1/6*x + y^2",
+    "-(x - y)^2 + x^2 + y^2", "3/4 - (x + 1/4)*2 + 2x", "x^3 + y^3 - 3*x*y - x^3 - y^3",
+])
+def test_sums_that_cancel_match_sympy(text):
+    # the sum of the products is formed once; terms that cancel, to zero too, leave no zero term
+    p = parse_polynomial(text)
+    assert all(c != 0 for c in p.terms.values())
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    expected = sympy.Poly(sympy.sympify(text.replace("^", "**").replace("2x", "2*x")), x, y, domain="QQ")
+    assert p.terms == {m: Fraction(int(c.p), int(c.q)) for m, c in expected.terms() if c}
+
+
 def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as err:
         parse_polynomial("x^5 + z")

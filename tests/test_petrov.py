@@ -16,7 +16,8 @@ from picardfuchs.milnor import MilnorBasis, monomial_basis, reduce_mod_gradient
 from picardfuchs.petrov import _g_column, _is_radial_combination, _p_column, petrov_decompose
 from picardfuchs.unipoly import UniPoly
 from tests.conftest import random_bipoly, random_regular_hamiltonian
-from tests.reference import column_polynomial, differential, differential_coefficient, exterior_derivative
+from tests.reference import (column_polynomial, differential, differential_coefficient, exterior_derivative,
+                             wedge_with_dH)
 
 QUINTIC = X**5 + Y**5 + X**2 * Y**2 + X + Y
 
@@ -228,8 +229,10 @@ def test_stored_operators_do_not_depend_on_query_order(rng):
         for _ in range(3 * n + 2):
             for D in first:
                 assert answer(D, basis) == fresh[D], D
-        operators = basis.slice_store.operators.values()
-        assert all(solver.map is not None for kind in operators for solver, _, _ in kind.values())
+        # degrees below n are read off and hold no solver; every stored solver has made its map
+        for kind in basis.slice_store.operators.values():
+            assert {d for d, (solver, _, _) in kind.items() if solver is None} == set(range(n))
+            assert all(solver.map is not None for d, (solver, _, _) in kind.items() if d >= n)
         assert (repr(basis), hash(basis)) == seen and basis == monomial_basis(H)
         copies = (dataclasses.replace(basis),
                   MilnorBasis(basis.H, basis.n, basis.mu, basis.monomials, basis.primitives))
@@ -243,9 +246,69 @@ def test_one_query_on_a_fresh_basis_makes_no_solution_map(rng):
     basis = monomial_basis(random_regular_hamiltonian(rng, 3))
     petrov_decompose(OneForm(random_bipoly(rng, 8), random_bipoly(rng, 8)), basis)
     reduce_mod_gradient(random_bipoly(rng, 9), basis)
-    operators = basis.slice_store.operators
-    assert operators["petrov"] and operators["reduction"]
-    assert all(solver.map is None for kind in operators.values() for solver, _, _ in kind.values())
+    for kind in basis.slice_store.operators.values():
+        # degrees below n are read off and hold no solver; the solvers above answered once, by replay
+        assert {d for d, (solver, _, _) in kind.items() if solver is None} == set(range(basis.n))
+        solvers = [solver for d, (solver, _, _) in kind.items() if d >= basis.n]
+        assert solvers and all(solver.map is None for solver in solvers)
+
+
+def _dense_poly(rng, degree):
+    """A polynomial with every monomial of degree <= ``degree`` present, so every slice is nonzero."""
+    return BiPoly({(a, e - a): Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3))
+                   for e in range(degree + 1) for a in range(e + 1)})
+
+
+# the cubic, a random mu 16 basis and the greedy basis of x^3 + 3xy^2 + y
+READ_OFF_HAMILTONIANS = (X**3 + Y**3 - 3 * X * Y, random_regular_hamiltonian(random.Random(16), 4),
+                         X**3 + 3 * X * Y**2 + Y)
+
+
+@pytest.mark.parametrize("which", range(len(READ_OFF_HAMILTONIANS)))
+def test_slices_below_n_are_read_off_and_satisfy_the_identities(which):
+    H = READ_OFF_HAMILTONIANS[which]
+    basis = monomial_basis(H)
+    n, degrees = basis.n, basis.form_degrees()
+    rng = random.Random(which)
+    for D in (1, n, n + 1, 2 * n, 3 * n):
+        P = _dense_poly(rng, D)
+        red = reduce_mod_gradient(P, basis)
+        eta = OneForm(red.quotA, red.quotB)
+        remainder = sum((BiPoly.monomial(a, b, c) for (a, b), c in zip(basis.monomials, red.remainder_coeffs)),
+                        BiPoly.zero())
+        assert wedge_with_dH(H, eta) + remainder == P
+        for q in (red.quotA, red.quotB):
+            assert q.is_zero() or q.degree() <= D - n
+
+        omega = OneForm(_dense_poly(rng, D - 1), _dense_poly(rng, D - 1))
+        while any(exterior_derivative(omega).homogeneous_slice(d).is_zero() for d in range(D - 1)):
+            omega = OneForm(_dense_poly(rng, D - 1), _dense_poly(rng, D - 1))
+        dec = petrov_decompose(omega, basis)
+        assert reassemble(dec, basis) == omega
+        for j, p in enumerate(dec.coeff_polys):
+            assert p.is_zero() or (n + 1) * p.degree() + degrees[j] <= D
+        assert dec.witness_g.is_zero() or dec.witness_g.degree() <= D - (n + 1)
+        assert dec.witness_f.is_zero() or dec.witness_f.degree() <= D
+
+    # every degree below n was reached, and read off without a solver; every degree above has one
+    for kind in basis.slice_store.operators.values():
+        assert all((solver is None) == (d < n) for d, (solver, _, _) in kind.items())
+        assert set(range(n)) <= set(kind)
+
+
+def test_a_basis_without_a_low_monomial_gets_a_solver():
+    # the cubic's basis with y replaced by y^2: degree 1 has one column, x, so it is not read off
+    good = monomial_basis(X**3 + Y**3 - 3 * X * Y)
+    monos = tuple((0, 2) if m == (0, 1) else m for m in good.monomials)
+    bad = MilnorBasis(good.H, good.n, good.mu, monos, tuple(canonical_primitive(a, b) for a, b in monos))
+    inconsistent = r"^degree-1 slice system inconsistent; basis invalid$"
+    for _ in range(2):  # the second call reads the stored operators
+        with pytest.raises(InternalRankError, match=inconsistent):
+            reduce_mod_gradient(Y, bad)
+        with pytest.raises(NoSolutionError, match=inconsistent):
+            petrov_decompose(OneForm(BiPoly.zero(), X * Y), bad)
+    assert reduce_mod_gradient(X, bad).remainder_coeffs == (0, 1, 0, 0)
+    assert all(kind[1][0] is not None for kind in bad.slice_store.operators.values())
 
 
 def test_certificate_check_catches_a_wrong_coefficient(monkeypatch):
