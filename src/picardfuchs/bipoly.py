@@ -19,6 +19,11 @@ here: ``cleared`` (the one place denominators are cleared), ``integer_terms``,
 ring operators and ``partial`` run on it too: each clears its operands once
 with ``integer_terms``, computes on the integer terms and divides the result
 once by its denominator (``_from_integer_terms``).
+
+The float side reads one complex view per polynomial, ``complex_terms``:
+each coefficient converted to complex once, on first use, and kept like the
+hash.  ``eval_at`` at a non-exact point, ``y_coefficients`` and the
+oracle's and cycle tracing's fiber rows read it.
 """
 
 from fractions import Fraction
@@ -102,7 +107,7 @@ def grlex_key(exponents):
 class BiPoly:
     """Immutable sparse polynomial in x and y with Fraction coefficients."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms", "_hash", "_complex")
 
     def __init__(self, terms=None):
         canonical = {}
@@ -115,6 +120,7 @@ class BiPoly:
                     canonical[(int(a), int(b))] = c
         object.__setattr__(self, "terms", canonical)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_complex", None)
 
     # -- constructors ------------------------------------------------------
 
@@ -221,14 +227,19 @@ class BiPoly:
 
     # -- evaluation --------------------------------------------------------
 
+    def complex_terms(self):
+        """The terms as a tuple of ((a, b), complex(c)) pairs in the order of ``terms``, made once on first use."""
+        if self._complex is None:
+            object.__setattr__(self, "_complex", tuple((e, complex(c)) for e, c in self.terms.items()))
+        return self._complex
+
     def eval_at(self, x, y):
-        """Evaluate at a point; exact for Fraction/int inputs, complex otherwise."""
+        """Evaluate at a point; exact for Fraction/int inputs, complex (on ``complex_terms``) otherwise."""
+        if isinstance(x, (Fraction, int)) and isinstance(y, (Fraction, int)):
+            return sum(c * x**a * y**b for (a, b), c in self.terms.items())
         total = 0
-        for (a, b), c in self.terms.items():
-            if isinstance(x, (Fraction, int)) and isinstance(y, (Fraction, int)):
-                total += c * x**a * y**b
-            else:
-                total += complex(c) * (x**a) * (y**b)
+        for (a, b), c in self.complex_terms():
+            total += c * (x**a) * (y**b)
         return total
 
     def y_coefficients(self, x_value):
@@ -237,8 +248,8 @@ class BiPoly:
         if deg == NEG_INFINITY:
             return []
         coeffs = [0j] * (deg + 1)
-        for (a, b), c in self.terms.items():
-            coeffs[b] += complex(c) * x_value**a
+        for (a, b), c in self.complex_terms():
+            coeffs[b] += c * x_value**a
         return coeffs
 
     def swap_variables(self):
@@ -320,6 +331,7 @@ def _raw(terms):
     p = BiPoly.__new__(BiPoly)
     object.__setattr__(p, "terms", terms)
     object.__setattr__(p, "_hash", None)
+    object.__setattr__(p, "_complex", None)
     return p
 
 

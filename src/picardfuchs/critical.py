@@ -5,7 +5,9 @@ exact Yun squarefree decomposition is rooted factor by factor, so a root of
 multiplicity k is found as a simple root carrying exact multiplicity k.
 Above each x the critical y is the matching common root of H_x(x0, .) and
 H_y(x0, .).  These fibers of every x-cluster are rooted together before the
-clusters are read.  Every float root here is taken by
+clusters are read; the rows of every fiber come from the complex view
+of H_x and H_y (``BiPoly.complex_terms``), converted once per polynomial,
+not once per x.  Every float root here is taken by
 fibers.companion_roots, by the rule stated there.  Multiplicity of a
 cluster is the number of resultant roots in it; when several critical
 points share one x, the cluster count is split evenly across them (and a
@@ -131,7 +133,8 @@ def _scaled_row(poly, x0):
     cancellations at float root locations are recognized.
     """
     coeffs = poly.y_coefficients(complex(x0))
-    ref_scale = sum(abs(complex(c)) * max(1.0, abs(complex(x0))) ** a for (a, _), c in poly.terms.items())
+    radius = max(1.0, abs(complex(x0)))
+    ref_scale = sum(abs(c) * radius**a for (a, _), c in poly.complex_terms())
     if not coeffs or ref_scale == 0:
         return None
     scale = max(abs(c) for c in coeffs)

@@ -51,8 +51,8 @@ def _fiber_root_blocks(H, t, x_values):
         xs = x_values[start:start + FIBER_BLOCK]
         coeffs = np.zeros((len(xs), n + 1), dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail the test below
-            for (a, b), c in H.terms.items():
-                coeffs[:, n - b] += complex(c) * xs**a
+            for (a, b), c in H.complex_terms():
+                coeffs[:, n - b] += c * xs**a
             coeffs[:, n] -= complex(t)
         overflowed = np.flatnonzero(~np.isfinite(coeffs).all(axis=1))
         if len(overflowed):

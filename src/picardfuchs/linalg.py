@@ -28,14 +28,14 @@ On top of the core sit: pivot columns (rank and greedy column bases),
 FractionFreeSolver (one reduction of M, then a particular solution per
 right-hand side, None when inconsistent, and the kernel) with
 solve_with_nullspace as its one-shot form, exact determinants, one
-interpolated determinant (integer matrices at the integer nodes 0..bound,
-one Bareiss pivot each, interpolated over Z, then divided once by the scale
-that clearing their rows multiplies the determinant by) behind both Sylvester
-resultants in y (bound a degree bound of the resultant in x from the total
-or the x-degrees of its arguments, whichever is smaller, scale s_p^dq
-s_q^dp) and the pencil det(B0 + t*B1) (bound n, scale the product of the
-row scalings of [B0 | B1]), and the spectral polynomials of a
-multiplication matrix.
+interpolation over Z (integer values at the integer nodes 0..bound, divided
+once by the scale that clearing the rows multiplies them by) behind both
+the pencil det(B0 + t*B1) (one Bareiss pivot per node, bound n, scale the
+product of the row scalings of [B0 | B1]) and the Sylvester resultant in y
+(one subresultant PRS per node at the formal degrees, bound a degree bound
+of the resultant in x from the total or the x-degrees of its arguments,
+whichever is smaller, scale s_p^dq s_q^dp), and the spectral polynomials of
+a multiplication matrix.
 spectral_polynomials is the one place that derives them: the minimal
 polynomial is ann(e_0), the annihilator of the unit row, from one core pass
 over the Krylov columns e_0 M^k, k <= n (Wiedemann, IEEE Trans. IT 1986),
@@ -435,18 +435,18 @@ def pencil_determinant(b0, b1):
         raise ValueError("pencil needs two square matrices of equal size")
     n = b0.rows
     int_rows, scale = _integer_rows([r0 + r1 for r0, r1 in zip(b0.entries, b1.entries)])
-    return UniPoly(_interpolated_determinant(
-        lambda t: [[a + t * b for a, b in zip(row[:n], row[n:])] for row in int_rows], n, scale))
+    return UniPoly(_interpolated(
+        lambda t: _integer_determinant([[a + t * b for a, b in zip(row[:n], row[n:])] for row in int_rows]),
+        n, scale))
 
 
-def _interpolated_determinant(matrix_at, bound, scale):
-    """The ascending coefficients of the polynomial through det(matrix_at(t)) / scale at t = 0..bound.
+def _interpolated(value_at, bound, scale):
+    """The ascending coefficients of the polynomial through value_at(t) / scale at t = 0..bound.
 
-    ``matrix_at(t)`` gives a new square integer matrix; each determinant is
-    one Bareiss pass, and the interpolation runs over Z with one division
-    by scale at the end.
+    ``value_at(t)`` is an integer; the interpolation runs over Z with one
+    division by scale at the end.
     """
-    values = [_integer_determinant(matrix_at(t)) for t in range(bound + 1)]
+    values = [value_at(t) for t in range(bound + 1)]
     return [c / scale for c in lagrange_interpolate(values).coeffs]
 
 
@@ -457,13 +457,13 @@ def resultant(p, q):
     """Sylvester resultant Res_y(p, q) of two BiPolys, a BiPoly in x alone.
 
     p and q are cleared to integer terms over s_p and s_q.  At each integer
-    node x0 = 0..bound the Sylvester matrix of the integer polynomials is an
-    integer matrix (Horner on the y-coefficients) with a Bareiss determinant.
+    node x0 = 0..bound the integer polynomials in y (Horner on their
+    y-coefficients) have a Sylvester matrix of the formal degrees dp, dq,
+    whose determinant _sylvester_determinant computes without forming it.
     Its dq p-rows are s_p times, and its dp q-rows s_q times, those of the
     Sylvester matrix of p and q, so it is s_p^dq s_q^dp Res_y(p, q)(x0).  The
     determinant commutes with evaluation, so interpolating the integer
-    values and dividing by that scale once gives the resultant.  For p
-    constant in y the matrix is dq x dq diagonal, with determinant p^dq.
+    values and dividing by that scale once gives the resultant.
 
     The bound is the smaller of two degree bounds in x of the determinant.
     With x-degrees: every entry of a p-row has x-degree at most deg_x p and
@@ -490,16 +490,9 @@ def resultant(p, q):
     q_coeffs, sq = _integer_y_coefficients(q, dq)
     bound = min(dq * (len(p_coeffs[0]) - 1) + dp * (len(q_coeffs[0]) - 1),
                 dq * p.degree() + dp * q.degree() - dp * dq)
-
-    def sylvester_at(x0):
-        rows = []
-        for coeffs, shifts in ((p_coeffs, dq), (q_coeffs, dp)):
-            # descending powers of y, p rows first
-            vals = [horner(c, x0) for c in reversed(coeffs)]
-            rows += [[0] * k + vals + [0] * (shifts - 1 - k) for k in range(shifts)]
-        return rows
-
-    coeffs = _interpolated_determinant(sylvester_at, bound, sp**dq * sq**dp)
+    coeffs = _interpolated(lambda x0: _sylvester_determinant([horner(c, x0) for c in p_coeffs],
+                                                             [horner(c, x0) for c in q_coeffs]),
+                           bound, sp**dq * sq**dp)
     return BiPoly({(k, 0): c for k, c in enumerate(coeffs)})
 
 
@@ -511,3 +504,77 @@ def _integer_y_coefficients(p, dy):
         coeffs[b][a] = c
     return coeffs, s
 
+
+def _sylvester_determinant(p, q):
+    """The determinant of the Sylvester matrix of two integer polynomials at their formal degrees.
+
+    p and q are ascending integer coefficient lists of the formal degrees
+    dp = len(p) - 1 and dq = len(q) - 1, not both 0; their leading entries
+    may be 0.  For dp = 0 the matrix is dq x dq diagonal with entry p_0, so
+    the determinant is p_0^dq whatever q is; likewise q_0^dp for dq = 0.
+
+    For dp, dq >= 1 expand the determinant along its first column, which
+    holds p_dp in the first p-row, q_dq in the first q-row (row dq) and
+    zeros elsewhere.  If both leading entries are 0 the column is zero and
+    so is the determinant.  If p_dp = 0, the column's one entry is q_dq at
+    row dq, with sign (-1)^dq, and deleting that row and the first column
+    leaves the Sylvester matrix of p at formal degree dp - 1 and q at dq:
+    each p-row loses a leading 0 and the remaining q-rows shift left by one.
+    Repeating down to the actual degree m of p gives
+    ((-1)^dq q_dq)^(dp - m) times the determinant at degrees (m, dq); for p
+    identically 0 some p-row is zero and the determinant is 0 (dq >= 1).
+    If q_dq = 0, the entry is p_dp at row 0, with sign +1, and the minor is
+    the Sylvester matrix at degrees (dp, dq - 1), so the determinant is
+    p_dp^(dq - n) times that at degrees (dp, n) for the actual degree n of q.
+    At the actual degrees it is the resultant, by _subresultant.
+    """
+    dp, dq = len(p) - 1, len(q) - 1
+    if dp == 0 or dq == 0:
+        return p[0] ** dq * q[0] ** dp
+    a, b = _stripped(p[::-1]), _stripped(q[::-1])
+    if not a or not b or (len(a) <= dp and len(b) <= dq):
+        return 0
+    if len(a) <= dp:
+        return ((-1) ** dq * q[-1]) ** (dp + 1 - len(a)) * _subresultant(a, b)
+    return p[-1] ** (dq + 1 - len(b)) * _subresultant(a, b)
+
+
+def _stripped(coeffs):
+    """A descending coefficient list without its leading zeros; [] for zero."""
+    k = 0
+    while k < len(coeffs) and not coeffs[k]:
+        k += 1
+    return coeffs[k:]
+
+
+def _subresultant(a, b):
+    """Res(a, b) of two integer polynomials, descending lists with nonzero leading entries, by the subresultant PRS.
+
+    Brown and Traub (JACM 18, 1971) in the form of Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 3.3.7, without its content
+    removal: every division is exact over Z, and the sequence costs
+    O(deg a deg b) integer operations against O((deg a + deg b)^3) for a
+    determinant of the Sylvester matrix.  Not both degrees are 0.
+    """
+    s = 1
+    if len(a) < len(b):
+        a, b, s = b, a, (-1) ** ((len(a) - 1) * (len(b) - 1))
+    g = h = 1
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            s = -s
+        lead = b[0]
+        r = a
+        for _ in range(delta + 1):  # pseudo-remainder: lead^(delta+1) a = b Q + r
+            c = r[0]
+            r = [lead * u - c * v for u, v in zip(r[1:], b[1:])] + [lead * u for u in r[len(b):]]
+        r = _stripped(r)
+        if not r:
+            return 0
+        divisor = g * h**delta
+        a, b, g = b, [u // divisor for u in r], lead
+        if delta:
+            h = g**delta // h ** (delta - 1)
+    da = len(a) - 1
+    return s * b[0] ** da // h ** (da - 1)

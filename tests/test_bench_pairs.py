@@ -1,6 +1,21 @@
-"""The statistics of tools/bench_pairs.py on fixed numbers."""
+"""The statistics of tools/bench_pairs.py on fixed numbers, and its parent tree."""
 
-from tools.bench_pairs import gain_holds, merged, pairs_note, quartiles, regressed, run_pairs, wins
+import shutil
+import subprocess
+
+import pytest
+
+from tools.bench_pairs import (
+    commit_of,
+    gain_holds,
+    merged,
+    pairs_note,
+    parent_tree,
+    quartiles,
+    regressed,
+    run_pairs,
+    wins,
+)
 
 PARENT = [10, 11, 12, 13, 14, 15, 16, 17, 18, 19]  # quartiles 12.25, 14.5, 16.75: IQR 4.5
 
@@ -68,3 +83,37 @@ def test_the_pairs_note_names_one_invocation_with_every_seed():
     assert "seeds 1 2, seconds 20" in note
     assert "bench_pairs.py PARENT_TREE --workload reduce_forms build_random --pairs 10 --seed 1 2:" in note
     assert "--seed 3 --seconds 5.0:" in pairs_note(["system_json"], [3], 4, 5.0, 20)
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_a_parent_revision_is_extracted_and_recorded_by_its_hash(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args):
+        return subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                              capture_output=True, text=True, check=True).stdout.strip()
+
+    git("init", "-q")
+    (repo / "a.txt").write_text("parent\n")
+    git("add", "a.txt")
+    git("commit", "-q", "-m", "parent")
+    (repo / "a.txt").write_text("change\n")
+    (repo / "b.txt").write_text("new\n")
+    git("add", "a.txt", "b.txt")
+    git("commit", "-q", "-m", "change")
+
+    with parent_tree("HEAD~1", repo) as (root, commit):
+        assert commit == git("rev-parse", "--short", "HEAD~1")
+        assert (root / "a.txt").read_text() == "parent\n" and not (root / "b.txt").exists()
+        assert not (root / ".git").exists()
+    assert not root.exists()
+    # a directory is taken as it is, even where its name is also a revision
+    (tmp_path / "HEAD").mkdir()
+    monkeypatch.chdir(tmp_path)
+    with parent_tree("HEAD", repo) as (root, commit):
+        assert root == (tmp_path / "HEAD").resolve() and commit == commit_of(root)
+    assert root.exists()
+    with pytest.raises(SystemExit, match="neither a directory nor a git revision"):
+        with parent_tree("no-such-revision", repo):
+            pass

@@ -180,3 +180,40 @@ def test_integer_terms_of_zero():
     assert integer_terms(BiPoly.zero()) == ({}, 1)
     assert partials({}) == ({}, {}) and times({}, {}) == {} and shifted({}, 1, 2, 3) == {}
     assert combine() == combine((2, {}), (0, {(1, 0): 3})) == {}
+
+
+def _big_rational_poly(rng, degree, size):
+    """Seeded coefficients with numerators and denominators of up to 40 digits, some near the float limits."""
+    return BiPoly({(rng.randint(0, degree), rng.randint(0, degree)):
+                   Fraction(rng.randint(-10**40, 10**40), rng.randint(1, 10**rng.choice((1, 20, 40))))
+                   for _ in range(size)})
+
+
+def test_complex_terms_are_made_once_and_evaluate_bit_for_bit(rng):
+    points = [(0.3 - 1.7j, 2.5 + 0.25j), (-1.1, 0.9), (3 + 0j, -2.0), (1e-3j, 1e3), (Fraction(1, 3), 0.5j)]
+    for _ in range(12):
+        p = _big_rational_poly(rng, 6, 9)
+        view = p.complex_terms()
+        assert p.complex_terms() is view
+        assert view == tuple((e, complex(c)) for e, c in p.terms.items())
+        assert all(type(c) is complex and c == complex(p.terms[e]) for e, c in view)
+        for x, y in points:
+            # the per-term formula before the view: the same operations in the same order
+            total = 0
+            for (a, b), c in p.terms.items():
+                total += complex(c) * (x**a) * (y**b)
+            value = p.eval_at(x, y)
+            assert (value.real.hex(), value.imag.hex()) == (total.real.hex(), total.imag.hex())
+            coeffs = [0j] * (p.degree_in("y") + 1)
+            for (a, b), c in p.terms.items():
+                coeffs[b] += complex(c) * x**a
+            assert [(z.real.hex(), z.imag.hex()) for z in p.y_coefficients(x)] == \
+                [(z.real.hex(), z.imag.hex()) for z in coeffs]
+        # Fraction and int points stay exact
+        for x, y in ((Fraction(2, 7), Fraction(-5, 3)), (3, -1), (Fraction(1, 10**30), 2)):
+            assert p.eval_at(x, y) == sum(c * Fraction(x)**a * Fraction(y)**b for (a, b), c in p.terms.items())
+            assert type(p.eval_at(x, y)) in (Fraction, int)
+    assert BiPoly.zero().complex_terms() == () and BiPoly.zero().eval_at(0.5, 1j) == 0
+    # polynomials made by arithmetic (through the raw constructor) start without a view too
+    q = (X + Fraction(1, 3) * Y) * Y
+    assert q.complex_terms() == (((1, 1), 1 + 0j), ((0, 2), complex(Fraction(1, 3))))

@@ -13,6 +13,8 @@ from picardfuchs.linalg import (
     RatMatrix,
     _back_substitute,
     _bareiss_echelon,
+    _integer_determinant,
+    _sylvester_determinant,
     char_poly,
     determinant,
     min_poly,
@@ -315,6 +317,46 @@ def test_resultant_matches_sympy(rng):
     check(p, q)
 
 
+def _sylvester_matrix(p, q):
+    """The Sylvester matrix of ascending integer rows at their formal degrees, descending powers, p-rows first."""
+    dp, dq = len(p) - 1, len(q) - 1
+    return [[0] * k + row[::-1] + [0] * (shifts - 1 - k) for row, shifts in ((p, dq), (q, dp)) for k in range(shifts)]
+
+
+def test_node_resultant_is_the_sylvester_determinant_at_formal_degrees(rng):
+    def row(degree, zero_lead=False, top=10**6):
+        coeffs = [rng.randint(-top, top) for _ in range(degree + 1)]
+        if not coeffs[-1]:
+            coeffs[-1] = 1
+        if zero_lead:
+            coeffs[-1] = 0
+        return coeffs
+
+    cases = []
+    for _ in range(40):
+        dp, dq = rng.randint(1, 7), rng.randint(1, 7)
+        # both leading coefficients nonzero, p's or q's vanishing, both vanishing
+        cases += [(row(dp), row(dq)), (row(dp, True), row(dq)), (row(dp), row(dq, True)),
+                  (row(dp, True), row(dq, True))]
+        # the leading two vanishing: the actual degree two below the formal one
+        if dp >= 2:
+            cases.append((row(dp - 2) + [0, 0], row(dq)))
+        # p or q identically zero at the node
+        cases += [([0] * (dp + 1), row(dq)), (row(dp), [0] * (dq + 1))]
+        # dp = 0 or dq = 0, also against a zero or leading-zero other row
+        cases += [(row(0), row(dq)), (row(dp), row(0)), ([0], row(dq)), (row(dp), [0]),
+                  (row(0), row(dq, True)), (row(dp, True), row(0)), ([rng.randint(-9, 9)], [0] * (dq + 1)),
+                  ([0] * (dp + 1), [rng.randint(-9, 9)])]
+        # small coefficients with many zeros: remainders that drop more than one degree
+        cases.append((row(dp, top=1), row(dq, top=1)))
+    # a common factor: the resultant is zero
+    cases.append(([-2, 1, 1], [2, -3, 1]))
+    for p, q in cases:
+        assert _sylvester_determinant(p, q) == _integer_determinant(_sylvester_matrix(p, q)), (p, q)
+    # p identically zero against q constant in y: the dq = 0 matrix is q_0^dp, not zero
+    assert _sylvester_determinant([0, 0, 0], [5]) == 25
+
+
 def _derogatory_matrix(rng, sympy):
     """Three Jordan blocks over two eigenvalues, conjugated by a unimodular U."""
     blocks = []
@@ -385,17 +427,17 @@ def test_spectra_match_sympy(rng):
             assert min_poly(m) == mp, m
 
 
-def _count_determinants(monkeypatch):
+def _count_node_resultants(monkeypatch):
     import picardfuchs.linalg as linalg
 
     calls = []
-    original = linalg._integer_determinant
+    original = linalg._sylvester_determinant
 
-    def counted(rows):
-        calls.append(len(rows))
-        return original(rows)
+    def counted(p, q):
+        calls.append((len(p), len(q)))
+        return original(p, q)
 
-    monkeypatch.setattr(linalg, "_integer_determinant", counted)
+    monkeypatch.setattr(linalg, "_sylvester_determinant", counted)
     return calls
 
 
@@ -404,7 +446,7 @@ def test_resultant_nodes_follow_the_degree_bound(monkeypatch, rng):
     from sympy.polys.subresultants_qq_zz import sylvester
 
     y = sympy.Symbol("y")
-    calls = _count_determinants(monkeypatch)
+    calls = _count_node_resultants(monkeypatch)
 
     def check(p, q):
         dp, dq = max(p.degree_in("y"), 0), max(q.degree_in("y"), 0)

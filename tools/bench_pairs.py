@@ -5,6 +5,11 @@ Run from any directory:
     python3 tools/bench_pairs.py PARENT_TREE [--workload W [W ...]] [--pairs 10]
                                  [--seed 1 [S ...]] [--seconds S] > BENCH.json
 
+PARENT_TREE is the root of the parent's source tree, or a git revision of
+this repository such as HEAD~1: a directory of that name wins, and a
+revision is extracted with ``git archive`` into a temporary directory,
+removed at the end, and recorded as the parent's ``commit`` by its hash.
+
 Per seed, workload and pair, ``perfbench/run.py --trace 0`` runs once in each
 tree, one process at a time, the parent first in odd pairs and this tree
 first in even ones, with ``PYTHONDONTWRITEBYTECODE=1``; ``--seconds``
@@ -24,12 +29,14 @@ own results directory.  Standard library only.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
@@ -90,6 +97,24 @@ def commit_of(tree):
     return head.stdout.strip() + (" with uncommitted changes" if dirty else "")
 
 
+@contextlib.contextmanager
+def parent_tree(parent, repo):
+    """(root, commit) of PARENT_TREE: a directory as it is, else a git revision of ``repo`` extracted for the block."""
+    if Path(parent).is_dir():
+        root = Path(parent).resolve()
+        yield root, commit_of(root)
+        return
+    rev = subprocess.run(["git", "-C", str(repo), "rev-parse", "--verify", "--short", f"{parent}^{{commit}}"],
+                         capture_output=True, text=True, check=False)
+    if rev.returncode != 0:
+        raise SystemExit(f"PARENT_TREE {parent!r} is neither a directory nor a git revision of {repo}")
+    commit = rev.stdout.strip()
+    archive = subprocess.run(["git", "-C", str(repo), "archive", commit], capture_output=True, check=True).stdout
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as root:
+        subprocess.run(["tar", "-x", "-C", root], input=archive, check=True)
+        yield Path(root), commit
+
+
 def merged(results):
     """One result over several workloads: run.py's layout for a run of all, metrics named workload.metric."""
     return {
@@ -148,7 +173,7 @@ def pairs_note(workloads, seeds, pairs, seconds, run_seconds):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", type=Path, help="root of the parent's source tree")
+    parser.add_argument("parent", help="root of the parent's source tree, or a git revision of this repository")
     parser.add_argument("--workload", nargs="+", default=None,
                         help="workloads to run (default: every workload of BENCHMARK.json)")
     parser.add_argument("--pairs", type=int, default=10)
@@ -161,17 +186,16 @@ def main(argv=None):
     benchmark = json.loads((HERE / "BENCHMARK.json").read_text())
     metrics = benchmark["end_to_end"]
     workloads = args.workload or [w["name"] for w in benchmark["workloads"]]
-    trees = {"parent": args.parent.resolve(), "change": HERE}
-
-    first, runs = run_pairs(lambda tree, workload, seed: run_once(tree, workload, seed, args.seconds),
-                            trees, workloads, args.seed, args.pairs, metrics)
+    with parent_tree(args.parent, HERE) as (parent, parent_commit):
+        first, runs = run_pairs(lambda tree, workload, seed: run_once(tree, workload, seed, args.seconds),
+                                {"parent": parent, "change": HERE}, workloads, args.seed, args.pairs, metrics)
     seconds = "" if args.seconds is None else f" --seconds {args.seconds}"
     report = {
         "command": " ".join(benchmark["command"]) + f" --workload W --seed S --trace 0{seconds}",
         "machine": f"{len(os.sched_getaffinity(0))} CPUs, Python {platform.python_version()}, "
                    "PYTHONDONTWRITEBYTECODE=1",
-        "parent": {"commit": commit_of(trees["parent"]), "result": merged(first["parent"])},
-        "change": {"commit": commit_of(trees["change"]), "result": merged(first["change"])},
+        "parent": {"commit": parent_commit, "result": merged(first["parent"])},
+        "change": {"commit": commit_of(HERE), "result": merged(first["change"])},
         "pairs": {
             "note": pairs_note(workloads, args.seed, args.pairs, args.seconds, benchmark["run_seconds"]),
             "runs": runs,

@@ -15,7 +15,9 @@ also the ``classify_singularities`` details, as text (the JSON leaves out
 that string, which prints the minimal polynomial), and the stdout and exit
 code of ``pf verify H``.  Then come the resultants of 40 seeded pairs with
 rational coefficients and of 24 seeded pairs whose degree in y is below
-their total degree, the squarefree decompositions (and ``is_squarefree``)
+their total degree, of 16 seeded pairs whose leading y-coefficients vanish at
+an interpolation node (one of them, both, or a whole argument against one
+constant in y), the squarefree decompositions (and ``is_squarefree``)
 of seeded products of random factors, most with repeated factors, and of
 the inputs where the one-prime squarefree certificate does not apply
 (x^2 + 2^61 - 1, a leading coefficient divisible by 2^61 - 1), every bit
@@ -137,6 +139,16 @@ def random_poly(rng, degree, size):
                    for a in (rng.randint(0, degree) for _ in range(size))})
 
 
+def vanishing_lead(rng, dy, roots):
+    """A seeded polynomial of degree dy in y whose y^dy coefficient is a rational times the product of (x - r)."""
+    lead = BiPoly.constant(Fraction(rng.randint(1, 9), rng.randint(1, 5)))
+    for r in roots:
+        lead = lead * BiPoly({(1, 0): 1, (0, 0): -r})
+    low = BiPoly({(rng.randint(0, 3), rng.randint(0, dy - 1)): Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                  for _ in range(rng.randint(1, 5))})
+    return lead.shift(0, dy) + low
+
+
 def random_product(rng, squarefree):
     """A seeded product of random rational factors, each squared or cubed at times unless squarefree."""
     p = UniPoly([Fraction(rng.choice((-5, -1, 1, 2, 7)), rng.randint(1, 6))])
@@ -235,6 +247,22 @@ def main_digest():
         if i % 3 == 0:
             q = q + BiPoly.monomial(0, rng.randint(3, 5))
         print(f"resultant low y-degree {i}: {sha(terms(resultant(p, q)))} {sha(terms(resultant(q, p)))}")
+
+    # leading y-coefficients that vanish at an interpolation node: p's alone, (x - 1)(x - 3) against a q
+    # of the same y-degree, both at one node, and p identically zero at a node against q constant in y
+    rng = random.Random(2028)
+    for i in range(16):
+        r, dp, dq = rng.randint(0, 2), rng.randint(1, 4), rng.randint(1, 4)
+        if i % 4 == 0:
+            p, q = vanishing_lead(rng, dp, [r]), vanishing_lead(rng, dq, [])
+        elif i % 4 == 1:
+            p, q = vanishing_lead(rng, dp, [1, 3]), vanishing_lead(rng, dp, [rng.choice((0, 2, 3))])
+        elif i % 4 == 2:
+            p, q = vanishing_lead(rng, dp, [r]), vanishing_lead(rng, dq, [r, rng.randint(0, 4)])
+        else:
+            p = BiPoly({(1, 0): 1, (0, 0): -r}) * vanishing_lead(rng, dp, [])
+            q = BiPoly({(rng.randint(0, 2), 0): Fraction(rng.randint(1, 9), rng.randint(1, 5)), (0, 0): 1})
+        print(f"resultant vanishing lead {i}: {sha(terms(resultant(p, q)))} {sha(terms(resultant(q, p)))}")
 
     rng = random.Random(2026)
     prime = 2**61 - 1  # the prime of the squarefree certificate
