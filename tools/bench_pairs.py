@@ -33,6 +33,7 @@ import contextlib
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -186,6 +187,7 @@ def main(argv=None):
     benchmark = json.loads((HERE / "BENCHMARK.json").read_text())
     metrics = benchmark["end_to_end"]
     workloads = args.workload or [w["name"] for w in benchmark["workloads"]]
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))  # unwind, so an extracted parent tree is removed
     with parent_tree(args.parent, HERE) as (parent, parent_commit):
         first, runs = run_pairs(lambda tree, workload, seed: run_once(tree, workload, seed, args.seconds),
                                 {"parent": parent, "change": HERE}, workloads, args.seed, args.pairs, metrics)
