@@ -286,6 +286,11 @@ def _monomial_text(a, b):
     return "*".join(f"{v}^{e}" if e > 1 else v for v, e in (("x", a), ("y", b)) if e)
 
 
+def monomial_str(a, b):
+    """x^a*y^b as text as the basis listings print it: "1" for a = b = 0."""
+    return _monomial_text(a, b) or "1"
+
+
 def signed_terms(terms):
     """The sum of (coefficient, monomial text) pairs, in their order, as text; "0" when there are none.
 

@@ -13,6 +13,10 @@ Subcommands:
 Exit codes: 0 success, 1 validation/residual failure, 2 input error.  With
 --json-errors every input error, a rejected command line included, is
 reported as one machine-readable JSON object on stderr.
+
+check, basis and reduce run on the exact modules alone; system, verify and
+periods import system, serialize and periods (and with them numpy) inside
+the commands that run them.
 """
 
 import argparse
@@ -21,15 +25,13 @@ import json
 import math
 import sys
 
+from .bipoly import monomial_str
 from .errors import NotRegularError, ParseError, PicardFuchsError
 from .forms import OneForm
-from .milnor import check_regular_at_infinity, monomial_basis
+from .milnor import basis_to_list, check_regular_at_infinity, monomial_basis
 from .parsing import parse_polynomial
-from .periods import (MAX_SAMPLES, MIN_SAMPLES, cycle_from_json, cycle_to_json, system_residual,
-                      trace_cycle)
 from .petrov import petrov_decompose
-from .serialize import basis_to_list, monomial_str, serialize_system
-from .system import build_system, classify_singularities, validate_system
+from .sampling import MAX_SAMPLES, MIN_SAMPLES
 
 
 class UsageError(Exception):
@@ -222,6 +224,9 @@ def _cmd_basis(args, H):
 
 
 def _cmd_system(args, H):
+    from .serialize import serialize_system
+    from .system import build_system
+
     sys_obj = build_system(H)
     payload = serialize_system(sys_obj, format=args.format)
     if args.out:
@@ -263,11 +268,16 @@ def _cmd_reduce(args, H):
 
 def _trace(args, H, t, seed):
     """The cycle on {H = t} through seed that the cycle flags of args describe."""
+    from .periods import trace_cycle
+
     return trace_cycle(H, t, seed, mode=args.mode, samples=args.samples,
                        loop_center=args.loop_center, turns=args.loop_turns)
 
 
 def _cmd_verify(args, H):
+    from .periods import system_residual
+    from .system import build_system, classify_singularities, validate_system
+
     if args.numeric and not args.t:
         raise UsageError(args.parser, "--numeric needs at least one --t level value")
     if args.t and not args.numeric:
@@ -293,6 +303,9 @@ def _cmd_verify(args, H):
 
 
 def _cmd_periods(args, H):
+    from .periods import cycle_from_json, cycle_to_json, system_residual
+    from .system import build_system
+
     missing = [flag for flag, value in (("--t", args.t), ("--seed", args.seed)) if value is None]
     if args.cycle and len(missing) < 2:
         raise UsageError(args.parser, "--t and --seed trace a cycle; give neither with --cycle")

@@ -39,13 +39,14 @@ class CriticalPoint:
 CLUSTER_RADIUS = 1e-6  # numeric roots this close count as one
 
 
-def critical_points_numeric(H):
+def critical_points_numeric(H, report=None):
     """All critical points of H with values and multiplicities (sum = mu).
 
-    Raises NumericalFailure when root clusters cannot be resolved at working
-    precision; never silently drops multiplicity.
+    report is H's RegularityReport when the caller has one, as in
+    monomial_basis.  Raises NumericalFailure when root clusters cannot be
+    resolved at working precision; never silently drops multiplicity.
     """
-    report = check_regular_at_infinity(H)
+    report = report or check_regular_at_infinity(H)
     if not report.regular:
         raise NotRegularError(report.reason)
     mu = report.mu

@@ -142,6 +142,11 @@ class MilnorBasis:
         return SliceStore(self.H)
 
 
+def basis_to_list(basis):
+    """The JSON basis listing: each monomial's exponents and the degree of its form."""
+    return [{"a": a, "b": b, "deg_form": a + b + 2} for a, b in basis.monomials]
+
+
 class SliceStore:
     """What the peels over one basis reuse, each part made on first use.
 

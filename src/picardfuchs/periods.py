@@ -5,7 +5,8 @@ the sample index.  For such samples the trapezoid rule in the index is
 spectrally accurate (Trefethen and Weideman, SIAM Review 56, 2014), so an
 integral is the sum over the samples of integrand times the derivative of x
 or y in the index, and only that derivative needs a high-order stencil: a
-periodic central difference of order 8.
+periodic central difference of order 8, whose weights (and the sample
+counts they bound) are in ``sampling``.
 
 Two cycle modes:
 
@@ -78,6 +79,7 @@ import numpy as np
 from .critical import critical_points_numeric, value_clusters
 from .errors import NotClosed, NumericalFailure, SingularDenominator, TraceDiverged
 from .fibers import FIBER_BLOCK, UNIT_ROUNDOFF, _fiber_root_blocks, _fiber_roots
+from .sampling import MIN_SAMPLES, STENCIL, STENCIL_COARSE
 
 
 @dataclass(frozen=True, eq=False)
@@ -587,14 +589,6 @@ def _continue_root(H, t, x_from, y_from, x_to, roots=None, depth=0):
 # -- quadrature ----------------------------------------------------------------
 
 
-# Weights of the sample offsets 1, 2, ... in periodic central differences of
-# orders 8 and 6; the offset -k carries minus the weight of k.
-_STENCIL = (4 / 5, -1 / 5, 4 / 105, -1 / 280)
-_STENCIL_COARSE = (45 / 60, -9 / 60, 1 / 60)
-MIN_SAMPLES = 2 * len(_STENCIL) + 1  # the width of the stencil
-MAX_SAMPLES = 1 << 16  # the most samples a command line may ask a traced cycle for
-
-
 def _samples(points):
     """The x and y columns of (n, 2) points: float arrays when every imaginary part is 0, else complex."""
     chain = np.asarray(points, dtype=complex)
@@ -623,7 +617,7 @@ def _quadrature(cycle):
                                "its values there leave the float range") from None
 
 
-def _derivative(values, stencil=_STENCIL):
+def _derivative(values, stencil=STENCIL):
     """The derivative of periodic samples in the sample index."""
     n, width = len(values), len(stencil)
     wrapped = np.concatenate((values[n - width:], values, values[:width]))
@@ -648,7 +642,7 @@ def integrate_form(omega, cycle, with_error=False):
         value = _trapezoid(table, omega, dxs, dys)
         if not with_error:
             return value
-        coarse = _trapezoid(table, omega, _derivative(xs, _STENCIL_COARSE), _derivative(ys, _STENCIL_COARSE))
+        coarse = _trapezoid(table, omega, _derivative(xs, STENCIL_COARSE), _derivative(ys, STENCIL_COARSE))
     return value, abs(value - coarse)
 
 

@@ -10,21 +10,13 @@ aligned human-readable report.
 
 import json
 
-from .bipoly import _monomial_text
+from .bipoly import monomial_str
+from .milnor import basis_to_list
 from .system import validate_system, classify_singularities
-
-
-def monomial_str(a, b):
-    return _monomial_text(a, b) or "1"
 
 
 def matrix_to_strings(m):
     return [[str(v) for v in row] for row in m.entries]
-
-
-def basis_to_list(basis):
-    """The JSON basis listing: each monomial's exponents and the degree of its form."""
-    return [{"a": a, "b": b, "deg_form": a + b + 2} for a, b in basis.monomials]
 
 
 def system_to_dict(sys):

@@ -100,7 +100,7 @@ def build_system(H, basis=None):
     if basis is None:
         basis = monomial_basis(H, report)
     # the oracle first: an input it rejects fails before any row is peeled
-    critical_points = tuple(critical_points_numeric(H))
+    critical_points = tuple(critical_points_numeric(H, report))
 
     def build_row(i):
         eta, a_row = divide_two_form(H.shift(*basis.monomials[i]), basis)

@@ -6,6 +6,8 @@ determinant of the matrix pencil B0 + t*B1.  Numeric root extraction goes
 through an exact Yun squarefree decomposition first, so multiple roots are
 found as simple roots of squarefree factors and keep full double accuracy;
 the factors are rooted by fibers.companion_roots, by the rule stated there.
+numpy and fibers are imported by roots_of_factors when it is first called,
+so the exact modules, which use this module, run without numpy.
 Most polynomials the package splits are squarefree, and one prime proves
 it in O(deg^2) operations on integers below 2^61: squarefree_decomposition
 returns at once when that certificate holds, and runs Yun's split only when
@@ -24,10 +26,7 @@ forward differences of integer values stay integers.
 from fractions import Fraction
 from math import factorial, gcd as _igcd
 
-import numpy as np
-
 from .bipoly import ZERO, _frac, cleared, signed_terms
-from .fibers import companion_roots
 
 
 class UniPoly:
@@ -297,6 +296,10 @@ def roots_of_factors(factors):
     to fibers.companion_roots together, which roots the factors of one
     degree in one eigenproblem; linear factors are solved exactly.
     """
+    import numpy as np
+
+    from .fibers import companion_roots
+
     rows = []
     for f, _ in factors:
         scale = max(abs(c) for c in f.coeffs)

@@ -18,7 +18,8 @@ from picardfuchs.cli import main
 from picardfuchs.errors import ParseError
 from picardfuchs.parsing import MAX_DEGREE, MAX_NESTING, parse_polynomial
 from picardfuchs import periods
-from picardfuchs.periods import MAX_SAMPLES, MAX_STEP, MIN_SAMPLES
+from picardfuchs.periods import MAX_STEP
+from picardfuchs.sampling import MAX_SAMPLES, MIN_SAMPLES
 
 
 def test_parse_examples():
@@ -629,6 +630,42 @@ def test_system_command_does_not_import_scipy():
     )
     done = _python("-c", script)
     assert done.stderr.decode() == "[]"
+
+
+def test_exact_library_calls_do_not_import_numpy():
+    script = (
+        "import sys\n"
+        "import picardfuchs\n"
+        "from picardfuchs import (OneForm, monomial_basis, parse_polynomial, petrov_decompose,\n"
+        "                         reduce_mod_gradient)\n"
+        "H = parse_polynomial('x^3+y^3-3xy')\n"
+        "basis = monomial_basis(H)\n"
+        "reduction = reduce_mod_gradient(parse_polynomial('x^3*y'), basis)\n"
+        "dec = petrov_decompose(OneForm(parse_polynomial('x^2*y'), parse_polynomial('2*y^3')), basis)\n"
+        "assert basis.mu == 4 and not dec.is_zero_class()\n"
+        "sys.stderr.write(repr('numpy' in sys.modules))\n"
+    )
+    assert _python("-c", script).stderr.decode() == "False"
+
+
+@pytest.mark.parametrize("argv, loads_numpy", [
+    (["check", "x^3+y^3-3xy"], False),
+    (["basis", "x^3+y^3-3xy"], False),
+    (["reduce", "x^3+y^3-3xy", "--form", "x^2*y,2*y^3"], False),
+    (["system", "x^3+y^3-3xy"], True),
+], ids=["check", "basis", "reduce", "system"])
+def test_numpy_loads_only_for_the_float_layer_commands(argv, loads_numpy):
+    # check, basis and reduce, in text and in json, run on the exact modules;
+    # system loads numpy, so the probe is seen to work
+    script = (
+        "import sys\n"
+        "from picardfuchs.cli import main\n"
+        "formats = [[], ['--format', 'json']] if sys.argv[1] != 'system' else [[]]\n"
+        "codes = [main(sys.argv[1:] + extra) for extra in formats]\n"
+        "sys.stderr.write(repr('numpy' in sys.modules))\n"
+        "sys.exit(max(codes))\n"
+    )
+    assert _python("-c", script, *argv).stderr.decode() == repr(loads_numpy)
 
 
 def test_numpy_fft_loads_on_first_resampled_oval():

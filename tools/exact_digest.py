@@ -13,7 +13,10 @@ stderr and exit code of ``pf system H`` in each of the formats json, text
 and latex (the text and LaTeX printers are compared too); for the named ones
 also the ``classify_singularities`` details, as text (the JSON leaves out
 that string, which prints the minimal polynomial), and the stdout and exit
-code of ``pf verify H``.  Then come the resultants of 40 seeded pairs with
+code of ``pf verify H``.  Then the stdout, stderr and exit code of
+``pf check H``, ``pf basis H`` and ``pf reduce H`` with one seeded rational
+form, each in text and json, for the named ones and the rejected
+(x+y)^2 + x.  Then come the resultants of 40 seeded pairs with
 rational coefficients and of 24 seeded pairs whose degree in y is below
 their total degree, of 16 seeded pairs whose leading y-coefficients vanish at
 an interpolation node (one of them, both, or a whole argument against one
@@ -229,6 +232,17 @@ def main_digest():
                 print(f"{label}: classification {classify_singularities(system)['details']}")
             out, _, code = cli_record("verify", inputs.poly_text(h))
             print(f"{label}: pf verify exit {code}: {out.strip().replace(chr(10), '; ')}")
+
+    # the exact commands, which load no numpy, on the named Hamiltonians and one rejected input
+    rng = random.Random(59)
+    exact_cases = [(label, inputs.poly_text(h)) for label, h in hamiltonians() if label.startswith("named")]
+    for label, text in exact_cases + [("rejected (x+y)^2+x", "(x+y)^2+x")]:
+        degree = rng.randint(1, 7)
+        form = f"{random_poly(rng, degree, 6)},{random_poly(rng, degree, 6)}"
+        for argv in (("check", text), ("basis", text), ("reduce", text, "--form", form)):
+            for fmt in ("text", "json"):
+                out, err, code = cli_record(*argv, "--format", fmt)
+                print(f"{label}: pf {argv[0]} {fmt} exit {code} {sha((out, err, code))}")
 
     rng = random.Random(2024)
     for i in range(40):
