@@ -10,6 +10,7 @@ import pytest
 
 from picardfuchs.bipoly import BiPoly, X, Y, integer_terms
 from picardfuchs.cli import main
+from picardfuchs.critical import critical_points_numeric
 from picardfuchs.forms import OneForm
 from picardfuchs.linalg import RatMatrix, char_poly, min_poly
 from picardfuchs.milnor import MilnorBasis
@@ -384,7 +385,11 @@ DEROGATORY = (CUBIC, X**4 + Y**4, X**5 + Y**5 + X**4 + X**2 * Y**2)
 
 
 def _count_calls(monkeypatch, calls, module, name):
-    """Count calls to module.name in calls[name], under every package binding of it."""
+    """Count calls to module.name in calls[name], under every package binding of it.
+
+    A binding is a name a module holds: the package's lazy exports are not
+    bound there, and reading them would bind them for good.
+    """
     import sys as _sys
 
     original = getattr(module, name)
@@ -394,7 +399,7 @@ def _count_calls(monkeypatch, calls, module, name):
         return original(*args)
 
     for loaded in list(_sys.modules.values()):
-        if getattr(loaded, "__name__", "").startswith("picardfuchs") and getattr(loaded, name, None) is original:
+        if getattr(loaded, "__name__", "").startswith("picardfuchs") and vars(loaded).get(name) is original:
             monkeypatch.setattr(loaded, name, counted)
 
 
@@ -449,3 +454,17 @@ def test_oracle_failure_comes_before_any_row(monkeypatch):
     calls.clear()
     build_system(CUBIC)
     assert (calls["divide_two_form"], calls["critical_points_numeric"]) == (4, 1)
+
+
+@pytest.mark.parametrize("H", [CUBIC, SPARSE_QUINTIC, RATIONAL], ids=["cubic", "sparse-quintic", "rational"])
+def test_one_regularity_check_per_build(monkeypatch, H):
+    # build_system hands its report to the basis and to the oracle, whose
+    # critical points are those it finds with a report of its own
+    import picardfuchs.milnor as milnor
+
+    expected = critical_points_numeric(H)
+    calls = collections.Counter()
+    _count_calls(monkeypatch, calls, milnor, "check_regular_at_infinity")
+    sys = build_system(H)
+    assert calls["check_regular_at_infinity"] == 1
+    assert list(map(repr, sys.critical_points)) == list(map(repr, expected))  # bit for bit
