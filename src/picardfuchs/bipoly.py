@@ -18,7 +18,14 @@ here: ``cleared`` (the one place denominators are cleared), ``integer_terms``,
 ``shifted``, ``add_into``/``combine``, ``times`` and ``partials``.  BiPoly's
 ring operators and ``partial`` run on it too: each clears its operands once
 with ``integer_terms``, computes on the integer terms and divides the result
-once by its denominator (``_from_integer_terms``).
+once by its denominator (``from_integer_terms``).
+
+Each polynomial keeps one integer view, the pair ``integer_terms`` returns:
+the integer terms over the least positive denominator, the lcm of the
+coefficients' denominators.  It is made on the first ``integer_terms`` call,
+or set by ``from_integer_terms``, which has the integers at hand and only
+divides out their content with the denominator; ``integer_terms`` hands out
+a copy of the terms, so callers may change what they get.
 
 The float side reads one complex view per polynomial, ``complex_terms``:
 each coefficient converted to complex once, on first use, and kept like the
@@ -27,7 +34,7 @@ oracle's and cycle tracing's fiber rows read it.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 NEG_INFINITY = float("-inf")
 ZERO = Fraction(0)  # the one zero the exact layers hand out for a missing coefficient
@@ -54,9 +61,20 @@ def cleared(values):
 
 
 def integer_terms(poly):
-    """(terms, denominator): poly = terms / denominator, integer terms, positive denominator."""
-    ints, denom = cleared(list(poly.terms.values()))
-    return dict(zip(poly.terms, ints)), denom
+    """(terms, denominator): poly = terms / denominator, integer terms, the least positive denominator.
+
+    The terms are a new dict, a copy of the polynomial's integer view.
+    """
+    terms, denom = _integer_view(poly)
+    return dict(terms), denom
+
+
+def _integer_view(poly):
+    """The kept (terms, denominator) of poly, made on first use; the terms must not be changed."""
+    if poly._ints is None:
+        ints, denom = cleared(list(poly.terms.values()))
+        object.__setattr__(poly, "_ints", (dict(zip(poly.terms, ints)), denom))
+    return poly._ints
 
 
 def shifted(terms, i, j, scale=1):
@@ -107,7 +125,7 @@ def grlex_key(exponents):
 class BiPoly:
     """Immutable sparse polynomial in x and y with Fraction coefficients."""
 
-    __slots__ = ("terms", "_hash", "_complex")
+    __slots__ = ("terms", "_hash", "_complex", "_ints")
 
     def __init__(self, terms=None):
         canonical = {}
@@ -121,6 +139,7 @@ class BiPoly:
         object.__setattr__(self, "terms", canonical)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_complex", None)
+        object.__setattr__(self, "_ints", None)
 
     # -- constructors ------------------------------------------------------
 
@@ -176,7 +195,7 @@ class BiPoly:
         if other is NotImplemented:
             return NotImplemented
         (p, sp), (q, sq) = integer_terms(self), integer_terms(other)
-        return _from_integer_terms(combine((sq, p), (sp, q)), sp * sq)
+        return from_integer_terms(combine((sq, p), (sp, q)), sp * sq)
 
     __radd__ = __add__
 
@@ -197,7 +216,7 @@ class BiPoly:
         if other is NotImplemented:
             return NotImplemented
         (p, sp), (q, sq) = integer_terms(self), integer_terms(other)
-        return _from_integer_terms(times(p, q), sp * sq)
+        return from_integer_terms(times(p, q), sp * sq)
 
     __rmul__ = __mul__
 
@@ -216,14 +235,14 @@ class BiPoly:
                 result = times(result, base)
             base = times(base, base)
             e >>= 1
-        return _from_integer_terms(result, denom**exponent)
+        return from_integer_terms(result, denom**exponent)
 
     # -- calculus ----------------------------------------------------------
 
     def partial(self, var):
         """Formal partial derivative with respect to 'x' or 'y'."""
         terms, denom = integer_terms(self)
-        return _from_integer_terms(partials(terms)[_var_index(var)], denom)
+        return from_integer_terms(partials(terms)[_var_index(var)], denom)
 
     # -- evaluation --------------------------------------------------------
 
@@ -326,9 +345,20 @@ def _coerce(value):
     return NotImplemented
 
 
-def _from_integer_terms(terms, denom):
-    """The BiPoly terms / denom, for integer terms without zeros and a positive denom."""
-    return _raw({e: Fraction(c, denom) for e, c in terms.items()})
+def from_integer_terms(terms, denom):
+    """The BiPoly terms / denom, for integer terms without zeros and a positive denom.
+
+    The pair, its content divided out, becomes the polynomial's integer
+    view, so ``terms`` belongs to the polynomial: the caller must not
+    change it afterwards.
+    """
+    content = gcd(denom, *terms.values())
+    if content > 1:
+        terms = {e: c // content for e, c in terms.items()}
+        denom //= content
+    p = _raw({e: Fraction(c, denom) for e, c in terms.items()})
+    object.__setattr__(p, "_ints", (terms, denom))
+    return p
 
 
 def _raw(terms):
@@ -337,6 +367,7 @@ def _raw(terms):
     object.__setattr__(p, "terms", terms)
     object.__setattr__(p, "_hash", None)
     object.__setattr__(p, "_complex", None)
+    object.__setattr__(p, "_ints", None)
     return p
 
 

@@ -14,8 +14,9 @@ automatically carries total form degree mu * deg H.
 """
 
 from fractions import Fraction
+from math import lcm
 
-from .bipoly import NEG_INFINITY, BiPoly, _frac, cleared
+from .bipoly import NEG_INFINITY, BiPoly, _frac, _integer_view, shifted
 
 
 class OneForm:
@@ -70,10 +71,14 @@ class OneForm:
 
 
 def integer_one_form(omega):
-    """(P, Q, denom): omega = (P dx + Q dy) / denom with integer terms P, Q, denom > 0."""
-    P, Q = omega.P.terms, omega.Q.terms
-    ints, denom = cleared([*P.values(), *Q.values()])
-    return dict(zip(P, ints)), dict(zip(Q, ints[len(P):])), denom
+    """(P, Q, denom): omega = (P dx + Q dy) / denom with new integer terms P, Q and the least denom > 0.
+
+    Read from the integer views of the two coefficients (see bipoly), over
+    the lcm of their denominators.
+    """
+    (P, sP), (Q, sQ) = _integer_view(omega.P), _integer_view(omega.Q)
+    denom = lcm(sP, sQ)
+    return shifted(P, 0, 0, denom // sP), shifted(Q, 0, 0, denom // sQ), denom
 
 
 def canonical_primitive(a, b):

@@ -66,15 +66,45 @@ recognised from its columns (each one piece of the base of 1, of weight
 equal to its denominator, the d+1 of them on distinct monomials), so a
 hand-made basis that lacks a monomial of low degree still gets a solver
 and the same errors.
+
+The border table.  The Milnor algebra acts on itself by multiplication,
+and the matrices M_x, M_y of x and y in the basis have a unit row for each
+m_i with v*m_i a basis monomial (Cox, Little and O'Shea, "Using Algebraic
+Geometry", ch. 2).  The other rows belong to the border monomials v*m_j
+(v in {x, y}, m_j in the basis, v*m_j not in it), at most 2n for the grid.
+Each basis keeps in its SliceStore the reduction of every border monomial,
+made on its first use by a whole peel of that monomial alone and kept as
+(label, numerator) pairs over one positive denominator: the rows of M_x
+and M_y that are not unit rows, with their quotients.  reduce_mod_gradient
+answers a P whose terms are all border monomials from the table, as
+sum_e c_e * reduction(e) on integers over one denominator, with the
+Fractions made once at the end.  Any other P, one with a basis monomial
+among its terms included, is peeled whole as before, so dense queries and
+the errors of an invalid hand-made basis are those of the whole peel.
+(Over such a basis a border-only P raises the error of the first border
+monomial whose peel fails.)
+
+The table's answers are the whole peel's, Fraction for Fraction, because
+the peel is linear in its target.  A round's values are the free-zero
+solution of the stored operator's system for the top slice: the pivot
+columns, and with them the free columns set to zero, are fixed by the
+operator alone, so the solution is one linear map of the slice (replay,
+solution map and fresh pass agree; see FractionFreeSolver), and a zero
+slice has the zero solution.  The round subtracts sum_j u_j column_j,
+linear in the values.  Scaling W and dividing out its content change only
+the representation W / D of the remainder, not the remainder.  So, round by
+round, the remainder and every value are linear in the target, and
+peel(sum_e c_e x^e) = sum_e c_e peel(x^e) for the remainder and both
+quotients; Fractions are canonical, so equal values are equal Fractions.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from math import gcd
+from math import gcd, lcm
 
-from .bipoly import ZERO, BiPoly, _raw, grlex_key, integer_terms, partials, times
+from .bipoly import ZERO, BiPoly, _raw, cleared, from_integer_terms, grlex_key, integer_terms, partials, times
 from .errors import DegreeTooSmallError, InternalRankError, NotRegularError
 from .forms import OneForm, canonical_primitive
 from .linalg import FractionFreeSolver, pivot_columns
@@ -139,7 +169,7 @@ class MilnorBasis:
         Not a field: ==, hash and repr do not see it, and a basis made by the
         constructor or by dataclasses.replace starts with an empty one.
         """
-        return SliceStore(self.H)
+        return SliceStore(self.H, self.monomials)
 
 
 def basis_to_list(basis):
@@ -151,19 +181,23 @@ class SliceStore:
     """What the peels over one basis reuse, each part made on first use.
 
     h = s*H as integer terms, its gradient (hx, hy) as integer terms and as
-    slice bases (see slice_base), the powers h^k as slice bases only, and
-    per column kind ("reduction", "petrov") a dict from the degree d to the
-    slice operator of peel_top_slices.  Columns are not kept: a column is a
-    few shifted, weighted copies of these bases, made when a round
-    subtracts it.
+    slice bases (see slice_base), the powers h^k as slice bases only, per
+    column kind ("reduction", "petrov") a dict from the degree d to the
+    slice operator of peel_top_slices, and the border table: a dict from
+    each border monomial v*m_j (v in {x, y}, m_j a basis monomial, v*m_j
+    not one) to its reduction, None until first use (see
+    reduce_mod_gradient).  Columns are not kept: a column is a few shifted,
+    weighted copies of these bases, made when a round subtracts it.
     """
 
-    def __init__(self, H):
+    def __init__(self, H, monomials):
         self.h, self.s = integer_terms(H)
         self.hx, self.hy = partials(self.h)
         self.hx_base, self.hy_base = slice_base(self.hx), slice_base(self.hy)
         self.powers = {0: ONE}
         self.operators = {"reduction": {}, "petrov": {}}
+        shifts = {(a + 1, b) for a, b in monomials} | {(a, b + 1) for a, b in monomials}
+        self.border = dict.fromkeys(shifts.difference(monomials))
 
     def power(self, k):
         """The slice base of h^k."""
@@ -381,7 +415,27 @@ def reduce_mod_gradient(P, basis):
     The top slice of degree d is matched against the basis monomials of
     degree d (the unique group) and the columns H_x*x^i y^j, -H_y*x^i y^j of
     the quotient monomials of degree d - n; see peel_top_slices.  Quotient
-    degrees stay <= deg P - n.
+    degrees stay <= deg P - n.  When every term of P is a border monomial
+    the answer is the combination of the kept border reductions, the same
+    values (see the module docstring); any other P is peeled whole.
+    """
+    terms, denom = integer_terms(P)
+    border = basis.slice_store.border
+    if all(e in border for e in terms):
+        return _border_combination(terms, denom, basis)
+    values = _reduction_values((terms, denom), basis)
+    return GradientReduction(
+        tuple(values.get(("c", i), ZERO) for i in range(basis.mu)),
+        quotA=_raw({m: v for (kind, m), v in values.items() if kind == "A"}),
+        quotB=_raw({m: v for (kind, m), v in values.items() if kind == "B"}),
+    )
+
+
+def _reduction_values(target, basis):
+    """The whole peel of target = (terms, denom) over the reduction columns: {label: Fraction value}.
+
+    The labels are ("c", i) for the basis monomial m_i and ("B", (i, j)),
+    ("A", (i, j)) for H_x*x^i y^j and -H_y*x^i y^j.
     """
     store = basis.slice_store
 
@@ -395,11 +449,46 @@ def reduce_mod_gradient(P, basis):
         own = [i for i, (a, b) in enumerate(basis.monomials) if a + b == d]
         return len(own), [("c", i) for i in own] + _ideal_labels(basis.n, d)
 
-    values = peel_top_slices(integer_terms(P), store.operators["reduction"], slice_labels, column, InternalRankError)
+    return peel_top_slices(target, store.operators["reduction"], slice_labels, column, InternalRankError)
+
+
+def _border_combination(terms, denom, basis):
+    """The GradientReduction of terms / denom, whose terms are all border monomials, from the border table.
+
+    A border monomial's reduction is made on first use, by a whole peel of
+    the monomial alone, and kept as (label, numerator) pairs over one
+    positive denominator.  The combination sum_e c_e * reduction(e) runs on
+    integers over the lcm of those denominators times denom, and the
+    Fractions are made once, at the end; the quotients keep their integers
+    as their integer views.
+    """
+    border = basis.slice_store.border
+    for e in terms:
+        if border[e] is None:
+            values = _reduction_values(({e: 1}, 1), basis)
+            nums, den = cleared(list(values.values()))
+            border[e] = list(zip(values, nums)), den
+    common = lcm(*(border[e][1] for e in terms))
+    total = {}
+    for e, c in terms.items():
+        pairs, den = border[e]
+        w = c * (common // den)
+        for label, num in pairs:
+            total[label] = total.get(label, 0) + w * num
+    denom *= common
+    remainder = [ZERO] * basis.mu
+    quotients = {"A": {}, "B": {}}
+    for (kind, key), num in total.items():
+        if not num:
+            continue
+        if kind == "c":
+            remainder[key] = Fraction(num, denom)
+        else:
+            quotients[kind][key] = num
     return GradientReduction(
-        tuple(values.get(("c", i), ZERO) for i in range(basis.mu)),
-        quotA=_raw({m: v for (kind, m), v in values.items() if kind == "A"}),
-        quotB=_raw({m: v for (kind, m), v in values.items() if kind == "B"}),
+        tuple(remainder),
+        quotA=from_integer_terms(quotients["A"], denom),
+        quotB=from_integer_terms(quotients["B"], denom),
     )
 
 

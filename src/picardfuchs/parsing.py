@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 from math import lcm
 
-from .bipoly import BiPoly, _from_integer_terms, combine, integer_terms
+from .bipoly import BiPoly, combine, from_integer_terms, integer_terms
 from .errors import ParseError
 
 # each level is a recursive call, so the limit keeps deep input off the stack
@@ -120,7 +120,7 @@ def _parse_sum(tokens):
             tokens.advance()
         products.append((sign, *integer_terms(_parse_product(tokens))))
     denom = lcm(*(s for _, _, s in products))
-    return _from_integer_terms(combine(*((sign * (denom // s), p) for sign, p, s in products)), denom)
+    return from_integer_terms(combine(*((sign * (denom // s), p) for sign, p, s in products)), denom)
 
 
 def _parse_product(tokens):

@@ -45,8 +45,11 @@ part of g has dg_top^dHhat = 0, so g_top = lambda*Hhat^j as Hhat is
 squarefree, and g - lambda*H^j has the same dg^dH); then the degree-d
 slices are a nullspace vector of slice d with a nonzero c-part.
 
-The input is cleared once: omega = (P dx + Q dy)/s_omega with integer terms
-P, Q, and d omega = (Q_x - P_y)/s_omega is the peel's integer target.
+The input is read on integers once: omega = (P dx + Q dy)/s_omega with
+integer terms P, Q from the integer views of its coefficients (see bipoly;
+build_system sets them when it assembles eta_i from integers, so its etas
+are not cleared again), and d omega = (Q_x - P_y)/s_omega is the peel's
+integer target.
 
 The remaining defect omega - sum c_ik H^k omega_i - g dH is closed, and f
 is its radial primitive, which depends on a closed form P dx + Q dy only

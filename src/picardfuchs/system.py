@@ -2,10 +2,13 @@
 
 The numeric critical-point oracle runs first, so a Hamiltonian it cannot
 resolve fails before any row is built.  For each basis monomial m_i the
-2-form H*m_i dx^dy (H shifted by m_i) is divided by dH, giving
+2-form H*m_i dx^dy is written as sum_j A_ij m_j dx^dy + dH ^ eta_i, giving
 row i of the multiplication matrix A and a 1-form eta_i with
-deg eta_i <= deg omega_i <= 2n; the Petrov decomposition of eta_i (degree
-bound forces deg p_j <= 1) fills row i of B0 and B1.  The period vector
+deg eta_i <= deg omega_i <= 2n: from row k when m_i = v*m_k for v = x or y,
+by one division of the border monomials that v*(row k) leaves, and
+otherwise by dividing H*m_i whole (see build_system).  The Petrov
+decomposition of eta_i (degree bound forces deg p_j <= 1) fills row i of
+B0 and B1.  The period vector
 I(t) = (periods of omega_i) then satisfies
 
     (t - A) dI/dt = (B0 + t*B1) I(t).
@@ -28,15 +31,15 @@ The check roots those factors; the classification compares degrees.
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
-from math import prod
+from math import lcm, prod
 from typing import NamedTuple
 
 import numpy as np
 
-from .bipoly import ZERO, add_into, cleared, combine, integer_terms, partials, shifted, times
+from .bipoly import ZERO, _raw, add_into, cleared, combine, from_integer_terms, integer_terms, partials, shifted, times
 from .critical import cluster, critical_points_numeric, value_clusters
 from .errors import NotRegularError
-from .forms import integer_one_form
+from .forms import OneForm, integer_one_form
 from .linalg import RatMatrix, pencil_determinant, spectral_polynomials
 from .milnor import check_regular_at_infinity, divide_two_form, monomial_basis
 from .petrov import petrov_decompose
@@ -93,7 +96,27 @@ class PFSystem:
 
 
 def build_system(H, basis=None):
-    """Construct the Picard-Fuchs system of a Hamiltonian regular at infinity."""
+    """Construct the Picard-Fuchs system of a Hamiltonian regular at infinity.
+
+    Rows go by multiplication in the Milnor algebra.  When m_i = v*m_k for
+    v = x (else v = y) and an earlier basis monomial m_k, row k gives
+    H m_k = R_k + dH ^ eta_k with R_k = sum_j A_kj m_j, so
+
+        H m_i = v R_k + dH ^ (v eta_k).
+
+    The terms A_kj v m_j of v R_k that are basis monomials go straight into
+    row i; the rest, B_i, has only border monomials, whose reductions the
+    basis keeps (milnor.reduce_mod_gradient), and its one division
+    B_i = sum_j c_j m_j + dH ^ eta(B_i) completes row i with
+    eta_i = v eta_k + eta(B_i), assembled on the integer views of eta_k and
+    eta(B_i).  Row 0 and every row whose monomial has no earlier basis
+    monomial m_i / x or m_i / y (a basis that is not an order ideal, or
+    not in degree order) divide H m_i whole.  Either way there is one
+    divide_two_form call per row.  A is unique, so it is the row of the
+    whole division; eta_i may differ from that division's by g dH, which
+    has no Petrov class, so B0 and B1 do not move; and
+    deg eta_i <= deg m_i + 2 by induction.
+    """
     report = check_regular_at_infinity(H)
     if not report.regular:
         raise NotRegularError(report.reason)
@@ -101,9 +124,39 @@ def build_system(H, basis=None):
         basis = monomial_basis(H, report)
     # the oracle first: an input it rejects fails before any row is peeled
     critical_points = tuple(critical_points_numeric(H, report))
+    index = {m: i for i, m in enumerate(basis.monomials)}
+    a_rows, b0_rows, b1_rows, etas, certs = [], [], [], [], []
 
-    def build_row(i):
-        eta, a_row = divide_two_form(H.shift(*basis.monomials[i]), basis)
+    def divide_row(i):
+        """(row i of A, eta_i)."""
+        a, b = basis.monomials[i]
+        for u, v in ((1, 0), (0, 1)):
+            k = index.get((a - u, b - v), i)
+            if k < i:
+                break
+        else:
+            eta, a_row = divide_two_form(H.shift(a, b), basis)
+            return a_row, eta
+        a_row, border = [ZERO] * basis.mu, {}
+        for (c, d), value in zip(basis.monomials, a_rows[k]):
+            if value:
+                j = index.get((c + u, d + v))
+                if j is None:
+                    border[c + u, d + v] = value
+                else:
+                    a_row[j] = value
+        eta_b, c_row = divide_two_form(_raw(border), basis)
+        P, Q, s = integer_one_form(etas[k])
+        P_b, Q_b, s_b = integer_one_form(eta_b)
+        common = lcm(s, s_b)
+        P, Q = shifted(P, u, v, common // s), shifted(Q, u, v, common // s)
+        add_into(P, common // s_b, P_b)
+        add_into(Q, common // s_b, Q_b)
+        eta = OneForm(from_integer_terms(P, common), from_integer_terms(Q, common))
+        return [p + q if p and q else p or q for p, q in zip(a_row, c_row)], eta
+
+    for i in range(basis.mu):
+        a_row, eta = divide_row(i)
         cert = petrov_decompose(eta, basis)
         b0_row = [ZERO] * basis.mu
         b1_row = [ZERO] * basis.mu
@@ -115,15 +168,17 @@ def build_system(H, basis=None):
                 b0_row[j] = coeffs[0]
             if len(coeffs) == 2:
                 b1_row[j] = coeffs[1]
-        return a_row, b0_row, b1_row, eta, cert
-
-    a_rows, b0_rows, b1_rows, etas, certs = zip(*(build_row(i) for i in range(basis.mu)))
+        a_rows.append(a_row)
+        b0_rows.append(b0_row)
+        b1_rows.append(b1_row)
+        etas.append(eta)
+        certs.append(cert)
     degrees = basis.form_degrees()
     return PFSystem(
         basis=basis,
-        A=RatMatrix(list(a_rows)),
-        B0=RatMatrix(list(b0_rows)),
-        B1=RatMatrix(list(b1_rows)),
+        A=RatMatrix(a_rows),
+        B0=RatMatrix(b0_rows),
+        B1=RatMatrix(b1_rows),
         D=tuple(Fraction(d, basis.n + 1) for d in degrees),
         critical_points=critical_points,
         etas=tuple(etas),

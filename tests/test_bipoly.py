@@ -12,6 +12,7 @@ from picardfuchs.bipoly import (
     add_into,
     cleared,
     combine,
+    from_integer_terms,
     grlex_key,
     integer_terms,
     partials,
@@ -180,6 +181,19 @@ def test_integer_terms_of_zero():
     assert integer_terms(BiPoly.zero()) == ({}, 1)
     assert partials({}) == ({}, {}) and times({}, {}) == {} and shifted({}, 1, 2, 3) == {}
     assert combine() == combine((2, {}), (0, {(1, 0): 3})) == {}
+
+
+def test_integer_view_is_the_least_denominator_and_handed_out_as_copies():
+    p = Fraction(3, 4) * X**2 - Fraction(5, 6) * Y + 2
+    terms, denom = integer_terms(p)
+    assert (terms, denom) == ({(2, 0): 9, (0, 1): -10, (0, 0): 24}, 12)
+    terms[2, 0] = 0
+    assert integer_terms(p) == ({(2, 0): 9, (0, 1): -10, (0, 0): 24}, 12)
+    # from_integer_terms divides out the content and keeps the integers it was given
+    q = from_integer_terms({(1, 1): 6, (0, 0): -4}, 8)
+    assert q.terms == {(1, 1): Fraction(3, 4), (0, 0): Fraction(-1, 2)}
+    assert integer_terms(q) == ({(1, 1): 3, (0, 0): -2}, 4) == integer_terms(BiPoly(q.terms))
+    assert integer_terms(from_integer_terms({}, 7)) == ({}, 1)
 
 
 def _big_rational_poly(rng, degree, size):

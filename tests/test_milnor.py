@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from picardfuchs.bipoly import BiPoly, X, Y
+from picardfuchs.bipoly import BiPoly, X, Y, integer_terms
 from picardfuchs.critical import _critical_y_values, _scaled_row, critical_points_numeric, value_clusters
 from picardfuchs.errors import (
     DegreeTooSmallError, InternalRankError, NoSolutionError, NotRegularError, NumericalFailure,
@@ -15,6 +15,7 @@ from picardfuchs.forms import OneForm, canonical_primitive
 from picardfuchs.linalg import RatMatrix
 from picardfuchs.milnor import (
     MilnorBasis,
+    _reduction_values,
     check_regular_at_infinity,
     divide_two_form,
     monomial_basis,
@@ -303,3 +304,86 @@ def test_peel_failures_keep_their_messages():
     operators[3] = Halved(solver), labels, free
     with pytest.raises(InternalRankError, match=r"^top slice failed to cancel; basis invalid$"):
         reduce_mod_gradient(X**3, basis)
+
+
+# a rational quartic regular at infinity: its top part 2/3 x^4 - 5/7 y^4 is squarefree
+RATIONAL_QUARTIC = Fraction(2, 3) * X**4 - Fraction(5, 7) * Y**4 + Fraction(1, 2) * X * Y - 3 * Y
+
+
+def _rational_poly(rng, support):
+    return BiPoly({e: Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for e in support})
+
+
+def _reduction_terms(red):
+    return list(red.remainder_coeffs), red.quotA.terms, red.quotB.terms
+
+
+@pytest.mark.parametrize("name", ["cubic", "mu16", "greedy", "rational-quartic"])
+def test_the_peel_is_linear_in_its_target(name):
+    # reduce(P) = sum_k c_k reduce(x^a_k y^b_k) exactly: remainder and both quotients, term by term
+    rng = random.Random(35)
+    H = {"cubic": CUBIC, "mu16": random_regular_hamiltonian(random.Random(1), 4),
+         "greedy": X**3 + 3 * X * Y**2 + Y, "rational-quartic": RATIONAL_QUARTIC}[name]
+    basis = monomial_basis(H)
+    n, border = basis.n, list(basis.slice_store.border)
+    targets = []
+    for _ in range(4):
+        degree = rng.randint(n, 3 * n)
+        targets.append(_rational_poly(rng, [(a, rng.randint(0, degree - a)) for a in range(degree + 1)]))
+        targets.append(_rational_poly(rng, rng.sample(border, rng.randint(1, len(border)))))
+    for P in targets:
+        red = reduce_mod_gradient(P, basis)
+        remainder = [Fraction(0)] * basis.mu
+        quotients = [{}, {}]
+        for (a, b), c in P.terms.items():
+            part = reduce_mod_gradient(BiPoly.monomial(a, b), basis)
+            remainder = [r + c * v for r, v in zip(remainder, part.remainder_coeffs)]
+            for total, quot in zip(quotients, (part.quotA, part.quotB)):
+                for m, v in quot.terms.items():
+                    total[m] = total.get(m, 0) + c * v
+        expected = remainder, *({m: v for m, v in q.items() if v} for q in quotients)
+        assert _reduction_terms(red) == expected
+        assert all(type(v) is Fraction for v in red.remainder_coeffs)
+        assert all(type(v) is Fraction for q in (red.quotA, red.quotB) for v in q.terms.values())
+        if all(e in basis.slice_store.border for e in P.terms):
+            # the border table's answer against a whole peel of P
+            values = _reduction_values(integer_terms(P), basis)
+            whole = ([values.get(("c", i), 0) for i in range(basis.mu)],
+                     *({m: v for (kind, m), v in values.items() if kind == k} for k in "AB"))
+            assert _reduction_terms(red) == whole
+    assert all(kept is not None for kept in basis.slice_store.border.values())
+
+
+@pytest.mark.parametrize("name", ["cubic", "x^4+y^4", "mu25"])
+def test_kept_border_reductions_form_the_multiplication_matrices(name):
+    # row i of M_v is v*m_i in the basis: a unit row, or the kept reduction of a border monomial
+    H = {"cubic": CUBIC, "x^4+y^4": X**4 + Y**4, "mu25": random_regular_hamiltonian(random.Random(2), 5)}[name]
+    sys = build_system(H)
+    basis, store = sys.basis, sys.basis.slice_store
+    index = {m: i for i, m in enumerate(basis.monomials)}
+    matrices = []
+    for u, v in ((1, 0), (0, 1)):
+        rows = []
+        for a, b in basis.monomials:
+            shifted = (a + u, b + v)
+            if shifted in index:
+                rows.append([int(j == index[shifted]) for j in range(basis.mu)])
+                continue
+            red = reduce_mod_gradient(BiPoly.monomial(*shifted), basis)
+            pairs, den = store.border[shifted]
+            assert list(red.remainder_coeffs) == [
+                Fraction(dict(pairs).get(("c", j), 0), den) for j in range(basis.mu)]
+            rows.append(list(red.remainder_coeffs))
+        matrices.append(RatMatrix(rows))
+    mx, my = matrices
+    assert mx @ my == my @ mx
+    # Stickelberger: H(M_x, M_y) is the multiplication matrix of H, the system's A
+    total = RatMatrix([[0] * basis.mu for _ in range(basis.mu)])
+    for (a, b), c in H.terms.items():
+        power = RatMatrix.identity(basis.mu)
+        for _ in range(a):
+            power = power @ mx
+        for _ in range(b):
+            power = power @ my
+        total = total + power.scale(c)
+    assert total == sys.A

@@ -11,9 +11,11 @@ import pytest
 from picardfuchs.bipoly import BiPoly, X, Y, integer_terms
 from picardfuchs.cli import main
 from picardfuchs.critical import critical_points_numeric
-from picardfuchs.forms import OneForm
+from picardfuchs.errors import InternalRankError
+from picardfuchs.forms import OneForm, canonical_primitive
 from picardfuchs.linalg import RatMatrix, char_poly, min_poly
-from picardfuchs.milnor import MilnorBasis
+from picardfuchs.milnor import MilnorBasis, divide_two_form, monomial_basis, reduce_mod_gradient
+from picardfuchs.petrov import petrov_decompose
 from picardfuchs.serialize import serialize_system
 from picardfuchs.system import build_system, classify_singularities, validate_system
 from picardfuchs.unipoly import UniPoly, is_squarefree, roots_with_multiplicity, squarefree_decomposition
@@ -468,3 +470,60 @@ def test_one_regularity_check_per_build(monkeypatch, H):
     sys = build_system(H)
     assert calls["check_regular_at_infinity"] == 1
     assert list(map(repr, sys.critical_points)) == list(map(repr, expected))  # bit for bit
+
+
+def _out_of_order(basis, order):
+    """The basis with its monomials and primitives in the given order."""
+    return MilnorBasis(basis.H, basis.n, basis.mu, tuple(basis.monomials[k] for k in order),
+                       tuple(basis.primitives[k] for k in order))
+
+
+# (H, order of its basis or None); sparse-d6 is x^6 + y^6 + x^2 y^3 + x + 2y of mu 25, and the
+# out-of-order cubic puts xy before x and y, so row 1 has no earlier predecessor and is divided whole
+RECURRENCE_CASES = {
+    "cubic": (CUBIC, None),
+    "x^4+y^4": (X**4 + Y**4, None),
+    "x^5+y^5+x^4+x^2y^2": (X**5 + Y**5 + X**4 + X**2 * Y**2, None),
+    "sparse-d6": (X**6 + Y**6 + X**2 * Y**3 + X + 2 * Y, None),
+    "greedy": (X**3 + 3 * X * Y**2 + Y, None),
+    "rational": (RATIONAL, None),
+    "cubic-out-of-order": (CUBIC, (0, 3, 1, 2)),
+}
+
+
+@pytest.mark.parametrize("name", list(RECURRENCE_CASES))
+def test_rows_by_recurrence_match_the_whole_division(monkeypatch, name):
+    import picardfuchs.system as system
+
+    H, order = RECURRENCE_CASES[name]
+    basis = monomial_basis(H)
+    if order is not None:
+        basis = _out_of_order(basis, order)
+    calls = collections.Counter()
+    _count_calls(monkeypatch, calls, system, "divide_two_form")
+    sys = build_system(H, basis=basis)
+    assert calls["divide_two_form"] == basis.mu
+    fresh = _out_of_order(basis, range(basis.mu))  # an empty slice store
+    for i, (a, b) in enumerate(basis.monomials):
+        eta, a_row = divide_two_form(H.shift(a, b), fresh)
+        cert = petrov_decompose(eta, fresh)
+        b_rows = [[p.coeffs[k] if len(p.coeffs) > k else 0 for p in cert.coeff_polys] for k in (0, 1)]
+        assert [sys.A.entries[i], sys.B0.entries[i], sys.B1.entries[i]] == [a_row, *b_rows], (name, i)
+        rhs = wedge_with_dH(H, sys.etas[i])
+        for (aj, bj), c in zip(basis.monomials, sys.A.entries[i]):
+            rhs = rhs + BiPoly.monomial(aj, bj, c)
+        assert rhs == H.shift(a, b)
+        assert sys.etas[i].is_zero() or sys.etas[i].degree() <= a + b + 2
+    if order is not None:
+        assert sys.etas[1] == divide_two_form(H.shift(1, 1), fresh)[0]
+
+
+def test_border_only_target_over_an_invalid_basis_raises():
+    # the basis of test_peel_failures_keep_their_messages: xy and y^2 are border monomials of it
+    good = monomial_basis(CUBIC)
+    monos = tuple((2, 0) if m == (1, 1) else m for m in good.monomials)
+    bad = MilnorBasis(CUBIC, good.n, good.mu, monos, tuple(canonical_primitive(a, b) for a, b in monos))
+    assert {(1, 1), (0, 2)} <= set(bad.slice_store.border)
+    for _ in range(2):
+        with pytest.raises(InternalRankError):
+            reduce_mod_gradient(Fraction(2, 3) * Y**2 + X * Y, bad)

@@ -5,9 +5,12 @@ Run from any directory against one source tree:
     PYTHONPATH=<tree>/src python3 tools/exact_digest.py > digest.txt
 
 and compare the files of two trees with ``diff``: a change that must keep
-every exact output prints the same lines.  Per Hamiltonian it digests A, B0,
-B1, D, every eta_i and its Petrov certificate and ``critical_values`` of
-``build_system`` (or the error it raises), its ``critical_points`` in full
+every exact output prints the same lines.  Per Hamiltonian it digests, on
+two lines, A, B0, B1, D and ``critical_values`` of ``build_system`` (or the
+error it raises) as ``matrices``, and every eta_i with its Petrov
+certificate as ``certificates``: the quotient eta_i of a row is not unique,
+so a change to how rows are divided may move the second line alone.  Then
+its ``critical_points`` in full
 (x, y, t and multiplicity, every bit of the floats), and the stdout,
 stderr and exit code of ``pf system H`` in each of the formats json, text
 and latex (the text and LaTeX printers are compared too); for the named ones
@@ -112,14 +115,13 @@ def terms(poly):
     return sorted(poly.terms.items())
 
 
-def system_record(system):
-    return (
-        [m.entries for m in (system.A, system.B0, system.B1)],
-        list(system.D),
-        [(terms(eta.P), terms(eta.Q)) for eta in system.etas],
-        [petrov_record(cert) for cert in system.certificates],
-        system.critical_values(),
-    )
+def matrices_record(system):
+    return [m.entries for m in (system.A, system.B0, system.B1)], list(system.D), system.critical_values()
+
+
+def certificates_record(system):
+    return ([(terms(eta.P), terms(eta.Q)) for eta in system.etas],
+            [petrov_record(cert) for cert in system.certificates])
 
 
 def petrov_record(dec):
@@ -219,11 +221,12 @@ def main_digest():
         H = BiPoly({e: Fraction(c) for e, c in h.items()})
         try:
             system = build_system(H)
-            built = sha(system_record(system))
         except PicardFuchsError as exc:
-            system, built = None, f"{type(exc).__name__}: {exc}"
-        print(f"{label}: build {built}")
+            system = None
+            print(f"{label}: build {type(exc).__name__}: {exc}")
         if system is not None:
+            print(f"{label}: matrices {sha(matrices_record(system))}")
+            print(f"{label}: certificates {sha(certificates_record(system))}")
             print(f"{label}: critical points {sha([dataclasses.astuple(p) for p in system.critical_points])}")
         for fmt in ("json", "text", "latex"):
             print(f"{label}: pf system {fmt} {sha(cli_record('system', inputs.poly_text(h), '--format', fmt))}")
