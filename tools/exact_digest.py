@@ -5,15 +5,14 @@ Run from any directory against one source tree:
     PYTHONPATH=<tree>/src python3 tools/exact_digest.py > digest.txt
 
 and compare the files of two trees with ``diff``: a change that must keep
-every exact output prints the same lines.  Per Hamiltonian it digests, on
-two lines, A, B0, B1, D and ``critical_values`` of ``build_system`` (or the
-error it raises) as ``matrices``, and every eta_i with its Petrov
-certificate as ``certificates``: the quotient eta_i of a row is not unique,
-so a change to how rows are divided may move the second line alone.  Then
-its ``critical_points`` in full
-(x, y, t and multiplicity, every bit of the floats), and the stdout,
-stderr and exit code of ``pf system H`` in each of the formats json, text
-and latex (the text and LaTeX printers are compared too); for the named ones
+every exact output prints the same lines.  Per Hamiltonian it prints the
+error ``build_system`` raises, or two digests of what it returns: A, B0,
+B1, D and ``critical_values`` as ``matrices``, and every eta_i with its
+Petrov certificate as ``certificates`` (the quotient eta_i of a row is not
+unique, so a change to how rows are divided may move this line alone).
+Then its ``critical_points`` in full (x, y, t and multiplicity, every bit
+of the floats), and the stdout, stderr and exit code of ``pf system H`` in
+each of the formats json, text and latex (the text and LaTeX printers are compared too); for the named ones
 also the ``classify_singularities`` details, as text (the JSON leaves out
 that string, which prints the minimal polynomial), and the stdout and exit
 code of ``pf verify H``.  Then the stdout, stderr and exit code of
